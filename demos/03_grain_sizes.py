@@ -41,7 +41,7 @@ churn = DissipativeConfig(
 open_run = run_dissipative(churn)
 born = sum(1 for t in open_run.grain_tracks.values() if t.birth_step > 0)
 died = sum(1 for t in open_run.grain_tracks.values() if t.death_step is not None)
-alive = len(open_run.state.grains)
+alive = sum(1 for t in open_run.grain_tracks.values() if t.death_step is None)
 print()
 print(f"open run: {len(open_run.grain_tracks)} grains ever existed, "
       f"{born} injected, {died} removed, {alive} alive at the end")

@@ -32,7 +32,6 @@ from .conservative import (
     run_conservative,
     smooth_series,
 )
-from .core import MacroSnapshot
 from .dissipative import run_dissipative
 from .errors import ConfigError, ConvergenceError, DataError
 from .inference import (
@@ -70,27 +69,6 @@ def _note(path) -> None:
     print(f"wrote {path}")
 
 
-def _pooled_trajectory(pooled) -> Trajectory:
-    snaps = [
-        MacroSnapshot(
-            step=p.step,
-            mean_posterior=p.mean,
-            variance=p.variance,
-            skewness=p.skewness,
-            excess_kurtosis=p.excess_kurtosis,
-            entropy=p.entropy,
-            distinct_classes=p.distinct_classes,
-            heterogeneous_pairs=p.heterogeneous_pairs,
-        )
-        for p in pooled
-    ]
-    means = np.array([p.mean for p in pooled])
-    return Trajectory(
-        snapshots=snaps,
-        smoothed_mean_posterior=smooth_series(means, DEFAULT_SMOOTHING_WINDOW),
-    )
-
-
 def _cmd_sim_conservative(config: RunConfig, out_dir, seed) -> int:
     section = _require(config.conservative, "conservative")
     if seed is not None:
@@ -125,8 +103,11 @@ def _cmd_sim_dissipative(config: RunConfig, out_dir, seed) -> int:
     bins = io_cfg.histogram_bins if io_cfg is not None else 50
     every = io_cfg.histogram_every if io_cfg is not None else 0
     result = run_dissipative(section, bins=bins)
+    means = np.array([p.mean for p in result.pooled])
     path = _outpath(out_dir, "trajectory.csv")
-    csvio.emit_trajectory_csv(_pooled_trajectory(result.pooled), path)
+    csvio.emit_trajectory_csv(
+        Trajectory(result.pooled, smooth_series(means, DEFAULT_SMOOTHING_WINDOW)), path
+    )
     _note(path)
     gpath = _outpath(out_dir, "grains.csv")
     csvio.emit_grains_csv(result.grain_tracks, gpath)
@@ -284,6 +265,8 @@ def dispatch(argv) -> int:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
     try:
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
         config = _load_config(args.config)
         out_dir = csvio.ensure_out_dir(args.out)
         return _COMMANDS[args.command](config, out_dir, args.seed)

@@ -190,17 +190,17 @@ def run_conservative(
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
     state = init_ensemble(config.n_microstates)
-    snapshots = [macro_snapshot(state, 0, config.eps_class)]
+    snapshots: list[MacroSnapshot] = []
     per: list[StepLedgers] | None = [] if record_microstates else None
-    if per is not None:
-        per.append(StepLedgers(state.wins.copy(), state.losses.copy(), state.posteriors()))
-    for t in range(1, config.steps + 1):
-        gen = rngmod.stream(config.seed, rngmod.BETS, 0, t)
-        forced = forced_schedule[t - 1] if forced_schedule is not None else None
-        step_conservative(state, gen, config.bets_per_step, forced)
-        snapshots.append(macro_snapshot(state, t, config.eps_class))
+    for t in range(config.steps + 1):
+        if t > 0:
+            gen = rngmod.stream(config.seed, rngmod.BETS, 0, t)
+            forced = forced_schedule[t - 1] if forced_schedule is not None else None
+            step_conservative(state, gen, config.bets_per_step, forced)
+        post = state.posteriors()
+        snapshots.append(macro_snapshot(post, t, config.eps_class))
         if per is not None:
-            per.append(StepLedgers(state.wins.copy(), state.losses.copy(), state.posteriors()))
+            per.append(StepLedgers(state.wins.copy(), state.losses.copy(), post))
     means = [s.mean_posterior for s in snapshots]
     return Trajectory(
         snapshots=snapshots,

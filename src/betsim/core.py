@@ -48,15 +48,6 @@ class EnsembleTotals:
 
 
 @dataclass(frozen=True)
-class MicroState:
-    """Immutable view of one participant: ledger plus its posterior."""
-
-    id: int
-    ledger: BetLedger
-    posterior: float
-
-
-@dataclass(frozen=True)
 class Moments:
     """Population moments of a value collection.
 
@@ -73,11 +64,14 @@ class Moments:
 
 @dataclass(frozen=True)
 class MacroSnapshot:
-    """Aggregate observables of one ensemble at one step.
+    """Aggregate observables of one posterior population at one step.
 
-    ``entropy`` is the Boltzmann entropy (k_B = 1, nats) of
-    ``max(1, heterogeneous_pairs)``; skewness and excess kurtosis are
-    NaN for a degenerate (zero-variance) posterior population.
+    The population is one ensemble, one grain, or every living grain
+    pooled together.  ``entropy`` is the Boltzmann entropy (k_B = 1,
+    nats) of ``max(1, heterogeneous_pairs)``; skewness and excess
+    kurtosis are NaN for a degenerate (zero-variance) population.
+    ``counts`` is set only on pooled rows: the posterior histogram over
+    fixed-width bins on [0, 1], summing to the pooled population.
     """
 
     step: int
@@ -88,6 +82,17 @@ class MacroSnapshot:
     entropy: float
     distinct_classes: int
     heterogeneous_pairs: int
+    counts: np.ndarray | None = None
+
+    @property
+    def mean(self) -> float:
+        """Alias of ``mean_posterior``."""
+        return self.mean_posterior
+
+    @property
+    def population(self) -> int:
+        """Pooled population size; pooled rows only."""
+        return int(self.counts.sum())
 
 
 class EnsembleState:
@@ -123,13 +128,6 @@ class EnsembleState:
 
     def posteriors(self) -> np.ndarray:
         return posterior_win_many(self.wins, self.losses)
-
-    def microstates(self) -> tuple[MicroState, ...]:
-        post = self.posteriors()
-        return tuple(
-            MicroState(i, BetLedger(int(w), int(l)), float(p))
-            for i, (w, l, p) in enumerate(zip(self.wins, self.losses, post))
-        )
 
 
 def posterior_win(ledger: BetLedger, totals: EnsembleTotals) -> float:
@@ -209,37 +207,36 @@ def boltzmann_entropy(omega: float) -> float:
     return math.log(omega)
 
 
-def distinct_posterior_classes(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
-    """Count equivalence classes under |p_i - p_j| <= eps clustering.
+def _sorted_census(posteriors, eps: float) -> tuple[int, int]:
+    """(distinct classes, heterogeneous pairs) of a population, from one sort.
 
-    Computed by sorting and splitting on gaps larger than ``eps``
-    (transitive closure of the tolerance relation).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    p = np.sort(np.asarray(posteriors, dtype=np.float64))
-    if p.size == 0:
-        return 0
-    return int(np.count_nonzero(np.diff(p) > eps)) + 1
-
-
-def heterogeneous_pair_count(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
-    """Number of unordered pairs (i, j) with |p_i - p_j| > eps.
-
-    Sorting reduces the pair census to a rank difference, so the count
-    stays exact while running in O(N log N) instead of O(N^2).
+    Classes split the sorted values on gaps larger than ``eps``
+    (transitive closure of the tolerance relation).  Sorting also
+    reduces the pair census to a rank difference: for each right
+    endpoint r, the pairs with p_r - p_j <= eps are the trailing run
+    starting at searchsorted(p, p_r - eps), so the count stays exact in
+    O(N log N) instead of O(N^2).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     p = np.sort(np.asarray(posteriors, dtype=np.float64))
     n = p.size
     if n < 2:
-        return 0
-    # for each right endpoint r: pairs with p_r - p_j <= eps are the
-    # trailing run starting at searchsorted(p, p_r - eps)
+        return n, 0
+    classes = int(np.count_nonzero(np.diff(p) > eps)) + 1
     first_within = np.searchsorted(p, p - eps, side="left")
     within = int((np.arange(n) - first_within).sum())
-    return n * (n - 1) // 2 - within
+    return classes, n * (n - 1) // 2 - within
+
+
+def distinct_posterior_classes(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
+    """Count equivalence classes under |p_i - p_j| <= eps clustering."""
+    return _sorted_census(posteriors, eps)[0]
+
+
+def heterogeneous_pair_count(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
+    """Number of unordered pairs (i, j) with |p_i - p_j| > eps."""
+    return _sorted_census(posteriors, eps)[1]
 
 
 def ensemble_entropy(posteriors: Sequence[float], eps: float = EPS_CLASS) -> float:
@@ -281,13 +278,14 @@ def population_moments(values: Sequence[float]) -> Moments:
     return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
 
 
-def macro_snapshot(ensemble: EnsembleState, step: int, eps: float = EPS_CLASS) -> MacroSnapshot:
-    """Aggregate the ensemble's posterior population into one snapshot."""
-    if ensemble.size == 0:
-        raise ValueError("cannot snapshot an empty ensemble")
-    post = ensemble.posteriors()
-    mom = population_moments(post)
-    pairs = heterogeneous_pair_count(post, eps)
+def macro_snapshot(posteriors: Sequence[float], step: int, eps: float = EPS_CLASS) -> MacroSnapshot:
+    """Aggregate one posterior population into a snapshot.
+
+    Moments come from the array in its given order; classes and pairs
+    from a single sort of it.
+    """
+    mom = population_moments(posteriors)
+    classes, pairs = _sorted_census(posteriors, eps)
     return MacroSnapshot(
         step=int(step),
         mean_posterior=mom.mean,
@@ -295,6 +293,6 @@ def macro_snapshot(ensemble: EnsembleState, step: int, eps: float = EPS_CLASS) -
         skewness=mom.skewness,
         excess_kurtosis=mom.excess_kurtosis,
         entropy=boltzmann_entropy(max(1, pairs)),
-        distinct_classes=distinct_posterior_classes(post, eps),
+        distinct_classes=classes,
         heterogeneous_pairs=pairs,
     )

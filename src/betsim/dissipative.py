@@ -15,17 +15,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, init_ensemble, smooth_series, step_conservative
-from .core import (
-    EPS_CLASS,
-    EnsembleState,
-    MacroSnapshot,
-    boltzmann_entropy,
-    distinct_posterior_classes,
-    heterogeneous_pair_count,
-    macro_snapshot,
-    population_moments,
-)
+from .conservative import init_ensemble, step_conservative
+from .core import EPS_CLASS, EnsembleState, MacroSnapshot, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
@@ -133,53 +124,20 @@ class GrainTrack:
     def mean_series(self) -> np.ndarray:
         return np.array([s.mean_posterior for s in self.snapshots], dtype=np.float64)
 
-    def to_trajectory(self, smoothing_window: int = DEFAULT_SMOOTHING_WINDOW) -> Trajectory:
-        return Trajectory(
-            snapshots=list(self.snapshots),
-            smoothed_mean_posterior=smooth_series(self.mean_series, smoothing_window),
-        )
-
-
-@dataclass(frozen=True)
-class PooledSnapshot:
-    """All living grains pooled into one population at one step.
-
-    Moments are population estimators over the pooled posteriors; the
-    histogram uses fixed-width bins on [0, 1] whose counts sum to the
-    number of living microstates.  ``degenerate`` flags zero pooled
-    variance (skewness/kurtosis NaN).  Per-grain means and entropies
-    are keyed by grain id.
-    """
-
-    step: int
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-    degenerate: bool
-    entropy: float
-    distinct_classes: int
-    heterogeneous_pairs: int
-    bin_edges: np.ndarray
-    counts: np.ndarray
-    grain_means: dict[int, float]
-    grain_entropies: dict[int, float]
-
-    @property
-    def population(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class DissipativeState:
-    """Mutable run state: living grains plus the recorded series."""
+    """Mutable run state: living grains plus the recorded series.
+
+    ``pooled`` holds one pooled snapshot (``counts`` set) per step.
+    """
 
     config: DissipativeConfig
     grains: list[CoarseGrain]
     step: int
     next_id: int
     tracks: dict[int, GrainTrack]
-    pooled: list[PooledSnapshot]
+    pooled: list[MacroSnapshot]
 
 
 @dataclass
@@ -187,8 +145,7 @@ class DissipativeResult:
     """Outcome of a full run: per-grain trajectories and pooled series."""
 
     grain_tracks: dict[int, GrainTrack]
-    pooled: list[PooledSnapshot]
-    state: DissipativeState
+    pooled: list[MacroSnapshot]
 
 
 def init_grains(sizes, config: DissipativeConfig | None = None, bins: int = DEFAULT_BINS) -> DissipativeState:
@@ -201,46 +158,34 @@ def init_grains(sizes, config: DissipativeConfig | None = None, bins: int = DEFA
     if config is None:
         config = DissipativeConfig(steps=0, grain_sizes=sizes)
     grains = [CoarseGrain(i, init_ensemble(s), 0, s) for i, s in enumerate(sizes)]
+    posts = [g.ensemble.posteriors() for g in grains]
     tracks = {
-        g.id: GrainTrack(g.id, g.size, 0, [macro_snapshot(g.ensemble, 0, EPS_CLASS)])
-        for g in grains
+        g.id: GrainTrack(g.id, g.size, 0, [macro_snapshot(post, 0, EPS_CLASS)])
+        for g, post in zip(grains, posts)
     }
     state = DissipativeState(
         config=config, grains=grains, step=0, next_id=len(sizes), tracks=tracks, pooled=[]
     )
-    state.pooled.append(superposed_distribution(state, bins))
+    state.pooled.append(superposed_distribution(posts, 0, bins))
     return state
 
 
-def superposed_distribution(state: DissipativeState, bins: int = DEFAULT_BINS) -> PooledSnapshot:
-    """Pool every living microstate's posterior into one distribution."""
-    if not state.grains:
+def superposed_distribution(
+    grain_posteriors: list[np.ndarray], step: int, bins: int = DEFAULT_BINS
+) -> MacroSnapshot:
+    """Pool the living grains' posterior arrays into one snapshot.
+
+    ``grain_posteriors`` holds one array per living grain, in grain
+    order.  The snapshot's ``counts`` is the pooled histogram over
+    ``bins`` fixed-width bins on [0, 1].
+    """
+    if not grain_posteriors:
         raise ValueError("no living grains to pool")
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    per_grain = [(g.id, g.ensemble.posteriors()) for g in state.grains]
-    pooled = np.concatenate([p for _, p in per_grain])
-    mom = population_moments(pooled)
-    counts, edges = np.histogram(pooled, bins=bins, range=(0.0, 1.0))
-    pairs = heterogeneous_pair_count(pooled, EPS_CLASS)
-    return PooledSnapshot(
-        step=state.step,
-        mean=mom.mean,
-        variance=mom.variance,
-        skewness=mom.skewness,
-        excess_kurtosis=mom.excess_kurtosis,
-        degenerate=mom.degenerate,
-        entropy=boltzmann_entropy(max(1, pairs)),
-        distinct_classes=distinct_posterior_classes(pooled, EPS_CLASS),
-        heterogeneous_pairs=pairs,
-        bin_edges=edges,
-        counts=counts.astype(np.int64),
-        grain_means={gid: float(p.mean()) for gid, p in per_grain},
-        grain_entropies={
-            gid: boltzmann_entropy(max(1, heterogeneous_pair_count(p, EPS_CLASS)))
-            for gid, p in per_grain
-        },
-    )
+    pooled = np.concatenate(grain_posteriors)
+    counts, _ = np.histogram(pooled, bins=bins, range=(0.0, 1.0))
+    return replace(macro_snapshot(pooled, step, EPS_CLASS), counts=counts.astype(np.int64))
 
 
 def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
@@ -249,10 +194,11 @@ def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
         return min(range(len(state.grains)), key=lambda k: (state.grains[k].birth_step, state.grains[k].id))
     if policy == "random":
         return int(topo.integers(0, len(state.grains)))
-    # closest-to-equilibrium: smallest |mean posterior - 0.5|, id breaks ties
+    # closest-to-equilibrium: smallest |mean posterior - 0.5| as of this
+    # step's snapshot, id breaks ties
     def distance(k: int) -> tuple[float, int]:
-        g = state.grains[k]
-        return (abs(float(g.ensemble.posteriors().mean()) - 0.5), g.id)
+        gid = state.grains[k].id
+        return (abs(state.tracks[gid].snapshots[-1].mean_posterior - 0.5), gid)
 
     return min(range(len(state.grains)), key=distance)
 
@@ -276,12 +222,14 @@ def step_dissipative(
     """
     cfg = state.config
     t = state.step + 1
+    posts = []  # this step's posteriors, aligned with state.grains
     for grain in state.grains:
         bets = _grain_bets(cfg, grain.size)
         if bets >= 1:
             gen = rngmod.stream(cfg.seed, rngmod.BETS, grain.id, t)
             step_conservative(grain.ensemble, gen, bets)
-        state.tracks[grain.id].snapshots.append(macro_snapshot(grain.ensemble, t, EPS_CLASS))
+        posts.append(grain.ensemble.posteriors())
+        state.tracks[grain.id].snapshots.append(macro_snapshot(posts[-1], t, EPS_CLASS))
     topo = rng if rng is not None else rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
     if topo.random() < cfg.injection_prob:
         lo, hi = cfg.injection_size_range
@@ -289,15 +237,15 @@ def step_dissipative(
         grain = CoarseGrain(state.next_id, init_ensemble(size), t, size)
         state.next_id += 1
         state.grains.append(grain)
-        state.tracks[grain.id] = GrainTrack(
-            grain.id, size, t, [macro_snapshot(grain.ensemble, t, EPS_CLASS)]
-        )
+        posts.append(grain.ensemble.posteriors())
+        state.tracks[grain.id] = GrainTrack(grain.id, size, t, [macro_snapshot(posts[-1], t, EPS_CLASS)])
     if topo.random() < cfg.removal_prob and len(state.grains) > 1:
         k = _remove_index(state, topo)
         removed = state.grains.pop(k)
+        posts.pop(k)
         state.tracks[removed.id].death_step = t
     state.step = t
-    state.pooled.append(superposed_distribution(state, bins))
+    state.pooled.append(superposed_distribution(posts, t, bins))
     return state
 
 
@@ -330,7 +278,7 @@ def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> Diss
     state = init_grains(config.grain_sizes, config, bins)
     for _ in range(config.steps):
         step_dissipative(state, None, bins)
-    return DissipativeResult(grain_tracks=state.tracks, pooled=state.pooled, state=state)
+    return DissipativeResult(grain_tracks=state.tracks, pooled=state.pooled)
 
 
 def _grain_bets(config: DissipativeConfig, size: int) -> int:

@@ -17,7 +17,8 @@ from typing import Iterable
 import numpy as np
 
 from .conservative import Trajectory
-from .dissipative import GrainTrack, PooledSnapshot
+from .core import MacroSnapshot
+from .dissipative import GrainTrack
 from .errors import DataError
 from .inference import ModelPosterior
 from .superstat import ReturnSeries
@@ -52,7 +53,8 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
 
     Raises :class:`DataError` on a missing file, bad header, malformed
     row (with its line number), nonpositive price, nonincreasing time,
-    or fewer than tau+1 rows.
+    fewer than tau+1 rows, or a non-finite log-return (a price ratio
+    beyond the float range).
     """
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
@@ -100,7 +102,15 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     if len(prices) < tau + 1:
         raise DataError(f"{path}: need at least tau+1 = {tau + 1} rows, got {len(prices)}")
     p = np.asarray(prices, dtype=np.float64)
-    return ReturnSeries(tau=tau, samples=np.log(p[tau:] / p[:-tau]), seed=None)
+    with np.errstate(over="ignore", divide="ignore"):
+        samples = np.log(p[tau:] / p[:-tau])
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(
+            f"{path}: lines {i + 2} and {i + tau + 2}: log-return {samples[i]} is not finite"
+        )
+    return ReturnSeries(tau=tau, samples=samples, seed=None)
 
 
 def emit_trajectory_csv(trajectory: Trajectory, path) -> None:
@@ -122,10 +132,14 @@ def emit_trajectory_csv(trajectory: Trajectory, path) -> None:
             out.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def emit_histogram_csv(pooled_snapshot: PooledSnapshot, path) -> None:
-    """Write the pooled posterior histogram: one row per bin."""
-    edges = pooled_snapshot.bin_edges
+def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
+    """Write a pooled snapshot's posterior histogram: one row per bin.
+
+    The bins are fixed-width on [0, 1], so the edges are rebuilt here
+    exactly as ``np.histogram`` forms them.
+    """
     counts = pooled_snapshot.counts
+    edges = np.linspace(0.0, 1.0, counts.size + 1)
     with _open_out(path) as out:
         out.write("bin_left,bin_right,count\n")
         for k in range(counts.size):
@@ -191,7 +205,12 @@ def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
                 raise DataError(f"{path}: line {lineno}: bad value {row[1]!r}") from None
     if not values:
         raise DataError(f"{path}: no data rows")
-    return ReturnSeries(tau=tau, samples=np.asarray(values), seed=None)
+    samples = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}: line {i + 2}: value {samples[i]} is not finite")
+    return ReturnSeries(tau=tau, samples=samples, seed=None)
 
 
 def emit_fit_csv(rows: Iterable[tuple[str, object]], path) -> None:

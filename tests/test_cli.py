@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface (in process)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,76 @@ def test_ingest_horizon_from_superstat_section(workdir):
     assert dispatch(["ingest", "--config", cfg, "--out", "o"]) == 0
     series = read_returns_csv(str(workdir / "o/returns.csv"), tau=3)
     assert len(series.samples) == 2
+
+
+# ---------------------------------------------------------------------------
+# output bytes pinned across refactors
+
+GOLDEN_CONFIGS = {
+    "sim-conservative": (
+        "[conservative]\nsteps = 30\nn_microstates = 12\nbets_per_step = 3\nseed = 7\n"
+    ),
+    # grain churn (20 grains injected, 15 removed closest-to-equilibrium)
+    # and periodic histograms
+    "sim-dissipative": (
+        "[dissipative]\nsteps = 40\ngrain_sizes = 8, 12, 20\nseed = 3\n"
+        "injection_prob = 0.4\ninjection_size_range = 5, 15\n"
+        "removal_prob = 0.35\nremoval_policy = closest-to-equilibrium\n"
+        "\n[io]\nhistogram_bins = 13\nhistogram_every = 10\n"
+    ),
+}
+
+GOLDEN_DIGESTS = {
+    "sim-conservative": {
+        "microstates.csv": "74c185c90212a952e9f5d87f9bb12a0dae6909ba04fe70e83083b5aa4bb585d0",
+        "trajectory.csv": "9800f80f835c17f1c5c296ebea84064667812c8b3e3318f2ba7a5cf8787cf902",
+    },
+    "sim-dissipative": {
+        "grains.csv": "075795f31cb8ad5b92315ca316b6686ee85715d57af6b7e25c8cb9072bf661aa",
+        "histogram_0.csv": "d3ea229f45a7ca94617a19bc8a360cd4ed95eabbf24fcc7af3bffa8ae65e597d",
+        "histogram_10.csv": "7c9473c66ad9c537701284853b9be59c2a815858fb1fde4f842069a439cc47b7",
+        "histogram_20.csv": "46f7e21cd9d823554d7721c8d8a70d1ea661d2133b289857926b5fa61dc02189",
+        "histogram_30.csv": "9f46403f1e942c0630ea93d7731acab3d9bd39564a0891466eeb792a64111750",
+        "histogram_40.csv": "2c8a9ddf71989d29a00bf08097485385b76a6341c0d6ec9431db2b8363dfaba0",
+        "trajectory.csv": "6515dc846ba07d1cc6b1c2468f2e4f7d625c9f83fb085b419d3ac82746c8ff81",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CONFIGS))
+def test_simulation_outputs_match_golden_digests(workdir, command):
+    cfg = _write(workdir, "g.ini", GOLDEN_CONFIGS[command])
+    assert dispatch([command, "--config", cfg, "--out", "o"]) == 0
+    got = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (workdir / "o").iterdir()
+    }
+    assert got == GOLDEN_DIGESTS[command]
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: one error line, no traceback
+
+FIT = "[inference]\nmu = 0.0\n\n[io]\ninput = in.csv\n"
+INGEST = "[io]\ninput = in.csv\n"
+
+
+@pytest.mark.parametrize(
+    "command, config, data, extra, code",
+    [
+        ("fit-variance", FIT, "i,value\n0,1.0\n1,nan\n", [], 3),
+        ("fit-variance", FIT, "i,value\n0,1.0\n1,inf\n", [], 3),
+        ("sim-conservative", CONSERVATIVE, "", ["--seed", "-1"], 2),
+        ("sim-conservative", CONSERVATIVE, "", ["--seed", str(2**64)], 2),
+        ("ingest", INGEST, "t,price\n0,1e308\n1,1e-308\n2,1.0\n", [], 3),
+    ],
+    ids=["fit-variance-nan", "fit-variance-inf", "seed-negative", "seed-2**64", "ingest-overflow"],
+)
+def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
+    _write(workdir, "in.csv", data)
+    cfg = _write(workdir, "c.ini", config)
+    assert dispatch([command, "--config", cfg, "--out", "o"] + extra) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not list(workdir.glob("o/*"))  # nothing written

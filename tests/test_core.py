@@ -246,16 +246,15 @@ def test_ensemble_state_posteriors_consistent():
     post = state.posteriors()
     totals = state.totals
     assert totals == EnsembleTotals(4, 3)
-    for micro in state.microstates():
-        assert post[micro.id] == pytest.approx(
-            posterior_win(micro.ledger, totals)
-        )
+    for i in range(state.size):
+        ledger = BetLedger(int(state.wins[i]), int(state.losses[i]))
+        assert post[i] == pytest.approx(posterior_win(ledger, totals))
 
 
 def test_macro_snapshot_aggregates():
     state = EnsembleState([1, 2, 1, 3], [2, 0, 1, 1])
-    snap = macro_snapshot(state, step=7)
     post = state.posteriors()
+    snap = macro_snapshot(post, step=7)
     assert snap.step == 7
     assert snap.mean_posterior == pytest.approx(float(post.mean()))
     assert snap.heterogeneous_pairs == _brute_pairs(list(post), 1e-9)

@@ -5,6 +5,7 @@ import pytest
 
 from betsim import rng as rngmod
 from betsim.conservative import ConservativeConfig, run_conservative
+from betsim.io import emit_histogram_csv
 from betsim.dissipative import (
     DissipativeConfig,
     convergence_time,
@@ -88,14 +89,19 @@ def test_run_shapes_and_reproducibility():
     assert [p.mean for p in a.pooled] != [p.mean for p in c.pooled]
 
 
-def test_pooled_histogram_accounts_for_everyone():
+def test_pooled_histogram_accounts_for_everyone(tmp_path):
     cfg = DissipativeConfig(steps=5, grain_sizes=(9, 14, 21), seed=2)
     result = run_dissipative(cfg, bins=17)
+    _, edges = np.histogram([], bins=17, range=(0.0, 1.0))
+    expect = [f"{a:.12g},{b:.12g}" for a, b in zip(edges[:-1], edges[1:])]
     for snap in result.pooled:
         assert snap.counts.sum() == 9 + 14 + 21
-        assert snap.bin_edges[0] == 0.0 and snap.bin_edges[-1] == 1.0
         assert len(snap.counts) == 17
-        assert set(snap.grain_means) == {0, 1, 2}
+        path = tmp_path / f"histogram_{snap.step}.csv"
+        emit_histogram_csv(snap, path)
+        rows = path.read_text().splitlines()[1:]
+        assert [r.rsplit(",", 1)[0] for r in rows] == expect
+        assert [int(r.rsplit(",", 1)[1]) for r in rows] == snap.counts.tolist()
 
 
 def test_injection_adds_fresh_grains():
@@ -165,10 +171,8 @@ def test_step_accepts_override_stream():
 
 
 def test_superposed_requires_living_grains():
-    state = init_grains((4,))
-    state.grains.clear()
     with pytest.raises(ValueError, match="living grains"):
-        superposed_distribution(state)
+        superposed_distribution([], step=0)
 
 
 # ---------------------------------------------------------------------------
