@@ -212,11 +212,8 @@ def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
 
 def _cmd_ingest(config: RunConfig, out_dir, seed) -> int:
     del seed  # accepted for interface uniformity; ingestion is deterministic
-    io_cfg = config.io
-    if io_cfg is None or not io_cfg.input:
-        raise ConfigError("config must set [io] input = <path>")
     tau = config.superstat.tau if config.superstat is not None else 1
-    series = csvio.ingest_price_csv(io_cfg.input, tau)
+    series = _input_series(config, lambda path: csvio.ingest_price_csv(path, tau))
     path = _outpath(out_dir, "returns.csv")
     csvio.emit_returns_csv(series, path)
     _note(path)
@@ -265,8 +262,11 @@ def dispatch(argv) -> int:
         # argparse exits 0 for --help/--version and 2 for usage errors
         return int(exc.code or 0)
     try:
-        if args.seed is not None and not 0 <= args.seed < 2**64:
-            raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
+        if args.seed is not None:
+            try:
+                rngmod.check_seed(args.seed)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for --seed: {exc}") from exc
         config = _load_config(args.config)
         out_dir = csvio.ensure_out_dir(args.out)
         return _COMMANDS[args.command](config, out_dir, args.seed)

@@ -1,21 +1,26 @@
 """Sectioned key-value experiment configuration.
 
 The on-disk grammar is INI-style: ``[section]`` headers, one ``key =
-value`` pair per line, ``#``/``;`` comments, UTF-8.  Recognized
-sections are ``conservative``, ``dissipative``, ``superstat``,
-``inference`` and ``io``; every key mirrors a field of the owning
-module's config and unknown sections or keys are hard errors, so a
-typo cannot silently fall back to a default.  ``emit_config`` writes
-the fully resolved document (defaults materialized, canonical key
-order), and ``parse_config(emit_config(cfg)) == cfg`` holds for every
-valid configuration.
+value`` pair per line, ``#``/``;`` comments, UTF-8.  The sections are
+the fields of :class:`RunConfig` (``conservative``, ``dissipative``,
+``superstat``, ``inference`` and ``io``).  Each section's keys, their
+value types and its required keys (the fields without a default) are
+read from the section dataclass itself, so a new field is a new key.
+Unknown sections or keys are hard errors, so a typo cannot silently
+fall back to a default.  ``emit_config`` writes the fully resolved
+document (defaults materialized, keys in field order), and
+``parse_config(emit_config(cfg)) == cfg`` holds for every valid
+configuration.
 """
 from __future__ import annotations
 
 import configparser
 import io as _io
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import Callable
 
+from . import rng as rngmod
 from .conservative import ConservativeConfig
 from .dissipative import DissipativeConfig
 from .errors import ConfigError
@@ -44,8 +49,7 @@ class SuperstatConfig:
             raise ValueError("n must be >= 1")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        rngmod.check_seed(self.seed)
         self.model()  # validate the distribution parameters eagerly
 
     def model(self) -> MixingModel:
@@ -145,90 +149,42 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part.strip()) for part in text.split(","))
+_NONE = type(None)
+_SCALAR_PARSERS = {int: int, float: float, bool: _parse_bool, str: str.strip}
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part.strip()) for part in text.split(","))
+def _unwrap_optional(hint):
+    """``X`` for an ``X | None`` annotation, else ``hint`` itself."""
+    args = typing.get_args(hint)
+    if _NONE not in args:
+        return hint
+    (inner,) = (a for a in args if a is not _NONE)
+    return inner
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(","))
+def _value_parser(hint) -> Callable[[str], object]:
+    """Text-to-value parser for a field annotated ``hint``; _format_value
+    is its inverse.  An ``X | None`` key parses as ``X``; leaving it out
+    keeps the None default."""
+    hint = _unwrap_optional(hint)
+    if typing.get_origin(hint) is tuple:
+        # comma-separated items; the section checks a fixed length itself
+        item = _value_parser(typing.get_args(hint)[0])
+        return lambda text: tuple(item(part) for part in text.split(","))
+    return _SCALAR_PARSERS[hint]
 
 
-def _identity(text: str) -> str:
-    return text.strip()
+def _schema(section_type) -> dict[str, Callable[[str], object]]:
+    """Key -> value parser for every field of a section dataclass."""
+    hints = typing.get_type_hints(section_type)
+    return {f.name: _value_parser(hints[f.name]) for f in fields(section_type)}
 
 
-# key -> parser; emit is the inverse, handled by _format_value
-_SCHEMA: dict[str, dict[str, object]] = {
-    "conservative": {
-        "steps": int,
-        "n_microstates": int,
-        "bets_per_step": int,
-        "seed": int,
-        "smoothing_window": int,
-        "eps_class": float,
-    },
-    "dissipative": {
-        "steps": int,
-        "grain_sizes": _parse_int_list,
-        "seed": int,
-        "bets_fraction": float,
-        "bets_per_grain": int,
-        "injection_prob": float,
-        "injection_size_range": _parse_int_list,
-        "removal_prob": float,
-        "removal_policy": _identity,
-        "eps_eq": float,
-        "sustain": int,
-    },
-    "superstat": {
-        "kind": _identity,
-        "alpha": float,
-        "beta": float,
-        "gamma": float,
-        "sigma0": float,
-        "n": int,
-        "tau": int,
-        "seed": int,
-        "slow_mixing": _parse_bool,
-    },
-    "inference": {
-        "mu": float,
-        "prior_alpha": float,
-        "prior_beta": float,
-        "models": _parse_str_list,
-        "model_priors": _parse_float_list,
-        "model_alphas": _parse_float_list,
-        "model_betas": _parse_float_list,
-        "max_doublings": int,
-        "rel_tol": float,
-    },
-    "io": {
-        "input": _identity,
-        "write_microstates": _parse_bool,
-        "histogram_bins": int,
-        "histogram_every": int,
-    },
+# section name -> section dataclass, in RunConfig field order
+_SECTIONS = {
+    name: _unwrap_optional(hint) for name, hint in typing.get_type_hints(RunConfig).items()
 }
-
-_SECTION_TYPES = {
-    "conservative": ConservativeConfig,
-    "dissipative": DissipativeConfig,
-    "superstat": SuperstatConfig,
-    "inference": InferenceConfig,
-    "io": IoConfig,
-}
-
-_REQUIRED_KEYS = {
-    "conservative": ("steps",),
-    "dissipative": ("steps",),
-    "superstat": (),
-    "inference": (),
-    "io": (),
-}
+_SCHEMAS = {name: _schema(section_type) for name, section_type in _SECTIONS.items()}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -252,24 +208,24 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config syntax error: {exc}") from exc
     sections: dict[str, object] = {}
     for name in cp.sections():
-        if name not in _SCHEMA:
+        if name not in _SECTIONS:
             raise ConfigError(
-                f"unknown section [{name}]; expected one of {sorted(_SCHEMA)}"
+                f"unknown section [{name}]; expected one of {sorted(_SECTIONS)}"
             )
-        schema = _SCHEMA[name]
+        section_type, schema = _SECTIONS[name], _SCHEMAS[name]
         values: dict[str, object] = {}
         for key, raw in cp.items(name):
             if key not in schema:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
             try:
-                values[key] = schema[key](raw)  # type: ignore[operator]
+                values[key] = schema[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{name}] {key} = {raw!r}: {exc}") from exc
-        for key in _REQUIRED_KEYS[name]:
-            if key not in values:
-                raise ConfigError(f"section [{name}] requires key {key!r}")
+        for f in fields(section_type):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in values:
+                raise ConfigError(f"section [{name}] requires key {f.name!r}")
         try:
-            sections[name] = _SECTION_TYPES[name](**values)
+            sections[name] = section_type(**values)
         except ValueError as exc:
             raise ConfigError(f"invalid [{name}] configuration: {exc}") from exc
     return RunConfig(**sections)
@@ -288,24 +244,21 @@ def _format_value(value) -> str:
 
 
 def emit_config(config: RunConfig) -> str:
-    """Render the document in canonical form (all keys, schema order).
+    """Render the document in canonical form (all keys, field order).
 
     The output parses back to an equal RunConfig: floats are written
     with repr so round-tripping is exact.
     """
     out = _io.StringIO()
-    for name in _SCHEMA:
+    for name in _SECTIONS:
         section = getattr(config, name)
         if section is None:
             continue
         out.write(f"[{name}]\n")
-        field_names = {f.name for f in fields(section)}
-        for key in _SCHEMA[name]:
-            if key not in field_names:
-                continue
-            value = getattr(section, key)
+        for f in fields(section):
+            value = getattr(section, f.name)
             if value is None:
                 continue  # unset optional; absence round-trips to None
-            out.write(f"{key} = {_format_value(value)}\n")
+            out.write(f"{f.name} = {_format_value(value)}\n")
         out.write("\n")
     return out.getvalue()

@@ -51,8 +51,7 @@ class ConservativeConfig:
             )
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative 64-bit integer")
+        rngmod.check_seed(self.seed)
         if self.smoothing_window < 1:
             raise ValueError("smoothing_window must be >= 1")
         if self.eps_class <= 0:
@@ -142,8 +141,7 @@ def step_conservative(
             if i in seen or j in seen:
                 raise ValueError("forced pairs must be disjoint within one step")
             seen.update((i, j))
-        outcomes = [((i, j), winner) for (i, j), winner in forced]
-        resolved = [(w, j if w == i else i) for (i, j), w in outcomes]
+        resolved = [(w, j if w == i else i) for (i, j), w in forced]
     else:
         if rng is None:
             raise ValueError("rng required unless a forced bet list is given")

@@ -64,8 +64,7 @@ class DissipativeConfig:
             raise ValueError("grain_sizes must not be empty")
         if any(s < 2 for s in self.grain_sizes):
             raise ValueError("every grain size must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative 64-bit integer")
+        rngmod.check_seed(self.seed)
         if not 0.0 < self.bets_fraction <= 1.0:
             raise ValueError("bets_fraction must be in (0, 1]")
         if self.bets_per_grain is not None:
@@ -148,23 +147,16 @@ class DissipativeResult:
     pooled: list[MacroSnapshot]
 
 
-def init_grains(sizes, config: DissipativeConfig | None = None, bins: int = DEFAULT_BINS) -> DissipativeState:
-    """One grain per size, each freshly initialized (all posteriors 1)."""
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) == 0:
-        raise ValueError("at least one grain size is required")
-    if any(s < 2 for s in sizes):
-        raise ValueError("every grain size must be >= 2")
-    if config is None:
-        config = DissipativeConfig(steps=0, grain_sizes=sizes)
-    grains = [CoarseGrain(i, init_ensemble(s), 0, s) for i, s in enumerate(sizes)]
+def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
+    """One grain per configured size, each freshly initialized (all posteriors 1)."""
+    grains = [CoarseGrain(i, init_ensemble(s), 0, s) for i, s in enumerate(config.grain_sizes)]
     posts = [g.ensemble.posteriors() for g in grains]
     tracks = {
         g.id: GrainTrack(g.id, g.size, 0, [macro_snapshot(post, 0, EPS_CLASS)])
         for g, post in zip(grains, posts)
     }
     state = DissipativeState(
-        config=config, grains=grains, step=0, next_id=len(sizes), tracks=tracks, pooled=[]
+        config=config, grains=grains, step=0, next_id=len(grains), tracks=tracks, pooled=[]
     )
     state.pooled.append(superposed_distribution(posts, 0, bins))
     return state
@@ -203,9 +195,7 @@ def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
     return min(range(len(state.grains)), key=distance)
 
 
-def step_dissipative(
-    state: DissipativeState, rng: np.random.Generator | None = None, bins: int = DEFAULT_BINS
-) -> DissipativeState:
+def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> DissipativeState:
     """Advance the whole system by one step.
 
     In order: (1) every living grain runs one conservative step with
@@ -216,9 +206,9 @@ def step_dissipative(
     (3) Bernoulli removal per ``removal_policy``, refused as a no-op
     when a single grain remains; (4) pooled snapshot appended.
 
-    ``rng`` optionally overrides the injection/removal stream; grain
-    bets always use their own per-step streams so grains can be
-    processed in any order (or in parallel) with identical results.
+    Injection and removal draw from the step's topology stream; grain
+    bets use their own per-step streams so grains can be processed in
+    any order (or in parallel) with identical results.
     """
     cfg = state.config
     t = state.step + 1
@@ -230,7 +220,7 @@ def step_dissipative(
             step_conservative(grain.ensemble, gen, bets)
         posts.append(grain.ensemble.posteriors())
         state.tracks[grain.id].snapshots.append(macro_snapshot(posts[-1], t, EPS_CLASS))
-    topo = rng if rng is not None else rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
+    topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
     if topo.random() < cfg.injection_prob:
         lo, hi = cfg.injection_size_range
         size = int(topo.integers(lo, hi + 1))
@@ -275,9 +265,9 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
 
 def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeResult:
     """Full deterministic run; emits per-grain tracks and pooled series."""
-    state = init_grains(config.grain_sizes, config, bins)
+    state = init_grains(config, bins)
     for _ in range(config.steps):
-        step_dissipative(state, None, bins)
+        step_dissipative(state, bins)
     return DissipativeResult(grain_tracks=state.tracks, pooled=state.pooled)
 
 

@@ -21,6 +21,13 @@ RETURNS = 2    # synthetic return generation
 GENERIC = 3    # one-off streams (tests, demos)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is a user seed: an unsigned
+    64-bit integer, in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def stream(seed: int, purpose: int = GENERIC, sub: int = 0, step: int = 0) -> np.random.Generator:
     """Derive an independent, deterministic generator for one task.
 

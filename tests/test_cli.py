@@ -278,6 +278,7 @@ def test_simulation_outputs_match_golden_digests(workdir, command):
 
 FIT = "[inference]\nmu = 0.0\n\n[io]\ninput = in.csv\n"
 INGEST = "[io]\ninput = in.csv\n"
+BIG_SEED = f"seed = {2**64}\n"
 
 
 @pytest.mark.parametrize(
@@ -288,8 +289,20 @@ INGEST = "[io]\ninput = in.csv\n"
         ("sim-conservative", CONSERVATIVE, "", ["--seed", "-1"], 2),
         ("sim-conservative", CONSERVATIVE, "", ["--seed", str(2**64)], 2),
         ("ingest", INGEST, "t,price\n0,1e308\n1,1e-308\n2,1.0\n", [], 3),
+        ("sim-conservative", "[conservative]\nsteps = 2\n" + BIG_SEED, "", [], 2),
+        ("sim-dissipative", "[dissipative]\nsteps = 2\n" + BIG_SEED, "", [], 2),
+        ("gen-returns", "[superstat]\nn = 10\n" + BIG_SEED, "", [], 2),
     ],
-    ids=["fit-variance-nan", "fit-variance-inf", "seed-negative", "seed-2**64", "ingest-overflow"],
+    ids=[
+        "fit-variance-nan",
+        "fit-variance-inf",
+        "seed-negative",
+        "seed-2**64",
+        "ingest-overflow",
+        "conservative-seed-2**64",
+        "dissipative-seed-2**64",
+        "superstat-seed-2**64",
+    ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
     _write(workdir, "in.csv", data)

@@ -96,6 +96,116 @@ def test_round_trip_unset_optional_stays_unset():
     assert parse_config(emit_config(with_budget)).dissipative.bets_per_grain == 1
 
 
+def _all_sections(bets_per_grain):
+    return RunConfig(
+        conservative=ConservativeConfig(
+            steps=11, n_microstates=9, bets_per_step=2, seed=3, smoothing_window=4, eps_class=1e-8
+        ),
+        dissipative=DissipativeConfig(
+            steps=7,
+            grain_sizes=(5, 9),
+            seed=2**64 - 1,
+            bets_fraction=0.25,
+            bets_per_grain=bets_per_grain,
+            injection_prob=0.125,
+            injection_size_range=(3, 12),
+            removal_prob=0.0625,
+            removal_policy="random",
+            eps_eq=0.1,
+            sustain=20,
+        ),
+        superstat=SuperstatConfig(
+            kind="generalized-inverse-gamma",
+            alpha=2.5,
+            beta=1.25,
+            gamma=1.75,
+            sigma0=0.3,
+            n=64,
+            tau=4,
+            seed=2,
+            slow_mixing=True,
+        ),
+        inference=InferenceConfig(
+            mu=0.5,
+            prior_alpha=2.75,
+            prior_beta=1.125,
+            models=("exponential", "gaussian-known-mean"),
+            model_priors=(0.25, 0.75),
+            model_alphas=(1.5, 2.0),
+            model_betas=(0.5, 3.0),
+            max_doublings=12,
+            rel_tol=1e-10,
+        ),
+        io=IoConfig(input="data/x.csv", write_microstates=False, histogram_bins=10, histogram_every=5),
+    )
+
+
+# canonical text pinned across refactors: section and key order, list
+# separators, bool spelling and repr float formatting
+GOLDEN_CONFIG_TEXT = """\
+[conservative]
+steps = 11
+n_microstates = 9
+bets_per_step = 2
+seed = 3
+smoothing_window = 4
+eps_class = 1e-08
+
+[dissipative]
+steps = 7
+grain_sizes = 5,9
+seed = 18446744073709551615
+bets_fraction = 0.25
+bets_per_grain = 2
+injection_prob = 0.125
+injection_size_range = 3,12
+removal_prob = 0.0625
+removal_policy = random
+eps_eq = 0.1
+sustain = 20
+
+[superstat]
+kind = generalized-inverse-gamma
+alpha = 2.5
+beta = 1.25
+gamma = 1.75
+sigma0 = 0.3
+n = 64
+tau = 4
+seed = 2
+slow_mixing = true
+
+[inference]
+mu = 0.5
+prior_alpha = 2.75
+prior_beta = 1.125
+models = exponential,gaussian-known-mean
+model_priors = 0.25,0.75
+model_alphas = 1.5,2.0
+model_betas = 0.5,3.0
+max_doublings = 12
+rel_tol = 1e-10
+
+[io]
+input = data/x.csv
+write_microstates = false
+histogram_bins = 10
+histogram_every = 5
+
+"""
+
+
+@pytest.mark.parametrize(
+    "bets_per_grain, expect",
+    [(2, GOLDEN_CONFIG_TEXT), (None, GOLDEN_CONFIG_TEXT.replace("bets_per_grain = 2\n", ""))],
+    ids=["bets_per_grain-set", "bets_per_grain-unset"],
+)
+def test_emit_config_matches_golden_text(bets_per_grain, expect):
+    cfg = _all_sections(bets_per_grain)
+    assert emit_config(cfg) == expect
+    assert parse_config(expect) == cfg
+
+
 @given(
     steps=st.integers(0, 10_000),
     seed=st.integers(0, 2**31),

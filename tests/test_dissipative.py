@@ -36,7 +36,7 @@ def test_config_validation():
 
 
 def test_init_grains_fresh_state():
-    state = init_grains((4, 7))
+    state = init_grains(DissipativeConfig(steps=0, grain_sizes=(4, 7)))
     assert [g.size for g in state.grains] == [4, 7]
     assert state.step == 0
     assert state.next_id == 2
@@ -52,7 +52,7 @@ def test_init_grains_fresh_state():
 
 def test_per_capita_budget_rule():
     cfg = DissipativeConfig(steps=1, grain_sizes=(10, 25), seed=0, bets_fraction=0.5)
-    state = init_grains(cfg.grain_sizes, cfg)
+    state = init_grains(cfg)
     step_dissipative(state)
     # floor(0.5 * size / 2) pairs, one loss booked per pair
     assert state.grains[0].ensemble.totals.total_losses == 2
@@ -61,7 +61,7 @@ def test_per_capita_budget_rule():
 
 def test_flat_budget_rule():
     cfg = DissipativeConfig(steps=1, grain_sizes=(10, 25), seed=0, bets_per_grain=3)
-    state = init_grains(cfg.grain_sizes, cfg)
+    state = init_grains(cfg)
     step_dissipative(state)
     assert state.grains[0].ensemble.totals.total_losses == 3
     assert state.grains[1].ensemble.totals.total_losses == 3
@@ -148,7 +148,7 @@ def test_removal_closest_to_equilibrium():
         removal_prob=1.0,
         removal_policy="closest-to-equilibrium",
     )
-    state = init_grains(cfg.grain_sizes, cfg)
+    state = init_grains(cfg)
     # pin grain 1 at equilibrium: uniform (6, 5) ledgers conserve the
     # win-loss gap and put every posterior at exactly 0.5, so its mean
     # stays near 0.5 through the step while fresh grain 0 sits far above
@@ -158,16 +158,6 @@ def test_removal_closest_to_equilibrium():
     assert [g.id for g in state.grains] == [0]
     assert state.tracks[1].death_step == 1
     assert state.tracks[0].death_step is None
-
-
-def test_step_accepts_override_stream():
-    cfg = DissipativeConfig(steps=1, grain_sizes=(6,), seed=0, injection_prob=0.5)
-    a = init_grains(cfg.grain_sizes, cfg)
-    b = init_grains(cfg.grain_sizes, cfg)
-    # identical override streams give identical topology decisions
-    step_dissipative(a, rng=np.random.default_rng(42))
-    step_dissipative(b, rng=np.random.default_rng(42))
-    assert len(a.grains) == len(b.grains)
 
 
 def test_superposed_requires_living_grains():
