@@ -35,7 +35,7 @@ from .core import (
 )
 from .dissipative import (
     DissipativeConfig,
-    DissipativeResult,
+    DissipativeState,
     convergence_time,
     init_grains,
     run_dissipative,
@@ -74,7 +74,7 @@ __all__ = [
     "DataError",
     "DataSet",
     "DissipativeConfig",
-    "DissipativeResult",
+    "DissipativeState",
     "EnsembleState",
     "InvGammaParams",
     "MacroSnapshot",

@@ -50,39 +50,33 @@ def _load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text)
 
 
-def _require(section, name: str):
+def _require(config: RunConfig, name: str, seed: int | None = None):
+    """The config's ``[name]`` section, with ``seed`` applied when given."""
+    section = getattr(config, name)
     if section is None:
         raise ConfigError(f"config has no [{name}] section")
-    return section
+    return section if seed is None else section.with_seed(seed)
 
 
-def _outpath(out_dir, name: str) -> str:
-    return os.path.join(out_dir, name)
-
-
-def _note(path) -> None:
-    print(f"wrote {path}")
+def _emit(writer, *args) -> None:
+    """Call a CSV writer, whose last argument is the output path, and report it."""
+    writer(*args)
+    print(f"wrote {args[-1]}")
 
 
 def _cmd_sim_conservative(config: RunConfig, out_dir, seed) -> int:
-    section = _require(config.conservative, "conservative")
-    if seed is not None:
-        section = section.with_seed(seed)
+    section = _require(config, "conservative", seed)
     io_cfg = config.io
     record = io_cfg.write_microstates if io_cfg is not None else True
     trajectory = run_conservative(section, record_microstates=record)
-    path = _outpath(out_dir, "trajectory.csv")
-    csvio.emit_trajectory_csv(trajectory, path)
-    _note(path)
+    _emit(csvio.emit_trajectory_csv, trajectory, os.path.join(out_dir, "trajectory.csv"))
     if record:
-        mpath = _outpath(out_dir, "microstates.csv")
-        csvio.emit_microstates_csv(trajectory, mpath)
-        _note(mpath)
+        _emit(csvio.emit_microstates_csv, trajectory, os.path.join(out_dir, "microstates.csv"))
     return 0
 
 
@@ -96,34 +90,24 @@ def _histogram_steps(total_steps: int, every: int) -> list[int]:
 
 
 def _cmd_sim_dissipative(config: RunConfig, out_dir, seed) -> int:
-    section = _require(config.dissipative, "dissipative")
-    if seed is not None:
-        section = section.with_seed(seed)
+    section = _require(config, "dissipative", seed)
     io_cfg = config.io
     bins = io_cfg.histogram_bins if io_cfg is not None else 50
     every = io_cfg.histogram_every if io_cfg is not None else 0
     result = run_dissipative(section, bins=bins)
     means = np.array([p.mean for p in result.pooled])
-    path = _outpath(out_dir, "trajectory.csv")
-    csvio.emit_trajectory_csv(
-        Trajectory(result.pooled, smooth_series(means, DEFAULT_SMOOTHING_WINDOW)), path
-    )
-    _note(path)
-    gpath = _outpath(out_dir, "grains.csv")
-    csvio.emit_grains_csv(result.grain_tracks, gpath)
-    _note(gpath)
-    by_step = {p.step: p for p in result.pooled}
+    trajectory = Trajectory(result.pooled, smooth_series(means, DEFAULT_SMOOTHING_WINDOW))
+    _emit(csvio.emit_trajectory_csv, trajectory, os.path.join(out_dir, "trajectory.csv"))
+    _emit(csvio.emit_grains_csv, result.grain_tracks, os.path.join(out_dir, "grains.csv"))
     for step in _histogram_steps(section.steps, every):
-        hpath = _outpath(out_dir, f"histogram_{step}.csv")
-        csvio.emit_histogram_csv(by_step[step], hpath)
-        _note(hpath)
+        # result.pooled holds one snapshot per step, starting at step 0
+        path = os.path.join(out_dir, f"histogram_{step}.csv")
+        _emit(csvio.emit_histogram_csv, result.pooled[step], path)
     return 0
 
 
 def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
-    section = _require(config.superstat, "superstat")
-    if seed is not None:
-        section = section.with_seed(seed)
+    section = _require(config, "superstat", seed)
     model = section.model()
     rng = rngmod.stream(section.seed, rngmod.RETURNS)
     series = generate_returns(
@@ -134,9 +118,7 @@ def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
         slow_mixing=section.slow_mixing,
         seed_label=section.seed,
     )
-    path = _outpath(out_dir, "returns.csv")
-    csvio.emit_returns_csv(series, path)
-    _note(path)
+    _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 
 
@@ -147,9 +129,12 @@ def _input_series(config: RunConfig, reader):
     return reader(io_cfg.input)
 
 
+# fit-variance, compare-models and ingest are deterministic: they take
+# the seed argument only for a uniform command signature
+
+
 def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
-    del seed  # accepted for interface uniformity; the fit is deterministic
-    section = _require(config.inference, "inference")
+    section = _require(config, "inference")
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
     prior = InvGammaParams(section.prior_alpha, section.prior_beta)
@@ -174,15 +159,12 @@ def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
         ("posterior_mode_variance", posterior.beta / (posterior.alpha + 1)),
         ("log_evidence", evidence),
     ]
-    path = _outpath(out_dir, "fit.csv")
-    csvio.emit_fit_csv(rows, path)
-    _note(path)
+    _emit(csvio.emit_fit_csv, rows, os.path.join(out_dir, "fit.csv"))
     return 0
 
 
 def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
-    del seed  # accepted for interface uniformity; the comparison is deterministic
-    section = _require(config.inference, "inference")
+    section = _require(config, "inference")
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
     specs = [
@@ -204,29 +186,26 @@ def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
         # exponential model
         raise DataError(str(exc)) from exc
     choice = select_model(posteriors)
-    path = _outpath(out_dir, "models.csv")
-    csvio.emit_models_csv(posteriors, specs, choice.best, path)
-    _note(path)
+    path = os.path.join(out_dir, "models.csv")
+    _emit(csvio.emit_models_csv, posteriors, specs, choice.best, path)
     return 0
 
 
 def _cmd_ingest(config: RunConfig, out_dir, seed) -> int:
-    del seed  # accepted for interface uniformity; ingestion is deterministic
     tau = config.superstat.tau if config.superstat is not None else 1
     series = _input_series(config, lambda path: csvio.ingest_price_csv(path, tau))
-    path = _outpath(out_dir, "returns.csv")
-    csvio.emit_returns_csv(series, path)
-    _note(path)
+    _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 
 
+# command -> (handler, help text)
 _COMMANDS = {
-    "sim-conservative": _cmd_sim_conservative,
-    "sim-dissipative": _cmd_sim_dissipative,
-    "gen-returns": _cmd_gen_returns,
-    "fit-variance": _cmd_fit_variance,
-    "compare-models": _cmd_compare_models,
-    "ingest": _cmd_ingest,
+    "sim-conservative": (_cmd_sim_conservative, "run a closed betting ensemble"),
+    "sim-dissipative": (_cmd_sim_dissipative, "run an open ensemble of coarse grains"),
+    "gen-returns": (_cmd_gen_returns, "generate a synthetic return series"),
+    "fit-variance": (_cmd_fit_variance, "fit the variance of a return series"),
+    "compare-models": (_cmd_compare_models, "compare likelihood models by evidence"),
+    "ingest": (_cmd_ingest, "convert a price file to log-returns"),
 }
 
 
@@ -237,16 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    helps = {
-        "sim-conservative": "run a closed betting ensemble",
-        "sim-dissipative": "run an open ensemble of coarse grains",
-        "gen-returns": "generate a synthetic return series",
-        "fit-variance": "fit the variance of a return series",
-        "compare-models": "compare likelihood models by evidence",
-        "ingest": "convert a price file to log-returns",
-    }
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=helps[name], description=helps[name])
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", required=True, help="output directory (created if absent)")
         p.add_argument("--seed", type=int, default=None, help="override the configured seed")
@@ -269,7 +240,7 @@ def dispatch(argv) -> int:
                 raise ConfigError(f"bad value for --seed: {exc}") from exc
         config = _load_config(args.config)
         out_dir = csvio.ensure_out_dir(args.out)
-        return _COMMANDS[args.command](config, out_dir, args.seed)
+        return _COMMANDS[args.command][0](config, out_dir, args.seed)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -95,27 +95,19 @@ class DissipativeConfig:
 
 
 @dataclass
-class CoarseGrain:
-    """A local macro-state: one sub-ensemble with its own ledgers."""
-
-    id: int
-    ensemble: EnsembleState
-    birth_step: int
-    size: int
-
-
-@dataclass
 class GrainTrack:
-    """Recorded history of one grain across its lifetime.
+    """One coarse grain: a sub-ensemble with its own ledgers, and its history.
 
     ``snapshots[0]`` is the grain's freshly initialized state at
     ``birth_step``; one snapshot is appended for every step the grain
-    participates in.  ``death_step`` stays None while the grain lives.
+    participates in.  ``death_step`` stays None while the grain lives;
+    at removal it is set and ``ensemble`` is dropped (set to None).
     """
 
     id: int
     size: int
     birth_step: int
+    ensemble: EnsembleState | None
     snapshots: list[MacroSnapshot] = field(default_factory=list)
     death_step: int | None = None
 
@@ -126,38 +118,37 @@ class GrainTrack:
 
 @dataclass
 class DissipativeState:
-    """Mutable run state: living grains plus the recorded series.
+    """Run state and outcome: living grains plus the recorded series.
 
+    ``grains`` lists the living grains in id order, which is also birth
+    order; ``grain_tracks`` maps the id of every grain that ever lived to
+    its record, so ids run from 0 to ``len(grain_tracks) - 1``.
     ``pooled`` holds one pooled snapshot (``counts`` set) per step.
     """
 
     config: DissipativeConfig
-    grains: list[CoarseGrain]
+    grains: list[GrainTrack]
     step: int
-    next_id: int
-    tracks: dict[int, GrainTrack]
-    pooled: list[MacroSnapshot]
-
-
-@dataclass
-class DissipativeResult:
-    """Outcome of a full run: per-grain trajectories and pooled series."""
-
     grain_tracks: dict[int, GrainTrack]
     pooled: list[MacroSnapshot]
 
 
+def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
+    """Add a fresh grain (all posteriors 1) born at step t; returns its posteriors."""
+    ensemble = init_ensemble(size)
+    posteriors = ensemble.posteriors()
+    grain = GrainTrack(
+        len(state.grain_tracks), size, t, ensemble, [macro_snapshot(posteriors, t, EPS_CLASS)]
+    )
+    state.grains.append(grain)
+    state.grain_tracks[grain.id] = grain
+    return posteriors
+
+
 def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
     """One grain per configured size, each freshly initialized (all posteriors 1)."""
-    grains = [CoarseGrain(i, init_ensemble(s), 0, s) for i, s in enumerate(config.grain_sizes)]
-    posts = [g.ensemble.posteriors() for g in grains]
-    tracks = {
-        g.id: GrainTrack(g.id, g.size, 0, [macro_snapshot(post, 0, EPS_CLASS)])
-        for g, post in zip(grains, posts)
-    }
-    state = DissipativeState(
-        config=config, grains=grains, step=0, next_id=len(grains), tracks=tracks, pooled=[]
-    )
+    state = DissipativeState(config=config, grains=[], step=0, grain_tracks={}, pooled=[])
+    posts = [_add_grain(state, size, 0) for size in config.grain_sizes]
     state.pooled.append(superposed_distribution(posts, 0, bins))
     return state
 
@@ -183,16 +174,15 @@ def superposed_distribution(
 def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
     policy = state.config.removal_policy
     if policy == "oldest":
-        return min(range(len(state.grains)), key=lambda k: (state.grains[k].birth_step, state.grains[k].id))
+        return 0  # living grains stay in birth order
     if policy == "random":
         return int(topo.integers(0, len(state.grains)))
     # closest-to-equilibrium: smallest |mean posterior - 0.5| as of this
-    # step's snapshot, id breaks ties
-    def distance(k: int) -> tuple[float, int]:
-        gid = state.grains[k].id
-        return (abs(state.tracks[gid].snapshots[-1].mean_posterior - 0.5), gid)
-
-    return min(range(len(state.grains)), key=distance)
+    # step's snapshot; min keeps the first, so the lowest id breaks ties
+    return min(
+        range(len(state.grains)),
+        key=lambda k: abs(state.grains[k].snapshots[-1].mean_posterior - 0.5),
+    )
 
 
 def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> DissipativeState:
@@ -219,21 +209,17 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
             gen = rngmod.stream(cfg.seed, rngmod.BETS, grain.id, t)
             step_conservative(grain.ensemble, gen, bets)
         posts.append(grain.ensemble.posteriors())
-        state.tracks[grain.id].snapshots.append(macro_snapshot(posts[-1], t, EPS_CLASS))
+        grain.snapshots.append(macro_snapshot(posts[-1], t, EPS_CLASS))
     topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
     if topo.random() < cfg.injection_prob:
         lo, hi = cfg.injection_size_range
-        size = int(topo.integers(lo, hi + 1))
-        grain = CoarseGrain(state.next_id, init_ensemble(size), t, size)
-        state.next_id += 1
-        state.grains.append(grain)
-        posts.append(grain.ensemble.posteriors())
-        state.tracks[grain.id] = GrainTrack(grain.id, size, t, [macro_snapshot(posts[-1], t, EPS_CLASS)])
+        posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
     if topo.random() < cfg.removal_prob and len(state.grains) > 1:
         k = _remove_index(state, topo)
         removed = state.grains.pop(k)
         posts.pop(k)
-        state.tracks[removed.id].death_step = t
+        removed.death_step = t
+        removed.ensemble = None
     state.step = t
     state.pooled.append(superposed_distribution(posts, t, bins))
     return state
@@ -263,12 +249,12 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
     return int(hits[0]) if hits.size else None
 
 
-def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeResult:
-    """Full deterministic run; emits per-grain tracks and pooled series."""
+def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
+    """Full deterministic run; the final state holds per-grain tracks and pooled series."""
     state = init_grains(config, bins)
     for _ in range(config.steps):
         step_dissipative(state, bins)
-    return DissipativeResult(grain_tracks=state.tracks, pooled=state.pooled)
+    return state
 
 
 def _grain_bets(config: DissipativeConfig, size: int) -> int:

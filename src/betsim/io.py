@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .conservative import Trajectory
 from .core import MacroSnapshot
 from .dissipative import GrainTrack
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .inference import ModelPosterior
 from .superstat import ReturnSeries
 
@@ -36,11 +37,50 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _open_out(path):
+def _write_csv(path, header: str, lines: Iterable[str]) -> None:
+    """Write ``header``, then stream ``lines`` (each ending in a newline).
+
+    Lines are joined and written 1024 at a time, which is cheaper than
+    one write call per line and never holds the whole file.
+    A failure to open, write or close the file raises :class:`DataError`.
+    """
+    lines = iter(lines)
     try:
-        return open(path, "w", encoding="utf-8", newline="")
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            out.write(header + "\n")
+            while block := "".join(islice(lines, 1024)):
+                out.write(block)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+
+def _read_pairs(path, headers: tuple[str, ...]):
+    """Stream a two-column CSV file.
+
+    Yields the header, stripped and lower-cased, which must be one of
+    ``headers``; then ``(lineno, first, second)`` for each row.  Raises
+    :class:`DataError` when the file cannot be read or is not UTF-8, and
+    on an empty file, another header, or a row of other than two fields.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            rows = csv.reader(handle)
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = ",".join(h.strip().lower() for h in header)
+            if header not in headers:
+                allowed = " or ".join(map(repr, headers))
+                raise DataError(f"{path}: header must be {allowed}, got {header!r}")
+            yield header
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != 2:
+                    raise DataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+                yield lineno, row[0], row[1]
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 def ingest_price_csv(path, tau: int) -> ReturnSeries:
@@ -51,54 +91,38 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     strings, e.g. ISO-8601).  Returns Y_tau[i] = ln(price[i+tau] /
     price[i]), natural log.
 
-    Raises :class:`DataError` on a missing file, bad header, malformed
-    row (with its line number), nonpositive price, nonincreasing time,
-    fewer than tau+1 rows, or a non-finite log-return (a price ratio
-    beyond the float range).
+    Raises :class:`DataError` on a missing or non-UTF-8 file, bad
+    header, malformed row (with its line number), nonpositive price,
+    nonincreasing time, fewer than tau+1 rows, or a non-finite
+    log-return (a price ratio beyond the float range).
     """
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip().lower() for h in header]
-        if header not in (["t", "price"], ["date", "price"]):
-            raise DataError(
-                f"{path}: header must be 't,price' or 'date,price', got {','.join(header)!r}"
-            )
-        numeric_time = header[0] == "t"
-        times: list = []
-        prices: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            t_raw, p_raw = row[0].strip(), row[1].strip()
-            if numeric_time:
-                try:
-                    t_val = float(t_raw)
-                except ValueError:
-                    raise DataError(f"{path}: line {lineno}: bad time value {t_raw!r}") from None
-            else:
-                if not t_raw:
-                    raise DataError(f"{path}: line {lineno}: empty date")
-                t_val = t_raw
+    pairs = _read_pairs(path, ("t,price", "date,price"))
+    numeric_time = next(pairs) == "t,price"
+    times: list = []
+    prices: list[float] = []
+    for lineno, t_raw, p_raw in pairs:
+        t_raw, p_raw = t_raw.strip(), p_raw.strip()
+        if numeric_time:
             try:
-                price = float(p_raw)
+                t_val = float(t_raw)
             except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad price value {p_raw!r}") from None
-            if not math.isfinite(price) or price <= 0:
-                raise DataError(f"{path}: line {lineno}: price must be positive, got {p_raw}")
-            if times and not t_val > times[-1]:
-                raise DataError(f"{path}: line {lineno}: time index must be strictly increasing")
-            times.append(t_val)
-            prices.append(price)
+                raise DataError(f"{path}: line {lineno}: bad time value {t_raw!r}") from None
+        else:
+            if not t_raw:
+                raise DataError(f"{path}: line {lineno}: empty date")
+            t_val = t_raw
+        try:
+            price = float(p_raw)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad price value {p_raw!r}") from None
+        if not math.isfinite(price) or price <= 0:
+            raise DataError(f"{path}: line {lineno}: price must be positive, got {p_raw}")
+        if times and not t_val > times[-1]:
+            raise DataError(f"{path}: line {lineno}: time index must be strictly increasing")
+        times.append(t_val)
+        prices.append(price)
     if len(prices) < tau + 1:
         raise DataError(f"{path}: need at least tau+1 = {tau + 1} rows, got {len(prices)}")
     p = np.asarray(prices, dtype=np.float64)
@@ -115,21 +139,13 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
 
 def emit_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Write one row per snapshot (the initial state included)."""
-    with _open_out(path) as out:
-        out.write(TRAJECTORY_HEADER + "\n")
-        for snap, smoothed in zip(trajectory.snapshots, trajectory.smoothed_mean_posterior):
-            row = (
-                snap.step,
-                snap.mean_posterior,
-                smoothed,
-                snap.variance,
-                snap.skewness,
-                snap.excess_kurtosis,
-                snap.entropy,
-                snap.distinct_classes,
-                snap.heterogeneous_pairs,
-            )
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, TRAJECTORY_HEADER, (
+        ",".join(map(_fmt, (
+            s.step, s.mean_posterior, smoothed, s.variance, s.skewness, s.excess_kurtosis,
+            s.entropy, s.distinct_classes, s.heterogeneous_pairs,
+        ))) + "\n"
+        for s, smoothed in zip(trajectory.snapshots, trajectory.smoothed_mean_posterior)
+    ))
 
 
 def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
@@ -140,69 +156,48 @@ def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
     """
     counts = pooled_snapshot.counts
     edges = np.linspace(0.0, 1.0, counts.size + 1)
-    with _open_out(path) as out:
-        out.write("bin_left,bin_right,count\n")
-        for k in range(counts.size):
-            out.write(f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}\n")
+    _write_csv(path, "bin_left,bin_right,count", (
+        f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}\n" for k in range(counts.size)
+    ))
 
 
 def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     """Per-step, per-participant ledgers; requires a recorded run."""
     if trajectory.per_microstate is None:
         raise DataError("trajectory carries no per-microstate records")
-    with _open_out(path) as out:
-        out.write("step,microstate,wins,losses,posterior\n")
-        for snap, ledgers in zip(trajectory.snapshots, trajectory.per_microstate):
-            for i in range(ledgers.wins.size):
-                out.write(
-                    f"{snap.step},{i},{int(ledgers.wins[i])},"
-                    f"{int(ledgers.losses[i])},{_fmt(ledgers.posteriors[i])}\n"
-                )
+    _write_csv(path, "step,microstate,wins,losses,posterior", (
+        f"{snap.step},{i},{int(ledgers.wins[i])},"
+        f"{int(ledgers.losses[i])},{_fmt(ledgers.posteriors[i])}\n"
+        for snap, ledgers in zip(trajectory.snapshots, trajectory.per_microstate)
+        for i in range(ledgers.wins.size)
+    ))
 
 
 def emit_grains_csv(tracks: dict[int, GrainTrack], path) -> None:
     """Per-step summary of every grain that ever lived."""
-    with _open_out(path) as out:
-        out.write("step,grain,size,birth_step,mean_posterior,entropy\n")
-        for gid in sorted(tracks):
-            track = tracks[gid]
-            for snap in track.snapshots:
-                out.write(
-                    f"{snap.step},{gid},{track.size},{track.birth_step},"
-                    f"{_fmt(snap.mean_posterior)},{_fmt(snap.entropy)}\n"
-                )
+    _write_csv(path, "step,grain,size,birth_step,mean_posterior,entropy", (
+        f"{snap.step},{gid},{tracks[gid].size},{tracks[gid].birth_step},"
+        f"{_fmt(snap.mean_posterior)},{_fmt(snap.entropy)}\n"
+        for gid in sorted(tracks)
+        for snap in tracks[gid].snapshots
+    ))
 
 
 def emit_returns_csv(series: ReturnSeries, path) -> None:
     """Write return samples with full round-trip precision."""
-    with _open_out(path) as out:
-        out.write("i,value\n")
-        for i, v in enumerate(series.samples):
-            out.write(f"{i},{float(v)!r}\n")
+    _write_csv(path, "i,value", (f"{i},{float(v)!r}\n" for i, v in enumerate(series.samples)))
 
 
 def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     """Read a returns file produced by :func:`emit_returns_csv`."""
-    try:
-        handle = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
+    pairs = _read_pairs(path, ("i,value",))
+    next(pairs)
+    values: list[float] = []
+    for lineno, _, raw in pairs:
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["i", "value"]:
-            raise DataError(f"{path}: header must be 'i,value'")
-        values: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                values.append(float(row[1]))
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad value {row[1]!r}") from None
+            values.append(float(raw))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad value {raw!r}") from None
     if not values:
         raise DataError(f"{path}: no data rows")
     samples = np.asarray(values)
@@ -215,33 +210,30 @@ def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
 
 def emit_fit_csv(rows: Iterable[tuple[str, object]], path) -> None:
     """Key-value summary of a variance fit."""
-    with _open_out(path) as out:
-        out.write("quantity,value\n")
-        for key, value in rows:
-            out.write(f"{key},{_fmt(value)}\n")
+    _write_csv(path, "quantity,value", (f"{key},{_fmt(value)}\n" for key, value in rows))
 
 
 def emit_models_csv(posteriors: list[ModelPosterior], specs, selected_index, path) -> None:
     """Model-comparison table; the ``selected`` column marks the winner
     (every row says ``tie`` when no single winner exists)."""
-    with _open_out(path) as out:
-        out.write(
-            "model,likelihood,prior_alpha,prior_beta,prior_prob,log_evidence,"
-            "posterior_prob,selected\n"
-        )
-        for k, (post, spec) in enumerate(zip(posteriors, specs)):
-            if selected_index is None:
-                mark = "tie"
-            else:
-                mark = "1" if k == selected_index else "0"
-            out.write(
-                f"{post.model_id},{spec.likelihood_kind},{_fmt(spec.prior.alpha)},"
-                f"{_fmt(spec.prior.beta)},{_fmt(post.prior_prob)},"
-                f"{_fmt(post.log_evidence)},{_fmt(post.posterior_prob)},{mark}\n"
-            )
+    header = "model,likelihood,prior_alpha,prior_beta,prior_prob,log_evidence,posterior_prob,selected"
+    _write_csv(path, header, (
+        f"{post.model_id},{spec.likelihood_kind},{_fmt(spec.prior.alpha)},"
+        f"{_fmt(spec.prior.beta)},{_fmt(post.prior_prob)},"
+        f"{_fmt(post.log_evidence)},{_fmt(post.posterior_prob)},"
+        f"{'tie' if selected_index is None else int(k == selected_index)}\n"
+        for k, (post, spec) in enumerate(zip(posteriors, specs))
+    ))
 
 
 def ensure_out_dir(path) -> str:
-    """Create the output directory if needed; returns the path."""
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory if needed; returns the path.
+
+    Raises :class:`ConfigError` when ``path`` cannot be a directory
+    (it names a file, or lies under one).
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
     return str(path)

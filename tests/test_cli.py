@@ -1,6 +1,11 @@
-"""End-to-end tests of the command-line interface (in process)."""
+"""End-to-end tests of the command-line interface (in process, and one
+test through a fresh interpreter)."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +23,15 @@ def workdir(tmp_path, monkeypatch):
 
 def _write(workdir, name, body):
     path = workdir / name
-    path.write_text(body)
+    if isinstance(body, bytes):
+        path.write_bytes(body)
+    else:
+        path.write_text(body)
     return str(path)
+
+
+def _returns_text(samples):
+    return "i,value\n" + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(samples))
 
 
 CONSERVATIVE = """\
@@ -169,29 +181,20 @@ def test_fit_variance_missing_input_file(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+NOT_CONVERGING = "[inference]\nmax_doublings = 1\nrel_tol = 1e-18\n\n[io]\ninput = returns.csv\n"
+
+
 def test_fit_variance_convergence_failure_exits_4(workdir, capsys):
     # a large sample makes the likelihood peak far narrower than the
     # initial node spacing, so a single grid doubling cannot settle
-    samples = np.random.default_rng(1).normal(0, 1, 5000)
-    with open(workdir / "returns.csv", "w") as fh:
-        fh.write("i,value\n")
-        for i, v in enumerate(samples):
-            fh.write(f"{i},{float(v)!r}\n")
-    cfg = _write(
-        workdir,
-        "f.ini",
-        "[inference]\nmax_doublings = 1\nrel_tol = 1e-18\n\n[io]\ninput = returns.csv\n",
-    )
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 5000)))
+    cfg = _write(workdir, "f.ini", NOT_CONVERGING)
     assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
     assert "did not converge" in capsys.readouterr().err
 
 
 def test_compare_models_tie_of_identical_models(workdir):
-    samples = np.random.default_rng(2).normal(0, 1, 50)
-    with open(workdir / "returns.csv", "w") as fh:
-        fh.write("i,value\n")
-        for i, v in enumerate(samples):
-            fh.write(f"{i},{float(v)!r}\n")
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
     cfg = _write(
         workdir,
         "m.ini",
@@ -232,17 +235,57 @@ def test_ingest_horizon_from_superstat_section(workdir):
 # ---------------------------------------------------------------------------
 # output bytes pinned across refactors
 
+# inputs of the data commands, drawn once from a fixed seed and written
+# with repr so every value round-trips
+_GOLDEN_RNG = np.random.default_rng(12)
+_GOLDEN_RETURNS = _returns_text(_GOLDEN_RNG.normal(0.05, 0.8, 300))
+_GOLDEN_POSITIVE = _returns_text(_GOLDEN_RNG.exponential(0.5, 300))
+_GOLDEN_PRICES = 50.0 * np.exp(np.cumsum(_GOLDEN_RNG.normal(0.0, 0.02, 80)))
+_GOLDEN_DATES = [f"2021-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(80)]
+
+# case -> (command, config, input file or None)
 GOLDEN_CONFIGS = {
     "sim-conservative": (
-        "[conservative]\nsteps = 30\nn_microstates = 12\nbets_per_step = 3\nseed = 7\n"
+        "sim-conservative",
+        "[conservative]\nsteps = 30\nn_microstates = 12\nbets_per_step = 3\nseed = 7\n",
+        None,
     ),
     # grain churn (20 grains injected, 15 removed closest-to-equilibrium)
     # and periodic histograms
     "sim-dissipative": (
+        "sim-dissipative",
         "[dissipative]\nsteps = 40\ngrain_sizes = 8, 12, 20\nseed = 3\n"
         "injection_prob = 0.4\ninjection_size_range = 5, 15\n"
         "removal_prob = 0.35\nremoval_policy = closest-to-equilibrium\n"
-        "\n[io]\nhistogram_bins = 13\nhistogram_every = 10\n"
+        "\n[io]\nhistogram_bins = 13\nhistogram_every = 10\n",
+        None,
+    ),
+    "gen-returns": (
+        "gen-returns",
+        "[superstat]\nkind = generalized-inverse-gamma\nalpha = 3.0\nbeta = 2.0\n"
+        "gamma = 1.5\nn = 400\ntau = 3\nseed = 9\nslow_mixing = true\n",
+        None,
+    ),
+    "fit-variance": (
+        "fit-variance",
+        "[inference]\nmu = 0.1\nprior_alpha = 2.5\nprior_beta = 1.5\n\n[io]\ninput = in.csv\n",
+        _GOLDEN_RETURNS,
+    ),
+    "compare-models": (
+        "compare-models",
+        "[inference]\nmodels = gaussian-known-mean, exponential\nmodel_priors = 0.3, 0.7\n"
+        "model_alphas = 3.0, 2.0\nmodel_betas = 2.0, 1.0\n\n[io]\ninput = in.csv\n",
+        _GOLDEN_POSITIVE,
+    ),
+    "ingest-t": (
+        "ingest",
+        "[superstat]\ntau = 3\n\n[io]\ninput = in.csv\n",
+        "t,price\n" + "".join(f"{i},{p!r}\n" for i, p in enumerate(_GOLDEN_PRICES.tolist())),
+    ),
+    "ingest-date": (
+        "ingest",
+        "[io]\ninput = in.csv\n",
+        "date,price\n" + "".join(f"{d},{p!r}\n" for d, p in zip(_GOLDEN_DATES, _GOLDEN_PRICES.tolist())),
     ),
 }
 
@@ -260,17 +303,35 @@ GOLDEN_DIGESTS = {
         "histogram_40.csv": "2c8a9ddf71989d29a00bf08097485385b76a6341c0d6ec9431db2b8363dfaba0",
         "trajectory.csv": "6515dc846ba07d1cc6b1c2468f2e4f7d625c9f83fb085b419d3ac82746c8ff81",
     },
+    "gen-returns": {
+        "returns.csv": "561026068def558d90cfd97af0cdeaa021ea378551f8391d87101fb9fe69fefa",
+    },
+    "fit-variance": {
+        "fit.csv": "24644a1825e9aee3590dc8b66d0e393cce16ca94585ace3e5cac88ac06e91f22",
+    },
+    "compare-models": {
+        "models.csv": "d5cc2d01210d54714df6cdfc70b93cfada5baf77cc3169fe1492a8d99bea3431",
+    },
+    "ingest-t": {
+        "returns.csv": "ec78b85e4d72267ba1977aab60a52a352cc9a5eb5a443458ba16817dac4cc50f",
+    },
+    "ingest-date": {
+        "returns.csv": "4fd449974adb88062fb2e5deb2639b7059f57435aeb7492e1318c1234cd63889",
+    },
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN_CONFIGS))
-def test_simulation_outputs_match_golden_digests(workdir, command):
-    cfg = _write(workdir, "g.ini", GOLDEN_CONFIGS[command])
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
+def test_simulation_outputs_match_golden_digests(workdir, case):
+    command, config, data = GOLDEN_CONFIGS[case]
+    if data is not None:
+        _write(workdir, "in.csv", data)
+    cfg = _write(workdir, "g.ini", config)
     assert dispatch([command, "--config", cfg, "--out", "o"]) == 0
     got = {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (workdir / "o").iterdir()
     }
-    assert got == GOLDEN_DIGESTS[command]
+    assert got == GOLDEN_DIGESTS[case]
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +353,12 @@ BIG_SEED = f"seed = {2**64}\n"
         ("sim-conservative", "[conservative]\nsteps = 2\n" + BIG_SEED, "", [], 2),
         ("sim-dissipative", "[dissipative]\nsteps = 2\n" + BIG_SEED, "", [], 2),
         ("gen-returns", "[superstat]\nn = 10\n" + BIG_SEED, "", [], 2),
+        ("fit-variance", FIT, b"i,value\n0,1.0\n1,\xe9\n", [], 3),
+        ("ingest", INGEST, b"t,price\n0,1.0\n1,\xe9\n", [], 3),
+        ("fit-variance", FIT, "i,value\n0," + "1" * 200_000 + "\n", [], 3),
+        ("sim-conservative", CONSERVATIVE.encode() + b"# \xe9\n", "", [], 2),
+        ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv"], 2),
+        ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv/o"], 2),
     ],
     ids=[
         "fit-variance-nan",
@@ -302,14 +369,60 @@ BIG_SEED = f"seed = {2**64}\n"
         "conservative-seed-2**64",
         "dissipative-seed-2**64",
         "superstat-seed-2**64",
+        "returns-not-utf8",
+        "prices-not-utf8",
+        "returns-field-too-large",
+        "config-not-utf8",
+        "out-is-file",
+        "out-under-file",
     ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
     _write(workdir, "in.csv", data)
     cfg = _write(workdir, "c.ini", config)
     assert dispatch([command, "--config", cfg, "--out", "o"] + extra) == code
-    err = capsys.readouterr().err
+    _assert_one_error_line(capsys.readouterr().err)
+    assert not list(workdir.glob("o/*"))  # nothing written
+
+
+def _assert_one_error_line(err):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-    assert not list(workdir.glob("o/*"))  # nothing written
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_write_failure_exits_3(workdir, capsys):
+    # the file opens fine; the write fails when the buffer is flushed
+    cfg = _write(workdir, "c.ini", CONSERVATIVE)
+    (workdir / "o").mkdir()
+    (workdir / "o" / "trajectory.csv").symlink_to("/dev/full")
+    assert dispatch(["sim-conservative", "--config", cfg, "--out", "o"]) == 3
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_exit_codes_hold_in_a_fresh_interpreter(workdir):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def betsim(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "betsim.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    proc = betsim("--version")
+    assert proc.returncode == 0 and __version__ in proc.stdout
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 5000)))
+    _write(workdir, "nan.csv", "i,value\n0,nan\n")
+    cases = [
+        ("absent.ini", None, 2),
+        ("nan.ini", FIT.replace("in.csv", "nan.csv"), 3),
+        ("slow.ini", NOT_CONVERGING, 4),
+    ]
+    for name, config, code in cases:
+        if config is not None:
+            _write(workdir, name, config)
+        proc = betsim("fit-variance", "--config", name, "--out", "o")
+        assert proc.returncode == code, proc.stderr
+        _assert_one_error_line(proc.stderr)

@@ -39,12 +39,12 @@ def test_init_grains_fresh_state():
     state = init_grains(DissipativeConfig(steps=0, grain_sizes=(4, 7)))
     assert [g.size for g in state.grains] == [4, 7]
     assert state.step == 0
-    assert state.next_id == 2
+    assert len(state.grain_tracks) == 2
     assert len(state.pooled) == 1
     pooled = state.pooled[0]
     assert pooled.population == 11
     assert pooled.mean == 1.0
-    for track in state.tracks.values():
+    for track in state.grain_tracks.values():
         assert track.birth_step == 0
         assert len(track.snapshots) == 1
         assert track.snapshots[0].mean_posterior == 1.0
@@ -128,8 +128,10 @@ def test_removal_oldest_sets_death_step():
     assert result.grain_tracks[2].death_step is None
     assert result.pooled[1].population == 8 + 10
     assert result.pooled[2].population == 10
-    # a removed grain records no further snapshots
+    # a removed grain records no further snapshots and drops its ledgers
     assert len(result.grain_tracks[0].snapshots) == 2
+    assert result.grain_tracks[0].ensemble is None
+    assert result.grain_tracks[2].ensemble is not None
 
 
 def test_removal_never_empties_the_system():
@@ -156,8 +158,8 @@ def test_removal_closest_to_equilibrium():
     state.grains[1].ensemble.losses[:] = 5
     step_dissipative(state)
     assert [g.id for g in state.grains] == [0]
-    assert state.tracks[1].death_step == 1
-    assert state.tracks[0].death_step is None
+    assert state.grain_tracks[1].death_step == 1
+    assert state.grain_tracks[0].death_step is None
 
 
 def test_superposed_requires_living_grains():
