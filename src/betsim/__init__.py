@@ -30,8 +30,6 @@ from .core import (
     heterogeneous_pair_count,
     macro_snapshot,
     pair_combination_count,
-    pair_expected_return,
-    posterior_win,
 )
 from .dissipative import (
     DissipativeConfig,
@@ -46,7 +44,6 @@ from .inference import (
     DataSet,
     InvGammaParams,
     ModelSpec,
-    bayes_ratio,
     conjugate_variance_posterior,
     exponential_loglik,
     gaussian_variance_loglik,
@@ -58,7 +55,6 @@ from .superstat import (
     MixingModel,
     ReturnSeries,
     generate_returns,
-    giga_logpdf,
     invgamma_logpdf,
     sample_mixing,
     sample_moments,
@@ -83,7 +79,6 @@ __all__ = [
     "Moments",
     "ReturnSeries",
     "Trajectory",
-    "bayes_ratio",
     "boltzmann_entropy",
     "conjugate_variance_posterior",
     "convergence_time",
@@ -91,7 +86,6 @@ __all__ = [
     "exponential_loglik",
     "gaussian_variance_loglik",
     "generate_returns",
-    "giga_logpdf",
     "heterogeneous_pair_count",
     "init_ensemble",
     "init_grains",
@@ -100,8 +94,6 @@ __all__ = [
     "macro_snapshot",
     "model_posteriors",
     "pair_combination_count",
-    "pair_expected_return",
-    "posterior_win",
     "run_conservative",
     "run_dissipative",
     "sample_mixing",

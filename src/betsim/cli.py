@@ -110,14 +110,7 @@ def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "superstat", seed)
     model = section.model()
     rng = rngmod.stream(section.seed, rngmod.RETURNS)
-    series = generate_returns(
-        model,
-        section.n,
-        section.tau,
-        rng,
-        slow_mixing=section.slow_mixing,
-        seed_label=section.seed,
-    )
+    series = generate_returns(model, section.n, section.tau, rng, slow_mixing=section.slow_mixing)
     _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 
@@ -138,7 +131,6 @@ def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
     prior = InvGammaParams(section.prior_alpha, section.prior_beta)
-    posterior = conjugate_variance_posterior(prior, data)
     spec = ModelSpec(
         id="gaussian-known-mean",
         likelihood_kind="gaussian-known-mean",
@@ -146,7 +138,12 @@ def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
         max_doublings=section.max_doublings,
         rel_tol=section.rel_tol,
     )
-    evidence = log_evidence(spec, data)
+    try:
+        posterior = conjugate_variance_posterior(prior, data)
+        evidence = log_evidence(spec, data)
+    except ValueError as exc:
+        # the data's sums overflow the float range
+        raise DataError(str(exc)) from exc
     post_mean = posterior.beta / (posterior.alpha - 1) if posterior.alpha > 1 else float("nan")
     rows = [
         ("n", data.n),

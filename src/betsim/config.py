@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import configparser
 import io as _io
+import math
 import typing
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
@@ -149,8 +150,15 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 _NONE = type(None)
-_SCALAR_PARSERS = {int: int, float: float, bool: _parse_bool, str: str.strip}
+_SCALAR_PARSERS = {int: int, float: _parse_float, bool: _parse_bool, str: str.strip}
 
 
 def _unwrap_optional(hint):

@@ -92,17 +92,14 @@ def init_ensemble(n: int) -> EnsembleState:
     return EnsembleState(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
-def draw_pairing(
-    ensemble: EnsembleState | int, bets_per_step: int, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Uniformly random disjoint unordered pairs of participant indices.
+def draw_pairing(n: int, bets_per_step: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """Uniformly random disjoint unordered pairs of indices in range(n).
 
     Implemented as a Fisher-Yates shuffle (numpy's permutation) of the
     index range, taking the leading 2*bets_per_step entries pairwise;
     the prefix of a full shuffle is distributed identically to a
     partial shuffle.  Deterministic given the generator state.
     """
-    n = ensemble if isinstance(ensemble, int) else ensemble.size
     if bets_per_step < 1:
         raise ValueError("bets_per_step must be >= 1")
     if 2 * bets_per_step > n:
@@ -145,7 +142,7 @@ def step_conservative(
     else:
         if rng is None:
             raise ValueError("rng required unless a forced bet list is given")
-        pairs = draw_pairing(state, bets_per_step, rng)
+        pairs = draw_pairing(state.size, bets_per_step, rng)
         resolved = [resolve_bet(pair, rng) for pair in pairs]
     for winner, loser in resolved:
         state.wins[winner] += 1

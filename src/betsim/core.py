@@ -20,34 +20,6 @@ EPS_CLASS = 1e-9
 
 
 @dataclass(frozen=True)
-class BetLedger:
-    """Win/loss record of a single participant.
-
-    Counts only ever increase; a freshly initialized participant starts
-    at one win and zero losses, so ``wins >= 1`` throughout a run.
-    """
-
-    wins: int
-    losses: int
-
-    def __post_init__(self):
-        if self.wins < 0 or self.losses < 0:
-            raise ValueError(f"ledger counts must be nonnegative, got {self!r}")
-
-
-@dataclass(frozen=True)
-class EnsembleTotals:
-    """Column sums of all ledgers in one ensemble."""
-
-    total_wins: int
-    total_losses: int
-
-    def __post_init__(self):
-        if self.total_wins < 0 or self.total_losses < 0:
-            raise ValueError(f"totals must be nonnegative, got {self!r}")
-
-
-@dataclass(frozen=True)
 class Moments:
     """Population moments of a value collection.
 
@@ -122,62 +94,38 @@ class EnsembleState:
     def size(self) -> int:
         return int(self.wins.size)
 
-    @property
-    def totals(self) -> EnsembleTotals:
-        return EnsembleTotals(int(self.wins.sum()), int(self.losses.sum()))
-
     def posteriors(self) -> np.ndarray:
         return posterior_win_many(self.wins, self.losses)
 
 
-def posterior_win(ledger: BetLedger, totals: EnsembleTotals) -> float:
-    """Posterior probability of profit for one ledger.
+def posterior_win_many(wins: np.ndarray, losses: np.ndarray) -> np.ndarray:
+    """Posterior probability of profit for every ledger of one ensemble.
 
     With fair marginal odds P(win) = P(loss) = 0.5 the marginals cancel
-    and the posterior reduces to ``L_w / (L_w + L_l)`` where the
+    and each posterior reduces to ``L_w / (L_w + L_l)`` where the
     likelihoods are empirical frequencies ``L_w = wins/total_wins`` and
-    ``L_l = losses/total_losses``.  When the ensemble has recorded no
-    losses at all, the loss likelihood is defined as 0 and the
-    posterior is 1.
+    ``L_l = losses/total_losses`` over the column sums of the arrays.
+    When the ensemble has recorded no losses at all, the loss
+    likelihood is defined as 0 and every posterior is 1.
 
     Raises
     ------
     ValueError
-        If the ledger is empty (wins = losses = 0, undefined), or the
-        totals cannot contain the ledger.
-    """
-    if ledger.wins == 0 and ledger.losses == 0:
-        raise ValueError("posterior undefined for an empty ledger (0 wins, 0 losses)")
-    if totals.total_wins < 1:
-        raise ValueError("ensemble totals must include at least one win")
-    if ledger.wins > totals.total_wins or ledger.losses > totals.total_losses:
-        raise ValueError(f"ledger {ledger!r} inconsistent with totals {totals!r}")
-    l_w = ledger.wins / totals.total_wins
-    l_l = 0.0 if totals.total_losses == 0 else ledger.losses / totals.total_losses
-    return l_w / (l_w + l_l)
-
-
-def posterior_win_many(
-    wins: np.ndarray, losses: np.ndarray, totals: EnsembleTotals | None = None
-) -> np.ndarray:
-    """Vectorized :func:`posterior_win` over aligned count arrays.
-
-    ``totals`` defaults to the column sums of the arrays themselves,
-    which is the self-consistent ensemble case.
+        If a ledger is empty (wins = losses = 0, undefined), or the
+        ensemble has recorded no win.
     """
     wins = np.asarray(wins, dtype=np.int64)
     losses = np.asarray(losses, dtype=np.int64)
-    if totals is None:
-        totals = EnsembleTotals(int(wins.sum()), int(losses.sum()))
     if ((wins == 0) & (losses == 0)).any():
         raise ValueError("posterior undefined for an empty ledger (0 wins, 0 losses)")
-    if totals.total_wins < 1:
+    total_wins, total_losses = int(wins.sum()), int(losses.sum())
+    if total_wins < 1:
         raise ValueError("ensemble totals must include at least one win")
-    l_w = wins / totals.total_wins
-    if totals.total_losses == 0:
+    l_w = wins / total_wins
+    if total_losses == 0:
         # loss likelihood defined as 0: every posterior is exactly 1
         return np.ones(wins.shape, dtype=np.float64)
-    l_l = losses / totals.total_losses
+    l_l = losses / total_losses
     return l_w / (l_w + l_l)
 
 
@@ -237,26 +185,6 @@ def distinct_posterior_classes(posteriors: Sequence[float], eps: float = EPS_CLA
 def heterogeneous_pair_count(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
     """Number of unordered pairs (i, j) with |p_i - p_j| > eps."""
     return _sorted_census(posteriors, eps)[1]
-
-
-def ensemble_entropy(posteriors: Sequence[float], eps: float = EPS_CLASS) -> float:
-    """Entropy of a posterior population: ln(max(1, heterogeneous pairs)).
-
-    The floor of 1 makes a fully homogeneous population sit at entropy
-    0 instead of ln 0.
-    """
-    return boltzmann_entropy(max(1, heterogeneous_pair_count(posteriors, eps)))
-
-
-def pair_expected_return(p_buyer: float, p_seller: float) -> float:
-    """Expected return of a matched pair, buyer positive, seller negative.
-
-    Zero exactly when the pair is homogeneous.
-    """
-    for name, p in (("p_buyer", p_buyer), ("p_seller", p_seller)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
-    return p_buyer - p_seller
 
 
 def population_moments(values: Sequence[float]) -> Moments:

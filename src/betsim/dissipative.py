@@ -50,8 +50,6 @@ class DissipativeConfig:
     injection_size_range: tuple[int, int] = (50, 200)
     removal_prob: float = 0.0
     removal_policy: str = "oldest"
-    eps_eq: float = 0.05
-    sustain: int = 50
 
     def __post_init__(self):
         object.__setattr__(self, "grain_sizes", tuple(int(s) for s in self.grain_sizes))
@@ -85,10 +83,6 @@ class DissipativeConfig:
             raise ValueError(
                 f"removal_policy must be one of {REMOVAL_POLICIES}, got {self.removal_policy!r}"
             )
-        if self.eps_eq <= 0:
-            raise ValueError("eps_eq must be positive")
-        if self.sustain < 1:
-            raise ValueError("sustain must be >= 1")
 
     def with_seed(self, seed: int) -> "DissipativeConfig":
         return replace(self, seed=seed)

@@ -3,18 +3,17 @@
 Likelihoods (Gaussian with known mean, exponential), the conjugate
 inverse-gamma update for the Gaussian variance, marginal likelihood
 ("evidence") by adaptive log-space quadrature, posterior model
-probabilities, and Bayes-ratio selection.  Everything runs in log space
+probabilities, and model selection.  Everything runs in log space
 with log-sum-exp: linear-space densities underflow once n reaches the
 thousands.
 """
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import invgamma as _scipy_invgamma
+from scipy.special import gammainccinv, logsumexp
 
 from .errors import ConvergenceError
 from .superstat import invgamma_logpdf
@@ -22,10 +21,7 @@ from .superstat import invgamma_logpdf
 GAUSSIAN_KNOWN_MEAN = "gaussian-known-mean"
 EXPONENTIAL = "exponential"
 LIKELIHOOD_KINDS = (GAUSSIAN_KNOWN_MEAN, EXPONENTIAL)
-
-
-class TieWarning(UserWarning):
-    """Two models are exactly tied; no winner is declared silently."""
+INITIAL_NODES = 129  # nodes of the evidence quadrature's first grid
 
 
 @dataclass(frozen=True)
@@ -62,8 +58,13 @@ class DataSet:
         return int(self.samples.size)
 
     def squared_deviation_sum(self) -> float:
-        d = self.samples - self.mu
-        return float(d @ d)
+        """S = sum (x - mu)^2; raises ValueError when it overflows."""
+        with np.errstate(over="ignore"):
+            d = self.samples - self.mu
+            s = float(d @ d)
+        if not math.isfinite(s):
+            raise ValueError("the sum of squared deviations overflows the float range")
+        return s
 
     def __repr__(self):
         return f"DataSet(n={self.n}, mu={self.mu})"
@@ -73,18 +74,14 @@ class DataSet:
 class ModelSpec:
     """One candidate model: likelihood kind, prior, quadrature controls.
 
-    ``domain`` optionally pins the integration interval; by default it
-    is the prior's [1e-10, 1-1e-10] quantile range widened until the
-    integrand's peak lies well inside.  ``initial_nodes`` is the first
-    trapezoid grid; each refinement doubles the node count up to
-    ``max_doublings`` times.
+    The evidence quadrature starts on a grid of ``INITIAL_NODES`` nodes;
+    each refinement doubles the interval count, up to ``max_doublings``
+    times.
     """
 
     id: str
     likelihood_kind: str
     prior: InvGammaParams
-    domain: tuple[float, float] | None = None
-    initial_nodes: int = 129
     max_doublings: int = 24
     rel_tol: float = 1e-8
 
@@ -93,12 +90,6 @@ class ModelSpec:
             raise ValueError(
                 f"likelihood_kind must be one of {LIKELIHOOD_KINDS}, got {self.likelihood_kind!r}"
             )
-        if self.domain is not None:
-            lo, hi = self.domain
-            if not 0 < lo < hi:
-                raise ValueError("domain must satisfy 0 < lo < hi")
-        if self.initial_nodes < 3:
-            raise ValueError("initial_nodes must be >= 3")
         if self.max_doublings < 1:
             raise ValueError("max_doublings must be >= 1")
         if self.rel_tol <= 0:
@@ -155,7 +146,10 @@ def exponential_loglik(data: DataSet, theta):
         return float(out) if np.isscalar(theta) else out
     if (data.samples <= 0).any():
         raise ValueError("exponential likelihood requires strictly positive samples")
-    total = float(data.samples.sum())
+    with np.errstate(over="ignore"):
+        total = float(data.samples.sum())
+    if not math.isfinite(total):
+        raise ValueError("the sum of the samples overflows the float range")
     out = n * np.log(th) - th * total
     return float(out) if np.isscalar(theta) else out
 
@@ -174,16 +168,17 @@ def _loglik_fn(model: ModelSpec, data: DataSet):
 def _integration_domain(model: ModelSpec, data: DataSet) -> tuple[float, float]:
     """Prior quantile range, widened until the integrand peak is interior.
 
-    A coarse geometric scan finds the peak of likelihood * prior; both
+    The range starts at the prior's [1e-10, 1-1e-10] quantiles.  A
+    coarse geometric scan finds the peak of likelihood * prior; both
     ends grow until the scanned integrand has dropped at least 46 nats
     (factor ~1e-20) below the peak, so truncation error is negligible
     at the target tolerance.
     """
-    if model.domain is not None:
-        return model.domain
     a, b = model.prior.alpha, model.prior.beta
-    lo = float(_scipy_invgamma.ppf(1e-10, a, scale=b))
-    hi = float(_scipy_invgamma.ppf(1.0 - 1e-10, a, scale=b))
+    # inverse-gamma quantile q: b / Q^-1(a, q), Q the upper regularized
+    # incomplete gamma function
+    lo = float(1.0 / gammainccinv(a, 1e-10) * b)
+    hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
     lo = max(lo, 1e-300)
     loglik = _loglik_fn(model, data)
     for _ in range(200):
@@ -232,7 +227,7 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
         w[-1] *= 0.5
         return float(logsumexp(g, b=w))
 
-    nodes = model.initial_nodes
+    nodes = INITIAL_NODES
     prev = estimate(nodes)
     for _ in range(model.max_doublings):
         nodes = 2 * nodes - 1
@@ -273,19 +268,6 @@ def model_posteriors(models, priors, data: DataSet) -> list[ModelPosterior]:
         ModelPosterior(m.id, float(p), float(le), float(pp))
         for m, p, le, pp in zip(models, priors, log_ev, post)
     ]
-
-
-def bayes_ratio(posterior_j: float, posterior_k: float) -> float:
-    """Posterior odds posterior_j / posterior_k.
-
-    An exact tie is reported via :class:`TieWarning` rather than being
-    broken silently; a zero denominator is an error.
-    """
-    if posterior_k == 0:
-        raise ValueError("bayes_ratio undefined: posterior_k is 0")
-    if posterior_j == posterior_k:
-        warnings.warn("models are exactly tied (ratio 1)", TieWarning, stacklevel=2)
-    return posterior_j / posterior_k
 
 
 def select_model(posteriors) -> ModelChoice:

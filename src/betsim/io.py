@@ -134,7 +134,7 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
         raise DataError(
             f"{path}: lines {i + 2} and {i + tau + 2}: log-return {samples[i]} is not finite"
         )
-    return ReturnSeries(tau=tau, samples=samples, seed=None)
+    return ReturnSeries(tau=tau, samples=samples)
 
 
 def emit_trajectory_csv(trajectory: Trajectory, path) -> None:
@@ -165,11 +165,14 @@ def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     """Per-step, per-participant ledgers; requires a recorded run."""
     if trajectory.per_microstate is None:
         raise DataError("trajectory carries no per-microstate records")
+    # each step's arrays become Python lists once, not one index per cell;
+    # a list holds Python floats, so .12g is what _fmt writes
     _write_csv(path, "step,microstate,wins,losses,posterior", (
-        f"{snap.step},{i},{int(ledgers.wins[i])},"
-        f"{int(ledgers.losses[i])},{_fmt(ledgers.posteriors[i])}\n"
+        f"{snap.step},{i},{wins},{losses},{posterior:.12g}\n"
         for snap, ledgers in zip(trajectory.snapshots, trajectory.per_microstate)
-        for i in range(ledgers.wins.size)
+        for i, (wins, losses, posterior) in enumerate(zip(
+            ledgers.wins.tolist(), ledgers.losses.tolist(), ledgers.posteriors.tolist()
+        ))
     ))
 
 
@@ -205,7 +208,7 @@ def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     if bad.size:
         i = int(bad[0])
         raise DataError(f"{path}: line {i + 2}: value {samples[i]} is not finite")
-    return ReturnSeries(tau=tau, samples=samples, seed=None)
+    return ReturnSeries(tau=tau, samples=samples)
 
 
 def emit_fit_csv(rows: Iterable[tuple[str, object]], path) -> None:

@@ -59,16 +59,10 @@ class MixingModel:
 
 @dataclass
 class ReturnSeries:
-    """Generated or ingested log-returns over a fixed horizon.
-
-    ``seed`` records the generating seed when one is known; it is None
-    for data produced from a caller-supplied generator or read from a
-    file.
-    """
+    """Generated or ingested log-returns over a fixed horizon."""
 
     tau: int
     samples: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         if self.tau < 1:
@@ -88,29 +82,6 @@ def invgamma_logpdf(x, alpha: float, beta: float):
     if (xv <= 0).any():
         raise ValueError("inverse-gamma density is defined only for x > 0")
     out = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1.0) * np.log(xv) - beta / xv
-    return float(out) if np.isscalar(x) else out
-
-
-def giga_logpdf(x, alpha: float, beta: float, gamma: float):
-    """Log-density of GIGa(alpha, beta, gamma):
-    gamma * beta^(gamma*alpha) / Gamma(alpha) * x^(-gamma*alpha-1)
-    * exp(-(beta/x)^gamma).
-
-    gamma = 1 reduces exactly to the inverse-gamma density.  If
-    G ~ Gamma(alpha, 1), then beta / G^(1/gamma) follows this law.
-    """
-    if alpha <= 0 or beta <= 0 or gamma <= 0:
-        raise ValueError("alpha, beta and gamma must be positive")
-    xv = np.asarray(x, dtype=np.float64)
-    if (xv <= 0).any():
-        raise ValueError("generalized inverse-gamma density is defined only for x > 0")
-    out = (
-        np.log(gamma)
-        + gamma * alpha * np.log(beta)
-        - gammaln(alpha)
-        - (gamma * alpha + 1.0) * np.log(xv)
-        - (beta / xv) ** gamma
-    )
     return float(out) if np.isscalar(x) else out
 
 
@@ -139,7 +110,6 @@ def generate_returns(
     tau: int,
     rng: np.random.Generator,
     slow_mixing: bool = False,
-    seed_label: int | None = None,
 ) -> ReturnSeries:
     """Generate n log-returns, each a sum of tau unit-step shocks.
 
@@ -163,7 +133,7 @@ def generate_returns(
         sigma = np.sqrt(sample_mixing(model, rng, shape))
         z = rng.standard_normal((n, tau))
         samples = (sigma * z).sum(axis=1)
-    return ReturnSeries(tau=tau, samples=samples, seed=seed_label)
+    return ReturnSeries(tau=tau, samples=samples)
 
 
 def sample_moments(series) -> Moments:

@@ -340,6 +340,12 @@ def test_simulation_outputs_match_golden_digests(workdir, case):
 FIT = "[inference]\nmu = 0.0\n\n[io]\ninput = in.csv\n"
 INGEST = "[io]\ninput = in.csv\n"
 BIG_SEED = f"seed = {2**64}\n"
+OVERFLOW_FIT = "[inference]\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
+OVERFLOW_RETURNS = "i,value\n0,1e200\n1,-1e200\n2,3e199\n"
+OVERFLOW_EXPONENTIAL = (
+    "[inference]\nmodels = exponential\nmodel_priors = 1.0\nmodel_alphas = 3.0\n"
+    "model_betas = 2.0\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -359,6 +365,9 @@ BIG_SEED = f"seed = {2**64}\n"
         ("sim-conservative", CONSERVATIVE.encode() + b"# \xe9\n", "", [], 2),
         ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv"], 2),
         ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv/o"], 2),
+        ("fit-variance", FIT.replace("0.0", "nan"), "i,value\n0,1.0\n", [], 2),
+        ("fit-variance", OVERFLOW_FIT, OVERFLOW_RETURNS, [], 3),
+        ("compare-models", OVERFLOW_EXPONENTIAL, "i,value\n0,1e308\n1,1e308\n", [], 3),
     ],
     ids=[
         "fit-variance-nan",
@@ -375,6 +384,9 @@ BIG_SEED = f"seed = {2**64}\n"
         "config-not-utf8",
         "out-is-file",
         "out-under-file",
+        "inference-mu-nan",
+        "returns-overflow",
+        "returns-overflow-exponential",
     ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
@@ -426,3 +438,18 @@ def test_exit_codes_hold_in_a_fresh_interpreter(workdir):
         proc = betsim("fit-variance", "--config", name, "--out", "o")
         assert proc.returncode == code, proc.stderr
         _assert_one_error_line(proc.stderr)
+
+
+def test_import_skips_scipy_stats_and_exports_resolve():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, betsim, betsim.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "missing = [n for n in betsim.__all__ if not hasattr(betsim, n)]\n"
+        "assert not missing, missing\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

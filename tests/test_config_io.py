@@ -2,12 +2,15 @@
 
 import math
 import os
+import typing
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from betsim import config as bconfig
 from betsim import io as csvio
 from betsim.config import (
     InferenceConfig,
@@ -46,8 +49,6 @@ injection_prob = 0.1
 injection_size_range = 50, 200
 removal_prob = 0.05
 removal_policy = closest-to-equilibrium
-eps_eq = 0.05
-sustain = 50
 
 [io]
 input = data/prices.csv
@@ -111,8 +112,6 @@ def _all_sections(bets_per_grain):
             injection_size_range=(3, 12),
             removal_prob=0.0625,
             removal_policy="random",
-            eps_eq=0.1,
-            sustain=20,
         ),
         superstat=SuperstatConfig(
             kind="generalized-inverse-gamma",
@@ -161,8 +160,6 @@ injection_prob = 0.125
 injection_size_range = 3,12
 removal_prob = 0.0625
 removal_policy = random
-eps_eq = 0.1
-sustain = 20
 
 [superstat]
 kind = generalized-inverse-gamma
@@ -210,15 +207,15 @@ def test_emit_config_matches_golden_text(bets_per_grain, expect):
     steps=st.integers(0, 10_000),
     seed=st.integers(0, 2**31),
     frac=st.floats(0.01, 1.0, allow_nan=False),
-    eps=st.floats(1e-6, 0.5, allow_nan=False),
+    prob=st.floats(0.0, 1.0, allow_nan=False),
 )
-def test_round_trip_preserves_exact_floats(steps, seed, frac, eps):
+def test_round_trip_preserves_exact_floats(steps, seed, frac, prob):
     cfg = RunConfig(
-        dissipative=DissipativeConfig(steps=steps, seed=seed, bets_fraction=frac, eps_eq=eps)
+        dissipative=DissipativeConfig(steps=steps, seed=seed, bets_fraction=frac, injection_prob=prob)
     )
     back = parse_config(emit_config(cfg))
     assert back.dissipative.bets_fraction == frac
-    assert back.dissipative.eps_eq == eps
+    assert back.dissipative.injection_prob == prob
 
 
 def test_parse_rejects_unknown_section():
@@ -241,6 +238,34 @@ def test_parse_rejects_bad_value():
         parse_config("[conservative]\nsteps = lots\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config("[io]\nwrite_microstates = yes\n")
+
+
+def _float_keys():
+    """(section, key) for every key typed float or tuple of floats."""
+    for name, schema in bconfig._SCHEMAS.items():
+        hints = typing.get_type_hints(bconfig._SECTIONS[name])
+        for key in schema:
+            hint = bconfig._unwrap_optional(hints[key])
+            if hint is float or typing.get_args(hint)[:1] == (float,):
+                yield name, key
+
+
+FLOAT_KEYS = list(_float_keys())
+
+
+def test_float_keys_cover_every_section_with_floats():
+    assert {s for s, _ in FLOAT_KEYS} == {"conservative", "dissipative", "superstat", "inference"}
+    assert ("inference", "mu") in FLOAT_KEYS and ("inference", "model_priors") in FLOAT_KEYS
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+def test_parse_rejects_non_finite_floats(section, key, text):
+    required = "".join(
+        f"{f.name} = 1\n" for f in fields(bconfig._SECTIONS[section]) if f.default is MISSING
+    )
+    with pytest.raises(ConfigError, match=f"\\[{section}\\] {key} = .*finite"):
+        parse_config(f"[{section}]\n{required}{key} = {text}\n")
 
 
 def test_parse_requires_steps():
@@ -274,7 +299,6 @@ def test_ingest_log_returns(tmp_path):
     _write_prices(path, list(enumerate(prices)))
     series = csvio.ingest_price_csv(str(path), tau=1)
     assert series.tau == 1
-    assert series.seed is None
     expect = [math.log(prices[i + 1] / prices[i]) for i in range(3)]
     assert np.allclose(series.samples, expect, atol=1e-15)
 

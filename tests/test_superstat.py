@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from betsim import rng as rngmod
 from betsim.core import population_moments
@@ -10,7 +10,6 @@ from betsim.superstat import (
     MixingModel,
     ReturnSeries,
     generate_returns,
-    giga_logpdf,
     invgamma_logpdf,
     sample_mixing,
     sample_moments,
@@ -44,30 +43,6 @@ def test_invgamma_logpdf_scalar_and_validation():
         invgamma_logpdf(0.0, 2.0, 2.0)
     with pytest.raises(ValueError, match="positive"):
         invgamma_logpdf(1.0, -1.0, 2.0)
-
-
-def test_giga_reduces_to_invgamma_at_unit_gamma():
-    x = np.geomspace(0.05, 20, 100)
-    assert np.allclose(
-        giga_logpdf(x, 2.4, 1.3, 1.0), invgamma_logpdf(x, 2.4, 1.3), atol=1e-12
-    )
-
-
-def test_giga_logpdf_matches_reciprocal_generalized_gamma():
-    # if X ~ GIGa(alpha, beta, gamma) then 1/X is generalized-gamma with
-    # shape alpha, exponent gamma and scale 1/beta
-    alpha, beta, gamma = 1.8, 2.2, 1.6
-    x = np.geomspace(0.05, 30, 150)
-    expect = stats.gengamma(a=alpha, c=gamma, scale=1.0 / beta).pdf(1.0 / x) / x**2
-    assert np.allclose(np.exp(giga_logpdf(x, alpha, beta, gamma)), expect, rtol=1e-10)
-
-
-def test_giga_logpdf_normalized():
-    alpha, beta, gamma = 2.5, 1.7, 1.8
-    total, _ = integrate.quad(
-        lambda x: np.exp(giga_logpdf(x, alpha, beta, gamma)), 0.0, np.inf
-    )
-    assert total == pytest.approx(1.0, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +112,6 @@ def test_generate_returns_validation():
         generate_returns(model, 0, 1, rng)
     with pytest.raises(ValueError, match="tau must be"):
         generate_returns(model, 10, 0, rng)
-
-
-def test_seed_label_is_recorded():
-    model = MixingModel(kind="constant", sigma0=1.0)
-    series = generate_returns(model, 8, 1, rngmod.stream(9, rngmod.RETURNS), seed_label=9)
-    assert series.seed == 9
-    unlabeled = generate_returns(model, 8, 1, np.random.default_rng(0))
-    assert unlabeled.seed is None
 
 
 def test_return_series_validation():
