@@ -27,13 +27,13 @@ data = DataSet(gen.normal(0.0, math.sqrt(2.5), 400), mu=0.0)
 prior = InvGammaParams(alpha=3.0, beta=4.0)
 
 post = conjugate_variance_posterior(prior, data)
-print(f"observed {data.samples.size} draws with true variance 2.5")
+print(f"observed {data.n} draws with true variance 2.5")
 print(f"prior        alpha={prior.alpha:.1f} beta={prior.beta:.1f}")
 print(f"posterior    alpha={post.alpha:.1f} beta={post.beta:.1f}")
 print(f"posterior mean of the variance: {post.beta / (post.alpha - 1):.4f}")
 
 # closed-form marginal likelihood for the Gaussian model
-n = data.samples.size
+n = data.n
 s = data.squared_deviation_sum()
 closed = (
     -0.5 * n * math.log(2 * math.pi)

@@ -37,34 +37,42 @@ class InvGammaParams:
 
 
 class DataSet:
-    """Observed samples with a known mean for the Gaussian likelihood."""
+    """Sufficient statistics of samples with a known mean mu.
 
-    __slots__ = ("samples", "mu")
+    The samples are read once, here, and not kept: the likelihoods read
+    only n, S = sum (x - mu)^2, sum x and whether every sample is
+    positive.  A sum that overflows raises ValueError only when used.
+    """
+
+    __slots__ = ("n", "mu", "all_positive", "_squared_deviation_sum", "_sample_sum")
 
     def __init__(self, samples, mu: float = 0.0):
-        v = np.array(samples, dtype=np.float64)
+        v = np.asarray(samples, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         if not np.isfinite(v).all():
             raise ValueError("samples must be finite")
         if not np.isfinite(mu):
             raise ValueError("mu must be finite")
-        v.setflags(write=False)
-        self.samples = v
+        self.n = int(v.size)
         self.mu = float(mu)
-
-    @property
-    def n(self) -> int:
-        return int(self.samples.size)
+        self.all_positive = bool((v > 0).all())
+        with np.errstate(over="ignore"):
+            d = v - self.mu
+            self._squared_deviation_sum = float(d @ d)
+            self._sample_sum = float(v.sum())
 
     def squared_deviation_sum(self) -> float:
         """S = sum (x - mu)^2; raises ValueError when it overflows."""
-        with np.errstate(over="ignore"):
-            d = self.samples - self.mu
-            s = float(d @ d)
-        if not math.isfinite(s):
+        if not math.isfinite(self._squared_deviation_sum):
             raise ValueError("the sum of squared deviations overflows the float range")
-        return s
+        return self._squared_deviation_sum
+
+    def sample_sum(self) -> float:
+        """sum x; raises ValueError when it overflows."""
+        if not math.isfinite(self._sample_sum):
+            raise ValueError("the sum of the samples overflows the float range")
+        return self._sample_sum
 
     def __repr__(self):
         return f"DataSet(n={self.n}, mu={self.mu})"
@@ -124,12 +132,8 @@ def gaussian_variance_loglik(data: DataSet, sigma2):
     s2 = np.asarray(sigma2, dtype=np.float64)
     if (s2 <= 0).any():
         raise ValueError("sigma2 must be positive")
-    n = data.n
-    if n == 0:
-        out = np.zeros_like(s2)
-        return float(out) if np.isscalar(sigma2) else out
     s = data.squared_deviation_sum()
-    out = -0.5 * n * np.log(2.0 * np.pi * s2) - s / (2.0 * s2)
+    out = -0.5 * data.n * np.log(2.0 * np.pi * s2) - s / (2.0 * s2)
     return float(out) if np.isscalar(sigma2) else out
 
 
@@ -140,17 +144,9 @@ def exponential_loglik(data: DataSet, theta):
     th = np.asarray(theta, dtype=np.float64)
     if (th <= 0).any():
         raise ValueError("theta must be positive")
-    n = data.n
-    if n == 0:
-        out = np.zeros_like(th)
-        return float(out) if np.isscalar(theta) else out
-    if (data.samples <= 0).any():
+    if not data.all_positive:
         raise ValueError("exponential likelihood requires strictly positive samples")
-    with np.errstate(over="ignore"):
-        total = float(data.samples.sum())
-    if not math.isfinite(total):
-        raise ValueError("the sum of the samples overflows the float range")
-    out = n * np.log(th) - th * total
+    out = data.n * np.log(th) - th * data.sample_sum()
     return float(out) if np.isscalar(theta) else out
 
 
@@ -159,13 +155,15 @@ def conjugate_variance_posterior(prior: InvGammaParams, data: DataSet) -> InvGam
     return InvGammaParams(prior.alpha + data.n / 2.0, prior.beta + data.squared_deviation_sum() / 2.0)
 
 
-def _loglik_fn(model: ModelSpec, data: DataSet):
-    if model.likelihood_kind == GAUSSIAN_KNOWN_MEAN:
-        return lambda theta: gaussian_variance_loglik(data, theta)
-    return lambda theta: exponential_loglik(data, theta)
+def _log_integrand(model: ModelSpec, data: DataSet):
+    """theta -> log of likelihood * prior, the evidence integrand."""
+    gaussian = model.likelihood_kind == GAUSSIAN_KNOWN_MEAN
+    loglik = gaussian_variance_loglik if gaussian else exponential_loglik
+    a, b = model.prior.alpha, model.prior.beta
+    return lambda theta: loglik(data, theta) + invgamma_logpdf(theta, a, b)
 
 
-def _integration_domain(model: ModelSpec, data: DataSet) -> tuple[float, float]:
+def _integration_domain(prior: InvGammaParams, integrand) -> tuple[float, float]:
     """Prior quantile range, widened until the integrand peak is interior.
 
     The range starts at the prior's [1e-10, 1-1e-10] quantiles.  A
@@ -174,16 +172,18 @@ def _integration_domain(model: ModelSpec, data: DataSet) -> tuple[float, float]:
     (factor ~1e-20) below the peak, so truncation error is negligible
     at the target tolerance.
     """
-    a, b = model.prior.alpha, model.prior.beta
+    a, b = prior.alpha, prior.beta
     # inverse-gamma quantile q: b / Q^-1(a, q), Q the upper regularized
-    # incomplete gamma function
-    lo = float(1.0 / gammainccinv(a, 1e-10) * b)
-    hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
-    lo = max(lo, 1e-300)
-    loglik = _loglik_fn(model, data)
+    # incomplete gamma function.  Q^-1 underflows for a shape below about
+    # 0.03; hi then starts at the ceiling, unless lo is past it as well
+    lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
+    with np.errstate(divide="ignore", over="ignore"):
+        hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
+    if hi == math.inf and lo < 1e300:
+        hi = 1e300
     for _ in range(200):
         grid = np.geomspace(lo, hi, 513)
-        g = loglik(grid) + invgamma_logpdf(grid, a, b)
+        g = integrand(grid)
         gmax = float(g.max())
         grew = False
         if g[0] > gmax - 46.0 and lo > 1e-300:
@@ -212,16 +212,15 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
     """
     if data.n == 0:
         return 0.0
-    loglik = _loglik_fn(model, data)
-    a, b = model.prior.alpha, model.prior.beta
-    lo, hi = _integration_domain(model, data)
+    integrand = _log_integrand(model, data)
+    lo, hi = _integration_domain(model.prior, integrand)
     u_lo, u_hi = np.log(lo), np.log(hi)
 
     def estimate(nodes: int) -> float:
         u = np.linspace(u_lo, u_hi, nodes)
         theta = np.exp(u)
         # + u is the Jacobian d theta = theta du
-        g = loglik(theta) + invgamma_logpdf(theta, a, b) + u
+        g = integrand(theta) + u
         w = np.full(nodes, (u_hi - u_lo) / (nodes - 1))
         w[0] *= 0.5
         w[-1] *= 0.5

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,24 @@ def test_fit_variance_convergence_failure_exits_4(workdir, capsys):
     cfg = _write(workdir, "f.ini", NOT_CONVERGING)
     assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_fit_variance_with_a_small_prior_shape(workdir, capsys):
+    # at this shape the prior's upper quantile is past the float range
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
+    cfg = _write(
+        workdir,
+        "f.ini",
+        "[inference]\nprior_alpha = 0.001\nmax_doublings = 8\n\n[io]\ninput = returns.csv\n",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 0
+    assert not caught
+    assert capsys.readouterr().err == ""
+    rows = dict(line.split(",") for line in (workdir / "o/fit.csv").read_text().splitlines()[1:])
+    # the conjugate closed form for these samples and prior
+    assert float(rows["log_evidence"]) == pytest.approx(-79.5491274938274, abs=1e-8)
 
 
 def test_compare_models_tie_of_identical_models(workdir):

@@ -1,6 +1,7 @@
 """Unit tests for the variance-inference toolkit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,45 @@ def test_dataset_squared_deviation_sum():
     assert data.squared_deviation_sum() == pytest.approx(1.0 + 0.0 + 4.0)
 
 
+def _sample_cases():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 17, 1000, 100_003):
+        x = rng.exponential(0.8, n)
+        for mu in (0.0, 0.37, -2.5):
+            yield x, mu
+    yield rng.normal(0.0, 1.0, 30_001)[::3], 0.1  # a strided view
+
+
+def test_dataset_statistics_equal_direct_sums():
+    for x, mu in _sample_cases():
+        data = DataSet(x, mu=mu)
+        assert data.n == x.size
+        assert data.squared_deviation_sum() == float((x - mu) @ (x - mu))
+        assert data.sample_sum() == float(x.sum())
+
+
+def test_likelihoods_equal_closed_forms_on_the_sums():
+    theta = np.geomspace(1e-3, 1e3, 41)
+    for x, mu in _sample_cases():
+        data = DataSet(np.abs(x), mu=mu)
+        n, s, total = data.n, data.squared_deviation_sum(), data.sample_sum()
+        gauss = -0.5 * n * np.log(2.0 * np.pi * theta) - s / (2.0 * theta)
+        assert np.array_equal(gaussian_variance_loglik(data, theta), gauss)
+        assert np.array_equal(exponential_loglik(data, theta), n * np.log(theta) - theta * total)
+
+
+def test_dataset_keeps_no_copy_of_the_samples():
+    x = np.random.default_rng(6).normal(0.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        data = DataSet(x, mu=0.2)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.n == 10**6
+    assert retained < 1024
+
+
 def test_invgamma_params_validation():
     with pytest.raises(ValueError):
         InvGammaParams(0.0, 1.0)
@@ -51,9 +91,10 @@ def test_invgamma_params_validation():
 # likelihoods
 
 def test_gaussian_loglik_matches_reference():
-    data = _dataset()
+    x = np.random.default_rng(0).normal(0.4, 1.2, 30)
+    data = DataSet(x, mu=0.4)
     for s2 in (0.3, 1.0, 4.7):
-        expect = float(stats.norm(data.mu, math.sqrt(s2)).logpdf(data.samples).sum())
+        expect = float(stats.norm(data.mu, math.sqrt(s2)).logpdf(x).sum())
         assert gaussian_variance_loglik(data, s2) == pytest.approx(expect)
 
 
@@ -134,6 +175,17 @@ def test_log_evidence_gaussian_matches_closed_form():
     data = _dataset(seed=2, n=17)
     prior = InvGammaParams(2.5, 1.5)
     spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
+    assert log_evidence(spec, data) == pytest.approx(
+        _closed_form_log_evidence(data, prior), abs=1e-8
+    )
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e-10])
+def test_log_evidence_small_prior_shape_matches_closed_form(alpha):
+    # the prior's upper quantile is past the float range for these shapes
+    data = _dataset(seed=2, n=50)
+    prior = InvGammaParams(alpha, 2.0)
+    spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior, max_doublings=8)
     assert log_evidence(spec, data) == pytest.approx(
         _closed_form_log_evidence(data, prior), abs=1e-8
     )
