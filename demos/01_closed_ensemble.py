@@ -8,13 +8,15 @@ and the entropy climbs toward its combinatorial ceiling.
 """
 import math
 
-from betsim import ConservativeConfig, run_conservative
+from betsim import ConservativeConfig, run_conservative, smooth_series
+from betsim.conservative import DEFAULT_SMOOTHING_WINDOW
 
 N = 50
 STEPS = 2000
 
 cfg = ConservativeConfig(steps=STEPS, n_microstates=N, bets_per_step=1, seed=7)
 traj = run_conservative(cfg)
+smoothed = smooth_series([s.mean_posterior for s in traj.snapshots], DEFAULT_SMOOTHING_WINDOW)
 
 cap = math.log(math.comb(N, 2))
 print(f"closed ensemble, {N} participants, {STEPS} steps, one bet per step")
@@ -23,7 +25,7 @@ print()
 print(f"{'step':>6} {'mean':>8} {'smoothed':>9} {'entropy':>8} {'classes':>8}")
 for t in (0, 1, 10, 100, 500, 1000, 2000):
     s = traj.snapshots[t]
-    sm = traj.smoothed_mean_posterior[t]
+    sm = smoothed[t]
     print(f"{s.step:>6} {s.mean_posterior:>8.4f} {sm:>9.4f} {s.entropy:>8.4f} {s.distinct_classes:>8}")
 
 final = traj.snapshots[-1]

@@ -9,6 +9,7 @@ Each participant starts with one virtual win.  After every step the
 sum of wins minus the sum of losses still equals the population size.
 """
 from betsim import ConservativeConfig, run_conservative
+from betsim.core import posterior_win_many
 
 # five participants, one or two bets per step
 SCHEDULE = [
@@ -20,8 +21,8 @@ SCHEDULE = [
 cfg = ConservativeConfig(steps=len(SCHEDULE), n_microstates=5, bets_per_step=2, seed=0)
 traj = run_conservative(cfg, record_microstates=True, forced_schedule=SCHEDULE)
 
-for step, ledgers in enumerate(traj.per_microstate):
-    wins, losses, post = ledgers.wins, ledgers.losses, ledgers.posteriors
+for step, (wins, losses) in enumerate(zip(traj.wins, traj.losses)):
+    post = posterior_win_many(wins, losses)
     print(f"after step {step}:" if step else "initial state:")
     for i in range(5):
         print(f"  participant {i}: wins={wins[i]} losses={losses[i]} posterior={post[i]:.4f}")
@@ -31,8 +32,5 @@ for step, ledgers in enumerate(traj.per_microstate):
 
 # replaying the same schedule reproduces the run byte for byte
 again = run_conservative(cfg, record_microstates=True, forced_schedule=SCHEDULE)
-assert all(
-    (a.wins == b.wins).all() and (a.losses == b.losses).all()
-    for a, b in zip(traj.per_microstate, again.per_microstate)
-)
+assert (traj.wins == again.wins).all() and (traj.losses == again.losses).all()
 print("replay with the same schedule is identical")

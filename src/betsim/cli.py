@@ -10,9 +10,10 @@ directory:
   compare-models     evidence-based model comparison -> models.csv
   ingest             price file -> log-return series -> returns.csv
 
-Exit codes: 0 success, 2 configuration or usage error, 3 data error,
-4 non-convergence.  Runs are deterministic: repeating a command with
-the same config and seed reproduces every output byte for byte.
+Exit codes: 0 success, 2 configuration or usage error (a run too large
+for memory included), 3 data error, 4 non-convergence.  Runs are
+deterministic: repeating a command with the same config and seed
+reproduces every output byte for byte.
 """
 from __future__ import annotations
 
@@ -20,18 +21,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import io as csvio
 from . import rng as rngmod
 from .config import RunConfig, parse_config
-from .conservative import (
-    DEFAULT_SMOOTHING_WINDOW,
-    Trajectory,
-    run_conservative,
-    smooth_series,
-)
+from .conservative import run_conservative
 from .dissipative import run_dissipative
 from .errors import ConfigError, ConvergenceError, DataError
 from .inference import (
@@ -74,7 +68,7 @@ def _cmd_sim_conservative(config: RunConfig, out_dir, seed) -> int:
     io_cfg = config.io
     record = io_cfg.write_microstates if io_cfg is not None else True
     trajectory = run_conservative(section, record_microstates=record)
-    _emit(csvio.emit_trajectory_csv, trajectory, os.path.join(out_dir, "trajectory.csv"))
+    _emit(csvio.emit_trajectory_csv, trajectory.snapshots, os.path.join(out_dir, "trajectory.csv"))
     if record:
         _emit(csvio.emit_microstates_csv, trajectory, os.path.join(out_dir, "microstates.csv"))
     return 0
@@ -95,9 +89,7 @@ def _cmd_sim_dissipative(config: RunConfig, out_dir, seed) -> int:
     bins = io_cfg.histogram_bins if io_cfg is not None else 50
     every = io_cfg.histogram_every if io_cfg is not None else 0
     result = run_dissipative(section, bins=bins)
-    means = np.array([p.mean for p in result.pooled])
-    trajectory = Trajectory(result.pooled, smooth_series(means, DEFAULT_SMOOTHING_WINDOW))
-    _emit(csvio.emit_trajectory_csv, trajectory, os.path.join(out_dir, "trajectory.csv"))
+    _emit(csvio.emit_trajectory_csv, result.pooled, os.path.join(out_dir, "trajectory.csv"))
     _emit(csvio.emit_grains_csv, result.grain_tracks, os.path.join(out_dir, "grains.csv"))
     for step in _histogram_steps(section.steps, every):
         # result.pooled holds one snapshot per step, starting at step 0
@@ -195,6 +187,9 @@ def _cmd_ingest(config: RunConfig, out_dir, seed) -> int:
     return 0
 
 
+# exception -> exit code; configured sizes that do not fit in memory are a config error
+_EXIT_CODES = ((ConfigError, 2), (DataError, 3), (ConvergenceError, 4), (MemoryError, 2))
+
 # command -> (handler, help text)
 _COMMANDS = {
     "sim-conservative": (_cmd_sim_conservative, "run a closed betting ensemble"),
@@ -238,15 +233,12 @@ def dispatch(argv) -> int:
         config = _load_config(args.config)
         out_dir = csvio.ensure_out_dir(args.out)
         return _COMMANDS[args.command][0](config, out_dir, args.seed)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, DataError, ConvergenceError, MemoryError) as exc:
+        detail = str(exc)
+        if isinstance(exc, MemoryError):
+            detail = f"out of memory: {detail}" if detail else "out of memory"
+        print(f"error: {detail}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def main() -> None:

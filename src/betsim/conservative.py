@@ -8,17 +8,12 @@ ensemble mean decays toward 0.5.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as rngmod
-from .core import (
-    EPS_CLASS,
-    EnsembleState,
-    MacroSnapshot,
-    macro_snapshot,
-)
+from .core import EnsembleState, MacroSnapshot, macro_snapshot
 
 DEFAULT_SMOOTHING_WINDOW = 25
 
@@ -38,8 +33,6 @@ class ConservativeConfig:
     n_microstates: int = 50
     bets_per_step: int = 1
     seed: int = 0
-    smoothing_window: int = DEFAULT_SMOOTHING_WINDOW
-    eps_class: float = EPS_CLASS
 
     def __post_init__(self):
         if self.n_microstates < 2:
@@ -52,37 +45,24 @@ class ConservativeConfig:
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         rngmod.check_seed(self.seed)
-        if self.smoothing_window < 1:
-            raise ValueError("smoothing_window must be >= 1")
-        if self.eps_class <= 0:
-            raise ValueError("eps_class must be positive")
 
     def with_seed(self, seed: int) -> "ConservativeConfig":
         return replace(self, seed=seed)
-
-
-@dataclass(frozen=True)
-class StepLedgers:
-    """Compact per-step copy of every ledger, for optional recording."""
-
-    wins: np.ndarray
-    losses: np.ndarray
-    posteriors: np.ndarray
 
 
 @dataclass
 class Trajectory:
     """Per-step snapshots of one run, including the initial state.
 
-    ``snapshots`` has length steps + 1.  ``smoothed_mean_posterior`` is
-    the trailing moving average of the mean-posterior series, aligned
-    with ``snapshots``.  ``per_microstate`` is populated only when the
-    run records individual ledgers.
+    ``snapshots`` has length steps + 1.  ``wins`` and ``losses`` are
+    the ledgers after each step, ``(steps + 1, N)`` int64 arrays, when
+    the run records them and None otherwise; posteriors are a function
+    of a row pair (``core.posterior_win_many``), so they are not kept.
     """
 
-    snapshots: list[MacroSnapshot] = field(default_factory=list)
-    smoothed_mean_posterior: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    per_microstate: list[StepLedgers] | None = None
+    snapshots: list[MacroSnapshot]
+    wins: np.ndarray | None = None
+    losses: np.ndarray | None = None
 
 
 def init_ensemble(n: int) -> EnsembleState:
@@ -185,20 +165,18 @@ def run_conservative(
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
     state = init_ensemble(config.n_microstates)
-    snapshots: list[MacroSnapshot] = []
-    per: list[StepLedgers] | None = [] if record_microstates else None
+    traj = Trajectory([])
+    if record_microstates:
+        shape = (config.steps + 1, config.n_microstates)
+        traj.wins = np.empty(shape, dtype=np.int64)
+        traj.losses = np.empty(shape, dtype=np.int64)
     for t in range(config.steps + 1):
         if t > 0:
             gen = rngmod.stream(config.seed, rngmod.BETS, 0, t)
             forced = forced_schedule[t - 1] if forced_schedule is not None else None
             step_conservative(state, gen, config.bets_per_step, forced)
-        post = state.posteriors()
-        snapshots.append(macro_snapshot(post, t, config.eps_class))
-        if per is not None:
-            per.append(StepLedgers(state.wins.copy(), state.losses.copy(), post))
-    means = [s.mean_posterior for s in snapshots]
-    return Trajectory(
-        snapshots=snapshots,
-        smoothed_mean_posterior=smooth_series(means, config.smoothing_window),
-        per_microstate=per,
-    )
+        traj.snapshots.append(macro_snapshot(state.posteriors(), t))
+        if record_microstates:
+            traj.wins[t] = state.wins
+            traj.losses[t] = state.losses
+    return traj

@@ -206,14 +206,14 @@ def population_moments(values: Sequence[float]) -> Moments:
     return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
 
 
-def macro_snapshot(posteriors: Sequence[float], step: int, eps: float = EPS_CLASS) -> MacroSnapshot:
+def macro_snapshot(posteriors: Sequence[float], step: int) -> MacroSnapshot:
     """Aggregate one posterior population into a snapshot.
 
     Moments come from the array in its given order; classes and pairs
-    from a single sort of it.
+    (at tolerance ``EPS_CLASS``) from a single sort of it.
     """
     mom = population_moments(posteriors)
-    classes, pairs = _sorted_census(posteriors, eps)
+    classes, pairs = _sorted_census(posteriors, EPS_CLASS)
     return MacroSnapshot(
         step=int(step),
         mean_posterior=mom.mean,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conservative import init_ensemble, step_conservative
-from .core import EPS_CLASS, EnsembleState, MacroSnapshot, macro_snapshot
+from .core import EnsembleState, MacroSnapshot, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
@@ -132,7 +132,7 @@ def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
     ensemble = init_ensemble(size)
     posteriors = ensemble.posteriors()
     grain = GrainTrack(
-        len(state.grain_tracks), size, t, ensemble, [macro_snapshot(posteriors, t, EPS_CLASS)]
+        len(state.grain_tracks), size, t, ensemble, [macro_snapshot(posteriors, t)]
     )
     state.grains.append(grain)
     state.grain_tracks[grain.id] = grain
@@ -162,7 +162,7 @@ def superposed_distribution(
         raise ValueError("bins must be >= 1")
     pooled = np.concatenate(grain_posteriors)
     counts, _ = np.histogram(pooled, bins=bins, range=(0.0, 1.0))
-    return replace(macro_snapshot(pooled, step, EPS_CLASS), counts=counts.astype(np.int64))
+    return replace(macro_snapshot(pooled, step), counts=counts.astype(np.int64))
 
 
 def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
@@ -203,7 +203,7 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
             gen = rngmod.stream(cfg.seed, rngmod.BETS, grain.id, t)
             step_conservative(grain.ensemble, gen, bets)
         posts.append(grain.ensemble.posteriors())
-        grain.snapshots.append(macro_snapshot(posts[-1], t, EPS_CLASS))
+        grain.snapshots.append(macro_snapshot(posts[-1], t))
     topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
     if topo.random() < cfg.injection_prob:
         lo, hi = cfg.injection_size_range

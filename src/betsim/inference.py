@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, logsumexp
 
 from .errors import ConvergenceError
 from .superstat import invgamma_logpdf
@@ -133,7 +132,9 @@ def gaussian_variance_loglik(data: DataSet, sigma2):
     if (s2 <= 0).any():
         raise ValueError("sigma2 must be positive")
     s = data.squared_deviation_sum()
-    out = -0.5 * data.n * np.log(2.0 * np.pi * s2) - s / (2.0 * s2)
+    # 2 pi sigma2 overflows for sigma2 above about 2.9e307: the result is -inf
+    with np.errstate(over="ignore"):
+        out = -0.5 * data.n * np.log(2.0 * np.pi * s2) - s / (2.0 * s2)
     return float(out) if np.isscalar(sigma2) else out
 
 
@@ -146,7 +147,8 @@ def exponential_loglik(data: DataSet, theta):
         raise ValueError("theta must be positive")
     if not data.all_positive:
         raise ValueError("exponential likelihood requires strictly positive samples")
-    out = data.n * np.log(th) - th * data.sample_sum()
+    with np.errstate(over="ignore"):  # theta * sum x may overflow: the result is -inf
+        out = data.n * np.log(th) - th * data.sample_sum()
     return float(out) if np.isscalar(theta) else out
 
 
@@ -163,7 +165,7 @@ def _log_integrand(model: ModelSpec, data: DataSet):
     return lambda theta: loglik(data, theta) + invgamma_logpdf(theta, a, b)
 
 
-def _integration_domain(prior: InvGammaParams, integrand) -> tuple[float, float]:
+def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     """Prior quantile range, widened until the integrand peak is interior.
 
     The range starts at the prior's [1e-10, 1-1e-10] quantiles.  A
@@ -172,14 +174,21 @@ def _integration_domain(prior: InvGammaParams, integrand) -> tuple[float, float]
     (factor ~1e-20) below the peak, so truncation error is negligible
     at the target tolerance.
     """
-    a, b = prior.alpha, prior.beta
+    from scipy.special import gammainccinv  # deferred: scipy is slow to import
+    a, b = model.prior.alpha, model.prior.beta
     # inverse-gamma quantile q: b / Q^-1(a, q), Q the upper regularized
     # incomplete gamma function.  Q^-1 underflows for a shape below about
-    # 0.03; hi then starts at the ceiling, unless lo is past it as well
+    # 0.03, and b / Q^-1 overflows for a scale near the float maximum; hi
+    # then starts at the ceiling, unless lo is past it as well
     lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
     with np.errstate(divide="ignore", over="ignore"):
         hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
-    if hi == math.inf and lo < 1e300:
+    if hi == math.inf:
+        if lo >= 1e300:
+            raise ConvergenceError(
+                f"evidence quadrature for model {model.id!r}: the integration domain "
+                f"[{lo!r}, inf] is not finite"
+            )
         hi = 1e300
     for _ in range(200):
         grid = np.geomspace(lo, hi, 513)
@@ -208,12 +217,15 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
 
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
-    estimates, when ``max_doublings`` refinements are not enough.
+    estimates, when ``max_doublings`` refinements are not enough, and
+    at once, without them, when the domain or the first estimate is not
+    finite.
     """
     if data.n == 0:
         return 0.0
+    from scipy.special import logsumexp
     integrand = _log_integrand(model, data)
-    lo, hi = _integration_domain(model.prior, integrand)
+    lo, hi = _integration_domain(model, integrand)
     u_lo, u_hi = np.log(lo), np.log(hi)
 
     def estimate(nodes: int) -> float:
@@ -228,6 +240,10 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
 
     nodes = INITIAL_NODES
     prev = estimate(nodes)
+    if not math.isfinite(prev):
+        raise ConvergenceError(
+            f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
+        )
     for _ in range(model.max_doublings):
         nodes = 2 * nodes - 1
         cur = estimate(nodes)
@@ -248,6 +264,7 @@ def model_posteriors(models, priors, data: DataSet) -> list[ModelPosterior]:
     Computed in log space; the result is explicitly renormalized so the
     probabilities sum to 1 to machine precision.
     """
+    from scipy.special import logsumexp
     models = list(models)
     priors = np.asarray(priors, dtype=np.float64)
     if len(models) == 0:

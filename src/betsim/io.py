@@ -17,8 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .conservative import Trajectory
-from .core import MacroSnapshot
+from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
+from .core import MacroSnapshot, posterior_win_many
 from .dissipative import GrainTrack
 from .errors import ConfigError, DataError
 from .inference import ModelPosterior
@@ -137,14 +137,19 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     return ReturnSeries(tau=tau, samples=samples)
 
 
-def emit_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Write one row per snapshot (the initial state included)."""
+def emit_trajectory_csv(snapshots: list[MacroSnapshot], path) -> None:
+    """Write one row per snapshot (the initial state included).
+
+    The smoothed column is the trailing moving average of the mean
+    posterior over ``DEFAULT_SMOOTHING_WINDOW`` steps.
+    """
+    smoothed = smooth_series([s.mean_posterior for s in snapshots], DEFAULT_SMOOTHING_WINDOW)
     _write_csv(path, TRAJECTORY_HEADER, (
         ",".join(map(_fmt, (
-            s.step, s.mean_posterior, smoothed, s.variance, s.skewness, s.excess_kurtosis,
+            s.step, s.mean_posterior, sm, s.variance, s.skewness, s.excess_kurtosis,
             s.entropy, s.distinct_classes, s.heterogeneous_pairs,
         ))) + "\n"
-        for s, smoothed in zip(trajectory.snapshots, trajectory.smoothed_mean_posterior)
+        for s, sm in zip(snapshots, smoothed)
     ))
 
 
@@ -162,16 +167,21 @@ def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
 
 
 def emit_microstates_csv(trajectory: Trajectory, path) -> None:
-    """Per-step, per-participant ledgers; requires a recorded run."""
-    if trajectory.per_microstate is None:
+    """Per-step, per-participant ledgers; requires a recorded run.
+
+    Each step's posteriors are recomputed from its ledger rows, by the
+    function the run used, so they are the run's values bit for bit.
+    """
+    if trajectory.wins is None:
         raise DataError("trajectory carries no per-microstate records")
     # each step's arrays become Python lists once, not one index per cell;
     # a list holds Python floats, so .12g is what _fmt writes
     _write_csv(path, "step,microstate,wins,losses,posterior", (
-        f"{snap.step},{i},{wins},{losses},{posterior:.12g}\n"
-        for snap, ledgers in zip(trajectory.snapshots, trajectory.per_microstate)
+        f"{t},{i},{wins},{losses},{posterior:.12g}\n"
+        for t, (step_wins, step_losses) in enumerate(zip(trajectory.wins, trajectory.losses))
         for i, (wins, losses, posterior) in enumerate(zip(
-            ledgers.wins.tolist(), ledgers.losses.tolist(), ledgers.posteriors.tolist()
+            step_wins.tolist(), step_losses.tolist(),
+            posterior_win_many(step_wins, step_losses).tolist(),
         ))
     ))
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import Moments, population_moments
 
@@ -76,6 +75,7 @@ def invgamma_logpdf(x, alpha: float, beta: float):
 
     Accepts scalars or arrays; every x must be strictly positive.
     """
+    from scipy.special import gammaln  # deferred: scipy is slow to import
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     xv = np.asarray(x, dtype=np.float64)

@@ -125,13 +125,13 @@ def test_forced_schedule_replay():
     assert len(traj.snapshots) == 7
 
     for t, (wins, losses) in enumerate(zip(REPLAY_WINS, REPLAY_LOSSES)):
-        led = traj.per_microstate[t]
-        assert tuple(led.wins.tolist()) == wins, f"wins mismatch at snapshot {t}"
-        assert tuple(led.losses.tolist()) == losses, f"losses mismatch at snapshot {t}"
+        assert tuple(traj.wins[t].tolist()) == wins, f"wins mismatch at snapshot {t}"
+        assert tuple(traj.losses[t].tolist()) == losses, f"losses mismatch at snapshot {t}"
 
+    posteriors = [posterior_win_many(w, l) for w, l in zip(traj.wins, traj.losses)]
     bad = []
     for t, i, recorded, decimals in REPLAY_POSTERIORS:
-        got = float(traj.per_microstate[t].posteriors[i])
+        got = float(posteriors[t][i])
         tol = 0.5 * 10.0 ** (-decimals) + 1e-9
         if abs(got - recorded) > tol:
             bad.append((t, i, recorded, got))
@@ -139,15 +139,14 @@ def test_forced_schedule_replay():
 
     # participants with no losses sit at posterior 1 exactly
     for t in range(7):
-        led = traj.per_microstate[t]
         for i in range(5):
-            if led.losses[i] == 0:
-                assert led.posteriors[i] == 1.0
+            if traj.losses[t, i] == 0:
+                assert posteriors[t][i] == 1.0
 
     # snapshot 1, participant A: one win of seven total, one loss of one
     # total, so 1/7.  (A recorded table shows 0.5 here; the update rule
     # gives 1/7 and the computed value is the asserted one.)
-    assert traj.per_microstate[1].posteriors[0] == pytest.approx(1.0 / 7.0, abs=1e-12)
+    assert posteriors[1][0] == pytest.approx(1.0 / 7.0, abs=1e-12)
 
     for t, mean in REPLAY_MEANS.items():
         got = traj.snapshots[t].mean_posterior
@@ -193,8 +192,8 @@ def test_win_loss_conservation(equilibrium_runs):
     n = 50
     checked = 0
     for traj in equilibrium_runs:
-        for led in traj.per_microstate:
-            assert int(led.wins.sum()) - int(led.losses.sum()) == n
+        for wins, losses in zip(traj.wins, traj.losses):
+            assert int(wins.sum()) - int(losses.sum()) == n
             checked += 1
     _report("conservation", True,
             f"total wins - total losses == {n} at all {checked} recorded steps")

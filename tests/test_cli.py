@@ -212,6 +212,34 @@ def test_fit_variance_with_a_small_prior_shape(workdir, capsys):
     assert float(rows["log_evidence"]) == pytest.approx(-79.5491274938274, abs=1e-8)
 
 
+# fit.csv for prior_beta = 1e305 (log evidence -17539.2938693); the
+# quadrature nodes past sigma^2 = 2.9e307 add nothing to it
+HUGE_SCALE_FIT_SHA256 = "bbee0b49aad17fb5bff7e607e0a14ecfc10532e5162a7bad54d31c5b1cb13ef3"
+
+
+@pytest.mark.parametrize("beta, code", [("1e305", 0), ("1e307", 4), ("1e308", 4)])
+def test_fit_variance_with_a_huge_prior_scale(workdir, capsys, beta, code):
+    # the evidence domain reaches variances where 2 pi sigma^2 overflows;
+    # from 1e307 on the prior's upper quantile itself is infinite
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
+    cfg = _write(
+        workdir,
+        "f.ini",
+        f"[inference]\nprior_beta = {beta}\nmax_doublings = 6\n\n[io]\ninput = returns.csv\n",
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == code
+    assert not caught
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        digest = hashlib.sha256((workdir / "o/fit.csv").read_bytes()).hexdigest()
+        assert digest == HUGE_SCALE_FIT_SHA256
+    else:
+        _assert_one_error_line(err)
+
+
 def test_compare_models_tie_of_identical_models(workdir):
     _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
     cfg = _write(
@@ -361,6 +389,7 @@ INGEST = "[io]\ninput = in.csv\n"
 BIG_SEED = f"seed = {2**64}\n"
 OVERFLOW_FIT = "[inference]\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
 OVERFLOW_RETURNS = "i,value\n0,1e200\n1,-1e200\n2,3e199\n"
+HUGE_HISTOGRAM = f"[dissipative]\nsteps = 1\n\n[io]\nhistogram_bins = {10**17}\n"
 OVERFLOW_EXPONENTIAL = (
     "[inference]\nmodels = exponential\nmodel_priors = 1.0\nmodel_alphas = 3.0\n"
     "model_betas = 2.0\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
@@ -387,6 +416,9 @@ OVERFLOW_EXPONENTIAL = (
         ("fit-variance", FIT.replace("0.0", "nan"), "i,value\n0,1.0\n", [], 2),
         ("fit-variance", OVERFLOW_FIT, OVERFLOW_RETURNS, [], 3),
         ("compare-models", OVERFLOW_EXPONENTIAL, "i,value\n0,1e308\n1,1e308\n", [], 3),
+        # 8e17 bytes: past any address space, so the allocation fails at once
+        ("gen-returns", f"[superstat]\nn = {10**17}\n", "", [], 2),
+        ("sim-dissipative", HUGE_HISTOGRAM, "", [], 2),
     ],
     ids=[
         "fit-variance-nan",
@@ -406,6 +438,8 @@ OVERFLOW_EXPONENTIAL = (
         "inference-mu-nan",
         "returns-overflow",
         "returns-overflow-exponential",
+        "superstat-n-10**17",
+        "histogram-bins-10**17",
     ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
@@ -464,6 +498,7 @@ def test_import_skips_scipy_stats_and_exports_resolve():
     code = (
         "import sys, betsim, betsim.cli\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        "assert 'scipy.special' not in sys.modules, 'scipy.special was imported'\n"
         "missing = [n for n in betsim.__all__ if not hasattr(betsim, n)]\n"
         "assert not missing, missing\n"
     )

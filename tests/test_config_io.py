@@ -7,7 +7,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betsim import config as bconfig
@@ -21,10 +21,16 @@ from betsim.config import (
     parse_config,
 )
 from betsim.conservative import ConservativeConfig, run_conservative
-from betsim.dissipative import DissipativeConfig, run_dissipative
+from betsim.dissipative import REMOVAL_POLICIES, DissipativeConfig, run_dissipative
 from betsim.errors import ConfigError, DataError
-from betsim.inference import GAUSSIAN_KNOWN_MEAN, InvGammaParams, ModelPosterior, ModelSpec
-from betsim.superstat import ReturnSeries
+from betsim.inference import (
+    GAUSSIAN_KNOWN_MEAN,
+    LIKELIHOOD_KINDS,
+    InvGammaParams,
+    ModelPosterior,
+    ModelSpec,
+)
+from betsim.superstat import KINDS, ReturnSeries
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +73,7 @@ histogram_every = 10
 def test_round_trip_all_sections():
     cfg = RunConfig(
         conservative=ConservativeConfig(
-            steps=11, n_microstates=9, bets_per_step=2, seed=3, smoothing_window=4, eps_class=1e-8
+            steps=11, n_microstates=9, bets_per_step=2, seed=3
         ),
         dissipative=DissipativeConfig(
             steps=7,
@@ -100,7 +106,7 @@ def test_round_trip_unset_optional_stays_unset():
 def _all_sections(bets_per_grain):
     return RunConfig(
         conservative=ConservativeConfig(
-            steps=11, n_microstates=9, bets_per_step=2, seed=3, smoothing_window=4, eps_class=1e-8
+            steps=11, n_microstates=9, bets_per_step=2, seed=3
         ),
         dissipative=DissipativeConfig(
             steps=7,
@@ -147,8 +153,6 @@ steps = 11
 n_microstates = 9
 bets_per_step = 2
 seed = 3
-smoothing_window = 4
-eps_class = 1e-08
 
 [dissipative]
 steps = 7
@@ -226,6 +230,10 @@ def test_parse_rejects_unknown_section():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[conservative]\nsteps = 1\nwarmup = 5\n")
+    # the smoothed-mean window and the class tolerance are constants
+    for key in ("smoothing_window", "eps_class"):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config(f"[conservative]\nsteps = 1\n{key} = 25\n")
 
 
 def test_parse_keys_are_case_sensitive():
@@ -254,7 +262,7 @@ FLOAT_KEYS = list(_float_keys())
 
 
 def test_float_keys_cover_every_section_with_floats():
-    assert {s for s, _ in FLOAT_KEYS} == {"conservative", "dissipative", "superstat", "inference"}
+    assert {s for s, _ in FLOAT_KEYS} == {"dissipative", "superstat", "inference"}
     assert ("inference", "mu") in FLOAT_KEYS and ("inference", "model_priors") in FLOAT_KEYS
 
 
@@ -266,6 +274,35 @@ def test_parse_rejects_non_finite_floats(section, key, text):
     )
     with pytest.raises(ConfigError, match=f"\\[{section}\\] {key} = .*finite"):
         parse_config(f"[{section}]\n{required}{key} = {text}\n")
+
+
+SECTION_KEYS = [(name, key) for name, schema in bconfig._SCHEMAS.items() for key in schema]
+# values a key's parser may meet: its own type, another key's type, list
+# syntax, non-finite and out-of-range numbers, and arbitrary text
+CONFIG_VALUES = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["true", "false", "", "nan", "1e400", "0x10", "1_000", "a,b", "1,,2"]),
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=5).map(
+        lambda xs: ",".join(map(repr, xs))
+    ),
+    st.sampled_from(LIKELIHOOD_KINDS + KINDS + REMOVAL_POLICIES),
+    st.text(max_size=12),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(SECTION_KEYS), CONFIG_VALUES), max_size=12))
+def test_parse_config_returns_a_config_or_a_config_error(entries):
+    by_section: dict[str, list[str]] = {}
+    for (name, key), value in entries:
+        by_section.setdefault(name, []).append(f"{key} = {value}")
+    text = "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in by_section.items())
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_parse_requires_steps():
@@ -396,7 +433,7 @@ def test_read_returns_rejects_bad_value(tmp_path):
 def test_trajectory_csv_layout(tmp_path):
     traj = run_conservative(ConservativeConfig(steps=6, n_microstates=8, seed=1))
     path = str(tmp_path / "trajectory.csv")
-    csvio.emit_trajectory_csv(traj, path)
+    csvio.emit_trajectory_csv(traj.snapshots, path)
     lines = open(path).read().splitlines()
     assert lines[0] == csvio.TRAJECTORY_HEADER
     assert len(lines) == 1 + 7

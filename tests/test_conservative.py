@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from betsim import rng as rngmod
 from betsim.conservative import (
+    DEFAULT_SMOOTHING_WINDOW,
     ConservativeConfig,
     draw_pairing,
     init_ensemble,
@@ -18,6 +19,7 @@ from betsim.conservative import (
     step_conservative,
 )
 from betsim.core import posterior_win_many
+from betsim.io import emit_trajectory_csv
 
 
 def test_init_ensemble_virtual_win():
@@ -41,8 +43,6 @@ def test_config_validation():
         ConservativeConfig(steps=-1)
     with pytest.raises(ValueError, match="seed"):
         ConservativeConfig(steps=1, seed=-3)
-    with pytest.raises(ValueError, match="smoothing_window"):
-        ConservativeConfig(steps=1, smoothing_window=0)
 
 
 def test_with_seed_returns_new_config():
@@ -171,7 +171,7 @@ def test_run_snapshot_count_and_steps():
     traj = run_conservative(ConservativeConfig(steps=17, n_microstates=8, seed=2))
     assert len(traj.snapshots) == 18
     assert [s.step for s in traj.snapshots] == list(range(18))
-    assert traj.per_microstate is None
+    assert traj.wins is None and traj.losses is None
 
 
 def test_run_zero_steps():
@@ -193,21 +193,24 @@ def test_run_reproducible_and_seed_sensitive():
 def test_run_recorded_ledgers_consistent():
     cfg = ConservativeConfig(steps=25, n_microstates=6, bets_per_step=2, seed=9)
     traj = run_conservative(cfg, record_microstates=True)
-    assert traj.per_microstate is not None
-    assert len(traj.per_microstate) == 26
-    for t, led in enumerate(traj.per_microstate):
-        assert int(led.wins.sum()) == 6 + 2 * t
-        assert int(led.losses.sum()) == 2 * t
-        assert np.array_equal(led.posteriors, posterior_win_many(led.wins, led.losses))
-        snap = traj.snapshots[t]
-        assert snap.mean_posterior == pytest.approx(float(led.posteriors.mean()))
+    assert traj.wins.shape == traj.losses.shape == (26, 6)
+    assert traj.wins.dtype == traj.losses.dtype == np.int64
+    for t, (wins, losses) in enumerate(zip(traj.wins, traj.losses)):
+        assert int(wins.sum()) == 6 + 2 * t
+        assert int(losses.sum()) == 2 * t
+        # posteriors recomputed from the recorded rows are the run's own
+        posteriors = posterior_win_many(wins, losses)
+        assert traj.snapshots[t].mean_posterior == float(posteriors.mean())
 
 
-def test_run_smoothed_series_definition():
-    cfg = ConservativeConfig(steps=40, n_microstates=10, seed=3, smoothing_window=7)
-    traj = run_conservative(cfg)
+def test_run_smoothed_series_definition(tmp_path):
+    traj = run_conservative(ConservativeConfig(steps=40, n_microstates=10, seed=3))
+    path = tmp_path / "trajectory.csv"
+    emit_trajectory_csv(traj.snapshots, path)
+    column = [line.split(",")[2] for line in path.read_text().splitlines()[1:]]
     means = [s.mean_posterior for s in traj.snapshots]
-    assert np.allclose(traj.smoothed_mean_posterior, smooth_series(means, 7))
+    expect = smooth_series(means, DEFAULT_SMOOTHING_WINDOW)
+    assert column == [format(float(x), ".12g") for x in expect]
 
 
 def test_run_entropy_bounded_by_pair_count():

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,27 @@ def test_log_evidence_reports_convergence_failure():
     est = err.value.estimates
     assert est is not None and len(est) == 2
     assert all(math.isfinite(e) for e in est)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, match",
+    [(3.0, 1e308, "domain .* is not finite"), (1e200, 2.0, "first estimate is -inf")],
+    ids=["upper-quantile-overflows", "prior-far-below-the-likelihood"],
+)
+def test_log_evidence_without_a_finite_start_fails_at_once(alpha, beta, match):
+    # with the default 24 doublings a non-finite grid would be refined
+    # up to 2.1e9 nodes before ConvergenceError
+    spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=InvGammaParams(alpha, beta))
+    with pytest.raises(ConvergenceError, match=match):
+        log_evidence(spec, _dataset(n=50))
+
+
+def test_likelihoods_overflow_to_minus_inf_without_a_warning():
+    data = DataSet(np.array([0.5, 1.0, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gaussian_variance_loglik(data, 1e308) == -math.inf
+        assert exponential_loglik(data, 1e308) == -math.inf
 
 
 # ---------------------------------------------------------------------------
