@@ -8,6 +8,7 @@ over heterogeneous pairs) are computed from the posterior population.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -155,26 +156,40 @@ def boltzmann_entropy(omega: float) -> float:
     return math.log(omega)
 
 
-def _sorted_census(posteriors, eps: float) -> tuple[int, int]:
-    """(distinct classes, heterogeneous pairs) of a population, from one sort.
+@functools.lru_cache(maxsize=8)
+def histogram_edges(bins: int) -> np.ndarray:
+    """The ``bins + 1`` edges of ``bins`` fixed-width bins on [0, 1].
+
+    These are the edges ``np.histogram(v, bins, (0.0, 1.0))`` uses.  The
+    array is built once per ``bins`` value and returned read-only.
+    """
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    edges.setflags(write=False)
+    return edges
+
+
+def _census(p: np.ndarray, eps: float) -> tuple[int, int]:
+    """(distinct classes, heterogeneous pairs) of a sorted population.
 
     Classes split the sorted values on gaps larger than ``eps``
     (transitive closure of the tolerance relation).  Sorting also
-    reduces the pair census to a rank difference: for each right
-    endpoint r, the pairs with p_r - p_j <= eps are the trailing run
-    starting at searchsorted(p, p_r - eps), so the count stays exact in
-    O(N log N) instead of O(N^2).
+    reduces the pair census to ranks: for each right endpoint r, the
+    values p_j < p_r - eps are the first searchsorted(p, p_r - eps) of
+    the array, and those are exactly r's heterogeneous partners to its
+    left, so the count stays exact in O(N log N) instead of O(N^2).
     """
+    if p.size < 2:
+        return p.size, 0
+    classes = int(np.count_nonzero((p[1:] - p[:-1]) > eps)) + 1
+    return classes, int(np.add.reduce(np.searchsorted(p, p - eps, side="left")))
+
+
+def _sorted_census(posteriors, eps: float) -> tuple[int, int]:
     if eps <= 0:
         raise ValueError("eps must be positive")
-    p = np.sort(np.asarray(posteriors, dtype=np.float64))
-    n = p.size
-    if n < 2:
-        return n, 0
-    classes = int(np.count_nonzero(np.diff(p) > eps)) + 1
-    first_within = np.searchsorted(p, p - eps, side="left")
-    within = int((np.arange(n) - first_within).sum())
-    return classes, n * (n - 1) // 2 - within
+    return _census(np.sort(np.asarray(posteriors, dtype=np.float64)), eps)
 
 
 def distinct_posterior_classes(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
@@ -191,29 +206,47 @@ def population_moments(values: Sequence[float]) -> Moments:
     """Population (biased) moments; excess kurtosis = m4/m2^2 - 3.
 
     A zero-variance population is flagged degenerate with NaN skewness
-    and kurtosis rather than raising.
+    and kurtosis rather than raising.  Each moment is the pairwise sum
+    ``np.add.reduce`` divided by n, which is what ``np.mean`` computes,
+    and each power of the deviations is one product on the previous one.
     """
     v = np.asarray(values, dtype=np.float64)
-    if v.size == 0:
+    n = v.size
+    if n == 0:
         raise ValueError("moments undefined for an empty collection")
-    mean = float(v.mean())
+    mean = float(np.add.reduce(v) / n)
     d = v - mean
-    m2 = float(np.mean(d * d))
+    d2 = d * d
+    m2 = float(np.add.reduce(d2) / n)
     if m2 == 0.0:
         return Moments(mean, 0.0, math.nan, math.nan, True)
-    m3 = float(np.mean(d * d * d))
-    m4 = float(np.mean(d * d * d * d))
+    d3 = d2 * d
+    m3 = float(np.add.reduce(d3) / n)
+    m4 = float(np.add.reduce(d3 * d) / n)
     return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
 
 
-def macro_snapshot(posteriors: Sequence[float], step: int) -> MacroSnapshot:
+def macro_snapshot(
+    posteriors: Sequence[float], step: int, bins: int | None = None
+) -> MacroSnapshot:
     """Aggregate one posterior population into a snapshot.
 
     Moments come from the array in its given order; classes and pairs
-    (at tolerance ``EPS_CLASS``) from a single sort of it.
+    (at tolerance ``EPS_CLASS``) from a single sort of it.  With
+    ``bins`` set, ``counts`` is the histogram over ``histogram_edges(bins)``
+    taken from the same sort: bin k holds the values in
+    [edges[k], edges[k + 1]), and the last bin is closed at 1.0, as in
+    ``np.histogram``.
     """
-    mom = population_moments(posteriors)
-    classes, pairs = _sorted_census(posteriors, EPS_CLASS)
+    v = np.asarray(posteriors, dtype=np.float64)
+    mom = population_moments(v)
+    p = np.sort(v)
+    classes, pairs = _census(p, EPS_CLASS)
+    counts = None
+    if bins is not None:
+        bounds = np.searchsorted(p, histogram_edges(bins), side="left")
+        bounds[-1] = p.size  # the last bin takes 1.0 as well
+        counts = np.diff(bounds)
     return MacroSnapshot(
         step=int(step),
         mean_posterior=mom.mean,
@@ -223,4 +256,5 @@ def macro_snapshot(posteriors: Sequence[float], step: int) -> MacroSnapshot:
         entropy=boltzmann_entropy(max(1, pairs)),
         distinct_classes=classes,
         heterogeneous_pairs=pairs,
+        counts=counts,
     )

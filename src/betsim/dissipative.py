@@ -154,15 +154,11 @@ def superposed_distribution(
 
     ``grain_posteriors`` holds one array per living grain, in grain
     order.  The snapshot's ``counts`` is the pooled histogram over
-    ``bins`` fixed-width bins on [0, 1].
+    ``bins`` fixed-width bins on [0, 1], taken from the census's sort.
     """
     if not grain_posteriors:
         raise ValueError("no living grains to pool")
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    pooled = np.concatenate(grain_posteriors)
-    counts, _ = np.histogram(pooled, bins=bins, range=(0.0, 1.0))
-    return replace(macro_snapshot(pooled, step), counts=counts.astype(np.int64))
+    return macro_snapshot(np.concatenate(grain_posteriors), step, bins)
 
 
 def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
@@ -190,7 +186,8 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
     (3) Bernoulli removal per ``removal_policy``, refused as a no-op
     when a single grain remains; (4) pooled snapshot appended.
 
-    Injection and removal draw from the step's topology stream; grain
+    Injection and removal draw from the step's topology stream, which is
+    derived only when one of their probabilities is positive; grain
     bets use their own per-step streams so grains can be processed in
     any order (or in parallel) with identical results.
     """
@@ -204,16 +201,18 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
             step_conservative(grain.ensemble, gen, bets)
         posts.append(grain.ensemble.posteriors())
         grain.snapshots.append(macro_snapshot(posts[-1], t))
-    topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
-    if topo.random() < cfg.injection_prob:
-        lo, hi = cfg.injection_size_range
-        posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
-    if topo.random() < cfg.removal_prob and len(state.grains) > 1:
-        k = _remove_index(state, topo)
-        removed = state.grains.pop(k)
-        posts.pop(k)
-        removed.death_step = t
-        removed.ensemble = None
+    if cfg.injection_prob > 0 or cfg.removal_prob > 0:
+        # without churn neither draw can change anything, so the stream is skipped
+        topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
+        if topo.random() < cfg.injection_prob:
+            lo, hi = cfg.injection_size_range
+            posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
+        if topo.random() < cfg.removal_prob and len(state.grains) > 1:
+            k = _remove_index(state, topo)
+            removed = state.grains.pop(k)
+            posts.pop(k)
+            removed.death_step = t
+            removed.ensemble = None
     state.step = t
     state.pooled.append(superposed_distribution(posts, t, bins))
     return state

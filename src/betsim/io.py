@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
-from .core import MacroSnapshot, posterior_win_many
+from .core import MacroSnapshot, histogram_edges, posterior_win_many
 from .dissipative import GrainTrack
 from .errors import ConfigError, DataError
 from .inference import ModelPosterior
@@ -156,11 +156,10 @@ def emit_trajectory_csv(snapshots: list[MacroSnapshot], path) -> None:
 def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
     """Write a pooled snapshot's posterior histogram: one row per bin.
 
-    The bins are fixed-width on [0, 1], so the edges are rebuilt here
-    exactly as ``np.histogram`` forms them.
+    The edges are ``histogram_edges``, the ones the counts were taken on.
     """
     counts = pooled_snapshot.counts
-    edges = np.linspace(0.0, 1.0, counts.size + 1)
+    edges = histogram_edges(counts.size)
     _write_csv(path, "bin_left,bin_right,count", (
         f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}\n" for k in range(counts.size)
     ))

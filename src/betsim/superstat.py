@@ -81,7 +81,10 @@ def invgamma_logpdf(x, alpha: float, beta: float):
     xv = np.asarray(x, dtype=np.float64)
     if (xv <= 0).any():
         raise ValueError("inverse-gamma density is defined only for x > 0")
-    out = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1.0) * np.log(xv) - beta / xv
+    # a huge shape overflows alpha * log(beta) and gammaln(alpha), and
+    # inf - inf is NaN: the evidence quadrature then reports non-convergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1.0) * np.log(xv) - beta / xv
     return float(out) if np.isscalar(x) else out
 
 

@@ -1,12 +1,19 @@
-"""Scalar reference for the ledger posterior.
+"""Reference implementations the tests compare the package against.
 
 ``posterior_win`` evaluates the posterior-win rule for one ledger
 against explicit ensemble totals, one Python division at a time; the
 tests check the vectorized ``betsim.core.posterior_win_many`` against it.
+``population_moments`` is the ``np.mean`` formulation of the moments
+that ``betsim.core.population_moments`` must reproduce bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from betsim.core import Moments
 
 
 @dataclass(frozen=True)
@@ -62,3 +69,22 @@ def posterior_win(ledger: BetLedger, totals: EnsembleTotals) -> float:
     l_w = ledger.wins / totals.total_wins
     l_l = 0.0 if totals.total_losses == 0 else ledger.losses / totals.total_losses
     return l_w / (l_w + l_l)
+
+
+def population_moments(values) -> Moments:
+    """Population (biased) moments; excess kurtosis = m4/m2^2 - 3.
+
+    A zero-variance population is flagged degenerate with NaN skewness
+    and kurtosis rather than raising.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0:
+        raise ValueError("moments undefined for an empty collection")
+    mean = float(v.mean())
+    d = v - mean
+    m2 = float(np.mean(d * d))
+    if m2 == 0.0:
+        return Moments(mean, 0.0, math.nan, math.nan, True)
+    m3 = float(np.mean(d * d * d))
+    m4 = float(np.mean(d * d * d * d))
+    return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)

@@ -1,15 +1,21 @@
 """End-to-end tests of the command-line interface (in process, and one
 test through a fresh interpreter)."""
 
+import contextlib
 import hashlib
+import io
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betsim import __version__
 from betsim.cli import dispatch
@@ -240,6 +246,32 @@ def test_fit_variance_with_a_huge_prior_scale(workdir, capsys, beta, code):
         _assert_one_error_line(err)
 
 
+HUGE_SHAPE_FIT = "[inference]\nprior_alpha = 1e308\nmax_doublings = 6\n\n[io]\ninput = returns.csv\n"
+HUGE_SHAPE_MODELS = (
+    "[inference]\nmodels = gaussian-known-mean, exponential\nmodel_priors = 0.5, 0.5\n"
+    "model_alphas = 3.0, 1e308\nmodel_betas = 2.0, 2.0\nmax_doublings = 6\n"
+    "\n[io]\ninput = returns.csv\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("fit-variance", HUGE_SHAPE_FIT), ("compare-models", HUGE_SHAPE_MODELS)],
+    ids=["fit-variance", "compare-models"],
+)
+def test_huge_prior_shape_exits_4_without_a_warning(workdir, capsys, command, config):
+    # alpha * log(beta) and gammaln(alpha) both overflow, so the prior's
+    # log-density is NaN and the quadrature cannot start
+    samples = np.abs(np.random.default_rng(2).normal(0, 1, 50))
+    _write(workdir, "returns.csv", _returns_text(samples))
+    cfg = _write(workdir, "c.ini", config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dispatch([command, "--config", cfg, "--out", "o"]) == 4
+    _assert_one_error_line(capsys.readouterr().err)
+    assert not list(workdir.glob("o/*"))
+
+
 def test_compare_models_tie_of_identical_models(workdir):
     _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
     cfg = _write(
@@ -454,6 +486,84 @@ def _assert_one_error_line(err):
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+# CSV fields as bytes: numbers (positive ones twice as often, so that
+# exponential models and prices often succeed; signed; any float at
+# all), malformed numbers, blank and quoted fields, and stray bytes
+CSV_NUMBERS = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(-5.0, 5.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+).map(lambda x: repr(x).encode())
+CSV_FIELDS = st.one_of(
+    CSV_NUMBERS,
+    st.integers(-(10**6), 10**6).map(lambda i: str(i).encode()),
+    st.sampled_from([
+        b"", b" ", b"abc", b"1_000", b"0x1p3", b"1e999", b"-1e999", b"1e-320", b"+3", b".5",
+        b" 2.5 ", b'"1.5"', b'"', b'"a,b"', b"\r", b"1\r", b"\xff", b"\x00", b"1.0\x00",
+        b"2024-01-0\xff",
+    ]),
+)
+# well-formed rows (line number, value), in about half the examples
+# with one or two rows of arbitrary fields inserted at arbitrary places
+CSV_VALUES = st.lists(CSV_NUMBERS, max_size=20)
+CSV_ODD_ROWS = st.one_of(
+    st.just([]),
+    st.lists(
+        st.tuples(st.integers(0, 20), st.lists(CSV_FIELDS, min_size=1, max_size=3)),
+        min_size=1,
+        max_size=2,
+    ),
+)
+FUZZ_CONFIGS = {
+    "fit-variance": (b"i,value", "[inference]\nmax_doublings = 8\n"),
+    "compare-models": (b"i,value", "[inference]\nmax_doublings = 8\n"),
+    "ingest": (b"t,price", "[superstat]\ntau = 1\n"),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(sorted(FUZZ_CONFIGS)),
+    header=st.sampled_from([True, True, False]),
+    values=CSV_VALUES,
+    odd_rows=CSV_ODD_ROWS,
+    newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+)
+def test_csv_bytes_keep_the_exit_code_contract(command, header, values, odd_rows, newline):
+    head, section = FUZZ_CONFIGS[command]
+    lines = [b"%d,%s" % (k, v) for k, v in enumerate(values)]
+    for at, fields in odd_rows:
+        lines.insert(at, b",".join(fields))
+    if header:
+        lines.insert(0, head)
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "o")
+        Path(data).write_bytes(b"".join(line + newline for line in lines))
+        cfg = _write(Path(tmp), "c.ini", f"{section}\n[io]\ninput = {data}\n")
+        err = io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("error")
+            code = dispatch([command, "--config", cfg, "--out", out])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            _assert_one_error_line(err.getvalue())
+            assert not os.listdir(out)
+            return
+        for name in os.listdir(out):
+            for line in Path(out, name).read_text().splitlines()[1:]:
+                for field in line.split(","):
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        continue  # a model id or the selection mark
+                    assert math.isfinite(value), (name, line)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

@@ -1,5 +1,6 @@
 """Unit tests for the ledger mathematics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from betsim.core import (
+    EPS_CLASS,
     EnsembleState,
     boltzmann_entropy,
     distinct_posterior_classes,
@@ -19,6 +21,7 @@ from betsim.core import (
     posterior_win_many,
 )
 from oracle import BetLedger, EnsembleTotals, posterior_win
+from oracle import population_moments as reference_moments
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +190,45 @@ def test_census_permutation_invariant(values):
     assert 1 <= distinct_posterior_classes(values) <= len(values)
 
 
+def _brute_classes(values, eps):
+    # connected components of the graph joining values within eps
+    n = len(values)
+    label = list(range(n))
+
+    def root(i):
+        while label[i] != i:
+            i = label[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= eps:
+                label[root(i)] = root(j)
+    return len({root(i) for i in range(n)})
+
+
+def _tied_posteriors(rng, n, top):
+    # small ledgers: many exact ties, and equal ratios such as 1:1 and
+    # 2:2 that meet within an ulp or two
+    wins = rng.integers(0, top + 1, n)
+    losses = rng.integers(0, top + 1, n)
+    losses[(wins == 0) & (losses == 0)] = 1
+    wins[0] = max(wins[0], 1)
+    return posterior_win_many(wins, losses)
+
+
+def test_snapshot_census_matches_brute_force_on_tied_posteriors():
+    rng = np.random.default_rng(8)
+    arrays = [np.array([0.0, EPS_CLASS, 2 * EPS_CLASS, 0.5, 0.5, 1.0])]  # gaps of exactly eps
+    for n in list(range(1, 40)) + [60, 90]:
+        arrays += [_tied_posteriors(rng, n, top) for top in (1, 2, 3, 6)]
+    for post in arrays:
+        snap = macro_snapshot(post, 0)
+        values = post.tolist()
+        assert snap.heterogeneous_pairs == _brute_pairs(values, EPS_CLASS)
+        assert snap.distinct_classes == _brute_classes(values, EPS_CLASS)
+
+
 # ---------------------------------------------------------------------------
 # moments
 
@@ -206,6 +248,24 @@ def test_population_moments_degenerate():
     assert m.degenerate
     assert m.variance == 0.0
     assert math.isnan(m.skewness) and math.isnan(m.excess_kurtosis)
+
+
+def _moment_inputs(rng, n):
+    yield rng.uniform(0.0, 1.0, n)
+    yield rng.normal(0.3, 1.7, n)
+    yield rng.choice([0.25, 1 / 3, 0.5, 0.75], n)  # ties
+    yield np.full(n, 0.3)  # constant
+    yield _tied_posteriors(rng, n, 3)
+    yield rng.uniform(0.0, 1.0, 2 * n)[::2]  # a strided view
+
+
+def test_population_moments_equal_the_mean_formulation():
+    rng = np.random.default_rng(21)
+    for n in list(range(1, 40)) + [150, 225, 425, 750, 1550, 100003]:
+        for values in _moment_inputs(rng, n):
+            got = dataclasses.astuple(population_moments(values))
+            want = dataclasses.astuple(reference_moments(values))
+            assert np.array_equal(got, want, equal_nan=True), (n, got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -241,3 +301,34 @@ def test_macro_snapshot_aggregates():
         math.log(max(1, snap.heterogeneous_pairs))
     )
     assert snap.distinct_classes == distinct_posterior_classes(post)
+
+
+HISTOGRAM_BINS = list(range(1, 120)) + [127, 200, 333, 500, 999, 1000, 1024, 4096]
+
+
+def _histogram_inputs(bins, rng):
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    below = np.nextafter(edges, -np.inf)
+    above = np.nextafter(edges, np.inf)
+    yield edges
+    yield below[below >= 0.0]
+    yield above[above <= 1.0]
+    yield np.array([0.0, 1.0, 1.0, 0.0])
+    yield rng.uniform(0.0, 1.0, 3 * bins + 1)
+    yield _tied_posteriors(rng, 2 * bins + 3, 40)
+
+
+def test_snapshot_counts_equal_numpy_histogram():
+    rng = np.random.default_rng(5)
+    for bins in HISTOGRAM_BINS:
+        for values in _histogram_inputs(bins, rng):
+            counts = macro_snapshot(values, 0, bins).counts
+            want, _ = np.histogram(values, bins, (0.0, 1.0))
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, want), bins
+
+
+def test_snapshot_without_bins_has_no_counts():
+    assert macro_snapshot([0.2, 0.7], 0).counts is None
+    with pytest.raises(ValueError, match="bins"):
+        macro_snapshot([0.2, 0.7], 0, 0)

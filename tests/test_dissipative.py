@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from betsim import dissipative
 from betsim import rng as rngmod
 from betsim.conservative import ConservativeConfig, run_conservative
 from betsim.io import emit_histogram_csv
@@ -160,6 +161,24 @@ def test_removal_closest_to_equilibrium():
     assert [g.id for g in state.grains] == [0]
     assert state.grain_tracks[1].death_step == 1
     assert state.grain_tracks[0].death_step is None
+
+
+@pytest.mark.parametrize(
+    "churn, per_step",
+    [({}, 0), ({"injection_prob": 0.5}, 1), ({"removal_prob": 0.5}, 1)],
+    ids=["no-churn", "injection-only", "removal-only"],
+)
+def test_topology_stream_derived_only_with_churn(monkeypatch, churn, per_step):
+    purposes = []
+    stream = rngmod.stream
+
+    def counting(seed, purpose=rngmod.GENERIC, sub=0, step=0):
+        purposes.append(purpose)
+        return stream(seed, purpose, sub, step)
+
+    monkeypatch.setattr(dissipative.rngmod, "stream", counting)
+    run_dissipative(DissipativeConfig(steps=7, grain_sizes=(6, 8, 10), seed=3, **churn))
+    assert purposes.count(rngmod.TOPOLOGY) == 7 * per_step
 
 
 def test_superposed_requires_living_grains():
