@@ -201,8 +201,15 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigError, so it exits 2 with one ``error:`` line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="betsim",
         description="betting-ensemble simulations and Bayesian return-series analysis",
     )
@@ -218,13 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv) -> int:
     """Parse argv, run the selected command, return the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 0 for --help/--version and 2 for usage errors
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         if args.seed is not None:
             try:
                 rngmod.check_seed(args.seed)
@@ -233,11 +235,14 @@ def dispatch(argv) -> int:
         config = _load_config(args.config)
         out_dir = csvio.ensure_out_dir(args.out)
         return _COMMANDS[args.command][0](config, out_dir, args.seed)
+    except SystemExit as exc:  # --help and --version, which exit 0
+        return int(exc.code or 0)
     except (ConfigError, DataError, ConvergenceError, MemoryError) as exc:
         detail = str(exc)
         if isinstance(exc, MemoryError):
             detail = f"out of memory: {detail}" if detail else "out of memory"
-        print(f"error: {detail}", file=sys.stderr)
+        # one line, whatever the message quotes (a path, a config line)
+        print("error: " + " ".join(detail.splitlines()), file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 

@@ -72,30 +72,6 @@ def init_ensemble(n: int) -> EnsembleState:
     return EnsembleState(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
-def draw_pairing(n: int, bets_per_step: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniformly random disjoint unordered pairs of indices in range(n).
-
-    Implemented as a Fisher-Yates shuffle (numpy's permutation) of the
-    index range, taking the leading 2*bets_per_step entries pairwise;
-    the prefix of a full shuffle is distributed identically to a
-    partial shuffle.  Deterministic given the generator state.
-    """
-    if bets_per_step < 1:
-        raise ValueError("bets_per_step must be >= 1")
-    if 2 * bets_per_step > n:
-        raise ValueError(f"cannot draw {bets_per_step} disjoint pairs from {n} microstates")
-    idx = rng.permutation(n)[: 2 * bets_per_step]
-    return [(int(idx[2 * b]), int(idx[2 * b + 1])) for b in range(bets_per_step)]
-
-
-def resolve_bet(pair: tuple[int, int], rng: np.random.Generator) -> tuple[int, int]:
-    """Fair coin picks the winner; returns (winner, loser)."""
-    i, j = pair
-    if i == j:
-        raise ValueError(f"a participant cannot bet against itself (pair {pair})")
-    return (i, j) if rng.integers(0, 2) == 0 else (j, i)
-
-
 def step_conservative(
     state: EnsembleState,
     rng: np.random.Generator | None,
@@ -104,13 +80,19 @@ def step_conservative(
 ) -> EnsembleState:
     """Advance the ensemble by one step of pairwise betting, in place.
 
-    With ``forced`` given, the explicit (pair, winner) list is applied
-    instead of random pairing/outcomes; this mode exists for replaying
-    hand-specified bet sequences in tests and demos.
+    The step's disjoint pairs resolve to a winner and a loser array, which
+    gain one win and one loss each; the carried totals grow by the bets.
+    Random pairs are the leading ``2 * bets_per_step`` entries of a
+    shuffle of range(n), and one fair coin per pair picks its first index
+    on heads.  ``forced``, an explicit (pair, winner) list, replaces them
+    for replaying hand-specified bet sequences in tests and demos.
     """
+    n = state.size
     if forced is not None:
         seen: set[int] = set()
         for (i, j), winner in forced:
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"pair {(i, j)} is outside range({n})")
             if i == j:
                 raise ValueError(f"a participant cannot bet against itself (pair {(i, j)})")
             if winner not in (i, j):
@@ -118,17 +100,27 @@ def step_conservative(
             if i in seen or j in seen:
                 raise ValueError("forced pairs must be disjoint within one step")
             seen.update((i, j))
-        resolved = [(w, j if w == i else i) for (i, j), w in forced]
+        winners = np.array([w for _, w in forced], dtype=np.int64)
+        losers = np.array([i + j - w for (i, j), w in forced], dtype=np.int64)
     else:
         if rng is None:
             raise ValueError("rng required unless a forced bet list is given")
-        pairs = draw_pairing(state.size, bets_per_step, rng)
-        resolved = [resolve_bet(pair, rng) for pair in pairs]
-    for winner, loser in resolved:
-        state.wins[winner] += 1
-        state.losses[loser] += 1
+        if bets_per_step < 1:
+            raise ValueError("bets_per_step must be >= 1")
+        if 2 * bets_per_step > n:
+            raise ValueError(f"cannot draw {bets_per_step} disjoint pairs from {n} microstates")
+        idx = rng.permutation(n)[: 2 * bets_per_step]
+        heads = rng.integers(0, 2, size=bets_per_step) == 0
+        winners = np.where(heads, idx[0::2], idx[1::2])
+        losers = np.where(heads, idx[1::2], idx[0::2])
+    # the pairs are disjoint, so no index repeats and each update is exact
+    state.wins[winners] += 1
+    state.losses[losers] += 1
+    state.total_wins += winners.size
+    state.total_losses += losers.size
     # every bet books one win and one loss; the gap stays at the size
-    assert int(state.wins.sum() - state.losses.sum()) == state.size
+    assert int(state.wins.sum()) == state.total_wins == state.total_losses + n
+    assert int(state.losses.sum()) == state.total_losses
     return state
 
 

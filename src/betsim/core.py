@@ -71,13 +71,13 @@ class MacroSnapshot:
 class EnsembleState:
     """Mutable, array-backed population of bet ledgers.
 
-    The simulation loops mutate ``wins``/``losses`` in place; a run owns
-    its state exclusively.  Posteriors are never stored; they are
-    recomputed from the ledgers and totals on demand, so they can never
-    drift out of sync.
+    A run owns its state exclusively: it adds bets to ``wins``/``losses``
+    in place and to ``total_wins``/``total_losses``, their column sums, so
+    the ledgers are checked once, here.  Posteriors are recomputed from
+    the ledgers and totals on demand, so they can never drift out of sync.
     """
 
-    __slots__ = ("wins", "losses")
+    __slots__ = ("wins", "losses", "total_wins", "total_losses")
 
     def __init__(self, wins: Iterable[int], losses: Iterable[int]):
         wins = np.asarray(wins, dtype=np.int64).copy()
@@ -88,15 +88,19 @@ class EnsembleState:
             raise ValueError("ensemble must contain at least one microstate")
         if (wins < 0).any() or (losses < 0).any():
             raise ValueError("ledger counts must be nonnegative")
-        self.wins = wins
-        self.losses = losses
+        if ((wins == 0) & (losses == 0)).any():
+            raise ValueError("posterior undefined for an empty ledger (0 wins, 0 losses)")
+        self.wins, self.losses = wins, losses
+        self.total_wins, self.total_losses = int(wins.sum()), int(losses.sum())
+        if self.total_wins < 1:
+            raise ValueError("ensemble totals must include at least one win")
 
     @property
     def size(self) -> int:
         return int(self.wins.size)
 
     def posteriors(self) -> np.ndarray:
-        return posterior_win_many(self.wins, self.losses)
+        return _posteriors(self.wins, self.losses, self.total_wins, self.total_losses)
 
 
 def posterior_win_many(wins: np.ndarray, losses: np.ndarray) -> np.ndarray:
@@ -112,16 +116,14 @@ def posterior_win_many(wins: np.ndarray, losses: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If a ledger is empty (wins = losses = 0, undefined), or the
-        ensemble has recorded no win.
+        Unless the ledgers make an ``EnsembleState``: on an empty ledger
+        (wins = losses = 0, undefined), a negative count, or no win at all.
     """
-    wins = np.asarray(wins, dtype=np.int64)
-    losses = np.asarray(losses, dtype=np.int64)
-    if ((wins == 0) & (losses == 0)).any():
-        raise ValueError("posterior undefined for an empty ledger (0 wins, 0 losses)")
-    total_wins, total_losses = int(wins.sum()), int(losses.sum())
-    if total_wins < 1:
-        raise ValueError("ensemble totals must include at least one win")
+    state = EnsembleState(wins, losses)
+    return _posteriors(state.wins, state.losses, state.total_wins, state.total_losses)
+
+
+def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins: int, total_losses: int):
     l_w = wins / total_wins
     if total_losses == 0:
         # loss likelihood defined as 0: every posterior is exactly 1

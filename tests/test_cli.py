@@ -59,10 +59,12 @@ def test_version_flag(capsys):
 
 
 def test_usage_errors_exit_2(capsys):
-    assert dispatch([]) == 2
-    assert dispatch(["frobnicate"]) == 2
-    assert dispatch(["sim-conservative", "--config", "x.ini"]) == 2  # --out missing
-    capsys.readouterr()  # swallow argparse noise
+    for argv in ([], ["frobnicate"], ["sim-conservative", "--config", "x.ini"],  # --out missing
+                 ["ingest", "--config", "x.ini", "--out", "o", "--seed", "x"]):
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        _assert_one_error_line(captured.err)
+        assert "usage:" not in captured.out + captured.err
 
 
 def test_missing_config_file(workdir, capsys):
@@ -339,6 +341,13 @@ GOLDEN_CONFIGS = {
         "\n[io]\nhistogram_bins = 13\nhistogram_every = 10\n",
         None,
     ),
+    # the default grains at the default per-capita rate: up to 187 bets
+    # per grain per step, where the other cases bet at most 5 pairs
+    "sim-dissipative-default-rate": (
+        "sim-dissipative",
+        "[dissipative]\nsteps = 20\nseed = 11\n\n[io]\nhistogram_every = 10\n",
+        None,
+    ),
     "gen-returns": (
         "gen-returns",
         "[superstat]\nkind = generalized-inverse-gamma\nalpha = 3.0\nbeta = 2.0\n"
@@ -381,6 +390,13 @@ GOLDEN_DIGESTS = {
         "histogram_30.csv": "9f46403f1e942c0630ea93d7731acab3d9bd39564a0891466eeb792a64111750",
         "histogram_40.csv": "2c8a9ddf71989d29a00bf08097485385b76a6341c0d6ec9431db2b8363dfaba0",
         "trajectory.csv": "6515dc846ba07d1cc6b1c2468f2e4f7d625c9f83fb085b419d3ac82746c8ff81",
+    },
+    "sim-dissipative-default-rate": {
+        "grains.csv": "7c8488915a59ddee01b0f05e98fdbc99831bc3b4d5c065946186dd163e0914ed",
+        "histogram_0.csv": "2f3d5b3b826f560b4594d29fbc30ea6b51d5401d05b88fa904ab561f3d927d9c",
+        "histogram_10.csv": "b9d5fe6ec9086ffae1801a692e49be14162ab2ef4a476f57c98d715b9bf2bb39",
+        "histogram_20.csv": "274eba2c412e11160396740f4893ce457f64b5c63609ef0dc7d17297064dd4c4",
+        "trajectory.csv": "31dcd5ebc6934dd732b8a0c47a6e9df4e0d9d856a2784113e353316dd8edc784",
     },
     "gen-returns": {
         "returns.csv": "561026068def558d90cfd97af0cdeaa021ea378551f8391d87101fb9fe69fefa",
@@ -443,6 +459,7 @@ OVERFLOW_EXPONENTIAL = (
         ("ingest", INGEST, b"t,price\n0,1.0\n1,\xe9\n", [], 3),
         ("fit-variance", FIT, "i,value\n0," + "1" * 200_000 + "\n", [], 3),
         ("sim-conservative", CONSERVATIVE.encode() + b"# \xe9\n", "", [], 2),
+        ("sim-conservative", "i,value\n0,1.0\n", "", [], 2),
         ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv"], 2),
         ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv/o"], 2),
         ("fit-variance", FIT.replace("0.0", "nan"), "i,value\n0,1.0\n", [], 2),
@@ -465,6 +482,7 @@ OVERFLOW_EXPONENTIAL = (
         "prices-not-utf8",
         "returns-field-too-large",
         "config-not-utf8",
+        "config-without-section",
         "out-is-file",
         "out-under-file",
         "inference-mu-nan",
@@ -557,13 +575,94 @@ def test_csv_bytes_keep_the_exit_code_contract(command, header, values, odd_rows
             assert not os.listdir(out)
             return
         for name in os.listdir(out):
-            for line in Path(out, name).read_text().splitlines()[1:]:
-                for field in line.split(","):
-                    try:
-                        value = float(field)
-                    except ValueError:
-                        continue  # a model id or the selection mark
-                    assert math.isfinite(value), (name, line)
+            _assert_finite_csv(Path(out, name))
+
+
+# moments that are NaN by definition for a zero-variance population
+_NAN_COLUMNS = {"skewness", "excess_kurtosis"}
+
+
+def _assert_finite_csv(path):
+    header, *rows = path.read_text().splitlines()
+    columns = header.split(",")
+    for line in rows:
+        for column, field in zip(columns, line.split(",")):
+            try:
+                value = float(field)
+            except ValueError:
+                continue  # a model id or the selection mark
+            if not (column in _NAN_COLUMNS and math.isnan(value)):
+                assert math.isfinite(value), (path, line)
+
+
+# every section the commands read, sized so that each command runs in
+# milliseconds; ingest rejects the returns file's header with exit 3
+ARGV_CONFIG = (
+    "[conservative]\nsteps = 3\nn_microstates = 6\n\n"
+    "[dissipative]\nsteps = 3\ngrain_sizes = 4, 6\n\n"
+    "[superstat]\nn = 20\n\n"
+    "[inference]\nmax_doublings = 8\n\n"
+    "[io]\ninput = {input}\n"
+)
+ARGV_COMMANDS = st.sampled_from(
+    [None, "--version", "frobnicate", "sim-conservative", "sim-dissipative", "gen-returns",
+     "fit-variance", "compare-models", "ingest"]
+)
+# a path relative to the example's directory: "config.ini" and "in.csv"
+# exist, "d" is a directory, and the not-UTF-8 name decodes as it would
+# from a POSIX argv (surrogate escapes)
+ARGV_PATHS = st.sampled_from(
+    ["config.ini", "in.csv", "absent.ini", "d", "d/new", "config.ini/o", "", "a\nb",
+     os.fsdecode(b"\xff.ini"), os.fsdecode(b"o\xff")]
+)
+ARGV_SEEDS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from([str(2**64), str(2**64 - 1), "-0", "1_0", " 4 ", "1e3", "abc", "", "0x10"]),
+)
+ARGV_FLAGS = st.one_of(
+    st.tuples(st.just("--config"), ARGV_PATHS),
+    st.tuples(st.just("--out"), ARGV_PATHS),
+    st.tuples(st.just("--seed"), ARGV_SEEDS),
+    st.sampled_from([("--config",), ("--seed",), ("--bogus", "1"), ("extra",), ("--help",)]),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    command=ARGV_COMMANDS,
+    config=st.one_of(st.just("config.ini"), st.none(), ARGV_PATHS),
+    out=st.one_of(st.just("o"), st.none(), ARGV_PATHS),
+    flags=st.lists(ARGV_FLAGS, max_size=2),
+)
+def test_argv_keeps_the_exit_code_contract(command, config, out, flags):
+    argv = [] if command is None else [command]
+    argv += ["--config", config] if config is not None else []
+    argv += ["--out", out] if out is not None else []
+    for flag in flags:
+        argv += flag
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            os.mkdir("d")
+            Path("in.csv").write_text(_returns_text([0.5, 1.5, 0.25, 2.0, 1.0, 0.75]))
+            Path("config.ini").write_text(ARGV_CONFIG.format(input="in.csv"))
+            err = io.StringIO()
+            with (
+                warnings.catch_warnings(),
+                contextlib.redirect_stderr(err),
+                contextlib.redirect_stdout(io.StringIO()),
+            ):
+                warnings.simplefilter("error")
+                code = dispatch(argv)
+            assert code in (0, 2, 3, 4), argv
+            if code != 0:
+                _assert_one_error_line(err.getvalue())
+            for out_dir, _, names in os.walk("."):
+                for name in names if out_dir != "." else ():
+                    _assert_finite_csv(Path(out_dir, name))
+        finally:
+            os.chdir(cwd)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

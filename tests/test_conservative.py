@@ -11,9 +11,7 @@ from betsim import rng as rngmod
 from betsim.conservative import (
     DEFAULT_SMOOTHING_WINDOW,
     ConservativeConfig,
-    draw_pairing,
     init_ensemble,
-    resolve_bet,
     run_conservative,
     smooth_series,
     step_conservative,
@@ -53,51 +51,42 @@ def test_with_seed_returns_new_config():
 
 
 # ---------------------------------------------------------------------------
-# pairing and bet resolution
-
-def test_draw_pairing_disjoint_and_sized():
-    rng = rngmod.stream(0, rngmod.GENERIC)
-    pairs = draw_pairing(10, 4, rng)
-    assert len(pairs) == 4
-    flat = [i for p in pairs for i in p]
-    assert len(set(flat)) == 8
-    assert all(0 <= i < 10 for i in flat)
-
-
-def test_draw_pairing_rejects_overdraw():
-    rng = rngmod.stream(0, rngmod.GENERIC)
-    with pytest.raises(ValueError, match="disjoint pairs"):
-        draw_pairing(5, 3, rng)
-    with pytest.raises(ValueError, match="bets_per_step"):
-        draw_pairing(5, 0, rng)
-
-
-def test_draw_pairing_deterministic_per_stream():
-    a = draw_pairing(20, 5, rngmod.stream(7, rngmod.BETS, 0, 3))
-    b = draw_pairing(20, 5, rngmod.stream(7, rngmod.BETS, 0, 3))
-    assert a == b
-
-
-def test_resolve_bet_returns_winner_loser():
-    rng = rngmod.stream(1, rngmod.GENERIC)
-    seen = set()
-    for _ in range(50):
-        winner, loser = resolve_bet((3, 8), rng)
-        assert {winner, loser} == {3, 8}
-        seen.add(winner)
-    assert seen == {3, 8}, "fair coin should pick both sides eventually"
-
-
-def test_resolve_bet_rejects_self_pair():
-    with pytest.raises(ValueError, match="itself"):
-        resolve_bet((4, 4), rngmod.stream(0, rngmod.GENERIC))
-
-
-# ---------------------------------------------------------------------------
 # stepping
+
+def test_step_rejects_overdraw():
+    state = init_ensemble(5)
+    with pytest.raises(ValueError, match="cannot draw 3 disjoint pairs from 5"):
+        step_conservative(state, rngmod.stream(0, rngmod.GENERIC), bets_per_step=3)
+    with pytest.raises(ValueError, match="bets_per_step must be >= 1"):
+        step_conservative(state, rngmod.stream(0, rngmod.GENERIC), bets_per_step=0)
+    assert state.wins.tolist() == [1] * 5 and state.total_wins == 5  # untouched
+
+
+def test_step_deterministic_per_stream():
+    a, b = init_ensemble(20), init_ensemble(20)
+    step_conservative(a, rngmod.stream(7, rngmod.BETS, 0, 3), bets_per_step=5)
+    step_conservative(b, rngmod.stream(7, rngmod.BETS, 0, 3), bets_per_step=5)
+    assert a.wins.tolist() == b.wins.tolist()
+    assert a.losses.tolist() == b.losses.tolist()
+    c = init_ensemble(20)
+    step_conservative(c, rngmod.stream(7, rngmod.BETS, 0, 4), bets_per_step=5)
+    assert (a.wins.tolist(), a.losses.tolist()) != (c.wins.tolist(), c.losses.tolist())
+
+
+def test_step_coin_picks_either_side():
+    state = init_ensemble(2)
+    for t in range(50):
+        step_conservative(state, rngmod.stream(1, rngmod.BETS, 0, t))
+    assert state.wins.sum() == 52 and state.losses.sum() == 50
+    assert (state.losses > 0).all(), "a fair coin should pick both sides eventually"
+
 
 def test_step_forced_validations():
     state = init_ensemble(6)
+    with pytest.raises(ValueError, match="outside range"):
+        step_conservative(state, None, forced=[((0, 6), 0)])
+    with pytest.raises(ValueError, match="outside range"):
+        step_conservative(state, None, forced=[((-1, 2), 2)])
     with pytest.raises(ValueError, match="itself"):
         step_conservative(state, None, forced=[((2, 2), 2)])
     with pytest.raises(ValueError, match="not part of pair"):
@@ -123,14 +112,25 @@ def test_step_forced_books_one_win_one_loss():
     data=st.data(),
 )
 def test_conservation_invariant(n, seed, steps, data):
-    """Total wins minus total losses equals the population size forever."""
+    """Total wins minus total losses equals the population size forever.
+
+    Each step books its bets on 2 * bets distinct participants, each of
+    whom gains exactly one win or one loss, and the carried totals stay
+    equal to the column sums.
+    """
     bets = data.draw(st.integers(1, n // 2))
     state = init_ensemble(n)
     for t in range(steps):
+        wins, losses = state.wins.copy(), state.losses.copy()
         step_conservative(state, rngmod.stream(seed, rngmod.BETS, 0, t), bets_per_step=bets)
         total_wins, total_losses = int(state.wins.sum()), int(state.losses.sum())
+        assert (state.total_wins, state.total_losses) == (total_wins, total_losses)
         assert total_wins - total_losses == n
         assert total_losses == bets * (t + 1)
+        won, lost = state.wins - wins, state.losses - losses
+        assert np.isin(won, (0, 1)).all() and np.isin(lost, (0, 1)).all()
+        assert int(won.sum()) == int(lost.sum()) == bets
+        assert np.count_nonzero(won + lost) == 2 * bets
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,20 @@ def test_ensemble_state_validation():
         EnsembleState([1, 2], [0])
     with pytest.raises(ValueError):
         EnsembleState([1, -2], [0, 0])
+    with pytest.raises(ValueError, match="at least one win"):
+        EnsembleState([0, 0], [1, 2])
+
+
+def test_ensemble_state_rejects_an_empty_ledger():
+    with pytest.raises(ValueError, match="empty ledger"):
+        EnsembleState([1, 0, 2], [0, 0, 1])
+
+
+def test_ensemble_state_carries_its_column_sums():
+    state = EnsembleState([1, 2, 1], [2, 0, 1])
+    assert (state.total_wins, state.total_losses) == (4, 3)
+    assert type(state.total_wins) is int and type(state.total_losses) is int
+    assert np.array_equal(state.posteriors(), posterior_win_many(state.wins, state.losses))
 
 
 def test_ensemble_state_posteriors_consistent():

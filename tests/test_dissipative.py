@@ -6,6 +6,7 @@ import pytest
 from betsim import dissipative
 from betsim import rng as rngmod
 from betsim.conservative import ConservativeConfig, run_conservative
+from betsim.core import EnsembleState
 from betsim.io import emit_histogram_csv
 from betsim.dissipative import (
     DissipativeConfig,
@@ -155,8 +156,7 @@ def test_removal_closest_to_equilibrium():
     # pin grain 1 at equilibrium: uniform (6, 5) ledgers conserve the
     # win-loss gap and put every posterior at exactly 0.5, so its mean
     # stays near 0.5 through the step while fresh grain 0 sits far above
-    state.grains[1].ensemble.wins[:] = 6
-    state.grains[1].ensemble.losses[:] = 5
+    state.grains[1].ensemble = EnsembleState(np.full(6, 6), np.full(6, 5))
     step_dissipative(state)
     assert [g.id for g in state.grains] == [0]
     assert state.grain_tracks[1].death_step == 1
