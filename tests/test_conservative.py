@@ -73,6 +73,25 @@ def test_step_deterministic_per_stream():
     assert (a.wins.tolist(), a.losses.tolist()) != (c.wins.tolist(), c.losses.tolist())
 
 
+def test_draw_pairing_disjoint_and_sized():
+    # A random step of b bets touches exactly 2b distinct participants:
+    # b each gain one win and the other b each gain one loss.
+    state = init_ensemble(10)
+    step_conservative(state, rngmod.stream(0, rngmod.GENERIC), bets_per_step=4)
+    winners = np.flatnonzero(state.wins > 1)
+    losers = np.flatnonzero(state.losses > 0)
+    assert len(winners) == 4 and len(losers) == 4
+    assert len(set(winners.tolist()) | set(losers.tolist())) == 8
+    assert state.wins.max() == 2 and state.losses.max() == 1
+
+
+def test_resolve_bet_rejects_self_pair():
+    state = init_ensemble(6)
+    with pytest.raises(ValueError, match="itself"):
+        step_conservative(state, None, forced=[((4, 4), 4)])
+    assert state.wins.tolist() == [1] * 6 and state.total_wins == 6  # untouched
+
+
 def test_step_coin_picks_either_side():
     state = init_ensemble(2)
     for t in range(50):
