@@ -163,10 +163,11 @@ def run_conservative(
         traj.wins = np.empty(shape, dtype=np.int64)
         traj.losses = np.empty(shape, dtype=np.int64)
     for t in range(config.steps + 1):
-        if t > 0:
+        if t > 0 and forced_schedule is not None:
+            step_conservative(state, None, config.bets_per_step, forced_schedule[t - 1])
+        elif t > 0:
             gen = rngmod.stream(config.seed, rngmod.BETS, 0, t)
-            forced = forced_schedule[t - 1] if forced_schedule is not None else None
-            step_conservative(state, gen, config.bets_per_step, forced)
+            step_conservative(state, gen, config.bets_per_step)
         traj.snapshots.append(macro_snapshot(state.posteriors(), t))
         if record_microstates:
             traj.wins[t] = state.wins

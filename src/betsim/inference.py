@@ -21,6 +21,9 @@ GAUSSIAN_KNOWN_MEAN = "gaussian-known-mean"
 EXPONENTIAL = "exponential"
 LIKELIHOOD_KINDS = (GAUSSIAN_KNOWN_MEAN, EXPONENTIAL)
 INITIAL_NODES = 129  # nodes of the evidence quadrature's first grid
+# the largest grid the quadrature may build: 128 * 2**13 + 1 nodes, 13
+# doublings, about 8 MB per float64 array it evaluates on the grid
+MAX_NODES = 1_048_577
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ class ModelSpec:
 
     The evidence quadrature starts on a grid of ``INITIAL_NODES`` nodes;
     each refinement doubles the interval count, up to ``max_doublings``
-    times.
+    times and never past ``MAX_NODES`` nodes.
     """
 
     id: str
@@ -217,9 +220,9 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
 
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
-    estimates, when ``max_doublings`` refinements are not enough, and
-    at once, without them, when the domain or the first estimate is not
-    finite.
+    estimates, when ``max_doublings`` refinements are not enough or the
+    next grid would pass ``MAX_NODES``, and at once, without them, when
+    the domain or the first estimate is not finite.
     """
     if data.n == 0:
         return 0.0
@@ -244,18 +247,19 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
         raise ConvergenceError(
             f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
         )
-    for _ in range(model.max_doublings):
+    for doublings in range(1, model.max_doublings + 1):
         nodes = 2 * nodes - 1
         cur = estimate(nodes)
         if abs(cur - prev) <= model.rel_tol * max(1.0, abs(cur)):
             return cur
+        if doublings == model.max_doublings or 2 * nodes - 1 > MAX_NODES:
+            raise ConvergenceError(
+                f"evidence quadrature for model {model.id!r} did not converge "
+                f"after {doublings} doublings ({nodes} nodes, at most {MAX_NODES}); "
+                f"last two estimates {prev!r} and {cur!r}",
+                estimates=(prev, cur),
+            )
         prev = cur
-    raise ConvergenceError(
-        f"evidence quadrature for model {model.id!r} did not converge "
-        f"after {model.max_doublings} doublings ({nodes} nodes); "
-        f"last two estimates {prev!r}",
-        estimates=(prev, cur),
-    )
 
 
 def model_posteriors(models, priors, data: DataSet) -> list[ModelPosterior]:

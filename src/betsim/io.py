@@ -6,12 +6,21 @@ carry 12 significant digits; raw return values are written with
 Python's shortest round-trip repr so downstream consumers recover them
 to full precision.  Nothing here is time- or locale-dependent, so
 identical inputs always produce byte-identical files.
+
+Returns files and ``t,price`` files are read in blocks of lines, one
+``np.loadtxt`` per block.  A block that holds anything but plain
+numbers, or that a check rejects, hands the whole file back to the
+per-row reader, which parses it again from the start and is the only
+source of error messages; so every file gets the per-row reader's
+values or its error, with its line number.  ``date,price`` files are
+always read row by row.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import warnings
 from itertools import islice
 from typing import Iterable
 
@@ -83,6 +92,58 @@ def _read_pairs(path, headers: tuple[str, ...]):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
+_BLOCK_CHARS = 1 << 20  # characters read per parsed block, then to the end of its line
+# the characters a block may hold; anything else (quotes, letters, tabs, NUL,
+# other control or non-ASCII characters) is left to the per-row reader
+_NUMERIC_BYTES = b"0123456789+-.eE, \r\n"
+
+
+def _read_blocks(path, header: str) -> list[np.ndarray] | None:
+    """Parse a numeric two-column file in blocks, or hand it back.
+
+    Returns the data rows as (lines, 2) float64 blocks of finite values
+    when the header is ``header`` and every line is two plain numbers.
+    Returns None otherwise, and never raises or warns for the file's
+    content: the caller then reads the file with :func:`_read_pairs`.
+    """
+    blocks = []
+    try:
+        with warnings.catch_warnings(), open(path, "r", encoding="utf-8", newline="") as handle:
+            warnings.simplefilter("error")  # loadtxt warns on a block of blank lines
+            head = next(csv.reader(handle), None)
+            if head is None or ",".join(h.strip().lower() for h in head) != header:
+                return None
+            while text := handle.read(_BLOCK_CHARS):
+                text += handle.readline()
+                # a non-ASCII character fails the encode: UnicodeEncodeError
+                if text.encode("ascii").translate(None, _NUMERIC_BYTES):
+                    return None
+                # with only these characters, splitlines ends lines where
+                # the csv reader does: at \r, \n and \r\n
+                lines = text.splitlines(keepends=True)
+                if max(map(len, lines)) > csv.field_size_limit():
+                    return None  # the csv reader rejects a field this long
+                block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+                # loadtxt skips blank lines and takes any field count
+                if block.shape != (len(lines), 2) or not np.isfinite(block).all():
+                    return None
+                blocks.append(block)
+    except (OSError, ValueError, csv.Error, Warning):
+        return None
+    return blocks
+
+
+def _strictly_increasing(blocks: list[np.ndarray]) -> bool:
+    """Whether the first column rises strictly, across block edges too."""
+    last = -math.inf
+    for block in blocks:
+        t = block[:, 0]
+        if not (t[0] > last and (t[1:] > t[:-1]).all()):
+            return False
+        last = t[-1]
+    return True
+
+
 def ingest_price_csv(path, tau: int) -> ReturnSeries:
     """Read a price series and form log-returns over horizon tau.
 
@@ -98,6 +159,11 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     """
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
+    blocks = _read_blocks(path, "t,price")
+    if blocks:
+        p = np.concatenate([b[:, 1] for b in blocks])
+        if p.size >= tau + 1 and (p > 0).all() and _strictly_increasing(blocks):
+            return _log_returns(path, p, tau)
     pairs = _read_pairs(path, ("t,price", "date,price"))
     numeric_time = next(pairs) == "t,price"
     times: list = []
@@ -125,7 +191,11 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
         prices.append(price)
     if len(prices) < tau + 1:
         raise DataError(f"{path}: need at least tau+1 = {tau + 1} rows, got {len(prices)}")
-    p = np.asarray(prices, dtype=np.float64)
+    return _log_returns(path, np.asarray(prices, dtype=np.float64), tau)
+
+
+def _log_returns(path, p: np.ndarray, tau: int) -> ReturnSeries:
+    """Y[i] = ln(p[i + tau] / p[i]); a non-finite one raises DataError."""
     with np.errstate(over="ignore", divide="ignore"):
         samples = np.log(p[tau:] / p[:-tau])
     bad = np.flatnonzero(~np.isfinite(samples))
@@ -197,11 +267,21 @@ def emit_grains_csv(tracks: dict[int, GrainTrack], path) -> None:
 
 def emit_returns_csv(series: ReturnSeries, path) -> None:
     """Write return samples with full round-trip precision."""
-    _write_csv(path, "i,value", (f"{i},{float(v)!r}\n" for i, v in enumerate(series.samples)))
+    samples = series.samples
+    # 1024-sample slices become Python floats at once, not one by one;
+    # their repr is the one float(numpy float64) would give
+    _write_csv(path, "i,value", (
+        f"{i},{v!r}\n"
+        for start in range(0, samples.size, 1024)
+        for i, v in enumerate(samples[start:start + 1024].tolist(), start=start)
+    ))
 
 
 def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     """Read a returns file produced by :func:`emit_returns_csv`."""
+    blocks = _read_blocks(path, "i,value")
+    if blocks:
+        return ReturnSeries(tau=tau, samples=np.concatenate([b[:, 1] for b in blocks]))
     pairs = _read_pairs(path, ("i,value",))
     next(pairs)
     values: list[float] = []

@@ -5,15 +5,20 @@ against explicit ensemble totals, one Python division at a time; the
 tests check the vectorized ``betsim.core.posterior_win_many`` against it.
 ``population_moments`` is the ``np.mean`` formulation of the moments
 that ``betsim.core.population_moments`` must reproduce bit for bit.
+``read_returns_csv`` and ``ingest_price_csv`` parse one row at a time
+with ``csv.reader`` and ``float``; ``betsim.io`` reads in blocks and
+must give the same arrays, or the same ``DataError`` text, on any file.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from betsim.core import Moments
+from betsim.errors import DataError
 
 
 @dataclass(frozen=True)
@@ -88,3 +93,89 @@ def population_moments(values) -> Moments:
     m3 = float(np.mean(d * d * d))
     m4 = float(np.mean(d * d * d * d))
     return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
+
+
+def _read_pairs(path, headers):
+    """The header, stripped and lower-cased, then (lineno, first, second) rows."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            rows = csv.reader(handle)
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = ",".join(h.strip().lower() for h in header)
+            if header not in headers:
+                allowed = " or ".join(map(repr, headers))
+                raise DataError(f"{path}: header must be {allowed}, got {header!r}")
+            yield header
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != 2:
+                    raise DataError(f"{path}: line {lineno}: expected 2 fields, got {len(row)}")
+                yield lineno, row[0], row[1]
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def read_returns_csv(path) -> np.ndarray:
+    """The samples of an ``i,value`` file; the index column is not read."""
+    pairs = _read_pairs(path, ("i,value",))
+    next(pairs)
+    values: list[float] = []
+    for lineno, _, raw in pairs:
+        try:
+            values.append(float(raw))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad value {raw!r}") from None
+    if not values:
+        raise DataError(f"{path}: no data rows")
+    samples = np.asarray(values)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(f"{path}: line {i + 2}: value {samples[i]} is not finite")
+    return samples
+
+
+def ingest_price_csv(path, tau: int) -> np.ndarray:
+    """Log-returns over horizon tau of a ``t,price`` or ``date,price`` file."""
+    if tau < 1:
+        raise DataError(f"tau must be >= 1, got {tau}")
+    pairs = _read_pairs(path, ("t,price", "date,price"))
+    numeric_time = next(pairs) == "t,price"
+    times: list = []
+    prices: list[float] = []
+    for lineno, t_raw, p_raw in pairs:
+        t_raw, p_raw = t_raw.strip(), p_raw.strip()
+        if numeric_time:
+            try:
+                t_val = float(t_raw)
+            except ValueError:
+                raise DataError(f"{path}: line {lineno}: bad time value {t_raw!r}") from None
+        else:
+            if not t_raw:
+                raise DataError(f"{path}: line {lineno}: empty date")
+            t_val = t_raw
+        try:
+            price = float(p_raw)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: bad price value {p_raw!r}") from None
+        if not math.isfinite(price) or price <= 0:
+            raise DataError(f"{path}: line {lineno}: price must be positive, got {p_raw}")
+        if times and not t_val > times[-1]:
+            raise DataError(f"{path}: line {lineno}: time index must be strictly increasing")
+        times.append(t_val)
+        prices.append(price)
+    if len(prices) < tau + 1:
+        raise DataError(f"{path}: need at least tau+1 = {tau + 1} rows, got {len(prices)}")
+    p = np.asarray(prices, dtype=np.float64)
+    with np.errstate(over="ignore", divide="ignore"):
+        samples = np.log(p[tau:] / p[:-tau])
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        i = int(bad[0])
+        raise DataError(
+            f"{path}: lines {i + 2} and {i + tau + 2}: log-return {samples[i]} is not finite"
+        )
+    return samples

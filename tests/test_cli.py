@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from betsim import __version__
 from betsim.cli import dispatch
+from betsim.inference import MAX_NODES
 from betsim.io import read_returns_csv
 
 
@@ -200,6 +201,22 @@ def test_fit_variance_convergence_failure_exits_4(workdir, capsys):
     cfg = _write(workdir, "f.ini", NOT_CONVERGING)
     assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_fit_variance_stops_at_the_node_cap_and_exits_4(workdir, capsys):
+    # the estimate never settles within this rel_tol; the quadrature stops
+    # before its grid passes MAX_NODES instead of running out of memory
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 50)))
+    cfg = _write(
+        workdir,
+        "f.ini",
+        "[inference]\nprior_alpha = 1e6\nprior_beta = 1e6\nrel_tol = 1e-300\n\n"
+        "[io]\ninput = returns.csv\n",
+    )
+    assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert f"({MAX_NODES} nodes" in err
 
 
 def test_fit_variance_with_a_small_prior_shape(workdir, capsys):

@@ -1,8 +1,11 @@
 """Unit tests for configuration parsing and CSV input/output."""
 
+import csv
 import math
 import os
+import tempfile
 import typing
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -31,6 +34,9 @@ from betsim.inference import (
     ModelSpec,
 )
 from betsim.superstat import KINDS, ReturnSeries
+from oracle import ingest_price_csv as reference_ingest
+from oracle import read_returns_csv as reference_read_returns
+from test_cli import CSV_FIELDS, CSV_NUMBERS
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +431,123 @@ def test_read_returns_rejects_bad_value(tmp_path):
     path.write_text("i,value\n0,0.1\n1,abc\n")
     with pytest.raises(DataError, match="line 3"):
         csvio.read_returns_csv(str(path))
+
+
+def test_returns_round_trip_over_several_blocks(tmp_path, monkeypatch):
+    block = 4096
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", block)
+    path = str(tmp_path / "returns.csv")
+    n = 3 * block + 1  # every line is longer than one character
+    samples = np.random.default_rng(4).standard_t(3, n) * 1e-2
+    samples[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 1e-310]
+    csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), path)
+    assert len(csvio._read_blocks(path, "i,value")) > 3  # read in blocks, no fallback
+    back = csvio.read_returns_csv(path)
+    assert back.samples.tobytes() == samples.tobytes()
+
+
+def test_block_reader_leaves_an_overlong_field_to_the_csv_reader(tmp_path):
+    # a finite number, but a field longer than the csv reader takes
+    path = tmp_path / "returns.csv"
+    path.write_text("i,value\n0,0." + "0" * csv.field_size_limit() + "1\n1,2.5\n")
+    with pytest.raises(DataError, match="line 2: field larger than field limit"):
+        csvio.read_returns_csv(str(path))
+
+
+# fields the block reader must leave to the per-row reader, or read the
+# way csv.reader and float() do: blanks, quotes, separators that str.strip
+# removes, a non-ASCII digit, an underscore, non-finite values
+ODD_FIELDS = st.one_of(
+    CSV_FIELDS,
+    st.sampled_from([
+        b"\x1c", b"\x1d1", b"2\x1e", b"\x1f", "\u0661".encode(), "1\u0661".encode(),
+        b"1_000", b'"2.5"', b'""', b"nan", b"inf", b"-inf", b"Infinity", b"1e5",
+        b"+1.", b"1e+3", b"\t3", b"3 ", b"#1", b"0x10",
+    ]),
+)
+# values that parse but are not finite, or not a valid price
+EDGE_VALUES = st.sampled_from([b"1e999", b"-1e999", b"1e-400", b"-0.0", b"0", b"-1"])
+# (time step, value) rows, of prices or of any numbers; a time step of
+# 0 or -1 breaks the increasing time index, at a block edge or within one
+TIME_STEPS = st.sampled_from([1, 1, 1, 1, 2, 0, -1])
+PRICES = st.floats(1e-3, 1e3).map(lambda x: repr(x).encode())
+ROWS = st.one_of(
+    st.lists(st.tuples(TIME_STEPS, PRICES), max_size=15),
+    st.lists(st.tuples(TIME_STEPS, st.one_of(PRICES, CSV_NUMBERS, EDGE_VALUES)), max_size=15),
+)
+# two price rows joined by a character at which str.splitlines ends a
+# line and the csv reader does not: one row of three fields to the latter
+JOINED_ROWS = st.tuples(
+    PRICES,
+    st.sampled_from([b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", "\x85".encode(), "\u2028".encode()]),
+    PRICES,
+).map(lambda t: [b"1", t[0] + t[1] + b"2", t[2]])
+ODD_ROWS = st.lists(
+    st.tuples(
+        st.integers(0, 15),
+        st.one_of(st.just([]), st.lists(ODD_FIELDS, min_size=1, max_size=3), JOINED_ROWS),
+    ),
+    max_size=2,
+)
+
+
+def _assert_readers_agree(path, tau):
+    """Read as returns and as prices, the block reader gives the per-row
+    reader's array bytes or its DataError text, and neither warns."""
+    for read, reference in (
+        (lambda: csvio.read_returns_csv(path).samples, lambda: reference_read_returns(path)),
+        (lambda: csvio.ingest_price_csv(path, tau).samples, lambda: reference_ingest(path, tau)),
+    ):
+        outcomes = []
+        for reader in (read, reference):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    outcomes.append(reader().tobytes())
+                except DataError as exc:
+                    outcomes.append(str(exc))
+            assert not caught, [str(w.message) for w in caught]
+        assert outcomes[0] == outcomes[1]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    header=st.sampled_from(
+        [b"i,value", b"i,value", b"t,price", b"t,price", b"date,price", b" T , Price", b"t;price"]
+    ),
+    rows=ROWS,
+    odd_rows=st.one_of(st.just([]), ODD_ROWS),
+    newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
+    final_newline=st.booleans(),
+    block=st.integers(1, 4),
+    tau=st.integers(1, 3),
+)
+def test_block_reader_matches_the_per_row_reader(
+    header, rows, odd_rows, newline, final_newline, block, tau
+):
+    times = np.cumsum([step for step, _ in rows], dtype=np.int64)
+    lines = [header] + [b"%d,%s" % (t, value) for t, (_, value) in zip(times, rows)]
+    for at, fields in odd_rows:
+        lines.insert(1 + at, b",".join(fields))
+    data = newline.join(lines) + (newline if final_newline else b"")
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_BLOCK_CHARS", block)
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        _assert_readers_agree(path, tau)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.binary(max_size=80), block=st.integers(1, 3))
+def test_block_reader_matches_the_per_row_reader_on_any_bytes(data, block):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_BLOCK_CHARS", block)
+        for header in (b"i,value\n", b"t,price\n"):
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "wb") as fh:
+                fh.write(header + data)
+            _assert_readers_agree(path, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -243,3 +243,23 @@ def test_run_forced_schedule_length_checked():
     cfg = ConservativeConfig(steps=3, n_microstates=5, bets_per_step=2, seed=0)
     with pytest.raises(ValueError, match="forced_schedule"):
         run_conservative(cfg, forced_schedule=[[((0, 1), 0)]])
+
+
+def test_forced_run_derives_no_stream(monkeypatch):
+    from betsim import conservative
+
+    calls = []
+    stream = conservative.rngmod.stream
+
+    def counting_stream(*key):
+        calls.append(key)
+        return stream(*key)
+
+    monkeypatch.setattr(conservative.rngmod, "stream", counting_stream)
+    cfg = ConservativeConfig(steps=4, n_microstates=5, bets_per_step=1, seed=0)
+    schedule = [[((0, 1), 0)], [((2, 3), 3)], [((1, 4), 4)], [((0, 2), 2)]]
+    traj = run_conservative(cfg, record_microstates=True, forced_schedule=schedule)
+    assert calls == []
+    assert traj.wins[-1].tolist() == [2, 1, 2, 2, 2]
+    run_conservative(cfg)
+    assert len(calls) == cfg.steps  # a random run derives one per step

@@ -15,6 +15,7 @@ from betsim.errors import ConvergenceError
 from betsim.inference import (
     EXPONENTIAL,
     GAUSSIAN_KNOWN_MEAN,
+    MAX_NODES,
     DataSet,
     InvGammaParams,
     ModelSpec,
@@ -232,6 +233,22 @@ def test_log_evidence_reports_convergence_failure():
     est = err.value.estimates
     assert est is not None and len(est) == 2
     assert all(math.isfinite(e) for e in est)
+
+
+def test_log_evidence_stops_before_the_node_cap():
+    # a prior far narrower than the likelihood: the estimate jitters in its
+    # last bits, so no rel_tol this small is met, and the default 24
+    # doublings would head for 2.1e9 nodes
+    spec = ModelSpec(
+        id="g",
+        likelihood_kind=GAUSSIAN_KNOWN_MEAN,
+        prior=InvGammaParams(1e6, 1e6),
+        rel_tol=1e-300,
+    )
+    with pytest.raises(ConvergenceError, match=f"after 13 doublings \\({MAX_NODES} nodes") as err:
+        log_evidence(spec, _dataset(n=50))
+    older, newer = err.value.estimates
+    assert math.isfinite(older) and math.isfinite(newer) and older != newer
 
 
 @pytest.mark.parametrize(
