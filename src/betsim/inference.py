@@ -24,6 +24,7 @@ INITIAL_NODES = 129  # nodes of the evidence quadrature's first grid
 # the largest grid the quadrature may build: 128 * 2**13 + 1 nodes, 13
 # doublings, about 8 MB per float64 array it evaluates on the grid
 MAX_NODES = 1_048_577
+DOMAIN_SCAN_ROUNDS = 200  # each round widens an edge of the domain by 8x
 
 
 @dataclass(frozen=True)
@@ -168,6 +169,33 @@ def _log_integrand(model: ModelSpec, data: DataSet):
     return lambda theta: loglik(data, theta) + invgamma_logpdf(theta, a, b)
 
 
+def _logsumexp(a, b=None) -> float:
+    """log(sum(b * exp(a))) of 1-D float64 arrays, bit for bit
+    ``scipy.special.logsumexp`` of scipy 1.17.1, without its array-API
+    dispatch.
+
+    The max-split algorithm of Blanchard, Higham & Higham (IMA J. Numer.
+    Anal. 2021): zero weights drop their entries, the maximal entries
+    are split off with total weight m, and the result is
+    log1p(s / m) + log(m) + max, NaN for a negative sum.  Only when that
+    is not finite does the direct log(sum(b * exp(a))) stand instead.
+    """
+    b = np.ones_like(a) if b is None else b
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kept = np.where(b == 0, -np.inf, a)
+        a_max = kept.max()
+        top = kept == a_max
+        m = (b * top).sum()
+        # scipy leaves s = 0 undivided; dividing it gives 0 again, or a
+        # non-finite result that the direct sum below replaces anyway
+        s = (b * np.exp(np.where(top, -np.inf, kept) - a_max)).sum() / m
+        out = np.log1p(-s - 2 if s < -1 else s) + np.log(np.abs(m)) + a_max
+        # scipy's NaN for a negative sum is not finite either
+        if np.sign(s + 1) * np.sign(m) < 0 or not np.isfinite(out):
+            out = np.log((b * np.exp(a)).sum())
+    return float(out)
+
+
 def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     """Prior quantile range, widened until the integrand peak is interior.
 
@@ -175,7 +203,9 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     coarse geometric scan finds the peak of likelihood * prior; both
     ends grow until the scanned integrand has dropped at least 46 nats
     (factor ~1e-20) below the peak, so truncation error is negligible
-    at the target tolerance.
+    at the target tolerance.  Raises :class:`ConvergenceError` when the
+    range is not finite, or when ``DOMAIN_SCAN_ROUNDS`` rounds leave the
+    peak at an edge: the quadrature would miss it.
     """
     from scipy.special import gammainccinv  # deferred: scipy is slow to import
     a, b = model.prior.alpha, model.prior.beta
@@ -183,8 +213,8 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     # incomplete gamma function.  Q^-1 underflows for a shape below about
     # 0.03, and b / Q^-1 overflows for a scale near the float maximum; hi
     # then starts at the ceiling, unless lo is past it as well
-    lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
     with np.errstate(divide="ignore", over="ignore"):
+        lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
         hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
     if hi == math.inf:
         if lo >= 1e300:
@@ -193,20 +223,25 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
                 f"[{lo!r}, inf] is not finite"
             )
         hi = 1e300
-    for _ in range(200):
+    for _ in range(DOMAIN_SCAN_ROUNDS):
         grid = np.geomspace(lo, hi, 513)
         g = integrand(grid)
         gmax = float(g.max())
         grew = False
-        if g[0] > gmax - 46.0 and lo > 1e-300:
+        # differences, not gmax - 46: past |gmax| ~ 2e17 that is gmax itself
+        if g[0] - gmax > -46.0 and lo > 1e-300:
             lo = max(lo / 8.0, 1e-300)
             grew = True
-        if g[-1] > gmax - 46.0 and hi < 1e300:
+        if g[-1] - gmax > -46.0 and hi < 1e300:
             hi *= 8.0
             grew = True
         if not grew:
-            break
-    return lo, hi
+            return lo, hi
+    raise ConvergenceError(
+        f"evidence quadrature for model {model.id!r}: the integration domain "
+        f"[{lo!r}, {hi!r}] still has the integrand peak at an edge after "
+        f"{DOMAIN_SCAN_ROUNDS} rounds of widening"
+    )
 
 
 def log_evidence(model: ModelSpec, data: DataSet) -> float:
@@ -214,19 +249,20 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
 
     Trapezoidal quadrature on a log-spaced grid (the substitution
     u = ln theta keeps wide domains well conditioned), accumulated with
-    log-sum-exp.  The grid is doubled until two successive estimates
-    agree within ``rel_tol``, measured as
-    |new - old| <= rel_tol * max(1, |new|).
+    betsim's own log-sum-exp, fixed to the algorithm of scipy 1.17.1's
+    ``scipy.special.logsumexp`` whatever scipy is installed.  The grid is
+    doubled until two successive estimates agree within ``rel_tol``,
+    measured as |new - old| <= rel_tol * max(1, |new|).
 
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
     estimates, when ``max_doublings`` refinements are not enough or the
     next grid would pass ``MAX_NODES``, and at once, without them, when
-    the domain or the first estimate is not finite.
+    the domain or the first estimate is not finite or the domain scan
+    cannot bracket the integrand peak.
     """
     if data.n == 0:
         return 0.0
-    from scipy.special import logsumexp
     integrand = _log_integrand(model, data)
     lo, hi = _integration_domain(model, integrand)
     u_lo, u_hi = np.log(lo), np.log(hi)
@@ -239,7 +275,7 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
         w = np.full(nodes, (u_hi - u_lo) / (nodes - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
-        return float(logsumexp(g, b=w))
+        return _logsumexp(g, w)
 
     nodes = INITIAL_NODES
     prev = estimate(nodes)
@@ -268,7 +304,6 @@ def model_posteriors(models, priors, data: DataSet) -> list[ModelPosterior]:
     Computed in log space; the result is explicitly renormalized so the
     probabilities sum to 1 to machine precision.
     """
-    from scipy.special import logsumexp
     models = list(models)
     priors = np.asarray(priors, dtype=np.float64)
     if len(models) == 0:
@@ -282,7 +317,7 @@ def model_posteriors(models, priors, data: DataSet) -> list[ModelPosterior]:
     log_ev = np.array([log_evidence(m, data) for m in models])
     with np.errstate(divide="ignore"):  # a zero prior is a legitimate -inf
         log_post = log_ev + np.log(priors)
-    post = np.exp(log_post - logsumexp(log_post))
+    post = np.exp(log_post - _logsumexp(log_post))
     post = post / post.sum()
     return [
         ModelPosterior(m.id, float(p), float(le), float(pp))

@@ -8,6 +8,9 @@ that ``betsim.core.population_moments`` must reproduce bit for bit.
 ``read_returns_csv`` and ``ingest_price_csv`` parse one row at a time
 with ``csv.reader`` and ``float``; ``betsim.io`` reads in blocks and
 must give the same arrays, or the same ``DataError`` text, on any file.
+``closed_form_log_evidence`` is the conjugate evidence of a known-mean
+Gaussian under an inverse-gamma prior, which the quadrature in
+``betsim.inference.log_evidence`` must match.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln
 
 from betsim.core import Moments
 from betsim.errors import DataError
@@ -179,3 +183,13 @@ def ingest_price_csv(path, tau: int) -> np.ndarray:
             f"{path}: lines {i + 2} and {i + tau + 2}: log-return {samples[i]} is not finite"
         )
     return samples
+
+
+def closed_form_log_evidence(data, prior) -> float:
+    """log of the integral of N(x | mu, sigma2) InvGamma(sigma2 | alpha, beta):
+    -n/2 ln(2 pi) + alpha ln(beta) + ln Gamma(a2) - ln Gamma(alpha) - a2 ln(b2),
+    with a2 = alpha + n/2 and b2 = beta + S/2 the posterior parameters."""
+    n, s = data.n, data.squared_deviation_sum()
+    a2, b2 = prior.alpha + n / 2.0, prior.beta + s / 2.0
+    return float(-n / 2.0 * math.log(2 * math.pi) + prior.alpha * math.log(prior.beta)
+                 + gammaln(a2) - gammaln(prior.alpha) - a2 * math.log(b2))

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammaln
 
 from betsim.cli import dispatch
 from betsim.conservative import ConservativeConfig, run_conservative
@@ -33,6 +32,7 @@ from betsim.inference import (
 )
 from betsim import rng as rngmod
 from betsim.superstat import MixingModel, generate_returns, sample_moments
+from oracle import closed_form_log_evidence
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -295,13 +295,6 @@ def test_inverse_gamma_mixture_kurtosis():
 # ---------------------------------------------------------------------------
 # 8. conjugate correctness
 
-def _closed_form_log_evidence(data: DataSet, prior: InvGammaParams) -> float:
-    n, s = data.n, data.squared_deviation_sum()
-    a2, b2 = prior.alpha + n / 2.0, prior.beta + s / 2.0
-    return float(-n / 2.0 * math.log(2 * math.pi) + prior.alpha * math.log(prior.beta)
-                 + gammaln(a2) - gammaln(prior.alpha) - a2 * math.log(b2))
-
-
 def test_conjugate_posterior_and_evidence():
     t0 = time.monotonic()
     rng = np.random.default_rng(12345)
@@ -325,7 +318,7 @@ def test_conjugate_posterior_and_evidence():
 
         spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
         lq = log_evidence(spec, data)
-        lc = _closed_form_log_evidence(data, prior)
+        lc = closed_form_log_evidence(data, prior)
         worst_rel = max(worst_rel, abs(lq - lc) / max(1.0, abs(lc)))
     elapsed = time.monotonic() - t0
     ok = worst_l1 < 1e-3 and worst_rel < 1e-6 and elapsed < 60.0

@@ -265,6 +265,27 @@ def test_fit_variance_with_a_huge_prior_scale(workdir, capsys, beta, code):
         _assert_one_error_line(err)
 
 
+@pytest.mark.parametrize(
+    "setting, match",
+    [("prior_beta = 1e-300", "peak at an edge"), ("prior_alpha = 1e-300", "is not finite")],
+    ids=["tiny-scale", "tiny-shape"],
+)
+def test_fit_variance_with_a_tiny_prior_exits_4_without_a_warning(workdir, capsys, setting, match):
+    # a scale of 1e-300 puts the prior's mass 1e180 below the domain scan's
+    # reach of the likelihood peak; a shape of 1e-300 makes both quantiles
+    # infinite
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
+    cfg = _write(workdir, "f.ini", f"[inference]\n{setting}\n\n[io]\ninput = returns.csv\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
+    assert not caught
+    err = capsys.readouterr().err
+    _assert_one_error_line(err)
+    assert match in err
+    assert not list(workdir.glob("o/*"))
+
+
 HUGE_SHAPE_FIT = "[inference]\nprior_alpha = 1e308\nmax_doublings = 6\n\n[io]\ninput = returns.csv\n"
 HUGE_SHAPE_MODELS = (
     "[inference]\nmodels = gaussian-known-mean, exponential\nmodel_priors = 0.5, 0.5\n"

@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import gammaln
+from scipy.special import logsumexp
 
 from betsim.errors import ConvergenceError
 from betsim.inference import (
@@ -24,8 +24,10 @@ from betsim.inference import (
     gaussian_variance_loglik,
     log_evidence,
     model_posteriors,
+    _logsumexp,
     select_model,
 )
+from oracle import closed_form_log_evidence
 
 
 def _dataset(seed=0, n=30, mu=0.4, sigma=1.2):
@@ -166,19 +168,12 @@ def test_posterior_concentrates_on_truth():
 # ---------------------------------------------------------------------------
 # evidence quadrature
 
-def _closed_form_log_evidence(data, prior):
-    n, s = data.n, data.squared_deviation_sum()
-    a2, b2 = prior.alpha + n / 2.0, prior.beta + s / 2.0
-    return float(-n / 2.0 * math.log(2 * math.pi) + prior.alpha * math.log(prior.beta)
-                 + gammaln(a2) - gammaln(prior.alpha) - a2 * math.log(b2))
-
-
 def test_log_evidence_gaussian_matches_closed_form():
     data = _dataset(seed=2, n=17)
     prior = InvGammaParams(2.5, 1.5)
     spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
     assert log_evidence(spec, data) == pytest.approx(
-        _closed_form_log_evidence(data, prior), abs=1e-8
+        closed_form_log_evidence(data, prior), abs=1e-8
     )
 
 
@@ -189,7 +184,20 @@ def test_log_evidence_small_prior_shape_matches_closed_form(alpha):
     prior = InvGammaParams(alpha, 2.0)
     spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior, max_doublings=8)
     assert log_evidence(spec, data) == pytest.approx(
-        _closed_form_log_evidence(data, prior), abs=1e-8
+        closed_form_log_evidence(data, prior), abs=1e-8
+    )
+
+
+@pytest.mark.parametrize("beta", [1e-10, 1e-30, 1e-60, 1e-100])
+def test_log_evidence_small_prior_scale_matches_closed_form(beta):
+    # on the prior's own range the integrand is about -1e28 nats at
+    # beta = 1e-30, where gmax - 46 rounds back to gmax: the domain scan
+    # must compare differences
+    data = _dataset(seed=2, n=50, mu=0.0, sigma=1.0)
+    prior = InvGammaParams(3.0, beta)
+    spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
+    assert log_evidence(spec, data) == pytest.approx(
+        closed_form_log_evidence(data, prior), rel=1e-6
     )
 
 
@@ -264,12 +272,102 @@ def test_log_evidence_without_a_finite_start_fails_at_once(alpha, beta, match):
         log_evidence(spec, _dataset(n=50))
 
 
+@pytest.mark.parametrize("beta", [1e-200, 1e-300])
+def test_log_evidence_fails_when_the_domain_scan_cannot_reach_the_peak(beta):
+    # the prior's quantiles sit near beta, the likelihood peaks near 1, and
+    # 200 rounds of 8x widening reach only a factor 8**200 = 1e180
+    spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=InvGammaParams(3.0, beta))
+    with pytest.raises(ConvergenceError, match="peak at an edge after 200 rounds"):
+        log_evidence(spec, _dataset(n=50))
+
+
 def test_likelihoods_overflow_to_minus_inf_without_a_warning():
     data = DataSet(np.array([0.5, 1.0, 2.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert gaussian_variance_loglik(data, 1e308) == -math.inf
         assert exponential_loglik(data, 1e308) == -math.inf
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp
+
+def _trapezoid_grids():
+    # a log integrand on a uniform grid with trapezoid weights, as
+    # log_evidence builds them; clipping the peak makes ties
+    @st.composite
+    def grid(draw):
+        nodes = draw(st.sampled_from([129, 257, 513, 1025, 4097, 16385]))
+        u = np.linspace(draw(st.floats(-50, 0)), draw(st.floats(0.5, 50)), nodes)
+        peak = draw(st.floats(-1e4, 1e4))
+        a = peak - draw(st.floats(1e-3, 1e4)) * (u - draw(st.floats(-40, 40))) ** 2
+        if draw(st.booleans()):
+            a = np.minimum(a, a.max() - draw(st.floats(0.0, 1.0)))  # repeated maxima
+        w = np.full(nodes, (u[-1] - u[0]) / (nodes - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return a, w
+    return grid()
+
+
+def _lists_with_special_entries():
+    entries = st.one_of(
+        st.floats(-1e3, 1e3),
+        st.sampled_from([-math.inf, math.inf, math.nan, 0.0, 1e308, -1e308]),
+    )
+    weights = st.one_of(st.floats(-2.0, 2.0), st.just(0.0), st.just(1.0))
+
+    @st.composite
+    def case(draw):
+        a = np.array(draw(st.lists(entries, min_size=1, max_size=40)))
+        if draw(st.booleans()):
+            a[: draw(st.integers(1, a.size))] = a.max()  # repeated maxima
+        if not draw(st.booleans()):
+            return a, None
+        return a, np.array(draw(st.lists(weights, min_size=a.size, max_size=a.size)))
+    return case()
+
+
+def _zero_prior_posteriors():
+    # model_posteriors' log posteriors when one of two models has prior 0
+    return st.builds(
+        lambda x, first: (np.array([x, -math.inf] if first else [-math.inf, x]), None),
+        st.floats(-1e6, 1e6),
+        st.booleans(),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_trapezoid_grids(), _lists_with_special_entries(), _zero_prior_posteriors()))
+@example(case=(np.full(5, -math.inf), None))
+@example(case=(np.array([-3.5]), None))
+@example(case=(np.array([7.25]), np.array([0.5])))
+@example(case=(np.array([-1234.5, -math.inf]), None))
+@example(case=(np.array([math.inf, 1.0]), np.array([0.0, 1.0])))
+@example(case=(np.array([1.0, 1.0, 1.0]), np.array([1.0, -1.0, -0.5])))
+def test_logsumexp_is_bit_equal_to_scipy(case):
+    a, b = case
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, b=b)
+    got = _logsumexp(a, b)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+
+
+def test_evidence_never_calls_scipy_logsumexp(monkeypatch):
+    import scipy.special
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.special.logsumexp was called")
+
+    monkeypatch.setattr(scipy.special, "logsumexp", refuse)
+    prior = InvGammaParams(3.0, 2.0)
+    gauss = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
+    expo = ModelSpec(id="e", likelihood_kind=EXPONENTIAL, prior=prior)
+    data = DataSet(np.random.default_rng(3).exponential(1.0, 40))
+    assert math.isfinite(log_evidence(gauss, data))
+    posts = model_posteriors([gauss, expo], [0.5, 0.5], data)
+    assert sum(p.posterior_prob for p in posts) == pytest.approx(1.0)
+    assert model_posteriors([gauss, expo], [1.0, 0.0], data)[1].posterior_prob == 0.0
 
 
 # ---------------------------------------------------------------------------
