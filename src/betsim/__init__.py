@@ -29,7 +29,6 @@ from .core import (
     distinct_posterior_classes,
     heterogeneous_pair_count,
     macro_snapshot,
-    pair_combination_count,
 )
 from .dissipative import (
     DissipativeConfig,
@@ -93,7 +92,6 @@ __all__ = [
     "log_evidence",
     "macro_snapshot",
     "model_posteriors",
-    "pair_combination_count",
     "run_conservative",
     "run_dissipative",
     "sample_mixing",

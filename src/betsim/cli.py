@@ -102,7 +102,11 @@ def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "superstat", seed)
     model = section.model()
     rng = rngmod.stream(section.seed, rngmod.RETURNS)
-    series = generate_returns(model, section.n, section.tau, rng, slow_mixing=section.slow_mixing)
+    try:
+        series = generate_returns(model, section.n, section.tau, rng, slow_mixing=section.slow_mixing)
+    except ValueError as exc:
+        # the mixing law is too extreme for float64 returns
+        raise ConfigError(f"[superstat]: {exc}") from exc
     _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 

@@ -8,7 +8,7 @@ ensemble mean decays toward 0.5.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,17 +52,57 @@ class ConservativeConfig:
 
 @dataclass
 class Trajectory:
-    """Per-step snapshots of one run, including the initial state.
+    """The history of one population: a closed run, or one grain of an open run.
 
-    ``snapshots`` has length steps + 1.  ``wins`` and ``losses`` are
-    the ledgers after each step, ``(steps + 1, N)`` int64 arrays, when
-    the run records them and None otherwise; posteriors are a function
-    of a row pair (``core.posterior_win_many``), so they are not kept.
+    ``snapshots`` starts with the fresh population at ``birth_step`` and
+    gains one per ``advance``.  ``id`` keys the population's bet streams
+    (0 for a closed run).  A removed grain gets ``death_step`` set and its
+    ``ensemble`` dropped.  ``wins`` and ``losses`` are the ledgers after
+    each step, ``(steps + 1, size)`` int64 arrays, when the run records
+    them and None otherwise; posteriors are a function of a row pair
+    (``core.posterior_win_many``), so they are not kept.
     """
 
-    snapshots: list[MacroSnapshot]
+    id: int
+    size: int
+    birth_step: int
+    ensemble: EnsembleState | None
+    snapshots: list[MacroSnapshot] = field(default_factory=list)
+    death_step: int | None = None
     wins: np.ndarray | None = None
     losses: np.ndarray | None = None
+
+    @classmethod
+    def fresh(cls, size: int, id: int = 0, birth_step: int = 0, steps: int | None = None):
+        """A fresh population (every posterior 1) with its birth snapshot; ``steps``
+        preallocates ledger rows for the birth and that many steps after it."""
+        traj = cls(id, size, birth_step, init_ensemble(size))
+        if steps is not None:
+            traj.wins = np.empty((steps + 1, size), dtype=np.int64)
+            traj.losses = np.empty((steps + 1, size), dtype=np.int64)
+        traj.advance(0, birth_step, 0)  # no bets and so no stream: records the birth state
+        return traj
+
+    def advance(self, seed: int, t: int, bets: int, forced: list[ForcedBet] | None = None):
+        """Run and record step t; returns the population's posteriors.
+
+        The step books ``forced`` when given, else ``bets`` random pairs
+        from the stream keyed (seed, BETS, id, t).  A forced step derives
+        no stream, and neither does a step of 0 bets, which books nothing.
+        """
+        if forced is not None or bets >= 1:
+            gen = None if forced is not None else rngmod.stream(seed, rngmod.BETS, self.id, t)
+            step_conservative(self.ensemble, gen, bets, forced)
+        posteriors = self.ensemble.posteriors()
+        self.snapshots.append(macro_snapshot(posteriors, t))
+        if self.wins is not None:
+            self.wins[t - self.birth_step] = self.ensemble.wins
+            self.losses[t - self.birth_step] = self.ensemble.losses
+        return posteriors
+
+    @property
+    def mean_series(self) -> np.ndarray:
+        return np.array([s.mean_posterior for s in self.snapshots], dtype=np.float64)
 
 
 def init_ensemble(n: int) -> EnsembleState:
@@ -156,20 +196,8 @@ def run_conservative(
     """
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
-    state = init_ensemble(config.n_microstates)
-    traj = Trajectory([])
-    if record_microstates:
-        shape = (config.steps + 1, config.n_microstates)
-        traj.wins = np.empty(shape, dtype=np.int64)
-        traj.losses = np.empty(shape, dtype=np.int64)
-    for t in range(config.steps + 1):
-        if t > 0 and forced_schedule is not None:
-            step_conservative(state, None, config.bets_per_step, forced_schedule[t - 1])
-        elif t > 0:
-            gen = rngmod.stream(config.seed, rngmod.BETS, 0, t)
-            step_conservative(state, gen, config.bets_per_step)
-        traj.snapshots.append(macro_snapshot(state.posteriors(), t))
-        if record_microstates:
-            traj.wins[t] = state.wins
-            traj.losses[t] = state.losses
+    traj = Trajectory.fresh(config.n_microstates, steps=config.steps if record_microstates else None)
+    for t in range(1, config.steps + 1):
+        forced = None if forced_schedule is None else forced_schedule[t - 1]
+        traj.advance(config.seed, t, config.bets_per_step, forced)
     return traj

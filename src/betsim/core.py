@@ -132,25 +132,6 @@ def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins: int, total_los
     return l_w / (l_w + l_l)
 
 
-def pair_combination_count(n_states: int, k: int) -> int:
-    """Number of k-subsets, with the extra C(N-k, k) term when N-k > 2.
-
-    Returns ``C(N, k) + C(N-k, k)`` when ``N - k > 2``; otherwise just
-    ``C(N, k)``.  For N=5, k=2 this gives 10 + 3 = 13.  Arithmetic is
-    exact arbitrary-precision integer math, so the result cannot
-    overflow for any N (verified in tests up to N = 10**4).
-    """
-    if int(n_states) != n_states or int(k) != k:
-        raise ValueError("counts must be integers")
-    n_states, k = int(n_states), int(k)
-    if not n_states >= k >= 1:
-        raise ValueError(f"need N >= k >= 1, got N={n_states}, k={k}")
-    base = math.comb(n_states, k)
-    if n_states - k > 2:
-        return base + math.comb(n_states - k, k)
-    return base
-
-
 def boltzmann_entropy(omega: float) -> float:
     """Boltzmann entropy ln(omega) in nats (k_B normalized to 1)."""
     if omega <= 0:

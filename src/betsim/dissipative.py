@@ -10,13 +10,13 @@ keep the system away from global equilibrium indefinitely.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import rng as rngmod
-from .conservative import init_ensemble, step_conservative
-from .core import EnsembleState, MacroSnapshot, macro_snapshot
+from .conservative import Trajectory
+from .core import MacroSnapshot, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
@@ -89,28 +89,6 @@ class DissipativeConfig:
 
 
 @dataclass
-class GrainTrack:
-    """One coarse grain: a sub-ensemble with its own ledgers, and its history.
-
-    ``snapshots[0]`` is the grain's freshly initialized state at
-    ``birth_step``; one snapshot is appended for every step the grain
-    participates in.  ``death_step`` stays None while the grain lives;
-    at removal it is set and ``ensemble`` is dropped (set to None).
-    """
-
-    id: int
-    size: int
-    birth_step: int
-    ensemble: EnsembleState | None
-    snapshots: list[MacroSnapshot] = field(default_factory=list)
-    death_step: int | None = None
-
-    @property
-    def mean_series(self) -> np.ndarray:
-        return np.array([s.mean_posterior for s in self.snapshots], dtype=np.float64)
-
-
-@dataclass
 class DissipativeState:
     """Run state and outcome: living grains plus the recorded series.
 
@@ -121,22 +99,19 @@ class DissipativeState:
     """
 
     config: DissipativeConfig
-    grains: list[GrainTrack]
+    grains: list[Trajectory]
     step: int
-    grain_tracks: dict[int, GrainTrack]
+    grain_tracks: dict[int, Trajectory]
     pooled: list[MacroSnapshot]
 
 
 def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
-    """Add a fresh grain (all posteriors 1) born at step t; returns its posteriors."""
-    ensemble = init_ensemble(size)
-    posteriors = ensemble.posteriors()
-    grain = GrainTrack(
-        len(state.grain_tracks), size, t, ensemble, [macro_snapshot(posteriors, t)]
-    )
+    """Add a fresh grain born at step t; returns its posteriors, which are
+    exactly 1 while no ledger holds a loss (the posterior rule's no-loss case)."""
+    grain = Trajectory.fresh(size, len(state.grain_tracks), t)
     state.grains.append(grain)
     state.grain_tracks[grain.id] = grain
-    return posteriors
+    return np.ones(size)
 
 
 def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
@@ -193,14 +168,8 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
     """
     cfg = state.config
     t = state.step + 1
-    posts = []  # this step's posteriors, aligned with state.grains
-    for grain in state.grains:
-        bets = _grain_bets(cfg, grain.size)
-        if bets >= 1:
-            gen = rngmod.stream(cfg.seed, rngmod.BETS, grain.id, t)
-            step_conservative(grain.ensemble, gen, bets)
-        posts.append(grain.ensemble.posteriors())
-        grain.snapshots.append(macro_snapshot(posts[-1], t))
+    # this step's posteriors, aligned with state.grains
+    posts = [grain.advance(cfg.seed, t, _grain_bets(cfg, grain.size)) for grain in state.grains]
     if cfg.injection_prob > 0 or cfg.removal_prob > 0:
         # without churn neither draw can change anything, so the stream is skipped
         topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
@@ -222,7 +191,7 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
     """First index s with |mean - 0.5| < eps_eq for all of [s, s + sustain).
 
     ``series`` is a mean-posterior sequence (or anything with a
-    ``mean_series`` attribute, e.g. a GrainTrack); the returned value
+    ``mean_series`` attribute, e.g. a grain's Trajectory); the returned value
     indexes that series.  The sustain window must fit entirely inside
     the observed series; a run that ends while still inside the band
     does not count as converged.  Returns None when no window

@@ -28,7 +28,6 @@ import numpy as np
 
 from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
 from .core import MacroSnapshot, histogram_edges, posterior_win_many
-from .dissipative import GrainTrack
 from .errors import ConfigError, DataError
 from .inference import ModelPosterior
 from .superstat import ReturnSeries
@@ -255,7 +254,7 @@ def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     ))
 
 
-def emit_grains_csv(tracks: dict[int, GrainTrack], path) -> None:
+def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:
     """Per-step summary of every grain that ever lived."""
     _write_csv(path, "step,grain,size,birth_step,mean_posterior,entropy", (
         f"{snap.step},{gid},{tracks[gid].size},{tracks[gid].birth_step},"

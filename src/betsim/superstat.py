@@ -122,20 +122,27 @@ def generate_returns(
     constant model reduces to N(0, sigma0^2 * tau) either way.
 
     Draw order is fixed (variances first, then normals) so a seeded
-    generator reproduces the same series exactly.
+    generator reproduces the same series exactly.  Raises ValueError
+    when a sample is not finite: an extreme law can draw an infinite
+    variance, and a sum can pass the float range.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    if model.kind == CONSTANT:
-        z = rng.standard_normal((n, tau))
-        samples = model.sigma0 * z.sum(axis=1)
-    else:
-        shape = (n, 1) if slow_mixing else (n, tau)
-        sigma = np.sqrt(sample_mixing(model, rng, shape))
-        z = rng.standard_normal((n, tau))
-        samples = (sigma * z).sum(axis=1)
+    # infinite variances and overflowing sums fail the finiteness check below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if model.kind == CONSTANT:
+            z = rng.standard_normal((n, tau))
+            samples = model.sigma0 * z.sum(axis=1)
+        else:
+            shape = (n, 1) if slow_mixing else (n, tau)
+            sigma = np.sqrt(sample_mixing(model, rng, shape))
+            z = rng.standard_normal((n, tau))
+            samples = (sigma * z).sum(axis=1)
+    bad = np.count_nonzero(~np.isfinite(samples))
+    if bad:
+        raise ValueError(f"{bad} of {n} generated returns are not finite")
     return ReturnSeries(tau=tau, samples=samples)
 
 

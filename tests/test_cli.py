@@ -506,6 +506,14 @@ OVERFLOW_EXPONENTIAL = (
         # 8e17 bytes: past any address space, so the allocation fails at once
         ("gen-returns", f"[superstat]\nn = {10**17}\n", "", [], 2),
         ("sim-dissipative", HUGE_HISTOGRAM, "", [], 2),
+        # variance draws of inf: the gamma variates underflow to 0
+        ("gen-returns", "[superstat]\nalpha = 0.001\nbeta = 1.0\nn = 2000\n", "", [], 2),
+        (
+            "gen-returns",
+            "[superstat]\nkind = generalized-inverse-gamma\nalpha = 1\nbeta = 1e200\n"
+            "gamma = 0.001\nn = 200\n",
+            "", [], 2,
+        ),
     ],
     ids=[
         "fit-variance-nan",
@@ -528,6 +536,8 @@ OVERFLOW_EXPONENTIAL = (
         "returns-overflow-exponential",
         "superstat-n-10**17",
         "histogram-bins-10**17",
+        "superstat-variance-inf",
+        "superstat-volatility-overflow",
     ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
@@ -701,6 +711,48 @@ def test_argv_keeps_the_exit_code_contract(command, config, out, flags):
                     _assert_finite_csv(Path(out_dir, name))
         finally:
             os.chdir(cwd)
+
+
+SUPERSTAT_FLOATS = st.floats(1e-300, 1e300)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["inverse-gamma", "generalized-inverse-gamma", "constant"]),
+    alpha=SUPERSTAT_FLOATS,
+    beta=SUPERSTAT_FLOATS,
+    gamma=SUPERSTAT_FLOATS,
+    sigma0=SUPERSTAT_FLOATS,
+    n=st.integers(1, 20),
+    tau=st.integers(1, 4),
+    slow_mixing=st.booleans(),
+)
+def test_gen_returns_keeps_the_exit_code_contract(
+    kind, alpha, beta, gamma, sigma0, n, tau, slow_mixing
+):
+    config = (
+        f"[superstat]\nkind = {kind}\nalpha = {alpha!r}\nbeta = {beta!r}\n"
+        f"gamma = {gamma!r}\nsigma0 = {sigma0!r}\nn = {n}\ntau = {tau}\n"
+        f"slow_mixing = {str(slow_mixing).lower()}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = _write(Path(tmp), "c.ini", config), os.path.join(tmp, "o")
+        err = io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("error")
+            code = dispatch(["gen-returns", "--config", cfg, "--out", out])
+        assert code in (0, 2), config
+        if code == 2:
+            _assert_one_error_line(err.getvalue())
+            assert not os.listdir(out)
+            return
+        assert err.getvalue() == ""
+        values = read_returns_csv(os.path.join(out, "returns.csv")).samples
+        assert values.size == n and np.isfinite(values).all()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

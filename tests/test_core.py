@@ -16,7 +16,6 @@ from betsim.core import (
     distinct_posterior_classes,
     heterogeneous_pair_count,
     macro_snapshot,
-    pair_combination_count,
     population_moments,
     posterior_win_many,
 )
@@ -114,30 +113,6 @@ def test_vectorized_rejects_empty_ledger():
 
 # ---------------------------------------------------------------------------
 # configuration counting and entropy
-
-def test_pair_combination_small_case():
-    # 5 states, pairs of 2: C(5,2) + C(3,2) = 10 + 3
-    assert pair_combination_count(5, 2) == 13
-
-
-def test_pair_combination_no_extra_term_when_remainder_small():
-    # N - k <= 2 leaves no room for a second disjoint pair
-    assert pair_combination_count(4, 2) == 6
-    assert pair_combination_count(3, 2) == 3
-
-
-def test_pair_combination_large_arguments_exact():
-    n = 10_000
-    got = pair_combination_count(n, 2)
-    assert got == math.comb(n, 2) + math.comb(n - 2, 2)
-
-
-def test_pair_combination_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        pair_combination_count(2, 3)
-    with pytest.raises(ValueError):
-        pair_combination_count(5, 0)
-
 
 def test_boltzmann_entropy_values():
     assert boltzmann_entropy(1) == 0.0

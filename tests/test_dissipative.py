@@ -1,11 +1,14 @@
 """Unit tests for the coarse-grained open system."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from betsim import dissipative
 from betsim import rng as rngmod
-from betsim.conservative import ConservativeConfig, run_conservative
+from betsim.conservative import ConservativeConfig, Trajectory, run_conservative
 from betsim.core import EnsembleState
 from betsim.io import emit_histogram_csv
 from betsim.dissipative import (
@@ -69,16 +72,52 @@ def test_flat_budget_rule():
     assert state.grains[1].ensemble.losses.sum() == 3
 
 
+def _assert_same_snapshots(got, expect):
+    """Snapshots equal field by field; NaN moments (a degenerate population) match NaN."""
+    assert len(got) == len(expect)
+    for a, b in zip(got, expect):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+                assert np.array_equal(x, y), (a.step, f.name)
+            else:
+                assert x == y or (math.isnan(x) and math.isnan(y)), (a.step, f.name, x, y)
+
+
 def test_single_grain_matches_conservative_run():
     """One grain with no injection or removal is exactly the closed system."""
-    n, f, seed, steps = 16, 0.5, 11, 60
-    diss = run_dissipative(DissipativeConfig(steps=steps, grain_sizes=(n,), seed=seed, bets_fraction=f))
-    cons = run_conservative(
-        ConservativeConfig(steps=steps, n_microstates=n, bets_per_step=int(f * n / 2), seed=seed)
+    seed, steps = 11, 300
+    for n, bets in [(50, 1), (50, 3), (5, 2), (750, 187)]:
+        diss = run_dissipative(
+            DissipativeConfig(steps=steps, grain_sizes=(n,), seed=seed, bets_per_grain=bets)
+        )
+        cfg = ConservativeConfig(steps=steps, n_microstates=n, bets_per_step=bets, seed=seed)
+        cons = run_conservative(cfg, record_microstates=True)
+        _assert_same_snapshots(diss.grain_tracks[0].snapshots, cons.snapshots)
+        # the last recorded ledger row is the run's final ensemble
+        assert np.array_equal(cons.wins[-1], cons.ensemble.wins)
+        assert np.array_equal(cons.losses[-1], cons.ensemble.losses)
+
+
+def test_churned_grains_match_fresh_populations():
+    """Every grain of a churn run, born or removed at any step, is the
+    population that the shared step method makes from its id, size and
+    birth step on the same stream keys."""
+    cfg = DissipativeConfig(
+        steps=40, grain_sizes=(30, 12), seed=6, injection_prob=1.0, removal_prob=1.0,
+        injection_size_range=(4, 40),
     )
-    got = diss.grain_tracks[0].mean_series
-    expect = [s.mean_posterior for s in cons.snapshots]
-    assert np.array_equal(got, np.array(expect))
+    result = run_dissipative(cfg)
+    assert len(result.grain_tracks) == 42
+    assert any(track.death_step is not None and track.birth_step > 0
+               for track in result.grain_tracks.values())
+    for gid, track in result.grain_tracks.items():
+        fresh = Trajectory.fresh(track.size, gid, track.birth_step)
+        last = track.snapshots[-1].step
+        for t in range(track.birth_step + 1, last + 1):
+            fresh.advance(cfg.seed, t, dissipative._grain_bets(cfg, track.size))
+        assert last == (cfg.steps if track.death_step is None else track.death_step)
+        _assert_same_snapshots(fresh.snapshots, track.snapshots)
 
 
 def test_run_shapes_and_reproducibility():
