@@ -55,7 +55,6 @@ from .superstat import (
     ReturnSeries,
     generate_returns,
     invgamma_logpdf,
-    sample_mixing,
     sample_moments,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "model_posteriors",
     "run_conservative",
     "run_dissipative",
-    "sample_mixing",
     "sample_moments",
     "select_model",
     "smooth_series",

@@ -24,14 +24,12 @@ import sys
 from . import __version__
 from . import io as csvio
 from . import rng as rngmod
-from .config import RunConfig, parse_config
+from .config import IoConfig, RunConfig, SuperstatConfig, parse_config
 from .conservative import run_conservative
 from .dissipative import run_dissipative
 from .errors import ConfigError, ConvergenceError, DataError
 from .inference import (
     DataSet,
-    InvGammaParams,
-    ModelSpec,
     conjugate_variance_posterior,
     log_evidence,
     model_posteriors,
@@ -57,6 +55,15 @@ def _require(config: RunConfig, name: str, seed: int | None = None):
     return section if seed is None else section.with_seed(seed)
 
 
+def _run(name: str, run, *args):
+    """Call ``run``, reporting its ValueError as an error of the ``[name]``
+    section: a configured size too large for numpy to allocate, say."""
+    try:
+        return run(*args)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from exc
+
+
 def _emit(writer, *args) -> None:
     """Call a CSV writer, whose last argument is the output path, and report it."""
     writer(*args)
@@ -65,9 +72,8 @@ def _emit(writer, *args) -> None:
 
 def _cmd_sim_conservative(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "conservative", seed)
-    io_cfg = config.io
-    record = io_cfg.write_microstates if io_cfg is not None else True
-    trajectory = run_conservative(section, record_microstates=record)
+    record = (config.io or IoConfig()).write_microstates
+    trajectory = _run("conservative", run_conservative, section, record)
     _emit(csvio.emit_trajectory_csv, trajectory.snapshots, os.path.join(out_dir, "trajectory.csv"))
     if record:
         _emit(csvio.emit_microstates_csv, trajectory, os.path.join(out_dir, "microstates.csv"))
@@ -85,13 +91,11 @@ def _histogram_steps(total_steps: int, every: int) -> list[int]:
 
 def _cmd_sim_dissipative(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "dissipative", seed)
-    io_cfg = config.io
-    bins = io_cfg.histogram_bins if io_cfg is not None else 50
-    every = io_cfg.histogram_every if io_cfg is not None else 0
-    result = run_dissipative(section, bins=bins)
+    io_cfg = config.io or IoConfig()
+    result = _run("dissipative", run_dissipative, section, io_cfg.histogram_bins)
     _emit(csvio.emit_trajectory_csv, result.pooled, os.path.join(out_dir, "trajectory.csv"))
     _emit(csvio.emit_grains_csv, result.grain_tracks, os.path.join(out_dir, "grains.csv"))
-    for step in _histogram_steps(section.steps, every):
+    for step in _histogram_steps(section.steps, io_cfg.histogram_every):
         # result.pooled holds one snapshot per step, starting at step 0
         path = os.path.join(out_dir, f"histogram_{step}.csv")
         _emit(csvio.emit_histogram_csv, result.pooled[step], path)
@@ -102,20 +106,19 @@ def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "superstat", seed)
     model = section.model()
     rng = rngmod.stream(section.seed, rngmod.RETURNS)
-    try:
-        series = generate_returns(model, section.n, section.tau, rng, slow_mixing=section.slow_mixing)
-    except ValueError as exc:
-        # the mixing law is too extreme for float64 returns
-        raise ConfigError(f"[superstat]: {exc}") from exc
+    # a ValueError here: the mixing law is too extreme for float64 returns
+    series = _run(
+        "superstat", generate_returns, model, section.n, section.tau, rng, section.slow_mixing
+    )
     _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 
 
 def _input_series(config: RunConfig, reader):
-    io_cfg = config.io
-    if io_cfg is None or not io_cfg.input:
+    path = (config.io or IoConfig()).input
+    if not path:
         raise ConfigError("config must set [io] input = <path>")
-    return reader(io_cfg.input)
+    return reader(path)
 
 
 # fit-variance, compare-models and ingest are deterministic: they take
@@ -126,14 +129,8 @@ def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "inference")
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
-    prior = InvGammaParams(section.prior_alpha, section.prior_beta)
-    spec = ModelSpec(
-        id="gaussian-known-mean",
-        likelihood_kind="gaussian-known-mean",
-        prior=prior,
-        max_doublings=section.max_doublings,
-        rel_tol=section.rel_tol,
-    )
+    spec = section.fit_model()
+    prior = spec.prior
     try:
         posterior = conjugate_variance_posterior(prior, data)
         evidence = log_evidence(spec, data)
@@ -160,18 +157,7 @@ def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "inference")
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
-    specs = [
-        ModelSpec(
-            id=kind,
-            likelihood_kind=kind,
-            prior=InvGammaParams(alpha, beta),
-            max_doublings=section.max_doublings,
-            rel_tol=section.rel_tol,
-        )
-        for kind, alpha, beta in zip(
-            section.models, section.model_alphas, section.model_betas
-        )
-    ]
+    specs = section.compared_models()
     try:
         posteriors = model_posteriors(specs, section.model_priors, data)
     except ValueError as exc:
@@ -185,7 +171,7 @@ def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
 
 
 def _cmd_ingest(config: RunConfig, out_dir, seed) -> int:
-    tau = config.superstat.tau if config.superstat is not None else 1
+    tau = (config.superstat or SuperstatConfig()).tau
     series = _input_series(config, lambda path: csvio.ingest_price_csv(path, tau))
     _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0

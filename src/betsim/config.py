@@ -23,10 +23,10 @@ from typing import Callable
 
 from . import rng as rngmod
 from .conservative import ConservativeConfig
-from .dissipative import DissipativeConfig
+from .dissipative import DEFAULT_BINS, DissipativeConfig
 from .errors import ConfigError
-from .inference import LIKELIHOOD_KINDS
-from .superstat import CONSTANT, GENERALIZED, KINDS, MixingModel
+from .inference import GAUSSIAN_KNOWN_MEAN, InvGammaParams, ModelSpec
+from .superstat import CONSTANT, GENERALIZED, MixingModel
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,12 @@ class SuperstatConfig:
     slow_mixing: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         rngmod.check_seed(self.seed)
-        self.model()  # validate the distribution parameters eagerly
+        self.model()  # validate the kind and the distribution parameters eagerly
 
     def model(self) -> MixingModel:
         if self.kind == CONSTANT:
@@ -69,7 +67,8 @@ class InferenceConfig:
     """Prior, known mean, and model-comparison settings.
 
     ``models`` lists likelihood kinds; ``model_priors``,
-    ``model_alphas`` and ``model_betas`` run parallel to it.
+    ``model_alphas`` and ``model_betas`` run parallel to it.  The section
+    builds the model specs its commands run, and those check their values.
     """
 
     mu: float = 0.0
@@ -79,35 +78,39 @@ class InferenceConfig:
     model_priors: tuple[float, ...] = (0.5, 0.5)
     model_alphas: tuple[float, ...] = (3.0, 3.0)
     model_betas: tuple[float, ...] = (2.0, 2.0)
-    max_doublings: int = 24
-    rel_tol: float = 1e-8
+    max_doublings: int = ModelSpec.max_doublings
+    rel_tol: float = ModelSpec.rel_tol
 
     def __post_init__(self):
-        if self.prior_alpha <= 0 or self.prior_beta <= 0:
-            raise ValueError("prior_alpha and prior_beta must be positive")
         if len(self.models) == 0:
             raise ValueError("at least one model is required")
-        for kind in self.models:
-            if kind not in LIKELIHOOD_KINDS:
-                raise ValueError(f"unknown likelihood kind {kind!r}")
         k = len(self.models)
-        for name, seq in (
-            ("model_priors", self.model_priors),
-            ("model_alphas", self.model_alphas),
-            ("model_betas", self.model_betas),
-        ):
-            if len(seq) != k:
+        for name in ("model_priors", "model_alphas", "model_betas"):
+            if len(getattr(self, name)) != k:
                 raise ValueError(f"{name} must have one entry per model ({k})")
         if any(p < 0 for p in self.model_priors):
             raise ValueError("model_priors must be nonnegative")
         if abs(sum(self.model_priors) - 1.0) > 1e-9:
             raise ValueError("model_priors must sum to 1")
-        if any(a <= 0 for a in self.model_alphas) or any(b <= 0 for b in self.model_betas):
-            raise ValueError("model hyperparameters must be positive")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        self.fit_model()
+        self.compared_models()
+
+    def _spec(self, kind: str, alpha: float, beta: float) -> ModelSpec:
+        return ModelSpec(
+            id=kind,
+            likelihood_kind=kind,
+            prior=InvGammaParams(alpha, beta),
+            max_doublings=self.max_doublings,
+            rel_tol=self.rel_tol,
+        )
+
+    def fit_model(self) -> ModelSpec:
+        """The Gaussian known-mean model of ``prior_alpha``/``prior_beta``."""
+        return self._spec(GAUSSIAN_KNOWN_MEAN, self.prior_alpha, self.prior_beta)
+
+    def compared_models(self) -> list[ModelSpec]:
+        """One model per ``models`` entry, in order, each with its kind as id."""
+        return [self._spec(*m) for m in zip(self.models, self.model_alphas, self.model_betas)]
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class IoConfig:
 
     input: str = ""
     write_microstates: bool = True
-    histogram_bins: int = 50
+    histogram_bins: int = DEFAULT_BINS
     histogram_every: int = 0
 
     def __post_init__(self):

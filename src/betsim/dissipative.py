@@ -95,10 +95,12 @@ class DissipativeState:
     ``grains`` lists the living grains in id order, which is also birth
     order; ``grain_tracks`` maps the id of every grain that ever lived to
     its record, so ids run from 0 to ``len(grain_tracks) - 1``.
-    ``pooled`` holds one pooled snapshot (``counts`` set) per step.
+    ``pooled`` holds one pooled snapshot per step, whose ``counts`` has
+    ``bins`` entries at every step of the run.
     """
 
     config: DissipativeConfig
+    bins: int
     grains: list[Trajectory]
     step: int
     grain_tracks: dict[int, Trajectory]
@@ -115,8 +117,9 @@ def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
 
 
 def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
-    """One grain per configured size, each freshly initialized (all posteriors 1)."""
-    state = DissipativeState(config=config, grains=[], step=0, grain_tracks={}, pooled=[])
+    """One grain per configured size, each freshly initialized (all posteriors
+    1); ``bins`` is the pooled histogram's bin count for the whole run."""
+    state = DissipativeState(config, bins, grains=[], step=0, grain_tracks={}, pooled=[])
     posts = [_add_grain(state, size, 0) for size in config.grain_sizes]
     state.pooled.append(superposed_distribution(posts, 0, bins))
     return state
@@ -150,7 +153,7 @@ def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
     )
 
 
-def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> DissipativeState:
+def step_dissipative(state: DissipativeState) -> DissipativeState:
     """Advance the whole system by one step.
 
     In order: (1) every living grain runs one conservative step with
@@ -159,7 +162,8 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
     own stream keyed (seed, grain id, step); (2) Bernoulli injection of
     a fresh grain with uniform size in ``injection_size_range``;
     (3) Bernoulli removal per ``removal_policy``, refused as a no-op
-    when a single grain remains; (4) pooled snapshot appended.
+    when a single grain remains; (4) pooled snapshot appended, over the
+    ``state.bins`` bins that ``init_grains`` fixed.
 
     Injection and removal draw from the step's topology stream, which is
     derived only when one of their probabilities is positive; grain
@@ -183,7 +187,7 @@ def step_dissipative(state: DissipativeState, bins: int = DEFAULT_BINS) -> Dissi
             removed.death_step = t
             removed.ensemble = None
     state.step = t
-    state.pooled.append(superposed_distribution(posts, t, bins))
+    state.pooled.append(superposed_distribution(posts, t, state.bins))
     return state
 
 
@@ -215,7 +219,7 @@ def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> Diss
     """Full deterministic run; the final state holds per-grain tracks and pooled series."""
     state = init_grains(config, bins)
     for _ in range(config.steps):
-        step_dissipative(state, bins)
+        step_dissipative(state)
     return state
 
 

@@ -88,23 +88,22 @@ def invgamma_logpdf(x, alpha: float, beta: float):
     return float(out) if np.isscalar(x) else out
 
 
-def sample_mixing(model: MixingModel, rng: np.random.Generator, size=None):
-    """Draw variance samples sigma^2 from the mixing model.
+def _sample_mixing(model: MixingModel, rng: np.random.Generator, size) -> np.ndarray:
+    """An array of shape ``size`` of variance samples sigma^2 from the mixing model.
 
     Gamma variates come from numpy's Generator.gamma (Marsaglia-Tsang
     squeeze-rejection); any rejected proposals are consumed from the
-    same stream, so a fixed generator state replays exactly.  Returns a
-    scalar for size=None, else an array of the requested shape.
+    same stream, so a fixed generator state replays exactly.  An
+    extreme law can draw infinite variances; ``generate_returns``
+    checks for them.
     """
     if model.kind == CONSTANT:
-        s2 = model.sigma0**2
-        return s2 if size is None else np.full(size, s2, dtype=np.float64)
+        return np.full(size, model.sigma0**2, dtype=np.float64)
     g = rng.gamma(model.alpha, 1.0, size)
     if model.kind == INVERSE_GAMMA:
-        out = model.beta / g
-    else:  # generalized: the law mixes sigma, so square the draw
-        out = (model.beta / g ** (1.0 / model.gamma)) ** 2
-    return float(out) if size is None else out
+        return model.beta / g
+    # generalized: the law mixes sigma, so square the draw
+    return (model.beta / g ** (1.0 / model.gamma)) ** 2
 
 
 def generate_returns(
@@ -137,7 +136,7 @@ def generate_returns(
             samples = model.sigma0 * z.sum(axis=1)
         else:
             shape = (n, 1) if slow_mixing else (n, tau)
-            sigma = np.sqrt(sample_mixing(model, rng, shape))
+            sigma = np.sqrt(_sample_mixing(model, rng, shape))
             z = rng.standard_normal((n, tau))
             samples = (sigma * z).sum(axis=1)
     bad = np.count_nonzero(~np.isfinite(samples))

@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 
 from betsim import __version__
 from betsim.cli import dispatch
+from betsim.config import IoConfig, RunConfig, SuperstatConfig, emit_config, parse_config
+from betsim.errors import ConfigError
 from betsim.inference import MAX_NODES
 from betsim.io import read_returns_csv
 
@@ -476,6 +478,8 @@ BIG_SEED = f"seed = {2**64}\n"
 OVERFLOW_FIT = "[inference]\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
 OVERFLOW_RETURNS = "i,value\n0,1e200\n1,-1e200\n2,3e199\n"
 HUGE_HISTOGRAM = f"[dissipative]\nsteps = 1\n\n[io]\nhistogram_bins = {10**17}\n"
+# 2**62 elements: numpy refuses the array size before allocating anything
+TOO_BIG = 2**62
 OVERFLOW_EXPONENTIAL = (
     "[inference]\nmodels = exponential\nmodel_priors = 1.0\nmodel_alphas = 3.0\n"
     "model_betas = 2.0\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
@@ -514,6 +518,23 @@ OVERFLOW_EXPONENTIAL = (
             "gamma = 0.001\nn = 200\n",
             "", [], 2,
         ),
+        (
+            "sim-conservative",
+            f"[conservative]\nsteps = 3\nn_microstates = {TOO_BIG}\n\n"
+            "[io]\nwrite_microstates = false\n",
+            "", [], 2,
+        ),
+        ("sim-conservative", f"[conservative]\nsteps = {TOO_BIG}\nn_microstates = 4\n", "", [], 2),
+        (
+            "sim-dissipative",
+            f"[dissipative]\nsteps = 3\ngrain_sizes = {TOO_BIG}\nbets_per_grain = 1\n",
+            "", [], 2,
+        ),
+        (
+            "sim-dissipative",
+            f"[dissipative]\nsteps = 1\ngrain_sizes = 4\n\n[io]\nhistogram_bins = {TOO_BIG}\n",
+            "", [], 2,
+        ),
     ],
     ids=[
         "fit-variance-nan",
@@ -538,6 +559,10 @@ OVERFLOW_EXPONENTIAL = (
         "histogram-bins-10**17",
         "superstat-variance-inf",
         "superstat-volatility-overflow",
+        "n-microstates-2**62",
+        "conservative-steps-2**62",
+        "grain-size-2**62",
+        "histogram-bins-2**62",
     ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
@@ -546,6 +571,59 @@ def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, d
     assert dispatch([command, "--config", cfg, "--out", "o"] + extra) == code
     _assert_one_error_line(capsys.readouterr().err)
     assert not list(workdir.glob("o/*"))  # nothing written
+
+
+INFERENCE_KEYS = "[inference]\n{}\n\n[io]\ninput = in.csv\n"
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "prior_alpha = 0",
+        "prior_beta = -1",
+        "models = gaussian-known-mean, lognormal",
+        "model_alphas = 3.0, 0",
+        "max_doublings = 0",
+        "rel_tol = 0",
+        "model_priors = 0.6, 0.6",
+        "model_betas = 2.0",
+    ],
+)
+def test_inference_checks_keep_their_exit_code(workdir, capsys, setting):
+    config = INFERENCE_KEYS.format(setting)
+    with pytest.raises(ConfigError, match=r"invalid \[inference\] configuration"):
+        parse_config(config)
+    _write(workdir, "in.csv", "i,value\n0,1.0\n1,2.0\n")
+    cfg = _write(workdir, "c.ini", config)
+    for command in ("fit-variance", "compare-models"):
+        assert dispatch([command, "--config", cfg, "--out", "o"]) == 2
+        _assert_one_error_line(capsys.readouterr().err)
+    assert not list(workdir.glob("o/*"))
+
+
+DEFAULT_SECTIONS = emit_config(RunConfig(superstat=SuperstatConfig(), io=IoConfig()))
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sim-conservative", CONSERVATIVE),
+        ("sim-dissipative", "[dissipative]\nsteps = 30\ngrain_sizes = 6, 10\nseed = 2\n"),
+        ("ingest", ""),
+    ],
+)
+def test_a_missing_section_means_its_defaults(workdir, command, config):
+    _write(workdir, "in.csv", "t,price\n0,10.0\n1,11.0\n2,10.5\n3,12.0\n")
+    # ingest needs [io] input, so there only [superstat] is left out
+    missing = config + ("\n[io]\ninput = in.csv\n" if command == "ingest" else "")
+    spelled = config + DEFAULT_SECTIONS.replace("input = \n", "input = in.csv\n")
+    outputs = []
+    for name, text in (("missing", missing), ("spelled", spelled)):
+        cfg = _write(workdir, f"{name}.ini", text)
+        assert dispatch([command, "--config", cfg, "--out", name]) == 0
+        outputs.append({p.name: p.read_bytes() for p in (workdir / name).iterdir()})
+    assert outputs[0] == outputs[1]
+    assert outputs[0]
 
 
 def _assert_one_error_line(err):

@@ -6,7 +6,7 @@ import os
 import tempfile
 import typing
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 import pytest
@@ -319,6 +319,36 @@ def test_parse_requires_steps():
 def test_parse_rejects_invariant_violation():
     with pytest.raises(ConfigError, match="invalid \\[conservative\\]"):
         parse_config("[conservative]\nsteps = -4\n")
+
+
+INFERENCE_SECTIONS = [
+    InferenceConfig(),
+    InferenceConfig(
+        mu=0.25, prior_alpha=0.5, prior_beta=7.0, models=("exponential",),
+        model_priors=(1.0,), model_alphas=(1.5,), model_betas=(0.25,),
+        max_doublings=5, rel_tol=1e-6,
+    ),
+]
+
+
+@pytest.mark.parametrize("section", INFERENCE_SECTIONS)
+def test_inference_section_builds_the_model_specs(section):
+    # the specs fit-variance and compare-models built from the keys by hand
+    quadrature = dict(max_doublings=section.max_doublings, rel_tol=section.rel_tol)
+    fit = ModelSpec(
+        id=GAUSSIAN_KNOWN_MEAN,
+        likelihood_kind=GAUSSIAN_KNOWN_MEAN,
+        prior=InvGammaParams(section.prior_alpha, section.prior_beta),
+        **quadrature,
+    )
+    compared = [
+        ModelSpec(id=kind, likelihood_kind=kind, prior=InvGammaParams(a, b), **quadrature)
+        for kind, a, b in zip(section.models, section.model_alphas, section.model_betas)
+    ]
+    assert asdict(section.fit_model()) == asdict(fit)
+    assert [asdict(spec) for spec in section.compared_models()] == [
+        asdict(spec) for spec in compared
+    ]
 
 
 def test_parse_rejects_duplicate_section():

@@ -130,6 +130,18 @@ def test_run_shapes_and_reproducibility():
     assert [p.mean for p in a.pooled] != [p.mean for p in c.pooled]
 
 
+def test_bin_count_is_fixed_for_the_run():
+    cfg = DissipativeConfig(steps=3, grain_sizes=(6, 8), seed=1, injection_prob=1.0)
+    state = init_grains(cfg, bins=7)
+    assert state.bins == 7
+    for _ in range(cfg.steps):
+        step_dissipative(state)
+    assert [len(p.counts) for p in state.pooled] == [7] * (cfg.steps + 1)
+    assert [p.counts.tolist() for p in state.pooled] == [
+        p.counts.tolist() for p in run_dissipative(cfg, bins=7).pooled
+    ]
+
+
 def test_pooled_histogram_accounts_for_everyone(tmp_path):
     cfg = DissipativeConfig(steps=5, grain_sizes=(9, 14, 21), seed=2)
     result = run_dissipative(cfg, bins=17)

@@ -9,9 +9,9 @@ from betsim.core import population_moments
 from betsim.superstat import (
     MixingModel,
     ReturnSeries,
+    _sample_mixing,
     generate_returns,
     invgamma_logpdf,
-    sample_mixing,
     sample_moments,
 )
 
@@ -51,25 +51,24 @@ def test_invgamma_logpdf_scalar_and_validation():
 def test_constant_mixing_is_exact():
     model = MixingModel(kind="constant", sigma0=0.7)
     rng = rngmod.stream(0, rngmod.GENERIC)
-    assert sample_mixing(model, rng) == pytest.approx(0.49)
-    arr = sample_mixing(model, rng, size=5)
+    arr = _sample_mixing(model, rng, size=5)
     assert arr.shape == (5,)
     assert np.allclose(arr, 0.49, atol=1e-15)
 
 
 def test_inverse_gamma_mixing_distribution():
     model = MixingModel(kind="inverse-gamma", alpha=4.0, beta=4.0)
-    draws = sample_mixing(model, rngmod.stream(0, rngmod.GENERIC), size=20_000)
+    draws = _sample_mixing(model, rngmod.stream(0, rngmod.GENERIC), size=20_000)
     ks = stats.kstest(draws, stats.invgamma(4.0, scale=4.0).cdf)
     assert ks.pvalue > 1e-3, f"mixing draws off distribution (p={ks.pvalue:.2e})"
 
 
 def test_generalized_mixing_distribution():
-    # sample_mixing returns sigma^2; undo the transform and the
+    # _sample_mixing returns sigma^2; undo the transform and the
     # underlying draw must be Gamma(alpha, 1)
     alpha, beta, gamma = 3.0, 1.5, 2.0
     model = MixingModel(kind="generalized-inverse-gamma", alpha=alpha, beta=beta, gamma=gamma)
-    s2 = sample_mixing(model, rngmod.stream(1, rngmod.GENERIC), size=20_000)
+    s2 = _sample_mixing(model, rngmod.stream(1, rngmod.GENERIC), size=20_000)
     g = (beta / np.sqrt(s2)) ** gamma
     ks = stats.kstest(g, stats.gamma(alpha).cdf)
     assert ks.pvalue > 1e-3, f"mixing draws off distribution (p={ks.pvalue:.2e})"
