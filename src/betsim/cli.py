@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 from . import __version__
@@ -213,8 +214,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _first_missing(path) -> str | None:
+    """The outermost directory that creating ``path`` makes, or None when
+    ``path`` already exists."""
+    path = os.path.abspath(path)
+    first = None
+    while not os.path.lexists(path):
+        first, path = path, os.path.dirname(path)
+    return first
+
+
 def dispatch(argv) -> int:
-    """Parse argv, run the selected command, return the exit code."""
+    """Parse argv, run the selected command, return the exit code.
+
+    A command that does not exit 0 removes the output directory it
+    created, with any directories it created above it; an ``--out``
+    directory that existed before is left as it is.
+    """
+    created, code = None, 1
     try:
         args = _build_parser().parse_args(argv)
         if args.seed is not None:
@@ -223,17 +240,22 @@ def dispatch(argv) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad value for --seed: {exc}") from exc
         config = _load_config(args.config)
+        created = _first_missing(args.out)
         out_dir = csvio.ensure_out_dir(args.out)
-        return _COMMANDS[args.command][0](config, out_dir, args.seed)
+        code = _COMMANDS[args.command][0](config, out_dir, args.seed)
     except SystemExit as exc:  # --help and --version, which exit 0
-        return int(exc.code or 0)
+        code = int(exc.code or 0)
     except (ConfigError, DataError, ConvergenceError, MemoryError) as exc:
         detail = str(exc)
         if isinstance(exc, MemoryError):
             detail = f"out of memory: {detail}" if detail else "out of memory"
         # one line, whatever the message quotes (a path, a config line)
         print("error: " + " ".join(detail.splitlines()), file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        code = next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    finally:
+        if code != 0 and created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+    return code
 
 
 def main() -> None:

@@ -60,7 +60,9 @@ class Trajectory:
     ``ensemble`` dropped.  ``wins`` and ``losses`` are the ledgers after
     each step, ``(steps + 1, size)`` int64 arrays, when the run records
     them and None otherwise; posteriors are a function of a row pair
-    (``core.posterior_win_many``), so they are not kept.
+    (``core.posterior_win_many``), so they are not kept.  ``streams``
+    serves the bet streams while a run knows the population lives every
+    step ahead, and is None otherwise.
     """
 
     id: int
@@ -71,6 +73,7 @@ class Trajectory:
     death_step: int | None = None
     wins: np.ndarray | None = None
     losses: np.ndarray | None = None
+    streams: rngmod.StreamStepper | None = None
 
     @classmethod
     def fresh(cls, size: int, id: int = 0, birth_step: int = 0, steps: int | None = None):
@@ -87,12 +90,18 @@ class Trajectory:
         """Run and record step t; returns the population's posteriors.
 
         The step books ``forced`` when given, else ``bets`` random pairs
-        from the stream keyed (seed, BETS, id, t).  A forced step derives
-        no stream, and neither does a step of 0 bets, which books nothing.
+        from the stream keyed (seed, BETS, id, t), which ``streams``
+        serves when set.  A forced step derives no stream, and neither
+        does a step of 0 bets, which books nothing.
         """
-        if forced is not None or bets >= 1:
-            gen = None if forced is not None else rngmod.stream(seed, rngmod.BETS, self.id, t)
-            step_conservative(self.ensemble, gen, bets, forced)
+        if forced is not None:
+            step_conservative(self.ensemble, None, bets, forced)
+        elif bets >= 1:
+            if self.streams is not None:
+                gen = self.streams.at(t)
+            else:
+                gen = rngmod.stream(seed, rngmod.BETS, self.id, t)
+            step_conservative(self.ensemble, gen, bets)
         posteriors = self.ensemble.posteriors()
         self.snapshots.append(macro_snapshot(posteriors, t))
         if self.wins is not None:
@@ -124,8 +133,11 @@ def step_conservative(
     gain one win and one loss each; the carried totals grow by the bets.
     Random pairs are the leading ``2 * bets_per_step`` entries of a
     shuffle of range(n), and one fair coin per pair picks its first index
-    on heads.  ``forced``, an explicit (pair, winner) list, replaces them
-    for replaying hand-specified bet sequences in tests and demos.
+    on heads.  A one-bet step draws its coin as a scalar, which gives the
+    same value and leaves the generator in the same state as the array
+    draw of one coin.  ``forced``, an explicit (pair, winner) list,
+    replaces them for replaying hand-specified bet sequences in tests and
+    demos.
     """
     n = state.size
     if forced is not None:
@@ -142,6 +154,7 @@ def step_conservative(
             seen.update((i, j))
         winners = np.array([w for _, w in forced], dtype=np.int64)
         losers = np.array([i + j - w for (i, j), w in forced], dtype=np.int64)
+        bets = len(forced)
     else:
         if rng is None:
             raise ValueError("rng required unless a forced bet list is given")
@@ -149,15 +162,20 @@ def step_conservative(
             raise ValueError("bets_per_step must be >= 1")
         if 2 * bets_per_step > n:
             raise ValueError(f"cannot draw {bets_per_step} disjoint pairs from {n} microstates")
-        idx = rng.permutation(n)[: 2 * bets_per_step]
-        heads = rng.integers(0, 2, size=bets_per_step) == 0
-        winners = np.where(heads, idx[0::2], idx[1::2])
-        losers = np.where(heads, idx[1::2], idx[0::2])
+        bets = bets_per_step
+        if bets == 1:
+            i, j = rng.permutation(n)[:2].tolist()
+            winners, losers = (i, j) if rng.integers(0, 2) == 0 else (j, i)
+        else:
+            idx = rng.permutation(n)[: 2 * bets]
+            heads = rng.integers(0, 2, size=bets) == 0
+            winners = np.where(heads, idx[0::2], idx[1::2])
+            losers = np.where(heads, idx[1::2], idx[0::2])
     # the pairs are disjoint, so no index repeats and each update is exact
     state.wins[winners] += 1
     state.losses[losers] += 1
-    state.total_wins += winners.size
-    state.total_losses += losers.size
+    state.total_wins += bets
+    state.total_losses += bets
     # every bet books one win and one loss; the gap stays at the size
     assert int(state.wins.sum()) == state.total_wins == state.total_losses + n
     assert int(state.losses.sum()) == state.total_losses
@@ -190,14 +208,19 @@ def run_conservative(
 
     Each step draws its betting randomness from an independent stream
     keyed on (seed, step), so replays are bit-identical and unrelated
-    runs can execute in parallel.  ``forced_schedule`` (one forced bet
-    list per step) replaces the random schedule when given; its length
-    must equal ``config.steps``.
+    runs can execute in parallel; a random run takes the streams from a
+    ``StreamStepper``, which derives the same ones a block at a time.
+    ``forced_schedule`` (one forced bet list per step) replaces the
+    random schedule when given; its length must equal ``config.steps``.
     """
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
     traj = Trajectory.fresh(config.n_microstates, steps=config.steps if record_microstates else None)
+    if forced_schedule is None:
+        # the ensemble lives every step, so its streams are derived a block at a time
+        traj.streams = rngmod.StreamStepper(config.seed, rngmod.BETS, traj.id, config.steps)
     for t in range(1, config.steps + 1):
         forced = None if forced_schedule is None else forced_schedule[t - 1]
         traj.advance(config.seed, t, config.bets_per_step, forced)
+    traj.streams = None
     return traj

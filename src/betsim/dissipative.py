@@ -216,10 +216,23 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
 
 
 def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
-    """Full deterministic run; the final state holds per-grain tracks and pooled series."""
+    """Full deterministic run; the final state holds per-grain tracks and pooled series.
+
+    Without churn every grain lives every step, so each grain that bets
+    takes its streams from a ``StreamStepper`` for the run; the same
+    streams, derived a block at a time.
+    """
     state = init_grains(config, bins)
+    if config.injection_prob == 0 and config.removal_prob == 0:
+        for grain in state.grains:
+            if _grain_bets(config, grain.size) >= 1:
+                grain.streams = rngmod.StreamStepper(
+                    config.seed, rngmod.BETS, grain.id, config.steps
+                )
     for _ in range(config.steps):
         step_dissipative(state)
+    for grain in state.grains:
+        grain.streams = None
     return state
 
 

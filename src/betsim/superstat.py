@@ -89,7 +89,8 @@ def invgamma_logpdf(x, alpha: float, beta: float):
 
 
 def _sample_mixing(model: MixingModel, rng: np.random.Generator, size) -> np.ndarray:
-    """An array of shape ``size`` of variance samples sigma^2 from the mixing model.
+    """An array of shape ``size`` of variance samples sigma^2 from a mixing
+    model whose variance fluctuates (any kind but ``constant``).
 
     Gamma variates come from numpy's Generator.gamma (Marsaglia-Tsang
     squeeze-rejection); any rejected proposals are consumed from the
@@ -97,8 +98,6 @@ def _sample_mixing(model: MixingModel, rng: np.random.Generator, size) -> np.nda
     extreme law can draw infinite variances; ``generate_returns``
     checks for them.
     """
-    if model.kind == CONSTANT:
-        return np.full(size, model.sigma0**2, dtype=np.float64)
     g = rng.gamma(model.alpha, 1.0, size)
     if model.kind == INVERSE_GAMMA:
         return model.beta / g

@@ -11,6 +11,11 @@ must give the same arrays, or the same ``DataError`` text, on any file.
 ``closed_form_log_evidence`` is the conjugate evidence of a known-mean
 Gaussian under an inverse-gamma prior, which the quadrature in
 ``betsim.inference.log_evidence`` must match.
+``seeded_stream`` seeds a generator through SeedSequence on the key tuple,
+and ``array_bet_step`` books random bets with array draws; the reference
+runs ``closed_run`` and ``grain_run`` use both at every step, so the
+package's block-derived streams and one-bet scalar draws must give the
+same trajectories.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from betsim.core import Moments
+from betsim.core import EnsembleState, MacroSnapshot, Moments, macro_snapshot
 from betsim.errors import DataError
 
 
@@ -193,3 +198,66 @@ def closed_form_log_evidence(data, prior) -> float:
     a2, b2 = prior.alpha + n / 2.0, prior.beta + s / 2.0
     return float(-n / 2.0 * math.log(2 * math.pi) + prior.alpha * math.log(prior.beta)
                  + gammaln(a2) - gammaln(prior.alpha) - a2 * math.log(b2))
+
+
+BETS = 0  # betsim.rng.BETS, the purpose slot of bet streams
+
+
+def seeded_stream(seed: int, purpose: int, sub: int, step: int) -> np.random.Generator:
+    """The generator keyed (seed, purpose, sub, step): PCG64 seeded through
+    a SeedSequence on the key tuple."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, purpose, sub, step))))
+
+
+def array_bet_step(state: EnsembleState, rng: np.random.Generator, bets: int) -> None:
+    """Book ``bets`` random bets in place: the leading 2 * bets entries of a
+    shuffle of range(n) pair up, and one coin per pair, drawn as an array,
+    picks the pair's first index on heads."""
+    idx = rng.permutation(state.size)[: 2 * bets]
+    heads = rng.integers(0, 2, size=bets) == 0
+    state.wins[np.where(heads, idx[0::2], idx[1::2])] += 1
+    state.losses[np.where(heads, idx[1::2], idx[0::2])] += 1
+    state.total_wins += bets
+    state.total_losses += bets
+
+
+def closed_run(seed: int, n: int, bets: int, steps: int):
+    """A closed run of ``steps`` steps: its snapshots and its (steps + 1, n)
+    win and loss ledgers."""
+    state = EnsembleState(np.ones(n), np.zeros(n))
+    snapshots = [macro_snapshot(state.posteriors(), 0)]
+    wins, losses = [state.wins.copy()], [state.losses.copy()]
+    for t in range(1, steps + 1):
+        array_bet_step(state, seeded_stream(seed, BETS, 0, t), bets)
+        snapshots.append(macro_snapshot(state.posteriors(), t))
+        wins.append(state.wins.copy())
+        losses.append(state.losses.copy())
+    return snapshots, np.array(wins), np.array(losses)
+
+
+def grain_run(seed: int, sizes, bets, steps: int, bins: int):
+    """Grains of the given sizes and per-step bets, none injected or removed:
+    each grain's snapshots, the pooled snapshots, and the final ensembles."""
+    grains = [EnsembleState(np.ones(size), np.zeros(size)) for size in sizes]
+    tracks = [[macro_snapshot(g.posteriors(), 0)] for g in grains]
+    pooled = [macro_snapshot(np.concatenate([g.posteriors() for g in grains]), 0, bins)]
+    for t in range(1, steps + 1):
+        posts = []
+        for gid, (grain, b) in enumerate(zip(grains, bets)):
+            if b >= 1:
+                array_bet_step(grain, seeded_stream(seed, BETS, gid, t), b)
+            posts.append(grain.posteriors())
+            tracks[gid].append(macro_snapshot(posts[-1], t))
+        pooled.append(macro_snapshot(np.concatenate(posts), t, bins))
+    return tracks, pooled, grains
+
+
+def same_snapshot(a: MacroSnapshot, b: MacroSnapshot) -> bool:
+    """Field for field equality, NaN equal to NaN and counts compared by value."""
+    fields = ("step", "mean_posterior", "variance", "skewness", "excess_kurtosis", "entropy",
+              "distinct_classes", "heterogeneous_pairs")
+    if any(not np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True) for f in fields):
+        return False
+    if a.counts is None or b.counts is None:
+        return a.counts is None and b.counts is None
+    return np.array_equal(a.counts, b.counts)

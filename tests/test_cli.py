@@ -484,6 +484,26 @@ OVERFLOW_EXPONENTIAL = (
     "[inference]\nmodels = exponential\nmodel_priors = 1.0\nmodel_alphas = 3.0\n"
     "model_betas = 2.0\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
 )
+# (command, config) runs whose configured sizes numpy refuses
+TOO_BIG_RUNS = [
+    (
+        "sim-conservative",
+        f"[conservative]\nsteps = 3\nn_microstates = {TOO_BIG}\n\n"
+        "[io]\nwrite_microstates = false\n",
+    ),
+    ("sim-conservative", f"[conservative]\nsteps = {TOO_BIG}\nn_microstates = 4\n"),
+    ("sim-dissipative", f"[dissipative]\nsteps = 3\ngrain_sizes = {TOO_BIG}\nbets_per_grain = 1\n"),
+    (
+        "sim-dissipative",
+        f"[dissipative]\nsteps = 1\ngrain_sizes = 4\n\n[io]\nhistogram_bins = {TOO_BIG}\n",
+    ),
+]
+TOO_BIG_IDS = [
+    "n-microstates-2**62",
+    "conservative-steps-2**62",
+    "grain-size-2**62",
+    "histogram-bins-2**62",
+]
 
 
 @pytest.mark.parametrize(
@@ -518,23 +538,7 @@ OVERFLOW_EXPONENTIAL = (
             "gamma = 0.001\nn = 200\n",
             "", [], 2,
         ),
-        (
-            "sim-conservative",
-            f"[conservative]\nsteps = 3\nn_microstates = {TOO_BIG}\n\n"
-            "[io]\nwrite_microstates = false\n",
-            "", [], 2,
-        ),
-        ("sim-conservative", f"[conservative]\nsteps = {TOO_BIG}\nn_microstates = 4\n", "", [], 2),
-        (
-            "sim-dissipative",
-            f"[dissipative]\nsteps = 3\ngrain_sizes = {TOO_BIG}\nbets_per_grain = 1\n",
-            "", [], 2,
-        ),
-        (
-            "sim-dissipative",
-            f"[dissipative]\nsteps = 1\ngrain_sizes = 4\n\n[io]\nhistogram_bins = {TOO_BIG}\n",
-            "", [], 2,
-        ),
+        *[(command, config, "", [], 2) for command, config in TOO_BIG_RUNS],
     ],
     ids=[
         "fit-variance-nan",
@@ -559,10 +563,7 @@ OVERFLOW_EXPONENTIAL = (
         "histogram-bins-10**17",
         "superstat-variance-inf",
         "superstat-volatility-overflow",
-        "n-microstates-2**62",
-        "conservative-steps-2**62",
-        "grain-size-2**62",
-        "histogram-bins-2**62",
+        *TOO_BIG_IDS,
     ],
 )
 def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, data, extra, code):
@@ -570,7 +571,25 @@ def test_bad_input_exits_with_one_error_line(workdir, capsys, command, config, d
     cfg = _write(workdir, "c.ini", config)
     assert dispatch([command, "--config", cfg, "--out", "o"] + extra) == code
     _assert_one_error_line(capsys.readouterr().err)
-    assert not list(workdir.glob("o/*"))  # nothing written
+    assert not (workdir / "o").exists()  # nothing written, no directory left
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [*TOO_BIG_RUNS, ("sim-dissipative", CONSERVATIVE)],
+    ids=[*TOO_BIG_IDS, "missing-section"],
+)
+def test_a_failed_command_removes_the_out_dir_it_made(workdir, capsys, command, config):
+    cfg = _write(workdir, "c.ini", config)
+    assert dispatch([command, "--config", cfg, "--out", "new/o"]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+    assert not (workdir / "new").exists()
+    # an --out directory that was there before stays, with what it held
+    (workdir / "o").mkdir()
+    (workdir / "o" / "keep.txt").write_text("kept")
+    assert dispatch([command, "--config", cfg, "--out", "o"]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+    assert [p.name for p in (workdir / "o").iterdir()] == ["keep.txt"]
 
 
 INFERENCE_KEYS = "[inference]\n{}\n\n[io]\ninput = in.csv\n"
@@ -698,7 +717,7 @@ def test_csv_bytes_keep_the_exit_code_contract(command, header, values, odd_rows
         assert code in (0, 2, 3, 4)
         if code != 0:
             _assert_one_error_line(err.getvalue())
-            assert not os.listdir(out)
+            assert not os.path.exists(out)  # the failed run removed the directory it made
             return
         for name in os.listdir(out):
             _assert_finite_csv(Path(out, name))
@@ -826,7 +845,7 @@ def test_gen_returns_keeps_the_exit_code_contract(
         assert code in (0, 2), config
         if code == 2:
             _assert_one_error_line(err.getvalue())
-            assert not os.listdir(out)
+            assert not os.path.exists(out)  # the failed run removed the directory it made
             return
         assert err.getvalue() == ""
         values = read_returns_csv(os.path.join(out, "returns.csv")).samples

@@ -18,6 +18,7 @@ from betsim.conservative import (
 )
 from betsim.core import posterior_win_many
 from betsim.io import emit_trajectory_csv
+from oracle import array_bet_step, closed_run, same_snapshot
 
 
 def test_init_ensemble_virtual_win():
@@ -245,21 +246,46 @@ def test_run_forced_schedule_length_checked():
         run_conservative(cfg, forced_schedule=[[((0, 1), 0)]])
 
 
-def test_forced_run_derives_no_stream(monkeypatch):
-    from betsim import conservative
-
-    calls = []
-    stream = conservative.rngmod.stream
-
-    def counting_stream(*key):
-        calls.append(key)
-        return stream(*key)
-
-    monkeypatch.setattr(conservative.rngmod, "stream", counting_stream)
+def test_forced_run_derives_no_stream(derived_keys):
     cfg = ConservativeConfig(steps=4, n_microstates=5, bets_per_step=1, seed=0)
     schedule = [[((0, 1), 0)], [((2, 3), 3)], [((1, 4), 4)], [((0, 2), 2)]]
     traj = run_conservative(cfg, record_microstates=True, forced_schedule=schedule)
-    assert calls == []
+    assert derived_keys.streams == derived_keys.blocks == []
     assert traj.wins[-1].tolist() == [2, 1, 2, 2, 2]
     run_conservative(cfg)
-    assert len(calls) == cfg.steps  # a random run derives one per step
+    # a random run derives one state per step, a block at a time
+    assert derived_keys.streams == []
+    assert derived_keys.blocks == [(0, rngmod.BETS, 0, t) for t in range(1, cfg.steps + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 1000), seed=st.integers(0, 2**64 - 1), steps=st.integers(1, 6))
+def test_one_bet_step_matches_the_array_draws(n, seed, steps):
+    # the scalar one-bet path books what the array formula books, and
+    # leaves each generator in the same state, step after step
+    got, want = init_ensemble(n), init_ensemble(n)
+    got_rng, want_rng = rngmod.stream(seed), rngmod.stream(seed)
+    for _ in range(steps):
+        step_conservative(got, got_rng)
+        array_bet_step(want, want_rng, 1)
+        assert got.wins.tolist() == want.wins.tolist()
+        assert got.losses.tolist() == want.losses.tolist()
+        assert (got.total_wins, got.total_losses) == (want.total_wins, want.total_losses)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("bets", [1, 3])
+def test_run_matches_per_step_seeding(bets):
+    # past two block boundaries, field for field
+    steps = 2 * rngmod.CHUNK + 3
+    cfg = ConservativeConfig(steps=steps, n_microstates=12, bets_per_step=bets, seed=2**63 + 9)
+    traj = run_conservative(cfg, record_microstates=True)
+    snapshots, wins, losses = closed_run(cfg.seed, 12, bets, steps)
+    assert (traj.id, traj.size, traj.birth_step, traj.death_step) == (0, 12, 0, None)
+    assert len(traj.snapshots) == len(snapshots) == steps + 1
+    assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
+    assert np.array_equal(traj.wins, wins) and np.array_equal(traj.losses, losses)
+    assert traj.ensemble.wins.tolist() == wins[-1].tolist()
+    assert traj.ensemble.losses.tolist() == losses[-1].tolist()
+    assert traj.ensemble.total_losses == bets * steps
+    assert traj.streams is None  # the run dropped its stepper

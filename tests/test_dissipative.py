@@ -19,6 +19,7 @@ from betsim.dissipative import (
     step_dissipative,
     superposed_distribution,
 )
+from oracle import grain_run, same_snapshot
 
 
 def test_config_validation():
@@ -230,6 +231,51 @@ def test_topology_stream_derived_only_with_churn(monkeypatch, churn, per_step):
     monkeypatch.setattr(dissipative.rngmod, "stream", counting)
     run_dissipative(DissipativeConfig(steps=7, grain_sizes=(6, 8, 10), seed=3, **churn))
     assert purposes.count(rngmod.TOPOLOGY) == 7 * per_step
+
+
+def test_run_matches_per_step_seeding():
+    # past two block boundaries, field for field; grain 3 is too small to bet
+    steps = 2 * rngmod.CHUNK + 3
+    cfg = DissipativeConfig(steps=steps, grain_sizes=(12, 7, 30, 2), seed=2**63 + 1)
+    result = run_dissipative(cfg, bins=20)
+    bets = [dissipative._grain_bets(cfg, size) for size in cfg.grain_sizes]
+    assert bets == [3, 1, 7, 0]
+    tracks, pooled, ensembles = grain_run(cfg.seed, cfg.grain_sizes, bets, steps, 20)
+    assert len(result.pooled) == len(pooled) == steps + 1
+    assert all(same_snapshot(a, b) for a, b in zip(result.pooled, pooled))
+    assert sorted(result.grain_tracks) == [0, 1, 2, 3]
+    for gid, grain in result.grain_tracks.items():
+        assert (grain.id, grain.size, grain.birth_step, grain.death_step) == (
+            gid, cfg.grain_sizes[gid], 0, None
+        )
+        assert all(same_snapshot(a, b) for a, b in zip(grain.snapshots, tracks[gid]))
+        assert grain.ensemble.wins.tolist() == ensembles[gid].wins.tolist()
+        assert grain.ensemble.losses.tolist() == ensembles[gid].losses.tolist()
+        assert grain.streams is None  # the run dropped its stepper
+    assert result.grains == list(result.grain_tracks.values())
+
+
+def test_bet_streams_derived_once_per_grain_step(derived_keys):
+    cfg = DissipativeConfig(steps=7, grain_sizes=(6, 8, 10), seed=3)
+    run_dissipative(cfg)
+    # no churn: each grain's streams come in blocks, none one key at a time
+    assert [k for k in derived_keys.streams if k[1] == rngmod.BETS] == []
+    assert sorted(derived_keys.blocks) == [
+        (3, rngmod.BETS, g, t) for g in range(3) for t in range(1, 8)
+    ]
+    derived_keys.blocks.clear()
+    churn = dataclasses.replace(cfg, injection_prob=0.5, removal_prob=0.5)
+    result = run_dissipative(churn)
+    tracks = result.grain_tracks.values()
+    assert any(g.death_step for g in tracks) and any(g.birth_step for g in tracks)
+    assert derived_keys.blocks == []
+    grain_steps = [
+        (3, rngmod.BETS, g.id, t)
+        for g in tracks
+        for t in range(g.birth_step + 1, (g.death_step or churn.steps) + 1)
+    ]
+    bets_keys = [k for k in derived_keys.streams if k[1] == rngmod.BETS]
+    assert sorted(bets_keys) == sorted(grain_steps)
 
 
 def test_superposed_requires_living_grains():

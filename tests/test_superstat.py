@@ -48,12 +48,11 @@ def test_invgamma_logpdf_scalar_and_validation():
 # ---------------------------------------------------------------------------
 # mixing draws
 
-def test_constant_mixing_is_exact():
+def test_constant_returns_are_scaled_normal_sums():
     model = MixingModel(kind="constant", sigma0=0.7)
-    rng = rngmod.stream(0, rngmod.GENERIC)
-    arr = _sample_mixing(model, rng, size=5)
-    assert arr.shape == (5,)
-    assert np.allclose(arr, 0.49, atol=1e-15)
+    series = generate_returns(model, 40, 3, rngmod.stream(0, rngmod.GENERIC))
+    z = rngmod.stream(0, rngmod.GENERIC).standard_normal((40, 3))
+    assert np.array_equal(series.samples, 0.7 * z.sum(axis=1))
 
 
 def test_inverse_gamma_mixing_distribution():
