@@ -9,7 +9,7 @@ Each participant starts with one virtual win.  After every step the
 sum of wins minus the sum of losses still equals the population size.
 """
 from betsim import ConservativeConfig, run_conservative
-from betsim.core import posterior_win_many
+from betsim.core import EnsembleState
 
 # five participants, one or two bets per step
 SCHEDULE = [
@@ -22,7 +22,7 @@ cfg = ConservativeConfig(steps=len(SCHEDULE), n_microstates=5, bets_per_step=2, 
 traj = run_conservative(cfg, record_microstates=True, forced_schedule=SCHEDULE)
 
 for step, (wins, losses) in enumerate(zip(traj.wins, traj.losses)):
-    post = posterior_win_many(wins, losses)
+    post = EnsembleState(wins, losses).posteriors()
     print(f"after step {step}:" if step else "initial state:")
     for i in range(5):
         print(f"  participant {i}: wins={wins[i]} losses={losses[i]} posterior={post[i]:.4f}")

@@ -26,7 +26,7 @@ from .conservative import ConservativeConfig
 from .dissipative import DEFAULT_BINS, DissipativeConfig
 from .errors import ConfigError
 from .inference import GAUSSIAN_KNOWN_MEAN, InvGammaParams, ModelSpec
-from .superstat import CONSTANT, GENERALIZED, MixingModel
+from .superstat import MixingModel
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,8 @@ class SuperstatConfig:
         self.model()  # validate the kind and the distribution parameters eagerly
 
     def model(self) -> MixingModel:
-        if self.kind == CONSTANT:
-            return MixingModel(kind=self.kind, sigma0=self.sigma0)
-        if self.kind == GENERALIZED:
-            return MixingModel(kind=self.kind, alpha=self.alpha, beta=self.beta, gamma=self.gamma)
-        return MixingModel(kind=self.kind, alpha=self.alpha, beta=self.beta)
+        """The mixing law; it checks and reads the parameters its kind needs."""
+        return MixingModel(self.kind, self.alpha, self.beta, self.gamma, self.sigma0)
 
     def with_seed(self, seed: int) -> "SuperstatConfig":
         return replace(self, seed=seed)
@@ -78,7 +75,6 @@ class InferenceConfig:
     model_priors: tuple[float, ...] = (0.5, 0.5)
     model_alphas: tuple[float, ...] = (3.0, 3.0)
     model_betas: tuple[float, ...] = (2.0, 2.0)
-    max_doublings: int = ModelSpec.max_doublings
     rel_tol: float = ModelSpec.rel_tol
 
     def __post_init__(self):
@@ -96,13 +92,8 @@ class InferenceConfig:
         self.compared_models()
 
     def _spec(self, kind: str, alpha: float, beta: float) -> ModelSpec:
-        return ModelSpec(
-            id=kind,
-            likelihood_kind=kind,
-            prior=InvGammaParams(alpha, beta),
-            max_doublings=self.max_doublings,
-            rel_tol=self.rel_tol,
-        )
+        prior = InvGammaParams(alpha, beta)
+        return ModelSpec(id=kind, likelihood_kind=kind, prior=prior, rel_tol=self.rel_tol)
 
     def fit_model(self) -> ModelSpec:
         """The Gaussian known-mean model of ``prior_alpha``/``prior_beta``."""

@@ -59,10 +59,10 @@ class Trajectory:
     (0 for a closed run).  A removed grain gets ``death_step`` set and its
     ``ensemble`` dropped.  ``wins`` and ``losses`` are the ledgers after
     each step, ``(steps + 1, size)`` int64 arrays, when the run records
-    them and None otherwise; posteriors are a function of a row pair
-    (``core.posterior_win_many``), so they are not kept.  ``streams``
-    serves the bet streams while a run knows the population lives every
-    step ahead, and is None otherwise.
+    them and None otherwise; a step's posteriors are a function of its
+    rows and their column sums, so they are not kept.  ``streams`` serves
+    the bet streams while a run knows the population lives every step
+    ahead, and is None otherwise.
     """
 
     id: int
@@ -176,8 +176,8 @@ def step_conservative(
     state.losses[losers] += 1
     state.total_wins += bets
     state.total_losses += bets
-    # every bet books one win and one loss; the gap stays at the size
-    assert int(state.wins.sum()) == state.total_wins == state.total_losses + n
+    # every bet books one win and one loss, so the totals keep their gap
+    assert int(state.wins.sum()) == state.total_wins
     assert int(state.losses.sum()) == state.total_losses
     return state
 

@@ -103,27 +103,17 @@ class EnsembleState:
         return _posteriors(self.wins, self.losses, self.total_wins, self.total_losses)
 
 
-def posterior_win_many(wins: np.ndarray, losses: np.ndarray) -> np.ndarray:
+def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins: int, total_losses: int):
     """Posterior probability of profit for every ledger of one ensemble.
 
     With fair marginal odds P(win) = P(loss) = 0.5 the marginals cancel
     and each posterior reduces to ``L_w / (L_w + L_l)`` where the
     likelihoods are empirical frequencies ``L_w = wins/total_wins`` and
-    ``L_l = losses/total_losses`` over the column sums of the arrays.
-    When the ensemble has recorded no losses at all, the loss
-    likelihood is defined as 0 and every posterior is 1.
-
-    Raises
-    ------
-    ValueError
-        Unless the ledgers make an ``EnsembleState``: on an empty ledger
-        (wins = losses = 0, undefined), a negative count, or no win at all.
+    ``L_l = losses/total_losses`` over the ensemble's totals.  When the
+    ensemble has recorded no losses at all, the loss likelihood is
+    defined as 0 and every posterior is 1.  The ledgers are not checked
+    here: an ``EnsembleState`` checks them once.
     """
-    state = EnsembleState(wins, losses)
-    return _posteriors(state.wins, state.losses, state.total_wins, state.total_losses)
-
-
-def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins: int, total_losses: int):
     l_w = wins / total_wins
     if total_losses == 0:
         # loss likelihood defined as 0: every posterior is exactly 1

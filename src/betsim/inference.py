@@ -9,6 +9,7 @@ thousands.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -83,17 +84,16 @@ class DataSet:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One candidate model: likelihood kind, prior, quadrature controls.
+    """One candidate model: likelihood kind, prior, quadrature tolerance.
 
     The evidence quadrature starts on a grid of ``INITIAL_NODES`` nodes;
-    each refinement doubles the interval count, up to ``max_doublings``
-    times and never past ``MAX_NODES`` nodes.
+    each refinement doubles the interval count until two estimates agree
+    within ``rel_tol``, and never past ``MAX_NODES`` nodes.
     """
 
     id: str
     likelihood_kind: str
     prior: InvGammaParams
-    max_doublings: int = 24
     rel_tol: float = 1e-8
 
     def __post_init__(self):
@@ -101,8 +101,6 @@ class ModelSpec:
             raise ValueError(
                 f"likelihood_kind must be one of {LIKELIHOOD_KINDS}, got {self.likelihood_kind!r}"
             )
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
 
@@ -256,8 +254,8 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
 
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
-    estimates, when ``max_doublings`` refinements are not enough or the
-    next grid would pass ``MAX_NODES``, and at once, without them, when
+    estimates, when the estimates have not settled before the next grid
+    would pass ``MAX_NODES``, and at once, without them, when
     the domain or the first estimate is not finite or the domain scan
     cannot bracket the integrand peak.
     """
@@ -283,12 +281,12 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
         raise ConvergenceError(
             f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
         )
-    for doublings in range(1, model.max_doublings + 1):
+    for doublings in itertools.count(1):
         nodes = 2 * nodes - 1
         cur = estimate(nodes)
         if abs(cur - prev) <= model.rel_tol * max(1.0, abs(cur)):
             return cur
-        if doublings == model.max_doublings or 2 * nodes - 1 > MAX_NODES:
+        if 2 * nodes - 1 > MAX_NODES:
             raise ConvergenceError(
                 f"evidence quadrature for model {model.id!r} did not converge "
                 f"after {doublings} doublings ({nodes} nodes, at most {MAX_NODES}); "

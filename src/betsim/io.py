@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
-from .core import MacroSnapshot, histogram_edges, posterior_win_many
+from .core import MacroSnapshot, _posteriors, histogram_edges
 from .errors import ConfigError, DataError
 from .inference import ModelPosterior
 from .superstat import ReturnSeries
@@ -132,17 +132,6 @@ def _read_blocks(path, header: str) -> list[np.ndarray] | None:
     return blocks
 
 
-def _strictly_increasing(blocks: list[np.ndarray]) -> bool:
-    """Whether the first column rises strictly, across block edges too."""
-    last = -math.inf
-    for block in blocks:
-        t = block[:, 0]
-        if not (t[0] > last and (t[1:] > t[:-1]).all()):
-            return False
-        last = t[-1]
-    return True
-
-
 def ingest_price_csv(path, tau: int) -> ReturnSeries:
     """Read a price series and form log-returns over horizon tau.
 
@@ -160,8 +149,8 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
         raise DataError(f"tau must be >= 1, got {tau}")
     blocks = _read_blocks(path, "t,price")
     if blocks:
-        p = np.concatenate([b[:, 1] for b in blocks])
-        if p.size >= tau + 1 and (p > 0).all() and _strictly_increasing(blocks):
+        t, p = np.concatenate(blocks).T
+        if p.size >= tau + 1 and (p > 0).all() and (t[1:] > t[:-1]).all():
             return _log_returns(path, p, tau)
     pairs = _read_pairs(path, ("t,price", "date,price"))
     numeric_time = next(pairs) == "t,price"
@@ -238,7 +227,8 @@ def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     """Per-step, per-participant ledgers; requires a recorded run.
 
     Each step's posteriors are recomputed from its ledger rows, by the
-    function the run used, so they are the run's values bit for bit.
+    kernel the run used on the totals it carried (the rows' column sums),
+    so they are the run's values bit for bit.  The run checked the rows.
     """
     if trajectory.wins is None:
         raise DataError("trajectory carries no per-microstate records")
@@ -246,10 +236,9 @@ def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     # a list holds Python floats, so .12g is what _fmt writes
     _write_csv(path, "step,microstate,wins,losses,posterior", (
         f"{t},{i},{wins},{losses},{posterior:.12g}\n"
-        for t, (step_wins, step_losses) in enumerate(zip(trajectory.wins, trajectory.losses))
+        for t, (w, l) in enumerate(zip(trajectory.wins, trajectory.losses))
         for i, (wins, losses, posterior) in enumerate(zip(
-            step_wins.tolist(), step_losses.tolist(),
-            posterior_win_many(step_wins, step_losses).tolist(),
+            w.tolist(), l.tolist(), _posteriors(w, l, int(w.sum()), int(l.sum())).tolist(),
         ))
     ))
 

@@ -2,7 +2,8 @@
 
 ``posterior_win`` evaluates the posterior-win rule for one ledger
 against explicit ensemble totals, one Python division at a time; the
-tests check the vectorized ``betsim.core.posterior_win_many`` against it.
+tests check the vectorized ``betsim.core.EnsembleState.posteriors``
+against it.
 ``population_moments`` is the ``np.mean`` formulation of the moments
 that ``betsim.core.population_moments`` must reproduce bit for bit.
 ``read_returns_csv`` and ``ingest_price_csv`` parse one row at a time

@@ -17,7 +17,7 @@ from scipy import stats
 
 from betsim.cli import dispatch
 from betsim.conservative import ConservativeConfig, run_conservative
-from betsim.core import posterior_win_many
+from betsim.core import EnsembleState
 from betsim.dissipative import DissipativeConfig, convergence_time, run_dissipative
 from betsim.inference import (
     EXPONENTIAL,
@@ -128,7 +128,7 @@ def test_forced_schedule_replay():
         assert tuple(traj.wins[t].tolist()) == wins, f"wins mismatch at snapshot {t}"
         assert tuple(traj.losses[t].tolist()) == losses, f"losses mismatch at snapshot {t}"
 
-    posteriors = [posterior_win_many(w, l) for w, l in zip(traj.wins, traj.losses)]
+    posteriors = [EnsembleState(w, l).posteriors() for w, l in zip(traj.wins, traj.losses)]
     bad = []
     for t, i, recorded, decimals in REPLAY_POSTERIORS:
         got = float(posteriors[t][i])

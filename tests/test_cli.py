@@ -193,13 +193,16 @@ def test_fit_variance_missing_input_file(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-NOT_CONVERGING = "[inference]\nmax_doublings = 1\nrel_tol = 1e-18\n\n[io]\ninput = returns.csv\n"
+# with 50 N(0, 1) returns the estimate never settles within this rel_tol,
+# so the quadrature runs its grid up to MAX_NODES, in well under a second
+NOT_CONVERGING = (
+    "[inference]\nprior_alpha = 1e6\nprior_beta = 1e6\nrel_tol = 1e-300\n\n"
+    "[io]\ninput = returns.csv\n"
+)
 
 
 def test_fit_variance_convergence_failure_exits_4(workdir, capsys):
-    # a large sample makes the likelihood peak far narrower than the
-    # initial node spacing, so a single grid doubling cannot settle
-    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 5000)))
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 50)))
     cfg = _write(workdir, "f.ini", NOT_CONVERGING)
     assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
     assert "did not converge" in capsys.readouterr().err
@@ -209,12 +212,7 @@ def test_fit_variance_stops_at_the_node_cap_and_exits_4(workdir, capsys):
     # the estimate never settles within this rel_tol; the quadrature stops
     # before its grid passes MAX_NODES instead of running out of memory
     _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 50)))
-    cfg = _write(
-        workdir,
-        "f.ini",
-        "[inference]\nprior_alpha = 1e6\nprior_beta = 1e6\nrel_tol = 1e-300\n\n"
-        "[io]\ninput = returns.csv\n",
-    )
+    cfg = _write(workdir, "f.ini", NOT_CONVERGING)
     assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 4
     err = capsys.readouterr().err
     _assert_one_error_line(err)
@@ -224,11 +222,8 @@ def test_fit_variance_stops_at_the_node_cap_and_exits_4(workdir, capsys):
 def test_fit_variance_with_a_small_prior_shape(workdir, capsys):
     # at this shape the prior's upper quantile is past the float range
     _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
-    cfg = _write(
-        workdir,
-        "f.ini",
-        "[inference]\nprior_alpha = 0.001\nmax_doublings = 8\n\n[io]\ninput = returns.csv\n",
-    )
+    config = "[inference]\nprior_alpha = 0.001\n\n[io]\ninput = returns.csv\n"
+    cfg = _write(workdir, "f.ini", config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == 0
@@ -249,11 +244,8 @@ def test_fit_variance_with_a_huge_prior_scale(workdir, capsys, beta, code):
     # the evidence domain reaches variances where 2 pi sigma^2 overflows;
     # from 1e307 on the prior's upper quantile itself is infinite
     _write(workdir, "returns.csv", _returns_text(np.random.default_rng(2).normal(0, 1, 50)))
-    cfg = _write(
-        workdir,
-        "f.ini",
-        f"[inference]\nprior_beta = {beta}\nmax_doublings = 6\n\n[io]\ninput = returns.csv\n",
-    )
+    config = f"[inference]\nprior_beta = {beta}\n\n[io]\ninput = returns.csv\n"
+    cfg = _write(workdir, "f.ini", config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert dispatch(["fit-variance", "--config", cfg, "--out", "o"]) == code
@@ -288,10 +280,10 @@ def test_fit_variance_with_a_tiny_prior_exits_4_without_a_warning(workdir, capsy
     assert not list(workdir.glob("o/*"))
 
 
-HUGE_SHAPE_FIT = "[inference]\nprior_alpha = 1e308\nmax_doublings = 6\n\n[io]\ninput = returns.csv\n"
+HUGE_SHAPE_FIT = "[inference]\nprior_alpha = 1e308\n\n[io]\ninput = returns.csv\n"
 HUGE_SHAPE_MODELS = (
     "[inference]\nmodels = gaussian-known-mean, exponential\nmodel_priors = 0.5, 0.5\n"
-    "model_alphas = 3.0, 1e308\nmodel_betas = 2.0, 2.0\nmax_doublings = 6\n"
+    "model_alphas = 3.0, 1e308\nmodel_betas = 2.0, 2.0\n"
     "\n[io]\ninput = returns.csv\n"
 )
 
@@ -394,6 +386,18 @@ GOLDEN_CONFIGS = {
         "gamma = 1.5\nn = 400\ntau = 3\nseed = 9\nslow_mixing = true\n",
         None,
     ),
+    "gen-returns-constant": (
+        "gen-returns",
+        "[superstat]\nkind = constant\nsigma0 = 0.7\nn = 400\ntau = 3\nseed = 9\n",
+        None,
+    ),
+    # gamma is set but not read: the inverse-gamma law has no gamma
+    "gen-returns-inverse-gamma": (
+        "gen-returns",
+        "[superstat]\nkind = inverse-gamma\nalpha = 3.0\nbeta = 2.0\n"
+        "gamma = 1.5\nn = 400\ntau = 3\nseed = 9\n",
+        None,
+    ),
     "fit-variance": (
         "fit-variance",
         "[inference]\nmu = 0.1\nprior_alpha = 2.5\nprior_beta = 1.5\n\n[io]\ninput = in.csv\n",
@@ -441,6 +445,12 @@ GOLDEN_DIGESTS = {
     "gen-returns": {
         "returns.csv": "561026068def558d90cfd97af0cdeaa021ea378551f8391d87101fb9fe69fefa",
     },
+    "gen-returns-constant": {
+        "returns.csv": "ded52a11dff5e600f8e0809b9d147ea15861f6926a14b3c920bedfc263ddf4c6",
+    },
+    "gen-returns-inverse-gamma": {
+        "returns.csv": "eb7a59fe3bc3e87a8ec9a43fd826f82eaeca660f6bb2421d9c57ae291b4a54cd",
+    },
     "fit-variance": {
         "fit.csv": "24644a1825e9aee3590dc8b66d0e393cce16ca94585ace3e5cac88ac06e91f22",
     },
@@ -475,14 +485,13 @@ def test_simulation_outputs_match_golden_digests(workdir, case):
 FIT = "[inference]\nmu = 0.0\n\n[io]\ninput = in.csv\n"
 INGEST = "[io]\ninput = in.csv\n"
 BIG_SEED = f"seed = {2**64}\n"
-OVERFLOW_FIT = "[inference]\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
 OVERFLOW_RETURNS = "i,value\n0,1e200\n1,-1e200\n2,3e199\n"
 HUGE_HISTOGRAM = f"[dissipative]\nsteps = 1\n\n[io]\nhistogram_bins = {10**17}\n"
 # 2**62 elements: numpy refuses the array size before allocating anything
 TOO_BIG = 2**62
 OVERFLOW_EXPONENTIAL = (
     "[inference]\nmodels = exponential\nmodel_priors = 1.0\nmodel_alphas = 3.0\n"
-    "model_betas = 2.0\nmax_doublings = 3\n\n[io]\ninput = in.csv\n"
+    "model_betas = 2.0\n\n[io]\ninput = in.csv\n"
 )
 # (command, config) runs whose configured sizes numpy refuses
 TOO_BIG_RUNS = [
@@ -525,7 +534,7 @@ TOO_BIG_IDS = [
         ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv"], 2),
         ("sim-conservative", CONSERVATIVE, "", ["--out", "in.csv/o"], 2),
         ("fit-variance", FIT.replace("0.0", "nan"), "i,value\n0,1.0\n", [], 2),
-        ("fit-variance", OVERFLOW_FIT, OVERFLOW_RETURNS, [], 3),
+        ("fit-variance", FIT, OVERFLOW_RETURNS, [], 3),
         ("compare-models", OVERFLOW_EXPONENTIAL, "i,value\n0,1e308\n1,1e308\n", [], 3),
         # 8e17 bytes: past any address space, so the allocation fails at once
         ("gen-returns", f"[superstat]\nn = {10**17}\n", "", [], 2),
@@ -602,7 +611,6 @@ INFERENCE_KEYS = "[inference]\n{}\n\n[io]\ninput = in.csv\n"
         "prior_beta = -1",
         "models = gaussian-known-mean, lognormal",
         "model_alphas = 3.0, 0",
-        "max_doublings = 0",
         "rel_tol = 0",
         "model_priors = 0.6, 0.6",
         "model_betas = 2.0",
@@ -681,8 +689,8 @@ CSV_ODD_ROWS = st.one_of(
     ),
 )
 FUZZ_CONFIGS = {
-    "fit-variance": (b"i,value", "[inference]\nmax_doublings = 8\n"),
-    "compare-models": (b"i,value", "[inference]\nmax_doublings = 8\n"),
+    "fit-variance": (b"i,value", "[inference]\n"),
+    "compare-models": (b"i,value", "[inference]\n"),
     "ingest": (b"t,price", "[superstat]\ntau = 1\n"),
 }
 
@@ -746,7 +754,7 @@ ARGV_CONFIG = (
     "[conservative]\nsteps = 3\nn_microstates = 6\n\n"
     "[dissipative]\nsteps = 3\ngrain_sizes = 4, 6\n\n"
     "[superstat]\nn = 20\n\n"
-    "[inference]\nmax_doublings = 8\n\n"
+    "[inference]\n\n"
     "[io]\ninput = {input}\n"
 )
 ARGV_COMMANDS = st.sampled_from(
@@ -874,7 +882,7 @@ def test_exit_codes_hold_in_a_fresh_interpreter(workdir):
 
     proc = betsim("--version")
     assert proc.returncode == 0 and __version__ in proc.stdout
-    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 5000)))
+    _write(workdir, "returns.csv", _returns_text(np.random.default_rng(1).normal(0, 1, 50)))
     _write(workdir, "nan.csv", "i,value\n0,nan\n")
     cases = [
         ("absent.ini", None, 2),

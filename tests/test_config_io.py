@@ -7,6 +7,7 @@ import tempfile
 import typing
 import warnings
 from dataclasses import MISSING, asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,7 +145,6 @@ def _all_sections(bets_per_grain):
             model_priors=(0.25, 0.75),
             model_alphas=(1.5, 2.0),
             model_betas=(0.5, 3.0),
-            max_doublings=12,
             rel_tol=1e-10,
         ),
         io=IoConfig(input="data/x.csv", write_microstates=False, histogram_bins=10, histogram_every=5),
@@ -190,7 +190,6 @@ models = exponential,gaussian-known-mean
 model_priors = 0.25,0.75
 model_alphas = 1.5,2.0
 model_betas = 0.5,3.0
-max_doublings = 12
 rel_tol = 1e-10
 
 [io]
@@ -240,6 +239,9 @@ def test_parse_rejects_unknown_key():
     for key in ("smoothing_window", "eps_class"):
         with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(f"[conservative]\nsteps = 1\n{key} = 25\n")
+    # so is the evidence grid's cap, inference.MAX_NODES
+    with pytest.raises(ConfigError, match=r"unknown key 'max_doublings' in section \[inference\]"):
+        parse_config("[inference]\nmax_doublings = 8\n")
 
 
 def test_parse_keys_are_case_sensitive():
@@ -326,7 +328,7 @@ INFERENCE_SECTIONS = [
     InferenceConfig(
         mu=0.25, prior_alpha=0.5, prior_beta=7.0, models=("exponential",),
         model_priors=(1.0,), model_alphas=(1.5,), model_betas=(0.25,),
-        max_doublings=5, rel_tol=1e-6,
+        rel_tol=1e-6,
     ),
 ]
 
@@ -334,15 +336,16 @@ INFERENCE_SECTIONS = [
 @pytest.mark.parametrize("section", INFERENCE_SECTIONS)
 def test_inference_section_builds_the_model_specs(section):
     # the specs fit-variance and compare-models built from the keys by hand
-    quadrature = dict(max_doublings=section.max_doublings, rel_tol=section.rel_tol)
     fit = ModelSpec(
         id=GAUSSIAN_KNOWN_MEAN,
         likelihood_kind=GAUSSIAN_KNOWN_MEAN,
         prior=InvGammaParams(section.prior_alpha, section.prior_beta),
-        **quadrature,
+        rel_tol=section.rel_tol,
     )
     compared = [
-        ModelSpec(id=kind, likelihood_kind=kind, prior=InvGammaParams(a, b), **quadrature)
+        ModelSpec(
+            id=kind, likelihood_kind=kind, prior=InvGammaParams(a, b), rel_tol=section.rel_tol
+        )
         for kind, a, b in zip(section.models, section.model_alphas, section.model_betas)
     ]
     assert asdict(section.fit_model()) == asdict(fit)
@@ -354,6 +357,22 @@ def test_inference_section_builds_the_model_specs(section):
 def test_parse_rejects_duplicate_section():
     with pytest.raises(ConfigError, match="syntax"):
         parse_config("[io]\ninput = a\n[io]\ninput = b\n")
+
+
+def test_readme_config_grammar_lists_every_key():
+    # the ini block under "Config grammar": sections and keys, comments stripped
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config grammar", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    listed: dict[str, list[str]] = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            keys = listed.setdefault(line.strip("[]"), [])
+        elif line:
+            keys.append(line.split("=", 1)[0].strip())
+    assert listed == {
+        name: [f.name for f in fields(section)] for name, section in bconfig._SECTIONS.items()
+    }
 
 
 # ---------------------------------------------------------------------------

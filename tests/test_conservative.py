@@ -16,7 +16,7 @@ from betsim.conservative import (
     smooth_series,
     step_conservative,
 )
-from betsim.core import posterior_win_many
+from betsim.core import EnsembleState
 from betsim.io import emit_trajectory_csv
 from oracle import array_bet_step, closed_run, same_snapshot
 
@@ -124,6 +124,18 @@ def test_step_forced_books_one_win_one_loss():
     assert state.losses.tolist() == [1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("forced", [None, [((0, 1), 0)]], ids=["random", "forced"])
+def test_step_keeps_any_valid_gap(forced):
+    # wins minus losses is 8 here, not the size 4 of a fresh ensemble
+    state = EnsembleState([5, 1, 2, 2], [0, 0, 1, 1])
+    rng = None if forced is not None else np.random.default_rng(0)
+    for _ in range(3):
+        step_conservative(state, rng, 1, forced)
+        assert state.total_wins - state.total_losses == 8
+        assert (state.total_wins, state.total_losses) == (state.wins.sum(), state.losses.sum())
+    assert state.total_losses == 5
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(2, 30),
@@ -219,7 +231,7 @@ def test_run_recorded_ledgers_consistent():
         assert int(wins.sum()) == 6 + 2 * t
         assert int(losses.sum()) == 2 * t
         # posteriors recomputed from the recorded rows are the run's own
-        posteriors = posterior_win_many(wins, losses)
+        posteriors = EnsembleState(wins, losses).posteriors()
         assert traj.snapshots[t].mean_posterior == float(posteriors.mean())
 
 

@@ -12,12 +12,12 @@ from scipy import stats
 from betsim.core import (
     EPS_CLASS,
     EnsembleState,
+    _posteriors,
     boltzmann_entropy,
     distinct_posterior_classes,
     heterogeneous_pair_count,
     macro_snapshot,
     population_moments,
-    posterior_win_many,
 )
 from oracle import BetLedger, EnsembleTotals, posterior_win
 from oracle import population_moments as reference_moments
@@ -99,16 +99,11 @@ def test_vectorized_matches_scalar(wins, losses):
     if w.sum() == 0:
         w[0] = 1
     totals = EnsembleTotals(int(w.sum()), int(l.sum()))
-    many = posterior_win_many(w, l)
+    many = EnsembleState(w, l).posteriors()
     for i in range(n):
         assert many[i] == pytest.approx(
             posterior_win(BetLedger(int(w[i]), int(l[i])), totals), abs=1e-15
         )
-
-
-def test_vectorized_rejects_empty_ledger():
-    with pytest.raises(ValueError, match="empty ledger"):
-        posterior_win_many(np.array([1, 0]), np.array([2, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def _tied_posteriors(rng, n, top):
     losses = rng.integers(0, top + 1, n)
     losses[(wins == 0) & (losses == 0)] = 1
     wins[0] = max(wins[0], 1)
-    return posterior_win_many(wins, losses)
+    return EnsembleState(wins, losses).posteriors()
 
 
 def test_snapshot_census_matches_brute_force_on_tied_posteriors():
@@ -266,7 +261,7 @@ def test_ensemble_state_carries_its_column_sums():
     state = EnsembleState([1, 2, 1], [2, 0, 1])
     assert (state.total_wins, state.total_losses) == (4, 3)
     assert type(state.total_wins) is int and type(state.total_losses) is int
-    assert np.array_equal(state.posteriors(), posterior_win_many(state.wins, state.losses))
+    assert np.array_equal(state.posteriors(), _posteriors(state.wins, state.losses, 4, 3))
 
 
 def test_ensemble_state_posteriors_consistent():
