@@ -138,7 +138,8 @@ def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
     except ValueError as exc:
         # the data's sums overflow the float range
         raise DataError(str(exc)) from exc
-    post_mean = posterior.beta / (posterior.alpha - 1) if posterior.alpha > 1 else float("nan")
+    # the inverse-gamma mean is infinite for a shape of at most 1
+    post_mean = posterior.beta / (posterior.alpha - 1) if posterior.alpha > 1 else float("inf")
     rows = [
         ("n", data.n),
         ("mu", section.mu),

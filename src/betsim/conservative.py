@@ -56,52 +56,53 @@ class Trajectory:
 
     ``snapshots`` starts with the fresh population at ``birth_step`` and
     gains one per ``advance``.  ``id`` keys the population's bet streams
-    (0 for a closed run).  A removed grain gets ``death_step`` set and its
-    ``ensemble`` dropped.  ``wins`` and ``losses`` are the ledgers after
-    each step, ``(steps + 1, size)`` int64 arrays, when the run records
-    them and None otherwise; a step's posteriors are a function of its
-    rows and their column sums, so they are not kept.  ``streams`` serves
-    the bet streams while a run knows the population lives every step
-    ahead, and is None otherwise.
+    (0 for a closed run), which ``streams`` serves.  A removed grain gets
+    ``death_step`` set and drops its ``ensemble`` and ``streams``.
+    ``wins`` and ``losses`` are the ledgers after each step, ``(steps +
+    1, size)`` int64 arrays, when the run records them and None
+    otherwise; a step's posteriors are a function of its rows and their
+    column sums, so they are not kept.
     """
 
     id: int
     size: int
     birth_step: int
     ensemble: EnsembleState | None
+    streams: rngmod.StreamStepper | None
     snapshots: list[MacroSnapshot] = field(default_factory=list)
     death_step: int | None = None
     wins: np.ndarray | None = None
     losses: np.ndarray | None = None
-    streams: rngmod.StreamStepper | None = None
 
     @classmethod
-    def fresh(cls, size: int, id: int = 0, birth_step: int = 0, steps: int | None = None):
-        """A fresh population (every posterior 1) with its birth snapshot; ``steps``
-        preallocates ledger rows for the birth and that many steps after it."""
-        traj = cls(id, size, birth_step, init_ensemble(size))
-        if steps is not None:
-            traj.wins = np.empty((steps + 1, size), dtype=np.int64)
-            traj.losses = np.empty((steps + 1, size), dtype=np.int64)
-        traj.advance(0, birth_step, 0)  # no bets and so no stream: records the birth state
+    def fresh(cls, size: int, seed: int, last: int, id: int = 0, birth_step: int = 0,
+              record: bool = False):
+        """A fresh population (every posterior 1) with its birth snapshot.
+
+        Its bet streams are keyed (seed, BETS, id) for the steps up to
+        ``last``, the run's horizon; ``record`` preallocates a ledger row
+        for the birth and each step up to ``last``.
+        """
+        streams = rngmod.StreamStepper(seed, rngmod.BETS, id, last)
+        traj = cls(id, size, birth_step, init_ensemble(size), streams)
+        if record:
+            traj.wins = np.empty((last - birth_step + 1, size), dtype=np.int64)
+            traj.losses = np.empty((last - birth_step + 1, size), dtype=np.int64)
+        traj.advance(birth_step, 0)  # no bets and so no stream: records the birth state
         return traj
 
-    def advance(self, seed: int, t: int, bets: int, forced: list[ForcedBet] | None = None):
+    def advance(self, t: int, bets: int, forced: list[ForcedBet] | None = None):
         """Run and record step t; returns the population's posteriors.
 
         The step books ``forced`` when given, else ``bets`` random pairs
-        from the stream keyed (seed, BETS, id, t), which ``streams``
-        serves when set.  A forced step derives no stream, and neither
-        does a step of 0 bets, which books nothing.
+        from the step's stream, which ``streams`` serves.  A forced step
+        derives no stream, and neither does a step of 0 bets, which books
+        nothing.
         """
         if forced is not None:
             step_conservative(self.ensemble, None, bets, forced)
         elif bets >= 1:
-            if self.streams is not None:
-                gen = self.streams.at(t)
-            else:
-                gen = rngmod.stream(seed, rngmod.BETS, self.id, t)
-            step_conservative(self.ensemble, gen, bets)
+            step_conservative(self.ensemble, self.streams.at(t), bets)
         posteriors = self.ensemble.posteriors()
         self.snapshots.append(macro_snapshot(posteriors, t))
         if self.wins is not None:
@@ -208,19 +209,16 @@ def run_conservative(
 
     Each step draws its betting randomness from an independent stream
     keyed on (seed, step), so replays are bit-identical and unrelated
-    runs can execute in parallel; a random run takes the streams from a
-    ``StreamStepper``, which derives the same ones a block at a time.
-    ``forced_schedule`` (one forced bet list per step) replaces the
-    random schedule when given; its length must equal ``config.steps``.
+    runs can execute in parallel.  ``forced_schedule`` (one forced bet
+    list per step) replaces the random schedule when given; its length
+    must equal ``config.steps``.
     """
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
-    traj = Trajectory.fresh(config.n_microstates, steps=config.steps if record_microstates else None)
-    if forced_schedule is None:
-        # the ensemble lives every step, so its streams are derived a block at a time
-        traj.streams = rngmod.StreamStepper(config.seed, rngmod.BETS, traj.id, config.steps)
+    traj = Trajectory.fresh(
+        config.n_microstates, config.seed, config.steps, record=record_microstates
+    )
     for t in range(1, config.steps + 1):
         forced = None if forced_schedule is None else forced_schedule[t - 1]
-        traj.advance(config.seed, t, config.bets_per_step, forced)
-    traj.streams = None
+        traj.advance(t, config.bets_per_step, forced)
     return traj

@@ -110,7 +110,8 @@ class DissipativeState:
 def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
     """Add a fresh grain born at step t; returns its posteriors, which are
     exactly 1 while no ledger holds a loss (the posterior rule's no-loss case)."""
-    grain = Trajectory.fresh(size, len(state.grain_tracks), t)
+    cfg = state.config
+    grain = Trajectory.fresh(size, cfg.seed, cfg.steps, len(state.grain_tracks), t)
     state.grains.append(grain)
     state.grain_tracks[grain.id] = grain
     return np.ones(size)
@@ -173,7 +174,7 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
     cfg = state.config
     t = state.step + 1
     # this step's posteriors, aligned with state.grains
-    posts = [grain.advance(cfg.seed, t, _grain_bets(cfg, grain.size)) for grain in state.grains]
+    posts = [grain.advance(t, _grain_bets(cfg, grain.size)) for grain in state.grains]
     if cfg.injection_prob > 0 or cfg.removal_prob > 0:
         # without churn neither draw can change anything, so the stream is skipped
         topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
@@ -185,7 +186,7 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
             removed = state.grains.pop(k)
             posts.pop(k)
             removed.death_step = t
-            removed.ensemble = None
+            removed.ensemble = removed.streams = None
     state.step = t
     state.pooled.append(superposed_distribution(posts, t, state.bins))
     return state
@@ -216,23 +217,10 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
 
 
 def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
-    """Full deterministic run; the final state holds per-grain tracks and pooled series.
-
-    Without churn every grain lives every step, so each grain that bets
-    takes its streams from a ``StreamStepper`` for the run; the same
-    streams, derived a block at a time.
-    """
+    """Full deterministic run; the final state holds per-grain tracks and pooled series."""
     state = init_grains(config, bins)
-    if config.injection_prob == 0 and config.removal_prob == 0:
-        for grain in state.grains:
-            if _grain_bets(config, grain.size) >= 1:
-                grain.streams = rngmod.StreamStepper(
-                    config.seed, rngmod.BETS, grain.id, config.steps
-                )
     for _ in range(config.steps):
         step_dissipative(state)
-    for grain in state.grains:
-        grain.streams = None
     return state
 
 

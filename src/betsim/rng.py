@@ -10,11 +10,12 @@ generator, seeded through a SeedSequence keyed on a fixed-length tuple
 * independent substreams (e.g. the grains of a dissipative run) can be
   processed in any order, or in parallel, without coordination.
 
-A run whose population lives every step ahead takes its bet streams
-from a ``StreamStepper`` instead: ``stream_states`` derives the PCG64
-states of a block of steps in numpy arithmetic, the same states that
-``stream`` seeds one key at a time, and the stepper loads them into one
-reused generator.
+Each population takes its bet streams from a ``StreamStepper``, which
+alone chooses how a step's stream is derived: its first requests one
+key at a time with ``stream``, the rest through ``stream_states``,
+which derives the PCG64 states of a block of steps in numpy arithmetic,
+the same states that ``stream`` seeds, and loads them into one reused
+generator.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ TOPOLOGY = 1   # grain injection/removal decisions
 RETURNS = 2    # synthetic return generation
 GENERIC = 3    # one-off streams (tests, demos)
 
+# requests a StreamStepper serves one key at a time before it derives blocks
+KEYED_STEPS = 16
 # steps whose states a StreamStepper derives at a time
 CHUNK = 256
 
@@ -162,27 +165,31 @@ def stream_states(seed: int, purpose: int, sub: int, steps) -> np.ndarray:
 
 
 class StreamStepper:
-    """The generators of ``stream(seed, purpose, sub, t)`` for steps t up to ``last``.
+    """The generators of ``stream(seed, purpose, sub, t)`` for one population.
 
-    One PCG64 and Generator are reused: ``at(t)`` loads the state that
-    ``stream`` would seed for step t, deriving the states of up to
-    ``CHUNK`` steps at a time, and never past ``last``.  Each returned
-    generator is valid until the next ``at`` call.
+    ``at(t)`` serves the first ``KEYED_STEPS`` requests, and any step past
+    ``last``, with ``stream`` itself, so a population that lives a few
+    steps costs what one key at a time costs.  Later requests load the
+    state that ``stream`` would seed for step t into one reused PCG64,
+    deriving the states of up to ``CHUNK`` steps at a time, never past
+    ``last``.  Each returned generator is valid until the next ``at`` call.
     """
 
     def __init__(self, seed: int, purpose: int, sub: int, last: int):
         self._key = (seed, purpose, sub)
         self._last = last
+        self._keyed = 0
         self._bitgen = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bitgen)
         self._first = 0
         self._words = np.empty((0, 4), dtype=np.uint64)  # stream_states rows from step _first
 
     def at(self, t: int) -> np.random.Generator:
+        if self._keyed < KEYED_STEPS or not 0 <= t <= self._last:
+            self._keyed += 1
+            return stream(*self._key, t)
         i = t - self._first
         if not 0 <= i < len(self._words):
-            if not 0 <= t <= self._last:
-                raise ValueError(f"step {t} is outside [0, {self._last}]")
             steps = np.arange(t, min(t + CHUNK, self._last + 1), dtype=np.uint64)
             self._words = stream_states(*self._key, steps)
             self._first, i = t, 0

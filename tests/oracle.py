@@ -12,6 +12,9 @@ must give the same arrays, or the same ``DataError`` text, on any file.
 ``closed_form_log_evidence`` is the conjugate evidence of a known-mean
 Gaussian under an inverse-gamma prior, which the quadrature in
 ``betsim.inference.log_evidence`` must match.
+``exact_mean_posterior`` is the expected posterior of one participant of a
+grain, from the exact law of its ledger; the acceptance runs' grain
+means are tested against it.
 ``seeded_stream`` seeds a generator through SeedSequence on the key tuple,
 and ``array_bet_step`` books random bets with array draws; the reference
 runs ``closed_run`` and ``grain_run`` use both at every step, so the
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 from scipy.special import gammaln
 
 from betsim.core import EnsembleState, MacroSnapshot, Moments, macro_snapshot
@@ -199,6 +203,28 @@ def closed_form_log_evidence(data, prior) -> float:
     a2, b2 = prior.alpha + n / 2.0, prior.beta + s / 2.0
     return float(-n / 2.0 * math.log(2 * math.pi) + prior.alpha * math.log(prior.beta)
                  + gammaln(a2) - gammaln(prior.alpha) - a2 * math.log(b2))
+
+
+def exact_mean_posterior(n: int, b: int, t: int) -> float:
+    """E[posterior] of one participant after step t of a grain of n with b
+    bets per step, which is also the grain's expected mean posterior.
+
+    Each step's pairs are a uniform prefix of a fresh shuffle, so the
+    participant bets with probability q = 2b/n, independently across
+    steps, and wins each bet with probability 1/2: after t steps it holds
+    1 + j wins and k - j losses, k ~ Binomial(t, q) and j ~ Binomial(k,
+    1/2).  The totals are W = n + bt and L = bt.
+    """
+    if t == 0:
+        return 1.0
+    p_bets = stats.binom.pmf(np.arange(t + 1), t, 2 * b / n)
+    # the bet counts left out have probability below t * 1e-20 together
+    k = np.flatnonzero(p_bets > 1e-20)[:, None]
+    j = np.arange(k.max() + 1)[None, :]
+    prob = p_bets[k] * stats.binom.pmf(j, k, 0.5)  # 0 for j > k
+    l_w = (1 + j) / (n + b * t)
+    l_l = np.maximum(k - j, 0) / (b * t)
+    return float(np.sum(prob * l_w / (l_w + l_l)))
 
 
 BETS = 0  # betsim.rng.BETS, the purpose slot of bet streams

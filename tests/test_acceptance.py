@@ -32,7 +32,7 @@ from betsim.inference import (
 )
 from betsim import rng as rngmod
 from betsim.superstat import MixingModel, generate_returns, sample_moments
-from oracle import closed_form_log_evidence
+from oracle import closed_form_log_evidence, exact_mean_posterior
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -458,3 +458,25 @@ def test_rerun_byte_identical(tmp_path, monkeypatch):
             compared += 1
     _report("deterministic reruns", True,
             f"all 6 commands byte-identical across reruns ({compared} files)")
+
+
+# ---------------------------------------------------------------------------
+# 11. grain means against the exact law of one ledger
+
+EXACT_STEPS = (50, 200, 500, 1000, 2000, 3000)
+
+
+def test_grain_means_match_the_exact_ledger_law(ordering_runs):
+    # one bet per grain and step; the bound |z| <= 4 on each 20-seed mean
+    # was fixed before the check first ran
+    worst = 0.0
+    for gid, size in enumerate(SIZES):
+        for t in EXACT_STEPS:
+            means = np.array([r.grain_tracks[gid].snapshots[t].mean_posterior
+                              for r in ordering_runs])
+            z = (means.mean() - exact_mean_posterior(size, 1, t)) / (
+                means.std(ddof=1) / math.sqrt(means.size))
+            worst = max(worst, abs(float(z)))
+    _report("exact grain means", worst <= 4.0,
+            f"max |z| of the 20-seed grain means against the exact expectation "
+            f"over {len(SIZES) * len(EXACT_STEPS)} grain-steps: {worst:.2f}")

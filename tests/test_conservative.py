@@ -264,10 +264,14 @@ def test_forced_run_derives_no_stream(derived_keys):
     traj = run_conservative(cfg, record_microstates=True, forced_schedule=schedule)
     assert derived_keys.streams == derived_keys.blocks == []
     assert traj.wins[-1].tolist() == [2, 1, 2, 2, 2]
-    run_conservative(cfg)
-    # a random run derives one state per step, a block at a time
-    assert derived_keys.streams == []
-    assert derived_keys.blocks == [(0, rngmod.BETS, 0, t) for t in range(1, cfg.steps + 1)]
+    # a random run derives each step's stream once, one key at a time or in
+    # a block, and no block passes its last step
+    steps = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
+    run_conservative(ConservativeConfig(steps=steps, n_microstates=5, bets_per_step=1, seed=0))
+    assert sorted(derived_keys.streams + derived_keys.blocks) == [
+        (0, rngmod.BETS, 0, t) for t in range(1, steps + 1)
+    ]
+    assert derived_keys.blocks
 
 
 @settings(max_examples=150, deadline=None)
@@ -288,8 +292,8 @@ def test_one_bet_step_matches_the_array_draws(n, seed, steps):
 
 @pytest.mark.parametrize("bets", [1, 3])
 def test_run_matches_per_step_seeding(bets):
-    # past two block boundaries, field for field
-    steps = 2 * rngmod.CHUNK + 3
+    # past the keyed steps and two block boundaries, field for field
+    steps = rngmod.KEYED_STEPS + 2 * rngmod.CHUNK + 3
     cfg = ConservativeConfig(steps=steps, n_microstates=12, bets_per_step=bets, seed=2**63 + 9)
     traj = run_conservative(cfg, record_microstates=True)
     snapshots, wins, losses = closed_run(cfg.seed, 12, bets, steps)
@@ -300,4 +304,3 @@ def test_run_matches_per_step_seeding(bets):
     assert traj.ensemble.wins.tolist() == wins[-1].tolist()
     assert traj.ensemble.losses.tolist() == losses[-1].tolist()
     assert traj.ensemble.total_losses == bets * steps
-    assert traj.streams is None  # the run dropped its stepper

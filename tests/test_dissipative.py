@@ -1,7 +1,6 @@
 """Unit tests for the coarse-grained open system."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -73,18 +72,6 @@ def test_flat_budget_rule():
     assert state.grains[1].ensemble.losses.sum() == 3
 
 
-def _assert_same_snapshots(got, expect):
-    """Snapshots equal field by field; NaN moments (a degenerate population) match NaN."""
-    assert len(got) == len(expect)
-    for a, b in zip(got, expect):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
-                assert np.array_equal(x, y), (a.step, f.name)
-            else:
-                assert x == y or (math.isnan(x) and math.isnan(y)), (a.step, f.name, x, y)
-
-
 def test_single_grain_matches_conservative_run():
     """One grain with no injection or removal is exactly the closed system."""
     seed, steps = 11, 300
@@ -94,7 +81,9 @@ def test_single_grain_matches_conservative_run():
         )
         cfg = ConservativeConfig(steps=steps, n_microstates=n, bets_per_step=bets, seed=seed)
         cons = run_conservative(cfg, record_microstates=True)
-        _assert_same_snapshots(diss.grain_tracks[0].snapshots, cons.snapshots)
+        got = diss.grain_tracks[0].snapshots
+        assert len(got) == len(cons.snapshots)
+        assert all(same_snapshot(a, b) for a, b in zip(got, cons.snapshots))
         # the last recorded ledger row is the run's final ensemble
         assert np.array_equal(cons.wins[-1], cons.ensemble.wins)
         assert np.array_equal(cons.losses[-1], cons.ensemble.losses)
@@ -113,12 +102,13 @@ def test_churned_grains_match_fresh_populations():
     assert any(track.death_step is not None and track.birth_step > 0
                for track in result.grain_tracks.values())
     for gid, track in result.grain_tracks.items():
-        fresh = Trajectory.fresh(track.size, gid, track.birth_step)
+        fresh = Trajectory.fresh(track.size, cfg.seed, cfg.steps, gid, track.birth_step)
         last = track.snapshots[-1].step
         for t in range(track.birth_step + 1, last + 1):
-            fresh.advance(cfg.seed, t, dissipative._grain_bets(cfg, track.size))
+            fresh.advance(t, dissipative._grain_bets(cfg, track.size))
         assert last == (cfg.steps if track.death_step is None else track.death_step)
-        _assert_same_snapshots(fresh.snapshots, track.snapshots)
+        assert len(fresh.snapshots) == len(track.snapshots)
+        assert all(same_snapshot(a, b) for a, b in zip(fresh.snapshots, track.snapshots))
 
 
 def test_run_shapes_and_reproducibility():
@@ -234,8 +224,9 @@ def test_topology_stream_derived_only_with_churn(monkeypatch, churn, per_step):
 
 
 def test_run_matches_per_step_seeding():
-    # past two block boundaries, field for field; grain 3 is too small to bet
-    steps = 2 * rngmod.CHUNK + 3
+    # past the keyed steps and two block boundaries, field for field; grain 3
+    # is too small to bet
+    steps = rngmod.KEYED_STEPS + 2 * rngmod.CHUNK + 3
     cfg = DissipativeConfig(steps=steps, grain_sizes=(12, 7, 30, 2), seed=2**63 + 1)
     result = run_dissipative(cfg, bins=20)
     bets = [dissipative._grain_bets(cfg, size) for size in cfg.grain_sizes]
@@ -251,31 +242,58 @@ def test_run_matches_per_step_seeding():
         assert all(same_snapshot(a, b) for a, b in zip(grain.snapshots, tracks[gid]))
         assert grain.ensemble.wins.tolist() == ensembles[gid].wins.tolist()
         assert grain.ensemble.losses.tolist() == ensembles[gid].losses.tolist()
-        assert grain.streams is None  # the run dropped its stepper
     assert result.grains == list(result.grain_tracks.values())
 
 
+def test_stepping_past_the_configured_steps_matches_per_step_seeding():
+    # init_grains and step_dissipative are public: a state may be stepped
+    # past config.steps, before or after run_dissipative returns it
+    cfg = DissipativeConfig(steps=2, grain_sizes=(6, 9), seed=4)
+    bets = [dissipative._grain_bets(cfg, size) for size in cfg.grain_sizes]
+    state = init_grains(cfg, bins=10)
+    for _ in range(5):
+        step_dissipative(state)
+    _, pooled, _ = grain_run(cfg.seed, cfg.grain_sizes, bets, 5, 10)
+    assert len(state.pooled) == len(pooled)
+    assert all(same_snapshot(a, b) for a, b in zip(state.pooled, pooled))
+    longer = dataclasses.replace(cfg, steps=rngmod.KEYED_STEPS + 3)
+    state = step_dissipative(run_dissipative(longer, bins=10))
+    _, pooled, _ = grain_run(cfg.seed, cfg.grain_sizes, bets, longer.steps + 1, 10)
+    assert len(state.pooled) == len(pooled)
+    assert all(same_snapshot(a, b) for a, b in zip(state.pooled, pooled))
+
+
+def _bet_keys(derived_keys):
+    """Every bet-stream key derived, one key at a time or in a block."""
+    keyed = [k for k in derived_keys.streams if k[1] == rngmod.BETS]
+    return sorted(keyed + derived_keys.blocks)
+
+
 def test_bet_streams_derived_once_per_grain_step(derived_keys):
-    cfg = DissipativeConfig(steps=7, grain_sizes=(6, 8, 10), seed=3)
+    steps = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
+    cfg = DissipativeConfig(steps=steps, grain_sizes=(6, 8, 10), seed=3)
     run_dissipative(cfg)
-    # no churn: each grain's streams come in blocks, none one key at a time
-    assert [k for k in derived_keys.streams if k[1] == rngmod.BETS] == []
-    assert sorted(derived_keys.blocks) == [
-        (3, rngmod.BETS, g, t) for g in range(3) for t in range(1, 8)
+    # no churn: every grain step's stream once, keyed or in a block
+    assert derived_keys.blocks
+    assert _bet_keys(derived_keys) == [
+        (3, rngmod.BETS, g, t) for g in range(3) for t in range(1, steps + 1)
     ]
+    derived_keys.streams.clear()
     derived_keys.blocks.clear()
     churn = dataclasses.replace(cfg, injection_prob=0.5, removal_prob=0.5)
     result = run_dissipative(churn)
     tracks = result.grain_tracks.values()
     assert any(g.death_step for g in tracks) and any(g.birth_step for g in tracks)
-    assert derived_keys.blocks == []
-    grain_steps = [
+    # churn: each key at most once, every step a grain lived among them, and
+    # a block may pass a grain's death but never the run's last step
+    derived = _bet_keys(derived_keys)
+    assert derived_keys.blocks and len(set(derived)) == len(derived)
+    assert max(t for *_, t in derived_keys.blocks) <= churn.steps
+    assert {
         (3, rngmod.BETS, g.id, t)
         for g in tracks
         for t in range(g.birth_step + 1, (g.death_step or churn.steps) + 1)
-    ]
-    bets_keys = [k for k in derived_keys.streams if k[1] == rngmod.BETS]
-    assert sorted(bets_keys) == sorted(grain_steps)
+    } <= set(derived)
 
 
 def test_superposed_requires_living_grains():

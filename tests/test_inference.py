@@ -227,22 +227,6 @@ def test_log_evidence_empty_dataset_is_zero():
     assert log_evidence(spec, DataSet(np.array([]))) == 0.0
 
 
-def test_log_evidence_reports_convergence_failure():
-    # no rel_tol this small is met, so the grid runs up to MAX_NODES
-    data = _dataset(n=50)
-    spec = ModelSpec(
-        id="g",
-        likelihood_kind=GAUSSIAN_KNOWN_MEAN,
-        prior=InvGammaParams(1e6, 1e6),
-        rel_tol=1e-300,
-    )
-    with pytest.raises(ConvergenceError) as err:
-        log_evidence(spec, data)
-    est = err.value.estimates
-    assert est is not None and len(est) == 2
-    assert all(math.isfinite(e) for e in est)
-
-
 def test_log_evidence_stops_before_the_node_cap():
     # a prior far narrower than the likelihood: the estimate jitters in its
     # last bits, so no rel_tol this small is met, and the doubling stops
@@ -255,7 +239,9 @@ def test_log_evidence_stops_before_the_node_cap():
     )
     with pytest.raises(ConvergenceError, match=f"after 13 doublings \\({MAX_NODES} nodes") as err:
         log_evidence(spec, _dataset(n=50))
-    older, newer = err.value.estimates
+    est = err.value.estimates
+    assert est is not None and len(est) == 2
+    older, newer = est
     assert math.isfinite(older) and math.isfinite(newer) and older != newer
 
 

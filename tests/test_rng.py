@@ -96,19 +96,23 @@ def _state(row):
 
 
 def test_stepper_serves_every_step_across_chunk_boundaries():
-    last = 2 * rng.CHUNK + 3
+    # keyed steps, two block boundaries, and steps past the last
+    last = rng.KEYED_STEPS + 2 * rng.CHUNK + 3
     stepper = rng.StreamStepper(11, rng.BETS, 1, last)
-    for t in range(1, last + 1):
+    for t in range(1, last + 4):
         gen = stepper.at(t)
         assert gen.bit_generator.state == seeded_stream(11, rng.BETS, 1, t).bit_generator.state
         gen.random(t % 3)  # draws at step t leave step t + 1 as it was
-    with pytest.raises(ValueError, match="outside"):
-        stepper.at(last + 1)
 
 
 def test_stepper_derives_no_step_past_the_last(derived_keys):
-    stepper = rng.StreamStepper(3, rng.BETS, 0, rng.CHUNK + 5)
-    for t in range(1, rng.CHUNK + 6):
+    last = rng.KEYED_STEPS + rng.CHUNK + 5
+    stepper = rng.StreamStepper(3, rng.BETS, 0, last)
+    for t in range(1, last + 3):
         stepper.at(t)
-    assert derived_keys.blocks == [(3, rng.BETS, 0, t) for t in range(1, rng.CHUNK + 6)]
-    assert derived_keys.streams == []
+    # the first requests and the steps past the last one key at a time,
+    # the rest in blocks that end at the last
+    keyed = [*range(1, rng.KEYED_STEPS + 1), last + 1, last + 2]
+    assert derived_keys.streams == [(3, rng.BETS, 0, t) for t in keyed]
+    blocks = range(rng.KEYED_STEPS + 1, last + 1)
+    assert derived_keys.blocks == [(3, rng.BETS, 0, t) for t in blocks]
