@@ -13,9 +13,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .core import EnsembleState, MacroSnapshot, macro_snapshot
+from .core import EnsembleState, Snapshots, _means, _resized, block_snapshots
 
 DEFAULT_SMOOTHING_WINDOW = 25
+# steps a population books before it summarises them in one batch, and a
+# run without churn books at a time
+BLOCK_STEPS = 64
 
 # a forced bet: ((i, j), winner) with winner one of i, j
 ForcedBet = tuple[tuple[int, int], int]
@@ -55,13 +58,17 @@ class Trajectory:
     """The history of one population: a closed run, or one grain of an open run.
 
     ``snapshots`` starts with the fresh population at ``birth_step`` and
-    gains one per ``advance``.  ``id`` keys the population's bet streams
-    (0 for a closed run), which ``streams`` serves.  A removed grain gets
-    ``death_step`` set and drops its ``ensemble`` and ``streams``.
-    ``wins`` and ``losses`` are the ledgers after each step, ``(steps +
-    1, size)`` int64 arrays, when the run records them and None
-    otherwise; a step's posteriors are a function of its rows and their
-    column sums, so they are not kept.
+    gains a row per step that ``advance`` runs.  ``id`` keys the
+    population's bet streams (0 for a closed run), which ``streams``
+    serves.  A retired grain has ``death_step`` set and no ``ensemble``
+    or ``streams``.  ``wins`` and ``losses`` are the ledgers after each
+    step, ``(steps run, size)`` int64 arrays, when the run records them
+    and None otherwise; a step's posteriors are a function of its rows
+    and their sums, so they are not kept.
+
+    Steps are summarised in batches: the posteriors of the steps run
+    wait until ``BLOCK_STEPS`` of them do, or until ``snapshots`` is read,
+    the run ends or the population retires.
     """
 
     id: int
@@ -69,10 +76,12 @@ class Trajectory:
     birth_step: int
     ensemble: EnsembleState | None
     streams: rngmod.StreamStepper | None
-    snapshots: list[MacroSnapshot] = field(default_factory=list)
     death_step: int | None = None
-    wins: np.ndarray | None = None
-    losses: np.ndarray | None = None
+    _snapshots: Snapshots = field(default_factory=Snapshots, repr=False)
+    _pending: list[np.ndarray] = field(default_factory=list, repr=False)
+    _steps_run: int = field(default=0, repr=False)
+    _wins: np.ndarray | None = field(default=None, repr=False)
+    _losses: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def fresh(cls, size: int, seed: int, last: int, id: int = 0, birth_step: int = 0,
@@ -80,39 +89,93 @@ class Trajectory:
         """A fresh population (every posterior 1) with its birth snapshot.
 
         Its bet streams are keyed (seed, BETS, id) for the steps up to
-        ``last``, the run's horizon; ``record`` preallocates a ledger row
-        for the birth and each step up to ``last``.
+        ``last``, the run's horizon; ``record`` keeps the ledgers, with
+        room for the birth and each step up to ``last``.
         """
         streams = rngmod.StreamStepper(seed, rngmod.BETS, id, last)
         traj = cls(id, size, birth_step, init_ensemble(size), streams)
         if record:
-            traj.wins = np.empty((last - birth_step + 1, size), dtype=np.int64)
-            traj.losses = np.empty((last - birth_step + 1, size), dtype=np.int64)
+            rows = max(1, last - birth_step + 1)
+            traj._wins = np.empty((rows, size), dtype=np.int64)
+            traj._losses = np.empty((rows, size), dtype=np.int64)
         traj.advance(birth_step, 0)  # no bets and so no stream: records the birth state
         return traj
 
-    def advance(self, t: int, bets: int, forced: list[ForcedBet] | None = None):
-        """Run and record step t; returns the population's posteriors.
+    @property
+    def snapshots(self) -> Snapshots:
+        """One row per step run, from the birth on."""
+        self.summarise()
+        return self._snapshots
 
-        The step books ``forced`` when given, else ``bets`` random pairs
-        from the step's stream, which ``streams`` serves.  A forced step
-        derives no stream, and neither does a step of 0 bets, which books
-        nothing.
+    def summarise(self) -> None:
+        """Summarise the steps that wait for it, in one batch."""
+        if self._pending:
+            first = self.birth_step + len(self._snapshots)
+            block = np.concatenate(self._pending) if len(self._pending) > 1 else self._pending[0]
+            self._pending = []
+            self._snapshots.extend(block_snapshots(block, first))
+
+    @property
+    def latest_mean(self) -> float:
+        """The mean posterior at the latest step run, as its snapshot has it."""
+        if self._pending:
+            return float(_means(self._pending[-1][-1]))
+        return float(self._snapshots.column("mean_posterior")[-1])
+
+    @property
+    def wins(self) -> np.ndarray | None:
+        return None if self._wins is None else self._wins[: self._steps_run]
+
+    @property
+    def losses(self) -> np.ndarray | None:
+        return None if self._losses is None else self._losses[: self._steps_run]
+
+    def advance(self, t: int, bets: int, steps: int = 1,
+                forced: list[list[ForcedBet]] | None = None) -> np.ndarray:
+        """Run steps t to t + steps - 1, the population's next steps; returns
+        their posteriors, a read-only ``(steps, size)`` block.
+
+        Step t + k books ``forced[k]`` when ``forced`` is given, else
+        ``bets`` random pairs from the step's stream, which ``streams``
+        serves.  A forced step derives no stream, and neither does a step
+        of 0 bets, which books nothing.  The steps' posteriors are
+        summarised in one batch with the steps that wait before them.
         """
-        if forced is not None:
-            step_conservative(self.ensemble, None, bets, forced)
-        elif bets >= 1:
-            step_conservative(self.ensemble, self.streams.at(t), bets)
-        posteriors = self.ensemble.posteriors()
-        self.snapshots.append(macro_snapshot(posteriors, t))
-        if self.wins is not None:
-            self.wins[t - self.birth_step] = self.ensemble.wins
-            self.losses[t - self.birth_step] = self.ensemble.losses
+        row = self._steps_run
+        if t != self.birth_step + row:
+            raise ValueError(f"step {t} is not the population's next step, {self.birth_step + row}")
+        if self._wins is not None and row + steps > len(self._wins):
+            rows = max(row + steps, 2 * len(self._wins))
+            self._wins, self._losses = _resized(self._wins, rows), _resized(self._losses, rows)
+        posteriors = np.empty((steps, self.size))
+        ensemble = self.ensemble
+        for k in range(steps):
+            if forced is not None:
+                step_conservative(ensemble, None, bets, forced[k])
+            elif bets >= 1:
+                step_conservative(ensemble, self.streams.at(t + k), bets)
+            posteriors[k] = ensemble.posteriors()
+            if self._wins is not None:
+                self._wins[row + k] = ensemble.wins
+                self._losses[row + k] = ensemble.losses
+        self._steps_run = row + steps
+        posteriors.setflags(write=False)  # it waits in _pending to be summarised
+        self._pending.append(posteriors)
+        if self._steps_run - len(self._snapshots) >= BLOCK_STEPS:
+            self.summarise()
         return posteriors
+
+    def retire(self, t: int) -> None:
+        """End the population at step t: it keeps its snapshots, in no more
+        room than they fill, and drops its ensemble and streams."""
+        self.death_step = t
+        self.ensemble = self.streams = None
+        self.summarise()
+        self._snapshots.trim()
 
     @property
     def mean_series(self) -> np.ndarray:
-        return np.array([s.mean_posterior for s in self.snapshots], dtype=np.float64)
+        return self.snapshots.column("mean_posterior").copy()
 
 
 def init_ensemble(n: int) -> EnsembleState:
@@ -209,16 +272,19 @@ def run_conservative(
 
     Each step draws its betting randomness from an independent stream
     keyed on (seed, step), so replays are bit-identical and unrelated
-    runs can execute in parallel.  ``forced_schedule`` (one forced bet
-    list per step) replaces the random schedule when given; its length
-    must equal ``config.steps``.
+    runs can execute in parallel.  Nothing a step draws depends on the
+    summaries, so the run advances ``BLOCK_STEPS`` steps at a time.
+    ``forced_schedule`` (one forced bet list per step) replaces the
+    random schedule when given; its length must equal ``config.steps``.
     """
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
     traj = Trajectory.fresh(
         config.n_microstates, config.seed, config.steps, record=record_microstates
     )
-    for t in range(1, config.steps + 1):
-        forced = None if forced_schedule is None else forced_schedule[t - 1]
-        traj.advance(t, config.bets_per_step, forced)
+    for t in range(1, config.steps + 1, BLOCK_STEPS):
+        steps = min(BLOCK_STEPS, config.steps + 1 - t)
+        forced = None if forced_schedule is None else forced_schedule[t - 1:t - 1 + steps]
+        traj.advance(t, config.bets_per_step, steps, forced)
+    traj.summarise()
     return traj

@@ -4,7 +4,8 @@ A market participant ("microstate") carries a ledger of wins and
 losses.  Conditional on the ensemble totals and fair marginal odds,
 Bayes' rule turns a ledger into a posterior probability of profit.
 Macro-level observables (mean posterior, moments, Boltzmann entropy
-over heterogeneous pairs) are computed from the posterior population.
+over heterogeneous pairs) are computed from the posterior population,
+a block of steps at a time, and kept as columns.
 """
 from __future__ import annotations
 
@@ -18,6 +19,10 @@ import numpy as np
 # Posteriors are exact rationals evaluated in floating point, so ties
 # between equal ledgers are near-exact; 1e-9 separates genuine classes.
 EPS_CLASS = 1e-9
+# blocks of at least this many rows take the census from class sizes, which
+# costs 20-30 us for any block of up to 8 rows of 60 to 750 values; counted
+# one by one, each row costs 7-12 us
+CENSUS_BATCH_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,8 @@ class MacroSnapshot:
     kurtosis are NaN for a degenerate (zero-variance) population.
     ``counts`` is set only on pooled rows: the posterior histogram over
     fixed-width bins on [0, 1], summing to the pooled population.
+    Runs keep their snapshots as the columns of a ``Snapshots`` record,
+    whose rows are these.
     """
 
     step: int
@@ -143,15 +150,14 @@ def histogram_edges(bins: int) -> np.ndarray:
     return edges
 
 
-def _census(p: np.ndarray, eps: float) -> tuple[int, int]:
-    """(distinct classes, heterogeneous pairs) of a sorted population.
+def _row_census(p: np.ndarray, eps: float) -> tuple[int, int]:
+    """(distinct classes, heterogeneous pairs) of one sorted row, exactly.
 
-    Classes split the sorted values on gaps larger than ``eps``
-    (transitive closure of the tolerance relation).  Sorting also
-    reduces the pair census to ranks: for each right endpoint r, the
-    values p_j < p_r - eps are the first searchsorted(p, p_r - eps) of
-    the array, and those are exactly r's heterogeneous partners to its
-    left, so the count stays exact in O(N log N) instead of O(N^2).
+    Classes split the row on gaps larger than ``eps`` (transitive
+    closure of the tolerance relation).  Sorting reduces the pair census
+    to ranks: for each value p_r, the values p_j < p_r - eps are the
+    first searchsorted(p, p_r - eps) of the row, and those are exactly
+    r's heterogeneous partners to its left.
     """
     if p.size < 2:
         return p.size, 0
@@ -159,10 +165,48 @@ def _census(p: np.ndarray, eps: float) -> tuple[int, int]:
     return classes, int(np.add.reduce(np.searchsorted(p, p - eps, side="left")))
 
 
+def _census(p: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct classes, heterogeneous pairs) of each row of a row-sorted block.
+
+    A block of fewer than ``CENSUS_BATCH_ROWS`` rows is counted row by
+    row.  A larger one is counted in one pass from its class sizes, as
+    C(N, 2) minus each class's C(c, 2).  That is ``_row_census``'s count
+    for every row whose classes each lie within eps of their largest
+    value (the first value is not below last - eps) and clear of the
+    previous class (its last value is below first - eps): each value's
+    partners to its left are then exactly the earlier classes.  Any
+    other row is counted by ``_row_census``.
+    """
+    rows, n = p.shape
+    if rows < CENSUS_BATCH_ROWS:
+        classes, pairs = zip(*(_row_census(row, eps) for row in p))
+        return np.array(classes), np.array(pairs)
+    flat = p.reshape(-1)
+    starts = np.empty(flat.size, dtype=bool)
+    starts[1:] = (flat[1:] - flat[:-1]) > eps
+    starts[::n] = True  # every row starts a class
+    first = np.flatnonzero(starts)  # flat index of each class's first value
+    ends = np.empty_like(first)  # and one past its last
+    ends[:-1] = first[1:]
+    ends[-1] = flat.size
+    classes = np.bincount(first // n, minlength=rows)
+    offsets = np.cumsum(classes) - classes  # each row's first class
+    lo, hi = flat[first], flat[ends - 1]
+    clear = np.empty(first.size, dtype=bool)
+    clear[1:] = hi[:-1] < lo[1:] - eps
+    clear[offsets] = True  # a row's first class has no previous class
+    fits = (lo >= hi - eps) & clear
+    sizes = ends - first
+    pairs = n * (n - 1) // 2 - np.add.reduceat(sizes * (sizes - 1) // 2, offsets)
+    for r in np.flatnonzero(~np.logical_and.reduceat(fits, offsets)).tolist():
+        pairs[r] = _row_census(p[r], eps)[1]
+    return classes, pairs
+
+
 def _sorted_census(posteriors, eps: float) -> tuple[int, int]:
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return _census(np.sort(np.asarray(posteriors, dtype=np.float64)), eps)
+    return _row_census(np.sort(np.asarray(posteriors, dtype=np.float64).reshape(-1)), eps)
 
 
 def distinct_posterior_classes(posteriors: Sequence[float], eps: float = EPS_CLASS) -> int:
@@ -175,59 +219,186 @@ def heterogeneous_pair_count(posteriors: Sequence[float], eps: float = EPS_CLASS
     return _sorted_census(posteriors, eps)[1]
 
 
+def _means(v: np.ndarray):
+    """The mean of a row, or of each row of a 2-d block, as ``np.mean``
+    computes it."""
+    return np.add.reduce(v, axis=-1) / v.shape[-1]
+
+
+def _moments(v: np.ndarray):
+    """Population moments of each row of a 2-d block: mean and variance
+    as arrays, skewness and excess kurtosis as lists (NaN where the
+    variance is zero).
+
+    Each moment is the pairwise sum ``np.add.reduce`` along the row
+    divided by n, which is what ``np.mean`` computes on the row, and each
+    power of the deviations is one product on the previous one.  The
+    ratios are taken in Python floats, whose power and division differ
+    from numpy's array loops in the last bit.
+    """
+    n = v.shape[1]
+    mean = _means(v)
+    d = v - mean[:, None]
+    dk = d * d
+    m2 = np.add.reduce(dk, axis=1) / n
+    s3 = np.add.reduce(np.multiply(dk, d, out=dk), axis=1).tolist()
+    s4 = np.add.reduce(np.multiply(dk, d, out=dk), axis=1).tolist()
+    skewness, kurtosis = [], []
+    for a2, b3, b4 in zip(m2.tolist(), s3, s4):
+        if a2 == 0.0:
+            skewness.append(math.nan)
+            kurtosis.append(math.nan)
+        else:
+            skewness.append(b3 / n / a2**1.5)
+            kurtosis.append(b4 / n / (a2 * a2) - 3.0)
+    return mean, m2, skewness, kurtosis
+
+
 def population_moments(values: Sequence[float]) -> Moments:
     """Population (biased) moments; excess kurtosis = m4/m2^2 - 3.
 
     A zero-variance population is flagged degenerate with NaN skewness
-    and kurtosis rather than raising.  Each moment is the pairwise sum
-    ``np.add.reduce`` divided by n, which is what ``np.mean`` computes,
-    and each power of the deviations is one product on the previous one.
+    and kurtosis rather than raising.  This is the one-row case of the
+    block moments that summarise a run.
     """
-    v = np.asarray(values, dtype=np.float64)
-    n = v.size
+    v = np.asarray(values, dtype=np.float64).reshape(1, -1)
+    if v.size == 0:
+        raise ValueError("moments undefined for an empty collection")
+    mean, m2, skewness, kurtosis = _moments(v)
+    variance = float(m2[0])
+    return Moments(float(mean[0]), variance, skewness[0], kurtosis[0], variance == 0.0)
+
+
+# the fields of MacroSnapshot that Snapshots keeps as one column each, in order
+SNAPSHOT_FIELDS = (
+    "step", "mean_posterior", "variance", "skewness", "excess_kurtosis", "entropy",
+    "distinct_classes", "heterogeneous_pairs",
+)
+_INT_FIELDS = ("step", "distinct_classes", "heterogeneous_pairs")
+
+
+def _resized(a: np.ndarray, rows: int) -> np.ndarray:
+    """A copy of ``a`` with ``rows`` rows: its leading rows, then unset ones."""
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
+    keep = min(rows, len(a))
+    out[:keep] = a[:keep]
+    return out
+
+
+class Snapshots:
+    """The snapshots of one population, one array per ``MacroSnapshot`` field.
+
+    Pooled records also keep their histogram counts, as one ``(rows,
+    bins)`` array.  Rows are appended a block at a time with ``extend``;
+    the arrays are sized for ``capacity`` rows and double when a block
+    does not fit.  ``len``, iteration and indexing (negative indices
+    too) give ``MacroSnapshot`` rows, and ``column`` gives one field of
+    every row.
+    """
+
+    __slots__ = ("_columns", "_counts", "_rows")
+
+    def __init__(self, capacity: int = 0, bins: int | None = None):
+        self._columns = [
+            np.empty(capacity, dtype=np.int64 if name in _INT_FIELDS else np.float64)
+            for name in SNAPSHOT_FIELDS
+        ]
+        self._counts = None if bins is None else np.empty((capacity, bins), dtype=np.int64)
+        self._rows = 0
+
+    @classmethod
+    def _of(cls, columns: list[np.ndarray], counts: np.ndarray | None) -> "Snapshots":
+        """A record of exactly the rows of these columns."""
+        record = cls.__new__(cls)
+        record._columns, record._counts, record._rows = columns, counts, len(columns[0])
+        return record
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, k: int) -> MacroSnapshot:
+        n = self._rows
+        if not -n <= k < n:
+            raise IndexError(f"snapshot {k} out of range for {n} snapshots")
+        k %= n
+        counts = None if self._counts is None else self._counts[k].copy()
+        return MacroSnapshot(*(c[k].item() for c in self._columns), counts=counts)
+
+    def __iter__(self):
+        counts = self._counts
+        rows = zip(*(c[: self._rows].tolist() for c in self._columns))
+        for k, row in enumerate(rows):
+            yield MacroSnapshot(*row, counts=None if counts is None else counts[k].copy())
+
+    def column(self, name: str) -> np.ndarray:
+        """One field of every row, as a read-only view of the record."""
+        view = self._columns[SNAPSHOT_FIELDS.index(name)][: self._rows]
+        view.setflags(write=False)
+        return view
+
+    def extend(self, block: "Snapshots") -> None:
+        """Append the rows of ``block``, which the record may keep as its own
+        arrays: no row of a block is written after it is made."""
+        n, m = self._rows, block._rows
+        if n == 0 and m > len(self._columns[0]):
+            self._columns, self._counts, self._rows = list(block._columns), block._counts, m
+            return
+        if n + m > len(self._columns[0]):
+            self._reserve(max(n + m, 2 * len(self._columns[0])))
+        for mine, new in zip(self._columns, block._columns):
+            mine[n:n + m] = new
+        if self._counts is not None:
+            self._counts[n:n + m] = block._counts
+        self._rows = n + m
+
+    def trim(self) -> None:
+        """Release the room reserved for rows that were never appended."""
+        if len(self._columns[0]) > self._rows:
+            self._reserve(self._rows)
+
+    def _reserve(self, rows: int) -> None:
+        self._columns = [_resized(c, rows) for c in self._columns]
+        if self._counts is not None:
+            self._counts = _resized(self._counts, rows)
+
+
+def block_snapshots(posteriors: np.ndarray, first_step: int, bins: int | None = None) -> Snapshots:
+    """Summarise a block of posterior populations, one row per step.
+
+    Row k of the ``(steps, N)`` array ``posteriors`` is the population at
+    step ``first_step + k``.  Moments come from each row in its given
+    order; classes and pairs (at tolerance ``EPS_CLASS``) from one sort
+    of the block along its rows.  With ``bins`` set, each row's counts
+    are its histogram over ``histogram_edges(bins)``, taken from the same
+    sort: bin k holds the values in [edges[k], edges[k + 1]), and the
+    last bin is closed at 1.0, as in ``np.histogram``.
+    """
+    v = np.asarray(posteriors, dtype=np.float64)
+    steps, n = v.shape
     if n == 0:
         raise ValueError("moments undefined for an empty collection")
-    mean = float(np.add.reduce(v) / n)
-    d = v - mean
-    d2 = d * d
-    m2 = float(np.add.reduce(d2) / n)
-    if m2 == 0.0:
-        return Moments(mean, 0.0, math.nan, math.nan, True)
-    d3 = d2 * d
-    m3 = float(np.add.reduce(d3) / n)
-    m4 = float(np.add.reduce(d3 * d) / n)
-    return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
+    mean, variance, skewness, kurtosis = _moments(v)
+    p = np.sort(v, axis=1)
+    classes, pairs = _census(p, EPS_CLASS)
+    entropy = [boltzmann_entropy(max(1, x)) for x in pairs.tolist()]
+    counts = None
+    if bins is not None:
+        edges = histogram_edges(bins)
+        bounds = np.empty((steps, bins + 1), dtype=np.int64)
+        for k in range(steps):
+            bounds[k] = np.searchsorted(p[k], edges, side="left")
+        bounds[:, -1] = n  # the last bin takes 1.0 as well
+        counts = bounds[:, 1:] - bounds[:, :-1]
+    return Snapshots._of([
+        np.arange(first_step, first_step + steps, dtype=np.int64), mean, variance,
+        np.array(skewness), np.array(kurtosis), np.array(entropy), classes, pairs,
+    ], counts)
 
 
 def macro_snapshot(
     posteriors: Sequence[float], step: int, bins: int | None = None
 ) -> MacroSnapshot:
-    """Aggregate one posterior population into a snapshot.
-
-    Moments come from the array in its given order; classes and pairs
-    (at tolerance ``EPS_CLASS``) from a single sort of it.  With
-    ``bins`` set, ``counts`` is the histogram over ``histogram_edges(bins)``
-    taken from the same sort: bin k holds the values in
-    [edges[k], edges[k + 1]), and the last bin is closed at 1.0, as in
-    ``np.histogram``.
-    """
-    v = np.asarray(posteriors, dtype=np.float64)
-    mom = population_moments(v)
-    p = np.sort(v)
-    classes, pairs = _census(p, EPS_CLASS)
-    counts = None
-    if bins is not None:
-        bounds = np.searchsorted(p, histogram_edges(bins), side="left")
-        bounds[-1] = p.size  # the last bin takes 1.0 as well
-        counts = np.diff(bounds)
-    return MacroSnapshot(
-        step=int(step),
-        mean_posterior=mom.mean,
-        variance=mom.variance,
-        skewness=mom.skewness,
-        excess_kurtosis=mom.excess_kurtosis,
-        entropy=boltzmann_entropy(max(1, pairs)),
-        distinct_classes=classes,
-        heterogeneous_pairs=pairs,
-        counts=counts,
-    )
+    """Aggregate one posterior population into a snapshot: the one-row
+    case of ``block_snapshots``."""
+    v = np.asarray(posteriors, dtype=np.float64).reshape(1, -1)
+    return block_snapshots(v, step, bins)[0]

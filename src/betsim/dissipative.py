@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as rngmod
-from .conservative import Trajectory
-from .core import MacroSnapshot, macro_snapshot
+from .conservative import BLOCK_STEPS, Trajectory
+from .core import MacroSnapshot, Snapshots, block_snapshots, histogram_edges, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
@@ -87,6 +87,11 @@ class DissipativeConfig:
     def with_seed(self, seed: int) -> "DissipativeConfig":
         return replace(self, seed=seed)
 
+    @property
+    def churns(self) -> bool:
+        """Whether grains may be injected or removed."""
+        return self.injection_prob > 0 or self.removal_prob > 0
+
 
 @dataclass
 class DissipativeState:
@@ -95,7 +100,7 @@ class DissipativeState:
     ``grains`` lists the living grains in id order, which is also birth
     order; ``grain_tracks`` maps the id of every grain that ever lived to
     its record, so ids run from 0 to ``len(grain_tracks) - 1``.
-    ``pooled`` holds one pooled snapshot per step, whose ``counts`` has
+    ``pooled`` holds one pooled row per step, whose ``counts`` has
     ``bins`` entries at every step of the run.
     """
 
@@ -104,36 +109,40 @@ class DissipativeState:
     grains: list[Trajectory]
     step: int
     grain_tracks: dict[int, Trajectory]
-    pooled: list[MacroSnapshot]
+    pooled: Snapshots
 
 
 def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
-    """Add a fresh grain born at step t; returns its posteriors, which are
-    exactly 1 while no ledger holds a loss (the posterior rule's no-loss case)."""
+    """Add a fresh grain born at step t; returns its posteriors as a one-step
+    block, which is exactly 1 while no ledger holds a loss (the posterior
+    rule's no-loss case)."""
     cfg = state.config
     grain = Trajectory.fresh(size, cfg.seed, cfg.steps, len(state.grain_tracks), t)
     state.grains.append(grain)
     state.grain_tracks[grain.id] = grain
-    return np.ones(size)
+    return np.ones((1, size))
 
 
 def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
     """One grain per configured size, each freshly initialized (all posteriors
     1); ``bins`` is the pooled histogram's bin count for the whole run."""
-    state = DissipativeState(config, bins, grains=[], step=0, grain_tracks={}, pooled=[])
+    histogram_edges(bins)  # checks the bin count before the record is sized by it
+    pooled = Snapshots(config.steps + 1, bins)
+    state = DissipativeState(config, bins, grains=[], step=0, grain_tracks={}, pooled=pooled)
     posts = [_add_grain(state, size, 0) for size in config.grain_sizes]
-    state.pooled.append(superposed_distribution(posts, 0, bins))
+    pooled.extend(block_snapshots(np.concatenate(posts, axis=1), 0, bins))
     return state
 
 
 def superposed_distribution(
     grain_posteriors: list[np.ndarray], step: int, bins: int = DEFAULT_BINS
 ) -> MacroSnapshot:
-    """Pool the living grains' posterior arrays into one snapshot.
+    """Pool the living grains' posterior arrays of one step into one snapshot.
 
     ``grain_posteriors`` holds one array per living grain, in grain
     order.  The snapshot's ``counts`` is the pooled histogram over
-    ``bins`` fixed-width bins on [0, 1], taken from the census's sort.
+    ``bins`` fixed-width bins on [0, 1].  A run pools its grains' blocks
+    of steps the same way, a block at a time.
     """
     if not grain_posteriors:
         raise ValueError("no living grains to pool")
@@ -150,8 +159,30 @@ def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
     # step's snapshot; min keeps the first, so the lowest id breaks ties
     return min(
         range(len(state.grains)),
-        key=lambda k: abs(state.grains[k].snapshots[-1].mean_posterior - 0.5),
+        key=lambda k: abs(state.grains[k].latest_mean - 0.5),
     )
+
+
+def _advance(state: DissipativeState, steps: int) -> DissipativeState:
+    """Advance the whole system by ``steps`` steps, which must be 1 when
+    the grains churn: each living grain books its block of steps, and the
+    pooled rows are summarised from the grains' posterior blocks."""
+    cfg = state.config
+    t = state.step + 1
+    # the steps' posteriors, one (steps, size) block per grain of state.grains
+    posts = [grain.advance(t, _grain_bets(cfg, grain.size), steps) for grain in state.grains]
+    if cfg.churns:
+        topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
+        if topo.random() < cfg.injection_prob:
+            lo, hi = cfg.injection_size_range
+            posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
+        if topo.random() < cfg.removal_prob and len(state.grains) > 1:
+            k = _remove_index(state, topo)
+            state.grains.pop(k).retire(t)
+            posts.pop(k)
+    state.step = t + steps - 1
+    state.pooled.extend(block_snapshots(np.concatenate(posts, axis=1), t, state.bins))
+    return state
 
 
 def step_dissipative(state: DissipativeState) -> DissipativeState:
@@ -171,25 +202,7 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
     bets use their own per-step streams so grains can be processed in
     any order (or in parallel) with identical results.
     """
-    cfg = state.config
-    t = state.step + 1
-    # this step's posteriors, aligned with state.grains
-    posts = [grain.advance(t, _grain_bets(cfg, grain.size)) for grain in state.grains]
-    if cfg.injection_prob > 0 or cfg.removal_prob > 0:
-        # without churn neither draw can change anything, so the stream is skipped
-        topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
-        if topo.random() < cfg.injection_prob:
-            lo, hi = cfg.injection_size_range
-            posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
-        if topo.random() < cfg.removal_prob and len(state.grains) > 1:
-            k = _remove_index(state, topo)
-            removed = state.grains.pop(k)
-            posts.pop(k)
-            removed.death_step = t
-            removed.ensemble = removed.streams = None
-    state.step = t
-    state.pooled.append(superposed_distribution(posts, t, state.bins))
-    return state
+    return _advance(state, 1)
 
 
 def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
@@ -217,10 +230,21 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
 
 
 def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
-    """Full deterministic run; the final state holds per-grain tracks and pooled series."""
+    """Full deterministic run; the final state holds per-grain tracks and pooled series.
+
+    A run with churn goes one step at a time, since injection and removal
+    act between steps.  Without churn no step depends on a summary, so
+    the grains advance ``BLOCK_STEPS`` steps at a time.
+    """
     state = init_grains(config, bins)
-    for _ in range(config.steps):
-        step_dissipative(state)
+    if config.churns:
+        for _ in range(config.steps):
+            step_dissipative(state)
+    else:
+        for t in range(1, config.steps + 1, BLOCK_STEPS):
+            _advance(state, min(BLOCK_STEPS, config.steps + 1 - t))
+    for grain in state.grains:
+        grain.summarise()
     return state
 
 

@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
-from .core import MacroSnapshot, _posteriors, histogram_edges
+from .core import SNAPSHOT_FIELDS, MacroSnapshot, Snapshots, _posteriors, histogram_edges
 from .errors import ConfigError, DataError
 from .inference import ModelPosterior
 from .superstat import ReturnSeries
@@ -195,19 +195,27 @@ def _log_returns(path, p: np.ndarray, tau: int) -> ReturnSeries:
     return ReturnSeries(tau=tau, samples=samples)
 
 
-def emit_trajectory_csv(snapshots: list[MacroSnapshot], path) -> None:
+def _column_rows(snapshots: Snapshots, names: tuple[str, ...], *extra: np.ndarray):
+    """Rows of the named columns, then of ``extra`` columns, as tuples of
+    Python numbers; each column becomes a list 1024 rows at a time."""
+    columns = [snapshots.column(name) for name in names] + list(extra)
+    for start in range(0, len(snapshots), 1024):
+        yield from zip(*(c[start:start + 1024].tolist() for c in columns))
+
+
+def emit_trajectory_csv(snapshots: Snapshots, path) -> None:
     """Write one row per snapshot (the initial state included).
 
     The smoothed column is the trailing moving average of the mean
-    posterior over ``DEFAULT_SMOOTHING_WINDOW`` steps.
+    posterior over ``DEFAULT_SMOOTHING_WINDOW`` steps.  Floats are
+    written as ``_fmt`` writes them: ``.12g`` of a Python float.
     """
-    smoothed = smooth_series([s.mean_posterior for s in snapshots], DEFAULT_SMOOTHING_WINDOW)
+    smoothed = smooth_series(snapshots.column("mean_posterior"), DEFAULT_SMOOTHING_WINDOW)
     _write_csv(path, TRAJECTORY_HEADER, (
-        ",".join(map(_fmt, (
-            s.step, s.mean_posterior, sm, s.variance, s.skewness, s.excess_kurtosis,
-            s.entropy, s.distinct_classes, s.heterogeneous_pairs,
-        ))) + "\n"
-        for s, sm in zip(snapshots, smoothed)
+        f"{step},{mean:.12g},{sm:.12g},{var:.12g},{skew:.12g},{kurt:.12g},{ent:.12g},"
+        f"{classes},{pairs}\n"
+        for step, mean, var, skew, kurt, ent, classes, pairs, sm
+        in _column_rows(snapshots, SNAPSHOT_FIELDS, smoothed)
     ))
 
 
@@ -246,10 +254,11 @@ def emit_microstates_csv(trajectory: Trajectory, path) -> None:
 def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:
     """Per-step summary of every grain that ever lived."""
     _write_csv(path, "step,grain,size,birth_step,mean_posterior,entropy", (
-        f"{snap.step},{gid},{tracks[gid].size},{tracks[gid].birth_step},"
-        f"{_fmt(snap.mean_posterior)},{_fmt(snap.entropy)}\n"
+        f"{step},{gid},{tracks[gid].size},{tracks[gid].birth_step},{mean:.12g},{ent:.12g}\n"
         for gid in sorted(tracks)
-        for snap in tracks[gid].snapshots
+        for step, mean, ent in _column_rows(
+            tracks[gid].snapshots, ("step", "mean_posterior", "entropy")
+        )
     ))
 
 

@@ -172,7 +172,8 @@ class StreamStepper:
     steps costs what one key at a time costs.  Later requests load the
     state that ``stream`` would seed for step t into one reused PCG64,
     deriving the states of up to ``CHUNK`` steps at a time, never past
-    ``last``.  Each returned generator is valid until the next ``at`` call.
+    ``last``, and dropping them once step ``last`` is served.  Each
+    returned generator is valid until the next ``at`` call.
     """
 
     def __init__(self, seed: int, purpose: int, sub: int, last: int):
@@ -194,6 +195,8 @@ class StreamStepper:
             self._words = stream_states(*self._key, steps)
             self._first, i = t, 0
         state_h, state_l, inc_h, inc_l = self._words[i].tolist()
+        if t == self._last:
+            self._words = self._words[:0].copy()  # no later step is derived from the block
         self._bitgen.state = {
             "bit_generator": "PCG64",
             "state": {"state": state_h << 64 | state_l, "inc": inc_h << 64 | inc_l},

@@ -6,6 +6,9 @@ tests check the vectorized ``betsim.core.EnsembleState.posteriors``
 against it.
 ``population_moments`` is the ``np.mean`` formulation of the moments
 that ``betsim.core.population_moments`` must reproduce bit for bit.
+``reference_snapshot`` summarises one population the plain way, one
+sort, a ``searchsorted`` pair count and ``np.histogram`` counts; the
+package's block summary must give each row the same fields.
 ``read_returns_csv`` and ``ingest_price_csv`` parse one row at a time
 with ``csv.reader`` and ``float``; ``betsim.io`` reads in blocks and
 must give the same arrays, or the same ``DataError`` text, on any file.
@@ -13,13 +16,15 @@ must give the same arrays, or the same ``DataError`` text, on any file.
 Gaussian under an inverse-gamma prior, which the quadrature in
 ``betsim.inference.log_evidence`` must match.
 ``exact_mean_posterior`` is the expected posterior of one participant of a
-grain, from the exact law of its ledger; the acceptance runs' grain
-means are tested against it.
+grain, from the exact law of its ledger, and ``exact_pooled_counts`` the
+expected pooled histogram of grains that follow that law; the acceptance
+runs' grain means and pooled counts are tested against them.
 ``seeded_stream`` seeds a generator through SeedSequence on the key tuple,
 and ``array_bet_step`` books random bets with array draws; the reference
-runs ``closed_run`` and ``grain_run`` use both at every step, so the
-package's block-derived streams and one-bet scalar draws must give the
-same trajectories.
+runs ``closed_run`` and ``grain_run`` use both at every step, and
+summarise every step with ``reference_snapshot``, so the package's
+block-derived streams, one-bet scalar draws and block summaries must give
+the same trajectories.
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
-from betsim.core import EnsembleState, MacroSnapshot, Moments, macro_snapshot
+from betsim.core import EnsembleState, MacroSnapshot, Moments, _posteriors
 from betsim.errors import DataError
 
 
@@ -107,6 +112,25 @@ def population_moments(values) -> Moments:
     m3 = float(np.mean(d * d * d))
     m4 = float(np.mean(d * d * d * d))
     return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
+
+
+def reference_snapshot(posteriors, step: int, bins: int | None = None) -> MacroSnapshot:
+    """One population's snapshot: moments of the values in their given
+    order, classes split on sorted gaps larger than 1e-9, heterogeneous
+    pairs counted by searchsorted on the sorted values, and with ``bins``
+    the counts of ``np.histogram`` over [0, 1]."""
+    v = np.asarray(posteriors, dtype=np.float64)
+    m = population_moments(v)
+    p = np.sort(v)
+    eps = 1e-9
+    classes = int(np.count_nonzero(np.diff(p) > eps)) + 1 if p.size else 0
+    pairs = int(np.searchsorted(p, p - eps, side="left").sum())
+    counts = None if bins is None else np.histogram(v, bins, (0.0, 1.0))[0]
+    return MacroSnapshot(
+        step=int(step), mean_posterior=m.mean, variance=m.variance, skewness=m.skewness,
+        excess_kurtosis=m.excess_kurtosis, entropy=math.log(max(1, pairs)),
+        distinct_classes=classes, heterogeneous_pairs=pairs, counts=counts,
+    )
 
 
 def _read_pairs(path, headers):
@@ -227,6 +251,27 @@ def exact_mean_posterior(n: int, b: int, t: int) -> float:
     return float(np.sum(prob * l_w / (l_w + l_l)))
 
 
+def exact_pooled_counts(sizes, b: int, t: int, bins: int) -> np.ndarray:
+    """Expected pooled histogram after step t of grains of the given sizes
+    with b bets per step each: the sum over grains of N_g times the
+    probability that one participant's posterior falls in each bin.
+
+    A participant's ledger follows the law of ``exact_mean_posterior``;
+    its posterior comes from ``betsim.core._posteriors`` and is binned by
+    ``np.histogram``, so a value on a bin edge lands where the package
+    puts it.
+    """
+    expected = np.zeros(bins)
+    for n in sizes:
+        p_bets = stats.binom.pmf(np.arange(t + 1), t, 2 * b / n)
+        k = np.flatnonzero(p_bets > 1e-20)[:, None]
+        j = np.arange(k.max() + 1)[None, :]
+        prob = p_bets[k] * stats.binom.pmf(j, k, 0.5)  # 0 for j > k
+        posteriors = _posteriors(1 + j, np.maximum(k - j, 0), n + b * t, b * t)
+        expected += n * np.histogram(posteriors, bins, (0.0, 1.0), weights=prob)[0]
+    return expected
+
+
 BETS = 0  # betsim.rng.BETS, the purpose slot of bet streams
 
 
@@ -252,11 +297,11 @@ def closed_run(seed: int, n: int, bets: int, steps: int):
     """A closed run of ``steps`` steps: its snapshots and its (steps + 1, n)
     win and loss ledgers."""
     state = EnsembleState(np.ones(n), np.zeros(n))
-    snapshots = [macro_snapshot(state.posteriors(), 0)]
+    snapshots = [reference_snapshot(state.posteriors(), 0)]
     wins, losses = [state.wins.copy()], [state.losses.copy()]
     for t in range(1, steps + 1):
         array_bet_step(state, seeded_stream(seed, BETS, 0, t), bets)
-        snapshots.append(macro_snapshot(state.posteriors(), t))
+        snapshots.append(reference_snapshot(state.posteriors(), t))
         wins.append(state.wins.copy())
         losses.append(state.losses.copy())
     return snapshots, np.array(wins), np.array(losses)
@@ -266,16 +311,16 @@ def grain_run(seed: int, sizes, bets, steps: int, bins: int):
     """Grains of the given sizes and per-step bets, none injected or removed:
     each grain's snapshots, the pooled snapshots, and the final ensembles."""
     grains = [EnsembleState(np.ones(size), np.zeros(size)) for size in sizes]
-    tracks = [[macro_snapshot(g.posteriors(), 0)] for g in grains]
-    pooled = [macro_snapshot(np.concatenate([g.posteriors() for g in grains]), 0, bins)]
+    tracks = [[reference_snapshot(g.posteriors(), 0)] for g in grains]
+    pooled = [reference_snapshot(np.concatenate([g.posteriors() for g in grains]), 0, bins)]
     for t in range(1, steps + 1):
         posts = []
         for gid, (grain, b) in enumerate(zip(grains, bets)):
             if b >= 1:
                 array_bet_step(grain, seeded_stream(seed, BETS, gid, t), b)
             posts.append(grain.posteriors())
-            tracks[gid].append(macro_snapshot(posts[-1], t))
-        pooled.append(macro_snapshot(np.concatenate(posts), t, bins))
+            tracks[gid].append(reference_snapshot(posts[-1], t))
+        pooled.append(reference_snapshot(np.concatenate(posts), t, bins))
     return tracks, pooled, grains
 
 

@@ -32,7 +32,7 @@ from betsim.inference import (
 )
 from betsim import rng as rngmod
 from betsim.superstat import MixingModel, generate_returns, sample_moments
-from oracle import closed_form_log_evidence, exact_mean_posterior
+from oracle import closed_form_log_evidence, exact_mean_posterior, exact_pooled_counts
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -480,3 +480,30 @@ def test_grain_means_match_the_exact_ledger_law(ordering_runs):
     _report("exact grain means", worst <= 4.0,
             f"max |z| of the 20-seed grain means against the exact expectation "
             f"over {len(SIZES) * len(EXACT_STEPS)} grain-steps: {worst:.2f}")
+
+
+# ---------------------------------------------------------------------------
+# 12. pooled histograms against the exact law of one ledger
+
+POOLED_STEPS = (50, 200, 1000, 3000)
+
+
+def test_pooled_counts_match_the_exact_ledger_law(ordering_runs):
+    # one bet per grain and step; every bin whose expected count is at
+    # least 5, and the bound |z| <= 5 on each 20-seed mean, with z from
+    # the seeds' sample SD, were fixed before the check first ran
+    bins = ordering_runs[0].bins
+    worst, where, compared = 0.0, None, 0
+    for t in POOLED_STEPS:
+        counts = np.array([r.pooled[t].counts for r in ordering_runs])
+        expected = exact_pooled_counts(SIZES, 1, t, bins)
+        tested = np.flatnonzero(expected >= 5)
+        spread = counts[:, tested].std(axis=0, ddof=1) / math.sqrt(len(counts))
+        z = (counts[:, tested].mean(axis=0) - expected[tested]) / spread
+        k = int(np.argmax(np.abs(z)))
+        if not abs(z[k]) <= worst:  # NaN too, from a bin with no spread
+            worst, where = float(abs(z[k])), (t, int(tested[k]))
+        compared += tested.size
+    _report("exact pooled counts", worst <= 5.0,
+            f"max |z| of the 20-seed pooled bin counts against the exact expectation "
+            f"over {compared} bins with an expected count >= 5: {worst:.2f}, at (step, bin) {where}")

@@ -865,6 +865,92 @@ def test_gen_returns_keeps_the_exit_code_contract(
         assert values.size == n and np.isfinite(values).all()
 
 
+# each key's valid values, then its invalid ones: sizes up to 150, or too
+# small, or too large for memory
+SIM_SIZES = (st.integers(2, 150), st.sampled_from([-1, 0, 1, 2**62]))
+SIM_SEEDS = (st.integers(0, 5), st.sampled_from([-1, 2**64]))
+SIM_PROBS = (
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)), st.sampled_from([-0.5, 1.5])
+)
+SIM_SECTIONS = {
+    "sim-conservative": ("conservative", {
+        "steps": (st.integers(0, 12), st.just(-1)),
+        "n_microstates": SIM_SIZES,
+        "bets_per_step": (st.integers(1, 3), st.sampled_from([0, 2**62])),
+        "seed": SIM_SEEDS,
+    }),
+    "sim-dissipative": ("dissipative", {
+        "steps": (st.integers(0, 12), st.just(-1)),
+        "grain_sizes": tuple(
+            st.lists(sizes, min_size=1, max_size=3).map(lambda s: ", ".join(map(str, s)))
+            for sizes in SIM_SIZES
+        ),
+        "seed": SIM_SEEDS,
+        "bets_fraction": (st.floats(0.01, 1.0), st.sampled_from([0.0, -0.5, 1.5])),
+        "bets_per_grain": (st.integers(1, 3), st.sampled_from([0, 2**62])),
+        "injection_prob": SIM_PROBS,
+        "injection_size_range": tuple(
+            st.tuples(sizes, SIM_SIZES[0]).map(lambda pair: "{}, {}".format(*sorted(pair)))
+            for sizes in SIM_SIZES
+        ),
+        "removal_prob": SIM_PROBS,
+        "removal_policy": (
+            st.sampled_from(["oldest", "random", "closest-to-equilibrium"]), st.just("newest")
+        ),
+    }),
+}
+SIM_IO = {
+    "histogram_bins": (st.sampled_from([1, 7, 50]), st.sampled_from([0, -1, 2**62])),
+    "histogram_every": (st.sampled_from([0, 1, 3, 2**62]), st.just(-1)),
+    "write_microstates": (st.sampled_from(["true", "false"]), st.just("maybe")),
+}
+
+
+@st.composite
+def _sim_config(draw, command):
+    """The command's section and [io], with every key's value drawn or left
+    out (but steps), and in about half the configs one key's value invalid."""
+    name, keys = SIM_SECTIONS[command]
+    sections = ((name, keys), ("io", SIM_IO))
+    broken = draw(st.one_of(st.none(), st.sampled_from([*keys, *SIM_IO])))
+    text = ""
+    for section, values in sections:
+        text += f"[{section}]\n"
+        for key, (valid, invalid) in values.items():
+            if key == broken:
+                value = draw(invalid)
+            elif key == "steps" or draw(st.booleans()):
+                value = draw(valid)
+            else:
+                continue  # a key left out takes its default
+            text += f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+    return text
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(SIM_SECTIONS)))
+def test_simulation_commands_keep_the_exit_code_contract(data, command):
+    config = data.draw(_sim_config(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = _write(Path(tmp), "c.ini", config), os.path.join(tmp, "o")
+        err = io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("error")
+            code = dispatch([command, "--config", cfg, "--out", out])
+        assert code in (0, 2), config
+        if code == 2:
+            _assert_one_error_line(err.getvalue())
+            assert not os.path.exists(out)  # the failed run removed the directory it made
+            return
+        assert err.getvalue() == ""
+        for name in os.listdir(out):
+            _assert_finite_csv(Path(out, name))
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
 def test_write_failure_exits_3(workdir, capsys):
     # the file opens fine; the write fails when the buffer is flushed

@@ -11,6 +11,7 @@ from betsim import rng as rngmod
 from betsim.conservative import (
     DEFAULT_SMOOTHING_WINDOW,
     ConservativeConfig,
+    Trajectory,
     init_ensemble,
     run_conservative,
     smooth_series,
@@ -304,3 +305,17 @@ def test_run_matches_per_step_seeding(bets):
     assert traj.ensemble.wins.tolist() == wins[-1].tolist()
     assert traj.ensemble.losses.tolist() == losses[-1].tolist()
     assert traj.ensemble.total_losses == bets * steps
+
+
+def test_recorded_trajectory_steps_past_its_last_step():
+    # the ledger record grows like the snapshots, as a grain's do when a
+    # run's state is stepped past config.steps
+    traj = Trajectory.fresh(10, 0, 2, record=True)
+    for t in range(1, 6):
+        traj.advance(t, 1)
+    snapshots, wins, losses = closed_run(0, 10, 1, 5)
+    assert np.array_equal(traj.wins, wins) and np.array_equal(traj.losses, losses)
+    assert len(traj.snapshots) == len(snapshots) == 6
+    assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
+    with pytest.raises(ValueError, match="next step, 6"):
+        traj.advance(7, 1)

@@ -10,16 +10,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from betsim.core import (
+    CENSUS_BATCH_ROWS,
     EPS_CLASS,
     EnsembleState,
+    Snapshots,
     _posteriors,
+    block_snapshots,
     boltzmann_entropy,
     distinct_posterior_classes,
     heterogeneous_pair_count,
     macro_snapshot,
     population_moments,
 )
-from oracle import BetLedger, EnsembleTotals, posterior_win
+from oracle import BetLedger, EnsembleTotals, posterior_win, reference_snapshot, same_snapshot
 from oracle import population_moments as reference_moments
 
 
@@ -316,3 +319,85 @@ def test_snapshot_without_bins_has_no_counts():
     assert macro_snapshot([0.2, 0.7], 0).counts is None
     with pytest.raises(ValueError, match="bins"):
         macro_snapshot([0.2, 0.7], 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# block summaries and their columnar record
+
+
+@st.composite
+def _posterior_rows(draw, n, bins):
+    """One row of n values: values in [0, 1], bin edges and 1.0, all ones,
+    one repeated value (zero variance), or runs spaced 0.6 eps apart,
+    whose classes span more than eps.  Values are 0 or at least 1e-6, as
+    posteriors of ledgers are: a variance whose powers underflow divides
+    by zero, in the reference as in the package."""
+    edges = np.linspace(0.0, 1.0, (bins or 10) + 1).tolist()
+    value = st.one_of(st.just(0.0), st.floats(1e-6, 1.0))
+    kind = draw(st.sampled_from(["values", "ones", "constant", "chain", "chain and values"]))
+    if kind == "ones":
+        return [1.0] * n
+    if kind == "constant":
+        return [draw(value)] * n
+    values = st.lists(st.one_of(value, st.sampled_from(edges)), min_size=n, max_size=n)
+    if kind == "values":
+        return draw(values)
+    start = draw(st.one_of(st.floats(0.0, 0.9), st.sampled_from(edges[:-1])))
+    row = [start + k * 0.6 * EPS_CLASS for k in range(n)]
+    if kind == "chain and values":
+        row[: n // 2] = draw(values)[: n // 2]
+    return draw(st.permutations(row))
+
+
+@st.composite
+def _posterior_blocks(draw):
+    """(block, bins): one row up to a block past CENSUS_BATCH_ROWS rows."""
+    rows = draw(st.one_of(st.just(1), st.integers(2, CENSUS_BATCH_ROWS + 4)))
+    n = draw(st.integers(1, 30))
+    bins = draw(st.one_of(st.none(), st.integers(1, 12)))
+    return np.array([draw(_posterior_rows(n, bins)) for _ in range(rows)]), bins
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_bins=_posterior_blocks(), first=st.integers(0, 10**6))
+def test_block_summary_equals_the_reference_summary(block_bins, first):
+    block, bins = block_bins
+    got = block_snapshots(block, first, bins)
+    assert len(got) == len(block)
+    want = [reference_snapshot(row, first + k, bins) for k, row in enumerate(block)]
+    assert all(same_snapshot(a, b) for a, b in zip(got, want))
+    assert all(same_snapshot(got[k], want[k]) for k in range(-len(block), len(block)))
+
+
+def test_block_census_matches_brute_force_on_tied_posteriors():
+    # blocks of equal-length rows take the census from class sizes; a
+    # row of 0.6 eps steps has a class that spans more than eps
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 5, 12, 40):
+        rows = [_tied_posteriors(rng, n, top) for top in (1, 2, 3, 6) for _ in range(3)]
+        rows.append(0.25 + 0.6 * EPS_CLASS * np.arange(n))
+        got = block_snapshots(np.array(rows), 0)
+        assert len(rows) >= CENSUS_BATCH_ROWS
+        for snap, row in zip(got, rows):
+            assert snap.heterogeneous_pairs == _brute_pairs(row.tolist(), EPS_CLASS)
+            assert snap.distinct_classes == _brute_classes(row.tolist(), EPS_CLASS)
+
+
+def test_snapshot_record_grows_and_reads_rows_and_columns():
+    record = Snapshots(2, bins=4)
+    blocks = [block_snapshots(np.full((k, 3), 0.25 * k), 10 * k, 4) for k in (1, 3, 2)]
+    for block in blocks:
+        record.extend(block)
+    assert len(record) == 6
+    want = [row for block in blocks for row in block]
+    assert all(same_snapshot(a, b) for a, b in zip(record, want))
+    assert record.column("step").tolist() == [10, 30, 31, 32, 20, 21]
+    assert same_snapshot(record[-1], want[-1]) and same_snapshot(record[0], want[0])
+    with pytest.raises(IndexError):
+        record[6]
+    with pytest.raises(IndexError):
+        record[-7]
+    record[0].counts[:] = 0  # a row's counts are its own copy
+    assert record[0].counts.tolist() == [0, 3, 0, 0]
+    record.trim()
+    assert all(same_snapshot(a, b) for a, b in zip(record, want))

@@ -296,6 +296,13 @@ def test_bet_streams_derived_once_per_grain_step(derived_keys):
     } <= set(derived)
 
 
+def test_a_finished_run_keeps_no_derived_stream_block():
+    # a grain's stepper drops its last block once it serves the last step
+    steps = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
+    result = run_dissipative(DissipativeConfig(steps=steps, grain_sizes=(6, 8), seed=3))
+    assert all(grain.streams._words.size == 0 for grain in result.grains)
+
+
 def test_superposed_requires_living_grains():
     with pytest.raises(ValueError, match="living grains"):
         superposed_distribution([], step=0)
