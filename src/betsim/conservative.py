@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .core import EnsembleState, Snapshots, _means, _resized, block_snapshots
+from .core import EnsembleState, Snapshots, _means, _posteriors, _resized, block_snapshots
 
 DEFAULT_SMOOTHING_WINDOW = 25
 # steps a population books before it summarises them in one batch, and a
@@ -138,8 +138,13 @@ class Trajectory:
         Step t + k books ``forced[k]`` when ``forced`` is given, else
         ``bets`` random pairs from the step's stream, which ``streams``
         serves.  A forced step derives no stream, and neither does a step
-        of 0 bets, which books nothing.  The steps' posteriors are
-        summarised in one batch with the steps that wait before them.
+        of 0 bets, which books nothing.  A block of two or more random
+        steps is booked in one pass (``_book_block``); a single step, a
+        forced schedule and steps of 0 bets go one step at a time, through
+        ``step_conservative`` and ``EnsembleState.posteriors``.  Both give
+        the same ledgers and posteriors, bit for bit.  The steps'
+        posteriors are summarised in one batch with the steps that wait
+        before them.
         """
         row = self._steps_run
         if t != self.birth_step + row:
@@ -147,23 +152,62 @@ class Trajectory:
         if self._wins is not None and row + steps > len(self._wins):
             rows = max(row + steps, 2 * len(self._wins))
             self._wins, self._losses = _resized(self._wins, rows), _resized(self._losses, rows)
-        posteriors = np.empty((steps, self.size))
-        ensemble = self.ensemble
-        for k in range(steps):
-            if forced is not None:
-                step_conservative(ensemble, None, bets, forced[k])
-            elif bets >= 1:
-                step_conservative(ensemble, self.streams.at(t + k), bets)
-            posteriors[k] = ensemble.posteriors()
-            if self._wins is not None:
-                self._wins[row + k] = ensemble.wins
-                self._losses[row + k] = ensemble.losses
+        if forced is None and bets >= 1 and steps >= 2:
+            posteriors = self._book_block(t, bets, steps)
+        else:
+            posteriors = np.empty((steps, self.size))
+            ensemble = self.ensemble
+            for k in range(steps):
+                if forced is not None:
+                    step_conservative(ensemble, None, bets, forced[k])
+                elif bets >= 1:
+                    step_conservative(ensemble, self.streams.at(t + k), bets)
+                posteriors[k] = ensemble.posteriors()
+                if self._wins is not None:
+                    self._wins[row + k] = ensemble.wins
+                    self._losses[row + k] = ensemble.losses
         self._steps_run = row + steps
         posteriors.setflags(write=False)  # it waits in _pending to be summarised
         self._pending.append(posteriors)
         if self._steps_run - len(self._snapshots) >= BLOCK_STEPS:
             self.summarise()
         return posteriors
+
+    def _book_block(self, t: int, bets: int, steps: int) -> np.ndarray:
+        """Book random steps t to t + steps - 1 in one pass; returns their
+        posteriors, a ``(steps, size)`` block.
+
+        Each step draws its pairs and coins with ``_draw``, as
+        ``step_conservative`` does, books them on the live ledgers and
+        copies both ledgers into a ``(steps, size)`` block of rows, which
+        are the record's own rows when the run records.  Then every row's
+        column sums are checked against its step's carried totals, and one
+        ``_posteriors`` pass on the rows, with one total per row, gives
+        the posteriors: elementwise the divisions of a step at a time.
+        """
+        ensemble, row, n = self.ensemble, self._steps_run, self.size
+        wins, losses = ensemble.wins, ensemble.losses
+        if self._wins is None:
+            win_rows = np.empty((steps, n), dtype=np.int64)
+            loss_rows = np.empty((steps, n), dtype=np.int64)
+        else:
+            win_rows, loss_rows = self._wins[row:row + steps], self._losses[row:row + steps]
+        at = self.streams.at
+        for k in range(steps):
+            winners, losers = _draw(at(t + k), n, bets)
+            wins[winners] += 1
+            losses[losers] += 1
+            win_rows[k] = wins
+            loss_rows[k] = losses
+        booked = np.arange(bets, (steps + 1) * bets, bets, dtype=np.int64)
+        total_wins = ensemble.total_wins + booked
+        total_losses = ensemble.total_losses + booked
+        ensemble.total_wins += steps * bets
+        ensemble.total_losses += steps * bets
+        # every bet books one win and one loss, so each row sums to its step's totals
+        assert np.array_equal(np.add.reduce(win_rows, axis=1), total_wins)
+        assert np.array_equal(np.add.reduce(loss_rows, axis=1), total_losses)
+        return _posteriors(win_rows, loss_rows, total_wins[:, None], total_losses[:, None])
 
     def retire(self, t: int) -> None:
         """End the population at step t: it keeps its snapshots, in no more
@@ -185,6 +229,23 @@ def init_ensemble(n: int) -> EnsembleState:
     return EnsembleState(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
+def _draw(rng: np.random.Generator, n: int, bets: int):
+    """The winners and losers of one random step of ``bets`` bets among n.
+
+    The pairs are the leading ``2 * bets`` entries of a shuffle of
+    range(n), and one fair coin per pair picks its first index on heads.
+    A one-bet step draws its coin as a scalar and returns two ints: the
+    same value, and the generator left in the same state, as the array
+    draw of one coin.
+    """
+    if bets == 1:
+        i, j = rng.permutation(n)[:2].tolist()
+        return (i, j) if rng.integers(0, 2) == 0 else (j, i)
+    idx = rng.permutation(n)[: 2 * bets]
+    heads = rng.integers(0, 2, size=bets) == 0
+    return np.where(heads, idx[0::2], idx[1::2]), np.where(heads, idx[1::2], idx[0::2])
+
+
 def step_conservative(
     state: EnsembleState,
     rng: np.random.Generator | None,
@@ -195,13 +256,11 @@ def step_conservative(
 
     The step's disjoint pairs resolve to a winner and a loser array, which
     gain one win and one loss each; the carried totals grow by the bets.
-    Random pairs are the leading ``2 * bets_per_step`` entries of a
-    shuffle of range(n), and one fair coin per pair picks its first index
-    on heads.  A one-bet step draws its coin as a scalar, which gives the
-    same value and leaves the generator in the same state as the array
-    draw of one coin.  ``forced``, an explicit (pair, winner) list,
-    replaces them for replaying hand-specified bet sequences in tests and
-    demos.
+    Random pairs and coins come from ``_draw``, the draws that
+    ``Trajectory`` also books a block of random steps with, without this
+    function.  ``forced``, an explicit (pair, winner) list, replaces them
+    for replaying hand-specified bet sequences in tests and demos.
+    Either way the column sums are checked against the carried totals.
     """
     n = state.size
     if forced is not None:
@@ -227,14 +286,7 @@ def step_conservative(
         if 2 * bets_per_step > n:
             raise ValueError(f"cannot draw {bets_per_step} disjoint pairs from {n} microstates")
         bets = bets_per_step
-        if bets == 1:
-            i, j = rng.permutation(n)[:2].tolist()
-            winners, losers = (i, j) if rng.integers(0, 2) == 0 else (j, i)
-        else:
-            idx = rng.permutation(n)[: 2 * bets]
-            heads = rng.integers(0, 2, size=bets) == 0
-            winners = np.where(heads, idx[0::2], idx[1::2])
-            losers = np.where(heads, idx[1::2], idx[0::2])
+        winners, losers = _draw(rng, n, bets)
     # the pairs are disjoint, so no index repeats and each update is exact
     state.wins[winners] += 1
     state.losses[losers] += 1

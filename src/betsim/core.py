@@ -110,7 +110,7 @@ class EnsembleState:
         return _posteriors(self.wins, self.losses, self.total_wins, self.total_losses)
 
 
-def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins: int, total_losses: int):
+def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins, total_losses):
     """Posterior probability of profit for every ledger of one ensemble.
 
     With fair marginal odds P(win) = P(loss) = 0.5 the marginals cancel
@@ -120,13 +120,18 @@ def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins: int, total_los
     ensemble has recorded no losses at all, the loss likelihood is
     defined as 0 and every posterior is 1.  The ledgers are not checked
     here: an ``EnsembleState`` checks them once.
+
+    The totals are ints, or for a block of ledger rows, one ``(rows, 1)``
+    column each, whose loss totals must be positive; a row's values are
+    then the ones its ledgers give with its own totals, bit for bit.
     """
     l_w = wins / total_wins
-    if total_losses == 0:
+    if not isinstance(total_losses, np.ndarray) and total_losses == 0:
         # loss likelihood defined as 0: every posterior is exactly 1
         return np.ones(wins.shape, dtype=np.float64)
     l_l = losses / total_losses
-    return l_w / (l_w + l_l)
+    l_l += l_w  # l_w + l_l: IEEE addition commutes
+    return np.divide(l_w, l_l, out=l_l)
 
 
 def boltzmann_entropy(omega: float) -> float:
@@ -234,7 +239,9 @@ def _moments(v: np.ndarray):
     divided by n, which is what ``np.mean`` computes on the row, and each
     power of the deviations is one product on the previous one.  The
     ratios are taken in Python floats, whose power and division differ
-    from numpy's array loops in the last bit.
+    from numpy's array loops in the last bit.  A row whose variance is
+    positive but so small that its square underflows to 0 takes its
+    ratios from ``_scaled_ratios`` instead.
     """
     n = v.shape[1]
     mean = _means(v)
@@ -244,14 +251,31 @@ def _moments(v: np.ndarray):
     s3 = np.add.reduce(np.multiply(dk, d, out=dk), axis=1).tolist()
     s4 = np.add.reduce(np.multiply(dk, d, out=dk), axis=1).tolist()
     skewness, kurtosis = [], []
-    for a2, b3, b4 in zip(m2.tolist(), s3, s4):
+    for r, (a2, b3, b4) in enumerate(zip(m2.tolist(), s3, s4)):
         if a2 == 0.0:
             skewness.append(math.nan)
             kurtosis.append(math.nan)
+        elif a2 * a2 == 0.0:
+            skew, kurt = _scaled_ratios(d[r])
+            skewness.append(skew)
+            kurtosis.append(kurt)
         else:
             skewness.append(b3 / n / a2**1.5)
             kurtosis.append(b4 / n / (a2 * a2) - 3.0)
     return mean, m2, skewness, kurtosis
+
+
+def _scaled_ratios(d: np.ndarray) -> tuple[float, float]:
+    """Skewness and excess kurtosis of one row of deviations, taken from the
+    deviations divided by their largest magnitude: the ratios do not change
+    with the scale, and the powers of the scaled deviations do not underflow."""
+    n = d.size
+    e = d / np.max(np.abs(d))
+    ek = e * e
+    m2 = float(np.add.reduce(ek)) / n
+    m3 = float(np.add.reduce(np.multiply(ek, e, out=ek))) / n
+    m4 = float(np.add.reduce(np.multiply(ek, e, out=ek))) / n
+    return m3 / m2**1.5, m4 / (m2 * m2) - 3.0
 
 
 def population_moments(values: Sequence[float]) -> Moments:

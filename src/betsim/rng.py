@@ -172,16 +172,17 @@ class StreamStepper:
     steps costs what one key at a time costs.  Later requests load the
     state that ``stream`` would seed for step t into one reused PCG64,
     deriving the states of up to ``CHUNK`` steps at a time, never past
-    ``last``, and dropping them once step ``last`` is served.  Each
-    returned generator is valid until the next ``at`` call.
+    ``last``, and dropping them once step ``last`` is served.  The
+    reused generator is built with the first derived block, so a stepper
+    that derives none never builds one.  Each returned generator is
+    valid until the next ``at`` call.
     """
 
     def __init__(self, seed: int, purpose: int, sub: int, last: int):
         self._key = (seed, purpose, sub)
         self._last = last
         self._keyed = 0
-        self._bitgen = np.random.PCG64(0)
-        self._gen = np.random.Generator(self._bitgen)
+        self._gen: np.random.Generator | None = None  # built with the first derived block
         self._first = 0
         self._words = np.empty((0, 4), dtype=np.uint64)  # stream_states rows from step _first
 
@@ -194,10 +195,12 @@ class StreamStepper:
             steps = np.arange(t, min(t + CHUNK, self._last + 1), dtype=np.uint64)
             self._words = stream_states(*self._key, steps)
             self._first, i = t, 0
+            if self._gen is None:
+                self._gen = np.random.Generator(np.random.PCG64(0))
         state_h, state_l, inc_h, inc_l = self._words[i].tolist()
         if t == self._last:
             self._words = self._words[:0].copy()  # no later step is derived from the block
-        self._bitgen.state = {
+        self._gen.bit_generator.state = {
             "bit_generator": "PCG64",
             "state": {"state": state_h << 64 | state_l, "inc": inc_h << 64 | inc_l},
             "has_uint32": 0,

@@ -99,7 +99,10 @@ def population_moments(values) -> Moments:
     """Population (biased) moments; excess kurtosis = m4/m2^2 - 3.
 
     A zero-variance population is flagged degenerate with NaN skewness
-    and kurtosis rather than raising.
+    and kurtosis rather than raising.  When the variance is positive but
+    its square underflows to 0, skewness and kurtosis are taken from the
+    deviations divided by their largest magnitude, which leaves the
+    ratios unchanged.
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -109,9 +112,13 @@ def population_moments(values) -> Moments:
     m2 = float(np.mean(d * d))
     if m2 == 0.0:
         return Moments(mean, 0.0, math.nan, math.nan, True)
-    m3 = float(np.mean(d * d * d))
-    m4 = float(np.mean(d * d * d * d))
-    return Moments(mean, m2, m3 / m2**1.5, m4 / (m2 * m2) - 3.0, False)
+    e, s2 = d, m2
+    if m2 * m2 == 0.0:
+        e = d / np.abs(d).max()
+        s2 = float(np.mean(e * e))
+    m3 = float(np.mean(e * e * e))
+    m4 = float(np.mean(e * e * e * e))
+    return Moments(mean, m2, m3 / s2**1.5, m4 / (s2 * s2) - 3.0, False)
 
 
 def reference_snapshot(posteriors, step: int, bins: int | None = None) -> MacroSnapshot:

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 import tempfile
 import typing
 import warnings
@@ -15,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betsim import config as bconfig
+from betsim import conservative, core, inference
+from betsim import rng as rngmod
 from betsim import io as csvio
 from betsim.config import (
     InferenceConfig,
@@ -373,6 +376,26 @@ def test_readme_config_grammar_lists_every_key():
     assert listed == {
         name: [f.name for f in fields(section)] for name, section in bconfig._SECTIONS.items()
     }
+
+
+def test_readme_states_the_constants_of_the_code():
+    # every "`NAME` = value" the README states, with or without its module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    constants = {
+        "BLOCK_STEPS": conservative.BLOCK_STEPS,
+        "CENSUS_BATCH_ROWS": core.CENSUS_BATCH_ROWS,
+        "KEYED_STEPS": rngmod.KEYED_STEPS,
+        "CHUNK": rngmod.CHUNK,
+        "INITIAL_NODES": inference.INITIAL_NODES,
+        "MAX_NODES": inference.MAX_NODES,
+    }
+    for name, value in constants.items():
+        stated = re.findall(rf"`(?:\w+\.)?{name}` = ([\d,]+)", readme)
+        assert stated, f"the README states no value of {name}"
+        assert {int(v.replace(",", "")) for v in stated} == {value}, (name, stated)
+    # each doubling of the quadrature grid adds a node between every two
+    doublings = int(re.search(r"\((\d+) doublings from `inference.INITIAL_NODES`", readme)[1])
+    assert (inference.INITIAL_NODES - 1) * 2**doublings + 1 == inference.MAX_NODES
 
 
 # ---------------------------------------------------------------------------

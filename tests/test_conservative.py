@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betsim import conservative
 from betsim import rng as rngmod
 from betsim.conservative import (
     DEFAULT_SMOOTHING_WINDOW,
@@ -319,3 +320,65 @@ def test_recorded_trajectory_steps_past_its_last_step():
     assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
     with pytest.raises(ValueError, match="next step, 6"):
         traj.advance(7, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(2, 800),
+    seed=st.integers(0, 2**64 - 1),
+    gid=st.integers(0, 5),
+    birth=st.integers(0, 40),
+    record=st.booleans(),
+    data=st.data(),
+)
+def test_a_block_of_steps_equals_its_steps_one_at_a_time(size, seed, gid, birth, record, data):
+    # one advance books a block of random steps in one pass; stepping the
+    # same population one step at a time books them with step_conservative
+    bets = data.draw(st.integers(1, size // 2), label="bets")
+    lead = data.draw(st.integers(0, rngmod.KEYED_STEPS + 4), label="lead")
+    steps = data.draw(st.integers(1, 130), label="steps")
+    last = birth + lead + steps
+    block, single = (Trajectory.fresh(size, seed, last, gid, birth, record) for _ in range(2))
+    for traj in (block, single):
+        for t in range(birth + 1, birth + lead + 1):
+            traj.advance(t, bets)
+    t = birth + lead + 1
+    got = block.advance(t, bets, steps)
+    want = np.concatenate([single.advance(t + k, bets) for k in range(steps)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(block.ensemble.wins, single.ensemble.wins)
+    assert np.array_equal(block.ensemble.losses, single.ensemble.losses)
+    assert (block.ensemble.total_wins, block.ensemble.total_losses) == (
+        single.ensemble.total_wins, single.ensemble.total_losses)
+    if record:
+        assert np.array_equal(block.wins, single.wins)
+        assert np.array_equal(block.losses, single.losses)
+    else:
+        assert block.wins is block.losses is single.wins is single.losses is None
+    assert len(block.snapshots) == len(single.snapshots) == lead + steps + 1
+    assert all(same_snapshot(a, b) for a, b in zip(block.snapshots, single.snapshots))
+
+
+def test_block_ledger_check_catches_a_repeated_index(monkeypatch):
+    # a step whose draws name one participant twice books one win where the
+    # totals carry two, so its row's column sums miss its totals
+    draw, calls = conservative._draw, []
+
+    def repeating_draw(rng, n, bets):
+        winners, losers = draw(rng, n, bets)
+        calls.append(None)
+        if len(calls) == 2:
+            winners = np.full_like(winners, winners[0])
+        return winners, losers
+
+    monkeypatch.setattr(conservative, "_draw", repeating_draw)
+    traj = Trajectory.fresh(20, 0, 10)
+    with pytest.raises(AssertionError):
+        traj.advance(1, 3, 4)
+    assert len(calls) == 4  # every step was drawn before the block was checked
+    # the one-step path checks its step the same way
+    calls.clear()
+    state = init_ensemble(20)
+    step_conservative(state, rngmod.stream(0), 3)
+    with pytest.raises(AssertionError):
+        step_conservative(state, rngmod.stream(1), 3)

@@ -223,6 +223,24 @@ def test_population_moments_degenerate():
     assert math.isnan(m.skewness) and math.isnan(m.excess_kurtosis)
 
 
+def test_moments_of_a_variance_whose_square_underflows():
+    # seven equal values of 3e-80: the mean's rounding leaves a positive
+    # variance whose square underflows to 0
+    m = population_moments([3e-80] * 7)
+    assert 0.0 < m.variance and m.variance * m.variance == 0.0 and not m.degenerate
+    assert math.isfinite(m.skewness) and math.isfinite(m.excess_kurtosis)
+    assert dataclasses.astuple(m) == dataclasses.astuple(reference_moments([3e-80] * 7))
+    # the ratios do not depend on the scale
+    x = np.array([1.0, 2.0, 2.0, 3.0, 10.0])
+    tiny, plain = population_moments(x * 1e-100), population_moments(x)
+    assert tiny.skewness == pytest.approx(plain.skewness, rel=1e-12)
+    assert tiny.excess_kurtosis == pytest.approx(plain.excess_kurtosis, rel=1e-12)
+    # in a block, such a row sits beside ordinary and degenerate rows
+    rows = np.array([[3e-80] * 5, x * 1e-100, x / 10, [0.5] * 5])
+    block = block_snapshots(rows, 4)
+    assert all(same_snapshot(block[k], reference_snapshot(rows[k], 4 + k)) for k in range(4))
+
+
 def _moment_inputs(rng, n):
     yield rng.uniform(0.0, 1.0, n)
     yield rng.normal(0.3, 1.7, n)
