@@ -62,9 +62,10 @@ class Trajectory:
     population's bet streams (0 for a closed run), which ``streams``
     serves.  A retired grain has ``death_step`` set and no ``ensemble``
     or ``streams``.  ``wins`` and ``losses`` are the ledgers after each
-    step, ``(steps run, size)`` int64 arrays, when the run records them
-    and None otherwise; a step's posteriors are a function of its rows
-    and their sums, so they are not kept.
+    step, ``(steps run, size)`` int64 views of one ``(rows, 2, size)``
+    record, when the run records them and None otherwise; a step's
+    posteriors are a function of its rows and their sums, so they are not
+    kept.
 
     Steps are summarised in batches: the posteriors of the steps run
     wait until ``BLOCK_STEPS`` of them do, or until ``snapshots`` is read,
@@ -80,8 +81,7 @@ class Trajectory:
     _snapshots: Snapshots = field(default_factory=Snapshots, repr=False)
     _pending: list[np.ndarray] = field(default_factory=list, repr=False)
     _steps_run: int = field(default=0, repr=False)
-    _wins: np.ndarray | None = field(default=None, repr=False)
-    _losses: np.ndarray | None = field(default=None, repr=False)
+    _ledgers: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def fresh(cls, size: int, seed: int, last: int, id: int = 0, birth_step: int = 0,
@@ -95,9 +95,7 @@ class Trajectory:
         streams = rngmod.StreamStepper(seed, rngmod.BETS, id, last)
         traj = cls(id, size, birth_step, init_ensemble(size), streams)
         if record:
-            rows = max(1, last - birth_step + 1)
-            traj._wins = np.empty((rows, size), dtype=np.int64)
-            traj._losses = np.empty((rows, size), dtype=np.int64)
+            traj._ledgers = np.empty((max(1, last - birth_step + 1), 2, size), dtype=np.int64)
         traj.advance(birth_step, 0)  # no bets and so no stream: records the birth state
         return traj
 
@@ -124,11 +122,11 @@ class Trajectory:
 
     @property
     def wins(self) -> np.ndarray | None:
-        return None if self._wins is None else self._wins[: self._steps_run]
+        return None if self._ledgers is None else self._ledgers[: self._steps_run, 0]
 
     @property
     def losses(self) -> np.ndarray | None:
-        return None if self._losses is None else self._losses[: self._steps_run]
+        return None if self._ledgers is None else self._ledgers[: self._steps_run, 1]
 
     def advance(self, t: int, bets: int, steps: int = 1,
                 forced: list[list[ForcedBet]] | None = None) -> np.ndarray:
@@ -138,76 +136,35 @@ class Trajectory:
         Step t + k books ``forced[k]`` when ``forced`` is given, else
         ``bets`` random pairs from the step's stream, which ``streams``
         serves.  A forced step derives no stream, and neither does a step
-        of 0 bets, which books nothing.  A block of two or more random
-        steps is booked in one pass (``_book_block``); a single step, a
-        forced schedule and steps of 0 bets go one step at a time, through
-        ``step_conservative`` and ``EnsembleState.posteriors``.  Both give
-        the same ledgers and posteriors, bit for bit.  The steps'
-        posteriors are summarised in one batch with the steps that wait
-        before them.
+        of 0 bets, which books nothing.  Every step, one or many, random
+        or forced, is booked by ``_book`` in one pass over the block, into
+        the record's own rows when the run records.  The steps' posteriors
+        are summarised in one batch with the steps that wait before them.
         """
-        row = self._steps_run
+        row, n = self._steps_run, self.size
         if t != self.birth_step + row:
             raise ValueError(f"step {t} is not the population's next step, {self.birth_step + row}")
-        if self._wins is not None and row + steps > len(self._wins):
-            rows = max(row + steps, 2 * len(self._wins))
-            self._wins, self._losses = _resized(self._wins, rows), _resized(self._losses, rows)
-        if forced is None and bets >= 1 and steps >= 2:
-            posteriors = self._book_block(t, bets, steps)
+        rows = self._ledgers
+        if rows is None:
+            rows = np.empty((steps, 2, n), dtype=np.int64)
         else:
-            posteriors = np.empty((steps, self.size))
-            ensemble = self.ensemble
-            for k in range(steps):
-                if forced is not None:
-                    step_conservative(ensemble, None, bets, forced[k])
-                elif bets >= 1:
-                    step_conservative(ensemble, self.streams.at(t + k), bets)
-                posteriors[k] = ensemble.posteriors()
-                if self._wins is not None:
-                    self._wins[row + k] = ensemble.wins
-                    self._losses[row + k] = ensemble.losses
+            if row + steps > len(rows):
+                self._ledgers = rows = _resized(rows, max(row + steps, 2 * len(rows)))
+            rows = rows[row:row + steps]
+        if forced is not None:
+            draws = ((*_forced_pairs(pairs, n), len(pairs)) for pairs in forced)
+        elif bets >= 1:
+            at = self.streams.at
+            draws = ((*_draw(at(s), n, bets), bets) for s in range(t, t + steps))
+        else:
+            draws = [(slice(0), slice(0), 0)] * steps  # empty selections: no bets
+        posteriors = _book(self.ensemble, draws, rows)
         self._steps_run = row + steps
         posteriors.setflags(write=False)  # it waits in _pending to be summarised
         self._pending.append(posteriors)
         if self._steps_run - len(self._snapshots) >= BLOCK_STEPS:
             self.summarise()
         return posteriors
-
-    def _book_block(self, t: int, bets: int, steps: int) -> np.ndarray:
-        """Book random steps t to t + steps - 1 in one pass; returns their
-        posteriors, a ``(steps, size)`` block.
-
-        Each step draws its pairs and coins with ``_draw``, as
-        ``step_conservative`` does, books them on the live ledgers and
-        copies both ledgers into a ``(steps, size)`` block of rows, which
-        are the record's own rows when the run records.  Then every row's
-        column sums are checked against its step's carried totals, and one
-        ``_posteriors`` pass on the rows, with one total per row, gives
-        the posteriors: elementwise the divisions of a step at a time.
-        """
-        ensemble, row, n = self.ensemble, self._steps_run, self.size
-        wins, losses = ensemble.wins, ensemble.losses
-        if self._wins is None:
-            win_rows = np.empty((steps, n), dtype=np.int64)
-            loss_rows = np.empty((steps, n), dtype=np.int64)
-        else:
-            win_rows, loss_rows = self._wins[row:row + steps], self._losses[row:row + steps]
-        at = self.streams.at
-        for k in range(steps):
-            winners, losers = _draw(at(t + k), n, bets)
-            wins[winners] += 1
-            losses[losers] += 1
-            win_rows[k] = wins
-            loss_rows[k] = losses
-        booked = np.arange(bets, (steps + 1) * bets, bets, dtype=np.int64)
-        total_wins = ensemble.total_wins + booked
-        total_losses = ensemble.total_losses + booked
-        ensemble.total_wins += steps * bets
-        ensemble.total_losses += steps * bets
-        # every bet books one win and one loss, so each row sums to its step's totals
-        assert np.array_equal(np.add.reduce(win_rows, axis=1), total_wins)
-        assert np.array_equal(np.add.reduce(loss_rows, axis=1), total_losses)
-        return _posteriors(win_rows, loss_rows, total_wins[:, None], total_losses[:, None])
 
     def retire(self, t: int) -> None:
         """End the population at step t: it keeps its snapshots, in no more
@@ -246,38 +203,74 @@ def _draw(rng: np.random.Generator, n: int, bets: int):
     return np.where(heads, idx[0::2], idx[1::2]), np.where(heads, idx[1::2], idx[0::2])
 
 
+def _forced_pairs(forced: list[ForcedBet], n: int):
+    """The winners and losers of a forced step among n, an explicit list of
+    (pair, winner) bets: each pair is two participants of range(n), won
+    by one of them, and shares no participant with another pair."""
+    seen: set[int] = set()
+    for (i, j), winner in forced:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"pair {(i, j)} is outside range({n})")
+        if i == j:
+            raise ValueError(f"a participant cannot bet against itself (pair {(i, j)})")
+        if winner not in (i, j):
+            raise ValueError(f"winner {winner} is not part of pair {(i, j)}")
+        if i in seen or j in seen:
+            raise ValueError("forced pairs must be disjoint within one step")
+        seen.update((i, j))
+    winners = np.array([w for _, w in forced], dtype=np.int64)
+    losers = np.array([i + j - w for (i, j), w in forced], dtype=np.int64)
+    return winners, losers
+
+
+def _book(state: EnsembleState, draws, rows: np.ndarray) -> np.ndarray:
+    """Book one step per ``(winners, losers, bets)`` of ``draws`` on the live
+    ledgers of ``state``; returns the steps' posteriors, a ``(steps, size)``
+    block.
+
+    A step's pairs are disjoint, so no index repeats and each update is
+    exact.  After each step both ledgers are copied into its row of
+    ``rows``, a ``(steps, 2, size)`` int64 block, and the carried totals
+    grow by the steps' bets.  Then every row's column sums are checked
+    against its step's running totals, and one ``_posteriors`` pass with
+    those sums as each row's totals gives the posteriors: elementwise the
+    divisions of one step at a time.
+    """
+    wins, losses = state.wins, state.losses
+    total_wins, total_losses = state.total_wins, state.total_losses
+    totals = []  # each step's running [[total wins], [total losses]]
+    for k, (winners, losers, bets) in enumerate(draws):
+        wins[winners] += 1
+        losses[losers] += 1
+        rows[k, 0] = wins
+        rows[k, 1] = losses
+        total_wins += bets
+        total_losses += bets
+        totals.append([[total_wins], [total_losses]])
+    state.total_wins, state.total_losses = total_wins, total_losses
+    sums = np.add.reduce(rows, axis=2, keepdims=True)
+    # every bet books one win and one loss, so each row sums to its step's totals
+    assert sums.tolist() == totals
+    return _posteriors(rows[:, 0], rows[:, 1], sums[:, 0], sums[:, 1])
+
+
 def step_conservative(
     state: EnsembleState,
     rng: np.random.Generator | None,
     bets_per_step: int = 1,
     forced: list[ForcedBet] | None = None,
 ) -> EnsembleState:
-    """Advance the ensemble by one step of pairwise betting, in place.
+    """Advance the ensemble by one step of pairwise betting, in place: the
+    one-step case of ``_book``, which books every step of a ``Trajectory``.
 
-    The step's disjoint pairs resolve to a winner and a loser array, which
-    gain one win and one loss each; the carried totals grow by the bets.
-    Random pairs and coins come from ``_draw``, the draws that
-    ``Trajectory`` also books a block of random steps with, without this
-    function.  ``forced``, an explicit (pair, winner) list, replaces them
-    for replaying hand-specified bet sequences in tests and demos.
-    Either way the column sums are checked against the carried totals.
+    Random pairs and coins come from ``_draw``.  ``forced``, an explicit
+    (pair, winner) list checked by ``_forced_pairs``, replaces them for
+    replaying hand-specified bet sequences in tests and demos.  Either
+    way the column sums are checked against the carried totals.
     """
     n = state.size
     if forced is not None:
-        seen: set[int] = set()
-        for (i, j), winner in forced:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"pair {(i, j)} is outside range({n})")
-            if i == j:
-                raise ValueError(f"a participant cannot bet against itself (pair {(i, j)})")
-            if winner not in (i, j):
-                raise ValueError(f"winner {winner} is not part of pair {(i, j)}")
-            if i in seen or j in seen:
-                raise ValueError("forced pairs must be disjoint within one step")
-            seen.update((i, j))
-        winners = np.array([w for _, w in forced], dtype=np.int64)
-        losers = np.array([i + j - w for (i, j), w in forced], dtype=np.int64)
-        bets = len(forced)
+        draw = (*_forced_pairs(forced, n), len(forced))
     else:
         if rng is None:
             raise ValueError("rng required unless a forced bet list is given")
@@ -285,16 +278,8 @@ def step_conservative(
             raise ValueError("bets_per_step must be >= 1")
         if 2 * bets_per_step > n:
             raise ValueError(f"cannot draw {bets_per_step} disjoint pairs from {n} microstates")
-        bets = bets_per_step
-        winners, losers = _draw(rng, n, bets)
-    # the pairs are disjoint, so no index repeats and each update is exact
-    state.wins[winners] += 1
-    state.losses[losers] += 1
-    state.total_wins += bets
-    state.total_losses += bets
-    # every bet books one win and one loss, so the totals keep their gap
-    assert int(state.wins.sum()) == state.total_wins
-    assert int(state.losses.sum()) == state.total_losses
+        draw = (*_draw(rng, n, bets_per_step), bets_per_step)
+    _book(state, [draw], np.empty((1, 2, n), dtype=np.int64))
     return state
 
 

@@ -116,20 +116,18 @@ def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins, total_losses):
     With fair marginal odds P(win) = P(loss) = 0.5 the marginals cancel
     and each posterior reduces to ``L_w / (L_w + L_l)`` where the
     likelihoods are empirical frequencies ``L_w = wins/total_wins`` and
-    ``L_l = losses/total_losses`` over the ensemble's totals.  When the
-    ensemble has recorded no losses at all, the loss likelihood is
-    defined as 0 and every posterior is 1.  The ledgers are not checked
-    here: an ``EnsembleState`` checks them once.
+    ``L_l = losses/total_losses`` over the ensemble's totals.  An ensemble
+    that has recorded no losses at all holds only zero loss counts, which
+    are divided by 1: the loss likelihood is 0, and every posterior is
+    ``L_w / L_w``, exactly 1.  The ledgers are not checked here: an
+    ``EnsembleState`` checks them once.
 
     The totals are ints, or for a block of ledger rows, one ``(rows, 1)``
-    column each, whose loss totals must be positive; a row's values are
-    then the ones its ledgers give with its own totals, bit for bit.
+    column each; a row's values are then the ones its ledgers give with
+    its own totals, bit for bit.
     """
     l_w = wins / total_wins
-    if not isinstance(total_losses, np.ndarray) and total_losses == 0:
-        # loss likelihood defined as 0: every posterior is exactly 1
-        return np.ones(wins.shape, dtype=np.float64)
-    l_l = losses / total_losses
+    l_l = losses / np.maximum(total_losses, 1)
     l_l += l_w  # l_w + l_l: IEEE addition commutes
     return np.divide(l_w, l_l, out=l_l)
 

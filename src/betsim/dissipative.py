@@ -114,8 +114,8 @@ class DissipativeState:
 
 def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
     """Add a fresh grain born at step t; returns its posteriors as a one-step
-    block, which is exactly 1 while no ledger holds a loss (the posterior
-    rule's no-loss case)."""
+    block, which is exactly 1: no ledger holds a loss, so each posterior is
+    ``L_w / L_w``."""
     cfg = state.config
     grain = Trajectory.fresh(size, cfg.seed, cfg.steps, len(state.grain_tracks), t)
     state.grains.append(grain)

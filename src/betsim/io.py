@@ -234,21 +234,30 @@ def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
 def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     """Per-step, per-participant ledgers; requires a recorded run.
 
-    Each step's posteriors are recomputed from its ledger rows, by the
-    kernel the run used on the totals it carried (the rows' column sums),
-    so they are the run's values bit for bit.  The run checked the rows.
+    The posteriors are recomputed from the ledger rows, one pass per block
+    of 1024 rows, by the kernel the run used on the totals it carried
+    (each row's column sums), so they are the run's values bit for bit.
+    The run checked the rows.
     """
-    if trajectory.wins is None:
+    wins, losses = trajectory.wins, trajectory.losses
+    if wins is None:
         raise DataError("trajectory carries no per-microstate records")
-    # each step's arrays become Python lists once, not one index per cell;
-    # a list holds Python floats, so .12g is what _fmt writes
     _write_csv(path, "step,microstate,wins,losses,posterior", (
-        f"{t},{i},{wins},{losses},{posterior:.12g}\n"
-        for t, (w, l) in enumerate(zip(trajectory.wins, trajectory.losses))
-        for i, (wins, losses, posterior) in enumerate(zip(
-            w.tolist(), l.tolist(), _posteriors(w, l, int(w.sum()), int(l.sum())).tolist(),
-        ))
+        f"{t},{i},{w},{l},{posterior:.12g}\n"
+        for t, row in enumerate(_ledger_rows(wins, losses))
+        for i, (w, l, posterior) in enumerate(zip(*row))
     ))
+
+
+def _ledger_rows(wins: np.ndarray, losses: np.ndarray):
+    """Each recorded step's wins, losses and posteriors, as Python lists (a
+    list holds Python floats, so .12g is what ``_fmt`` writes); the
+    posteriors come from one pass per block of 1024 rows."""
+    for start in range(0, len(wins), 1024):
+        w, l = wins[start:start + 1024], losses[start:start + 1024]
+        posteriors = _posteriors(w, l, w.sum(axis=1, keepdims=True), l.sum(axis=1, keepdims=True))
+        for row in zip(w, l, posteriors):
+            yield [a.tolist() for a in row]
 
 
 def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:

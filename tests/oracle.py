@@ -23,8 +23,9 @@ runs' grain means and pooled counts are tested against them.
 and ``array_bet_step`` books random bets with array draws; the reference
 runs ``closed_run`` and ``grain_run`` use both at every step, and
 summarise every step with ``reference_snapshot``, so the package's
-block-derived streams, one-bet scalar draws and block summaries must give
-the same trajectories.
+block-derived streams, one-bet scalar draws, block bookings and block
+summaries must give the same trajectories.  ``forced_run`` books a forced
+schedule in plain Python lists, with ``posterior_win`` after each step.
 """
 from __future__ import annotations
 
@@ -300,18 +301,36 @@ def array_bet_step(state: EnsembleState, rng: np.random.Generator, bets: int) ->
     state.total_losses += bets
 
 
-def closed_run(seed: int, n: int, bets: int, steps: int):
-    """A closed run of ``steps`` steps: its snapshots and its (steps + 1, n)
-    win and loss ledgers."""
+def closed_run(seed: int, n: int, bets: int, steps: int, sub: int = 0, birth: int = 0):
+    """A closed population born at step ``birth`` and run ``steps`` steps on
+    the bet streams keyed (seed, BETS, sub, t): its snapshots and its
+    (steps + 1, n) win and loss ledgers."""
     state = EnsembleState(np.ones(n), np.zeros(n))
-    snapshots = [reference_snapshot(state.posteriors(), 0)]
+    snapshots = [reference_snapshot(state.posteriors(), birth)]
     wins, losses = [state.wins.copy()], [state.losses.copy()]
-    for t in range(1, steps + 1):
-        array_bet_step(state, seeded_stream(seed, BETS, 0, t), bets)
+    for t in range(birth + 1, birth + steps + 1):
+        array_bet_step(state, seeded_stream(seed, BETS, sub, t), bets)
         snapshots.append(reference_snapshot(state.posteriors(), t))
         wins.append(state.wins.copy())
         losses.append(state.losses.copy())
     return snapshots, np.array(wins), np.array(losses)
+
+
+def forced_run(n: int, schedule):
+    """A fresh population of n booked through a forced schedule, one list of
+    ((i, j), winner) bets per step, in plain Python lists: its win and loss
+    ledgers and its posteriors (from ``posterior_win``) at the birth and
+    after each step."""
+    wins, losses = [1] * n, [0] * n
+    rows = []
+    for step in [[]] + list(schedule):  # the birth books nothing
+        for (i, j), winner in step:
+            wins[winner] += 1
+            losses[i + j - winner] += 1
+        totals = EnsembleTotals(sum(wins), sum(losses))
+        posteriors = [posterior_win(BetLedger(w, l), totals) for w, l in zip(wins, losses)]
+        rows.append((list(wins), list(losses), posteriors))
+    return [list(column) for column in zip(*rows)]
 
 
 def grain_run(seed: int, sizes, bets, steps: int, bins: int):

@@ -6,16 +6,21 @@ builds ``ModelSpec`` and ``SuperstatConfig`` objects itself and drives
 ``cli.dispatch`` on its committed configs.  This test imports it read
 only, runs one pass of each workload with ``smoke=True`` and asserts
 that every operation's check finds no problem, so a change of what the
-benchmark reads fails here and not only in a benchmark run.
+benchmark reads fails here and not only in a benchmark run.  It also runs
+the simulation operations at full size on seed 0 and compares their
+output digests with ``perfbench/references.json``, which every benchmark
+run checks: a change of any byte they write fails here first.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS_PY = PERFBENCH / "workloads.py"
 
 
 def _load_workloads():
@@ -36,3 +41,18 @@ def test_workload_smoke_pass_checks_clean(tmp_path, monkeypatch, name):
     for label, fn in workload.ops():
         check = workload.check(workloads.Op(label, 0.0, fn()))
         assert check.problems == [], (label, check.problems)
+
+
+@pytest.mark.parametrize("name, labels", [
+    ("sweep", ("replicate0", "replicate1")),
+    ("cli", ("sim-conservative", "sim-dissipative")),
+], ids=["sweep", "cli"])
+def test_full_size_outputs_match_the_reference_digests(tmp_path, monkeypatch, name, labels):
+    references = json.loads((PERFBENCH / "references.json").read_text())[name]["0"]
+    monkeypatch.chdir(tmp_path)
+    workload = workloads.WORKLOADS[name](0, tmp_path, False)
+    for label, fn in workload.ops():
+        if label in labels:
+            check = workload.check(workloads.Op(label, 0.0, fn()))
+            assert check.problems == [], (label, check.problems)
+            assert check.digest == references[label], label

@@ -20,7 +20,7 @@ from betsim.conservative import (
 )
 from betsim.core import EnsembleState
 from betsim.io import emit_trajectory_csv
-from oracle import array_bet_step, closed_run, same_snapshot
+from oracle import array_bet_step, closed_run, forced_run, same_snapshot
 
 
 def test_init_ensemble_virtual_win():
@@ -331,32 +331,63 @@ def test_recorded_trajectory_steps_past_its_last_step():
     record=st.booleans(),
     data=st.data(),
 )
-def test_a_block_of_steps_equals_its_steps_one_at_a_time(size, seed, gid, birth, record, data):
-    # one advance books a block of random steps in one pass; stepping the
-    # same population one step at a time books them with step_conservative
+def test_a_block_of_steps_matches_the_reference_run(size, seed, gid, birth, record, data):
+    # one advance books a block of random steps in one pass; the reference
+    # books each step with array draws on its own SeedSequence-keyed stream
+    # and divides its ledgers through EnsembleState
     bets = data.draw(st.integers(1, size // 2), label="bets")
     lead = data.draw(st.integers(0, rngmod.KEYED_STEPS + 4), label="lead")
     steps = data.draw(st.integers(1, 130), label="steps")
-    last = birth + lead + steps
-    block, single = (Trajectory.fresh(size, seed, last, gid, birth, record) for _ in range(2))
-    for traj in (block, single):
-        for t in range(birth + 1, birth + lead + 1):
-            traj.advance(t, bets)
-    t = birth + lead + 1
-    got = block.advance(t, bets, steps)
-    want = np.concatenate([single.advance(t + k, bets) for k in range(steps)])
+    traj = Trajectory.fresh(size, seed, birth + lead + steps, gid, birth, record)
+    for t in range(birth + 1, birth + lead + 1):
+        traj.advance(t, bets)
+    got = traj.advance(birth + lead + 1, bets, steps)
+    snapshots, wins, losses = closed_run(seed, size, bets, lead + steps, gid, birth)
+    want = [EnsembleState(w, l).posteriors() for w, l in zip(wins[lead + 1:], losses[lead + 1:])]
     assert np.array_equal(got, want)
-    assert np.array_equal(block.ensemble.wins, single.ensemble.wins)
-    assert np.array_equal(block.ensemble.losses, single.ensemble.losses)
-    assert (block.ensemble.total_wins, block.ensemble.total_losses) == (
-        single.ensemble.total_wins, single.ensemble.total_losses)
+    assert traj.ensemble.wins.tolist() == wins[-1].tolist()
+    assert traj.ensemble.losses.tolist() == losses[-1].tolist()
+    booked = bets * (lead + steps)
+    assert (traj.ensemble.total_wins, traj.ensemble.total_losses) == (size + booked, booked)
     if record:
-        assert np.array_equal(block.wins, single.wins)
-        assert np.array_equal(block.losses, single.losses)
+        assert np.array_equal(traj.wins, wins) and np.array_equal(traj.losses, losses)
     else:
-        assert block.wins is block.losses is single.wins is single.losses is None
-    assert len(block.snapshots) == len(single.snapshots) == lead + steps + 1
-    assert all(same_snapshot(a, b) for a, b in zip(block.snapshots, single.snapshots))
+        assert traj.wins is traj.losses is None
+    assert len(traj.snapshots) == len(snapshots) == lead + steps + 1
+    assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
+
+
+@st.composite
+def _forced_step(draw, n):
+    """One forced step among n: from none up to n // 2 disjoint pairs of a
+    shuffle, each won by a drawn side."""
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    return [
+        ((order[2 * m], order[2 * m + 1]), order[2 * m + draw(st.integers(0, 1))])
+        for m in range(pairs)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 12), record=st.booleans(), data=st.data())
+def test_a_forced_block_books_what_plain_python_books(n, record, data):
+    # a forced block, with an empty step somewhere in it, against the same
+    # schedule booked in Python lists and divided by posterior_win
+    schedule = data.draw(st.lists(_forced_step(n), max_size=12), label="schedule")
+    schedule.insert(data.draw(st.integers(0, len(schedule)), label="empty at"), [])
+    traj = Trajectory.fresh(n, 0, len(schedule), record=record)
+    got = traj.advance(1, 1, len(schedule), schedule)
+    wins, losses, posteriors = forced_run(n, schedule)
+    assert got.tolist() == posteriors[1:]
+    assert traj.ensemble.wins.tolist() == wins[-1]
+    assert traj.ensemble.losses.tolist() == losses[-1]
+    assert (traj.ensemble.total_wins, traj.ensemble.total_losses) == (sum(wins[-1]), sum(losses[-1]))
+    if record:
+        assert traj.wins.tolist() == wins and traj.losses.tolist() == losses
+    assert [s.mean_posterior for s in traj.snapshots] == [
+        float(np.mean(p)) for p in posteriors
+    ]
 
 
 def test_block_ledger_check_catches_a_repeated_index(monkeypatch):
@@ -376,7 +407,7 @@ def test_block_ledger_check_catches_a_repeated_index(monkeypatch):
     with pytest.raises(AssertionError):
         traj.advance(1, 3, 4)
     assert len(calls) == 4  # every step was drawn before the block was checked
-    # the one-step path checks its step the same way
+    # step_conservative, the one-step case, checks its step the same way
     calls.clear()
     state = init_ensemble(20)
     step_conservative(state, rngmod.stream(0), 3)

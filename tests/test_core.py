@@ -295,6 +295,38 @@ def test_ensemble_state_posteriors_consistent():
         assert post[i] == pytest.approx(posterior_win(ledger, totals))
 
 
+def test_posteriors_of_a_block_whose_early_rows_hold_no_loss():
+    # the rows of a birth and of two empty steps, then of two steps with bets:
+    # per-row totals of 0 losses give exactly 1, and every row is what its
+    # ledgers give with int totals, and what the scalar rule gives
+    wins = np.array([[1, 1, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1], [2, 1, 1, 1], [2, 1, 2, 1]])
+    losses = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 1]])
+    total_wins, total_losses = wins.sum(axis=1, keepdims=True), losses.sum(axis=1, keepdims=True)
+    got = _posteriors(wins, losses, total_wins, total_losses)
+    assert got[:3].tolist() == [[1.0] * 4] * 3
+    for row, w, l in zip(got, wins, losses):
+        totals = EnsembleTotals(int(w.sum()), int(l.sum()))
+        assert np.array_equal(row, _posteriors(w, l, totals.total_wins, totals.total_losses))
+        assert row.tolist() == [
+            posterior_win(BetLedger(int(a), int(b)), totals) for a, b in zip(w, l)
+        ]
+
+
+@pytest.mark.parametrize("t", [0, 1, 7])
+def test_posteriors_broadcast_a_grid_of_ledgers(t):
+    # the call oracle.exact_pooled_counts makes: a row of win counts against a
+    # (bets booked, wins booked) grid of loss counts, with scalar totals
+    n, b = 20, 2
+    k = np.arange(t + 1)[:, None]
+    j = np.arange(t + 1)[None, :]
+    losses = np.maximum(k - j, 0)
+    got = _posteriors(1 + j, losses, n + b * t, b * t)
+    l_w = (1 + j) / (n + b * t)
+    l_l = losses / max(b * t, 1)
+    assert got.shape == (t + 1, t + 1)
+    assert np.array_equal(got, l_w / (l_w + l_l))
+
+
 def test_macro_snapshot_aggregates():
     state = EnsembleState([1, 2, 1, 3], [2, 0, 1, 1])
     post = state.posteriors()
