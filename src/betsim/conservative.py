@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import rng as rngmod
-from .core import EnsembleState, Snapshots, _means, _posteriors, _resized, block_snapshots
+from .core import EnsembleState, Snapshots, _posteriors, _resized, block_snapshots
 
 DEFAULT_SMOOTHING_WINDOW = 25
 # steps a population books before it summarises them in one batch, and a
@@ -112,13 +112,6 @@ class Trajectory:
             block = np.concatenate(self._pending) if len(self._pending) > 1 else self._pending[0]
             self._pending = []
             self._snapshots.extend(block_snapshots(block, first))
-
-    @property
-    def latest_mean(self) -> float:
-        """The mean posterior at the latest step run, as its snapshot has it."""
-        if self._pending:
-            return float(_means(self._pending[-1][-1]))
-        return float(self._snapshots.column("mean_posterior")[-1])
 
     @property
     def wins(self) -> np.ndarray | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -291,12 +291,10 @@ def population_moments(values: Sequence[float]) -> Moments:
     return Moments(float(mean[0]), variance, skewness[0], kurtosis[0], variance == 0.0)
 
 
-# the fields of MacroSnapshot that Snapshots keeps as one column each, in order
-SNAPSHOT_FIELDS = (
-    "step", "mean_posterior", "variance", "skewness", "excess_kurtosis", "entropy",
-    "distinct_classes", "heterogeneous_pairs",
-)
-_INT_FIELDS = ("step", "distinct_classes", "heterogeneous_pairs")
+# the fields of MacroSnapshot that Snapshots keeps as one column each, in
+# order, and those of them typed int (annotations are strings here)
+SNAPSHOT_FIELDS = tuple(f.name for f in fields(MacroSnapshot) if f.name != "counts")
+_INT_FIELDS = tuple(f.name for f in fields(MacroSnapshot) if f.type == "int")
 
 
 def _resized(a: np.ndarray, rows: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conservative import BLOCK_STEPS, Trajectory
-from .core import MacroSnapshot, Snapshots, block_snapshots, histogram_edges, macro_snapshot
+from .core import MacroSnapshot, Snapshots, _means, block_snapshots, histogram_edges, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
@@ -101,7 +101,8 @@ class DissipativeState:
     order; ``grain_tracks`` maps the id of every grain that ever lived to
     its record, so ids run from 0 to ``len(grain_tracks) - 1``.
     ``pooled`` holds one pooled row per step, whose ``counts`` has
-    ``bins`` entries at every step of the run.
+    ``bins`` entries at every step of the run.  ``topology`` serves each
+    step's injection and removal stream, keyed (seed, TOPOLOGY, 0, step).
     """
 
     config: DissipativeConfig
@@ -110,6 +111,7 @@ class DissipativeState:
     step: int
     grain_tracks: dict[int, Trajectory]
     pooled: Snapshots
+    topology: rngmod.StreamStepper
 
 
 def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
@@ -128,7 +130,9 @@ def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> Dissipat
     1); ``bins`` is the pooled histogram's bin count for the whole run."""
     histogram_edges(bins)  # checks the bin count before the record is sized by it
     pooled = Snapshots(config.steps + 1, bins)
-    state = DissipativeState(config, bins, grains=[], step=0, grain_tracks={}, pooled=pooled)
+    topology = rngmod.StreamStepper(config.seed, rngmod.TOPOLOGY, 0, config.steps)
+    state = DissipativeState(config, bins, grains=[], step=0, grain_tracks={}, pooled=pooled,
+                             topology=topology)
     posts = [_add_grain(state, size, 0) for size in config.grain_sizes]
     pooled.extend(block_snapshots(np.concatenate(posts, axis=1), 0, bins))
     return state
@@ -149,35 +153,37 @@ def superposed_distribution(
     return macro_snapshot(np.concatenate(grain_posteriors), step, bins)
 
 
-def _remove_index(state: DissipativeState, topo: np.random.Generator) -> int:
-    policy = state.config.removal_policy
+def _remove_index(policy: str, topo: np.random.Generator, posts: list[np.ndarray]) -> int:
+    """The living grain to remove, given the living grains' posterior blocks."""
     if policy == "oldest":
         return 0  # living grains stay in birth order
     if policy == "random":
-        return int(topo.integers(0, len(state.grains)))
-    # closest-to-equilibrium: smallest |mean posterior - 0.5| as of this
-    # step's snapshot; min keeps the first, so the lowest id breaks ties
-    return min(
-        range(len(state.grains)),
-        key=lambda k: abs(state.grains[k].latest_mean - 0.5),
-    )
+        return int(topo.integers(0, len(posts)))
+    # closest-to-equilibrium: smallest |mean posterior - 0.5| of the last
+    # row, as the snapshot takes it; min keeps the first, so the lowest id
+    # breaks ties
+    return min(range(len(posts)), key=lambda k: abs(_means(posts[k][-1]) - 0.5))
 
 
 def _advance(state: DissipativeState, steps: int) -> DissipativeState:
     """Advance the whole system by ``steps`` steps, which must be 1 when
     the grains churn: each living grain books its block of steps, and the
-    pooled rows are summarised from the grains' posterior blocks."""
+    pooled rows are summarised from the grains' posterior blocks.  With
+    churn, the step's topology stream gives the injection coin, an
+    injected grain's size, the removal coin and a random removal's index,
+    and removal ranks the grains on their rows of the step.
+    """
     cfg = state.config
     t = state.step + 1
     # the steps' posteriors, one (steps, size) block per grain of state.grains
     posts = [grain.advance(t, _grain_bets(cfg, grain.size), steps) for grain in state.grains]
     if cfg.churns:
-        topo = rngmod.stream(cfg.seed, rngmod.TOPOLOGY, 0, t)
+        topo = state.topology.at(t)
         if topo.random() < cfg.injection_prob:
             lo, hi = cfg.injection_size_range
             posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
         if topo.random() < cfg.removal_prob and len(state.grains) > 1:
-            k = _remove_index(state, topo)
+            k = _remove_index(cfg.removal_policy, topo, posts)
             state.grains.pop(k).retire(t)
             posts.pop(k)
     state.step = t + steps - 1
@@ -197,10 +203,10 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
     when a single grain remains; (4) pooled snapshot appended, over the
     ``state.bins`` bins that ``init_grains`` fixed.
 
-    Injection and removal draw from the step's topology stream, which is
-    derived only when one of their probabilities is positive; grain
-    bets use their own per-step streams so grains can be processed in
-    any order (or in parallel) with identical results.
+    Injection and removal draw from the step's topology stream, which
+    ``state.topology`` serves only when one of their probabilities is
+    positive; grain bets use their own per-step streams so grains can be
+    processed in any order (or in parallel) with identical results.
     """
     return _advance(state, 1)
 
@@ -232,17 +238,15 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
 def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
     """Full deterministic run; the final state holds per-grain tracks and pooled series.
 
-    A run with churn goes one step at a time, since injection and removal
-    act between steps.  Without churn no step depends on a summary, so
-    the grains advance ``BLOCK_STEPS`` steps at a time.
+    One loop advances the system a block of steps at a time: one step
+    when the grains churn, since injection and removal act between
+    steps, and ``BLOCK_STEPS`` otherwise, since then no step depends on
+    another's outcome.
     """
     state = init_grains(config, bins)
-    if config.churns:
-        for _ in range(config.steps):
-            step_dissipative(state)
-    else:
-        for t in range(1, config.steps + 1, BLOCK_STEPS):
-            _advance(state, min(BLOCK_STEPS, config.steps + 1 - t))
+    block = 1 if config.churns else BLOCK_STEPS
+    for t in range(1, config.steps + 1, block):
+        _advance(state, min(block, config.steps + 1 - t))
     for grain in state.grains:
         grain.summarise()
     return state

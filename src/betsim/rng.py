@@ -10,12 +10,12 @@ generator, seeded through a SeedSequence keyed on a fixed-length tuple
 * independent substreams (e.g. the grains of a dissipative run) can be
   processed in any order, or in parallel, without coordination.
 
-Each population takes its bet streams from a ``StreamStepper``, which
-alone chooses how a step's stream is derived: its first requests one
-key at a time with ``stream``, the rest through ``stream_states``,
-which derives the PCG64 states of a block of steps in numpy arithmetic,
-the same states that ``stream`` seeds, and loads them into one reused
-generator.
+Every per-step stream of a simulation, a population's bets or a churn
+run's topology, comes from a ``StreamStepper``, which alone chooses how
+it is derived: its first requests one key at a time with ``stream``, the
+rest through ``stream_states``, which derives the PCG64 states of a
+block of steps in numpy arithmetic, the same states that ``stream``
+seeds, and loads them into one reused generator.
 """
 from __future__ import annotations
 

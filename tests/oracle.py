@@ -16,16 +16,20 @@ must give the same arrays, or the same ``DataError`` text, on any file.
 Gaussian under an inverse-gamma prior, which the quadrature in
 ``betsim.inference.log_evidence`` must match.
 ``exact_mean_posterior`` is the expected posterior of one participant of a
-grain, from the exact law of its ledger, and ``exact_pooled_counts`` the
-expected pooled histogram of grains that follow that law; the acceptance
-runs' grain means and pooled counts are tested against them.
+grain, from the exact law of its ledger, and ``exact_pooled_counts`` and
+``exact_pooled_excess_kurtosis`` the expected pooled histogram and the
+excess kurtosis of the expected pooled mixture of grains that follow that
+law; the acceptance runs' grain means, pooled counts and pooled kurtosis
+are tested against them.
 ``seeded_stream`` seeds a generator through SeedSequence on the key tuple,
 and ``array_bet_step`` books random bets with array draws; the reference
 runs ``closed_run`` and ``grain_run`` use both at every step, and
 summarise every step with ``reference_snapshot``, so the package's
 block-derived streams, one-bet scalar draws, block bookings and block
-summaries must give the same trajectories.  ``forced_run`` books a forced
-schedule in plain Python lists, with ``posterior_win`` after each step.
+summaries must give the same trajectories.  ``churn_run`` does the same
+for a run that injects and removes grains, drawing each step's topology
+from its own keyed stream.  ``forced_run`` books a forced schedule in
+plain Python lists, with ``posterior_win`` after each step.
 """
 from __future__ import annotations
 
@@ -259,28 +263,49 @@ def exact_mean_posterior(n: int, b: int, t: int) -> float:
     return float(np.sum(prob * l_w / (l_w + l_l)))
 
 
+def _posterior_law(n: int, b: int, t: int):
+    """The posteriors one participant of a grain of n with b bets per step
+    can hold after step t, and their probabilities, as two arrays of one
+    shape: the law of ``exact_mean_posterior``'s ledger, with each
+    posterior from ``betsim.core._posteriors``."""
+    p_bets = stats.binom.pmf(np.arange(t + 1), t, 2 * b / n)
+    k = np.flatnonzero(p_bets > 1e-20)[:, None]
+    j = np.arange(k.max() + 1)[None, :]
+    prob = p_bets[k] * stats.binom.pmf(j, k, 0.5)  # 0 for j > k
+    return _posteriors(1 + j, np.maximum(k - j, 0), n + b * t, b * t), prob
+
+
 def exact_pooled_counts(sizes, b: int, t: int, bins: int) -> np.ndarray:
     """Expected pooled histogram after step t of grains of the given sizes
     with b bets per step each: the sum over grains of N_g times the
     probability that one participant's posterior falls in each bin.
 
     A participant's ledger follows the law of ``exact_mean_posterior``;
-    its posterior comes from ``betsim.core._posteriors`` and is binned by
-    ``np.histogram``, so a value on a bin edge lands where the package
-    puts it.
+    its posterior is binned by ``np.histogram``, so a value on a bin edge
+    lands where the package puts it.
     """
     expected = np.zeros(bins)
     for n in sizes:
-        p_bets = stats.binom.pmf(np.arange(t + 1), t, 2 * b / n)
-        k = np.flatnonzero(p_bets > 1e-20)[:, None]
-        j = np.arange(k.max() + 1)[None, :]
-        prob = p_bets[k] * stats.binom.pmf(j, k, 0.5)  # 0 for j > k
-        posteriors = _posteriors(1 + j, np.maximum(k - j, 0), n + b * t, b * t)
+        posteriors, prob = _posterior_law(n, b, t)
         expected += n * np.histogram(posteriors, bins, (0.0, 1.0), weights=prob)[0]
     return expected
 
 
+def exact_pooled_excess_kurtosis(sizes, b: int, t: int) -> float:
+    """Excess kurtosis of the expected pooled mixture after step t of grains
+    of the given sizes with b bets per step each: the law of one
+    participant's posterior in each grain, weighted by the grain's size."""
+    laws = [_posterior_law(n, b, t) for n in sizes]
+    values = np.concatenate([p.ravel() for p, _ in laws])
+    weights = np.concatenate([n * w.ravel() for n, (_, w) in zip(sizes, laws)])
+    weights /= weights.sum()
+    d = values - np.sum(weights * values)
+    m2 = np.sum(weights * d**2)
+    return float(np.sum(weights * d**4) / m2**2 - 3.0)
+
+
 BETS = 0  # betsim.rng.BETS, the purpose slot of bet streams
+TOPOLOGY = 1  # betsim.rng.TOPOLOGY, the purpose slot of injection and removal streams
 
 
 def seeded_stream(seed: int, purpose: int, sub: int, step: int) -> np.random.Generator:
@@ -348,6 +373,73 @@ def grain_run(seed: int, sizes, bets, steps: int, bins: int):
             tracks[gid].append(reference_snapshot(posts[-1], t))
         pooled.append(reference_snapshot(np.concatenate(posts), t, bins))
     return tracks, pooled, grains
+
+
+@dataclass
+class ChurnTrack:
+    """One grain of ``churn_run``: its size, birth and death steps (death
+    None while it lives) and one snapshot per step it lived."""
+
+    size: int
+    birth: int
+    death: int | None
+    snapshots: list
+
+
+def churn_run(cfg, bins: int):
+    """A dissipative run of ``cfg`` with injection and removal, one step at a
+    time: the pooled snapshots and a ``ChurnTrack`` per grain id.
+
+    Each step every living grain books its bets with ``array_bet_step`` on
+    the stream keyed (seed, BETS, id, t).  Then, when the run churns, the
+    stream keyed (seed, TOPOLOGY, 0, t) draws the injection coin, the
+    injected grain's size, the removal coin and, under the ``random``
+    policy, the index of the grain to remove; ``closest-to-equilibrium``
+    removes the first living grain whose ``np.mean`` posterior is nearest
+    0.5.  Every row is summarised with ``reference_snapshot``.
+    """
+    def bets(size):
+        if cfg.bets_per_grain is not None:
+            return min(cfg.bets_per_grain, size // 2)
+        return int(cfg.bets_fraction * size / 2)
+
+    tracks: dict[int, ChurnTrack] = {}
+    living: list[tuple[int, EnsembleState]] = []  # (id, ensemble) in birth order
+
+    def inject(size, t):
+        grain = EnsembleState(np.ones(size), np.zeros(size))
+        gid = len(tracks)
+        tracks[gid] = ChurnTrack(size, t, None, [reference_snapshot(grain.posteriors(), t)])
+        living.append((gid, grain))
+
+    def pool(t):
+        return reference_snapshot(np.concatenate([g.posteriors() for _, g in living]), t, bins)
+
+    for size in cfg.grain_sizes:
+        inject(size, 0)
+    pooled = [pool(0)]
+    for t in range(1, cfg.steps + 1):
+        for gid, grain in living:
+            b = bets(grain.size)
+            if b >= 1:
+                array_bet_step(grain, seeded_stream(cfg.seed, BETS, gid, t), b)
+            tracks[gid].snapshots.append(reference_snapshot(grain.posteriors(), t))
+        if cfg.injection_prob > 0 or cfg.removal_prob > 0:
+            topo = seeded_stream(cfg.seed, TOPOLOGY, 0, t)
+            if topo.random() < cfg.injection_prob:
+                lo, hi = cfg.injection_size_range
+                inject(int(topo.integers(lo, hi + 1)), t)
+            if topo.random() < cfg.removal_prob and len(living) > 1:
+                if cfg.removal_policy == "oldest":
+                    k = 0
+                elif cfg.removal_policy == "random":
+                    k = int(topo.integers(0, len(living)))
+                else:
+                    gaps = [abs(float(np.mean(g.posteriors())) - 0.5) for _, g in living]
+                    k = gaps.index(min(gaps))
+                tracks[living.pop(k)[0]].death = t
+        pooled.append(pool(t))
+    return pooled, tracks
 
 
 def same_snapshot(a: MacroSnapshot, b: MacroSnapshot) -> bool:

@@ -32,7 +32,12 @@ from betsim.inference import (
 )
 from betsim import rng as rngmod
 from betsim.superstat import MixingModel, generate_returns, sample_moments
-from oracle import closed_form_log_evidence, exact_mean_posterior, exact_pooled_counts
+from oracle import (
+    closed_form_log_evidence,
+    exact_mean_posterior,
+    exact_pooled_counts,
+    exact_pooled_excess_kurtosis,
+)
 
 
 def _report(label: str, ok: bool, detail: str) -> None:
@@ -507,3 +512,24 @@ def test_pooled_counts_match_the_exact_ledger_law(ordering_runs):
     _report("exact pooled counts", worst <= 5.0,
             f"max |z| of the 20-seed pooled bin counts against the exact expectation "
             f"over {compared} bins with an expected count >= 5: {worst:.2f}, at (step, bin) {where}")
+
+
+# ---------------------------------------------------------------------------
+# 13. pooled kurtosis at partial convergence against the exact law of one ledger
+
+def test_pooled_kurtosis_matches_the_exact_ledger_law(ordering_runs):
+    # at each seed's pooled_tails step, the second grain's convergence time;
+    # the bound |simulated - expected| <= 0.15 on every seed was fixed
+    # before the check first ran
+    worst, where, simulated, expected = 0.0, None, [], []
+    for seed, result in enumerate(ordering_runs):
+        second = sorted(_grain_convergence_times(result).values())[1]
+        simulated.append(result.pooled[second].excess_kurtosis)
+        expected.append(exact_pooled_excess_kurtosis(SIZES, 1, second))
+        gap = abs(simulated[-1] - expected[-1])
+        if not gap <= worst:  # NaN too
+            worst, where = gap, (seed, second)
+    _report("exact pooled kurtosis", worst <= 0.15,
+            f"max |simulated - expected| pooled excess kurtosis of 20 seeds: {worst:.3f}, "
+            f"at (seed, step) {where}; expected {min(expected):.2f} to {max(expected):.2f}, "
+            f"simulated {min(simulated):.2f} to {max(simulated):.2f}")

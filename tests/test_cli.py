@@ -740,10 +740,14 @@ def test_csv_bytes_keep_the_exit_code_contract(command, header, values, odd_rows
 _NAN_COLUMNS = {"skewness", "excess_kurtosis"}
 
 
-def _assert_finite_csv(path):
+def _assert_finite_csv(path, allowed=()):
+    """Every number in the file is finite, but NaN moments and the lines of
+    ``allowed``."""
     header, *rows = path.read_text().splitlines()
     columns = header.split(",")
     for line in rows:
+        if line in allowed:
+            continue
         for column, field in zip(columns, line.split(",")):
             try:
                 value = float(field)
@@ -949,6 +953,81 @@ def test_simulation_commands_keep_the_exit_code_contract(data, command):
         assert err.getvalue() == ""
         for name in os.listdir(out):
             _assert_finite_csv(Path(out, name))
+
+
+# prior parameters: any positive float, five times as often as one that exits 2
+INFERENCE_FLOATS = st.one_of(
+    *[st.floats(1e-300, 1e308)] * 5, st.sampled_from([math.nan, math.inf, 0.0, -1.0, -1e-300])
+)
+INFERENCE_MODELS = st.lists(
+    st.sampled_from(["gaussian-known-mean", "exponential"]), min_size=1, max_size=2
+)
+# a signed returns file, which exponential models reject, and a positive one
+INFERENCE_RETURNS = [[0.5, -1.25, 0.125, 2.0, -0.75], [0.5, 1.25, 0.125, 2.0, 0.75]]
+# the posterior mean of a variance is infinite for a shape of at most 1
+INFINITE_MEAN = ("posterior_mean_variance,inf",)
+
+
+@st.composite
+def _inference_section(draw):
+    """An [inference] section with every key drawn or left out at random:
+    one or two models, their parallel lists of the same length, priors
+    from INFERENCE_FLOATS and model priors that sum to 1 or do not.  A
+    single model's lists are written or left out with it, since the
+    defaults are two models long."""
+    models = draw(INFERENCE_MODELS)
+    k = len(models)
+    with_models = draw(st.booleans())
+    split = draw(st.floats(0.0, 1.0))
+    values = {
+        "mu": draw(st.sampled_from([0.0, 0.5, -1.0])),
+        "prior_alpha": draw(INFERENCE_FLOATS),
+        "prior_beta": draw(INFERENCE_FLOATS),
+        "models": ", ".join(models),
+        "model_priors": draw(st.one_of(
+            st.just([1.0] if k == 1 else [split, 1.0 - split]),
+            st.lists(INFERENCE_FLOATS, min_size=k, max_size=k),
+        )),
+        "model_alphas": draw(st.lists(INFERENCE_FLOATS, min_size=k, max_size=k)),
+        "model_betas": draw(st.lists(INFERENCE_FLOATS, min_size=k, max_size=k)),
+        "rel_tol": draw(st.floats(1e-15, 0.5)),
+    }
+    text = "[inference]\n"
+    for key, value in values.items():
+        if with_models if k == 1 and key.startswith("model") else draw(st.booleans()):
+            if isinstance(value, list):
+                value = ", ".join(map(repr, value))
+            text += f"{key} = {value!r}\n" if isinstance(value, float) else f"{key} = {value}\n"
+    return text
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    section=_inference_section(),
+    command=st.sampled_from(["fit-variance", "compare-models"]),
+    returns=st.sampled_from(INFERENCE_RETURNS),
+)
+def test_inference_sections_keep_the_exit_code_contract(section, command, returns):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = os.path.join(tmp, "in.csv"), os.path.join(tmp, "o")
+        Path(data).write_text(_returns_text(returns))
+        cfg = _write(Path(tmp), "c.ini", f"{section}\n[io]\ninput = {data}\n")
+        err = io.StringIO()
+        with (
+            warnings.catch_warnings(),
+            contextlib.redirect_stderr(err),
+            contextlib.redirect_stdout(io.StringIO()),
+        ):
+            warnings.simplefilter("error")
+            code = dispatch([command, "--config", cfg, "--out", out])
+        assert code in (0, 2, 3, 4), section
+        if code != 0:
+            _assert_one_error_line(err.getvalue())
+            assert not os.path.exists(out)  # the failed run removed the directory it made
+            return
+        assert err.getvalue() == ""
+        for name in os.listdir(out):
+            _assert_finite_csv(Path(out, name), allowed=INFINITE_MEAN)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")

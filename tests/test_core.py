@@ -12,7 +12,9 @@ from scipy import stats
 from betsim.core import (
     CENSUS_BATCH_ROWS,
     EPS_CLASS,
+    SNAPSHOT_FIELDS,
     EnsembleState,
+    MacroSnapshot,
     Snapshots,
     _posteriors,
     block_snapshots,
@@ -451,3 +453,17 @@ def test_snapshot_record_grows_and_reads_rows_and_columns():
     assert record[0].counts.tolist() == [0, 3, 0, 0]
     record.trim()
     assert all(same_snapshot(a, b) for a, b in zip(record, want))
+
+
+def test_snapshot_record_keeps_a_column_per_row_field():
+    # counts comes last, so a row built from the columns by position takes
+    # each value in its own field, with the type its field declares
+    fields = dataclasses.fields(MacroSnapshot)
+    assert [*SNAPSHOT_FIELDS, "counts"] == [f.name for f in fields]
+    record = Snapshots()
+    record.extend(block_snapshots(np.array([[0.25, 0.5, 1.0]]), 7))
+    row = record[0]
+    assert same_snapshot(row, reference_snapshot([0.25, 0.5, 1.0], 7))
+    for f in fields[:-1]:
+        assert type(getattr(row, f.name)).__name__ == f.type
+        assert record.column(f.name).dtype == (np.int64 if f.type == "int" else np.float64)

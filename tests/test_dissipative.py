@@ -18,7 +18,7 @@ from betsim.dissipative import (
     step_dissipative,
     superposed_distribution,
 )
-from oracle import grain_run, same_snapshot
+from oracle import churn_run, grain_run, same_snapshot
 
 
 def test_config_validation():
@@ -294,6 +294,39 @@ def test_bet_streams_derived_once_per_grain_step(derived_keys):
         for g in tracks
         for t in range(g.birth_step + 1, (g.death_step or churn.steps) + 1)
     } <= set(derived)
+
+
+@pytest.mark.parametrize(
+    "policy, sizes, injected",
+    [(policy, (30, 12, 20), (4, 40)) for policy in dissipative.REMOVAL_POLICIES]
+    # grains of 2 or 3 place no bets, so every mean ties at 1 and the first grain goes
+    + [("closest-to-equilibrium", (3, 2, 3), (2, 3))],
+    ids=[*dissipative.REMOVAL_POLICIES, "closest-to-equilibrium-ties"],
+)
+def test_churn_run_matches_the_reference_run(derived_keys, policy, sizes, injected):
+    # past the keyed steps and one block boundary of the topology stream
+    steps = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
+    cfg = DissipativeConfig(
+        steps=steps, grain_sizes=sizes, seed=7, injection_prob=0.3, removal_prob=0.3,
+        injection_size_range=injected, removal_policy=policy,
+    )
+    result = run_dissipative(cfg, bins=20)
+    # each step's topology stream once, keyed or in a block
+    topology = [k for k in derived_keys.streams + derived_keys.blocks if k[1] == rngmod.TOPOLOGY]
+    assert sorted(topology) == [(7, rngmod.TOPOLOGY, 0, t) for t in range(1, steps + 1)]
+    assert any(k[1] == rngmod.TOPOLOGY for k in derived_keys.blocks)
+    pooled, tracks = churn_run(cfg, bins=20)
+    assert len(result.pooled) == len(pooled) == steps + 1
+    assert all(same_snapshot(a, b) for a, b in zip(result.pooled, pooled))
+    assert sorted(result.grain_tracks) == sorted(tracks)
+    assert any(t.death for t in tracks.values()) and any(t.birth for t in tracks.values())
+    for gid, grain in result.grain_tracks.items():
+        track = tracks[gid]
+        assert (grain.size, grain.birth_step, grain.death_step) == (
+            track.size, track.birth, track.death
+        )
+        assert len(grain.snapshots) == len(track.snapshots)
+        assert all(same_snapshot(a, b) for a, b in zip(grain.snapshots, track.snapshots))
 
 
 def test_a_finished_run_keeps_no_derived_stream_block():
