@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .superstat import invgamma_logpdf
+from .superstat import _invgamma_log_density
 
 GAUSSIAN_KNOWN_MEAN = "gaussian-known-mean"
 EXPONENTIAL = "exponential"
@@ -36,7 +36,9 @@ class InvGammaParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        # not x > 0 rejects NaN; an infinite beta, which a conjugate update
+        # can produce, stays accepted
+        if not self.alpha > 0 or not self.beta > 0:
             raise ValueError(f"alpha and beta must be positive, got {self!r}")
 
 
@@ -87,8 +89,9 @@ class ModelSpec:
     """One candidate model: likelihood kind, prior, quadrature tolerance.
 
     The evidence quadrature starts on a grid of ``INITIAL_NODES`` nodes;
-    each refinement doubles the interval count until two estimates agree
-    within ``rel_tol``, and never past ``MAX_NODES`` nodes.
+    each refinement doubles the interval count, evaluating the integrand
+    only at the new midpoints, until two estimates agree within
+    ``rel_tol``, and never past ``MAX_NODES`` nodes.
     """
 
     id: str
@@ -101,7 +104,7 @@ class ModelSpec:
             raise ValueError(
                 f"likelihood_kind must be one of {LIKELIHOOD_KINDS}, got {self.likelihood_kind!r}"
             )
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:  # NaN too: it would refine to MAX_NODES
             raise ValueError("rel_tol must be positive")
 
 
@@ -160,11 +163,14 @@ def conjugate_variance_posterior(prior: InvGammaParams, data: DataSet) -> InvGam
 
 
 def _log_integrand(model: ModelSpec, data: DataSet):
-    """theta -> log of likelihood * prior, the evidence integrand."""
+    """theta -> log of likelihood * prior, the evidence integrand, on
+    float64 arrays of positive theta.  The prior's constant is taken
+    once, here, for every grid of one evidence.
+    """
     gaussian = model.likelihood_kind == GAUSSIAN_KNOWN_MEAN
     loglik = gaussian_variance_loglik if gaussian else exponential_loglik
-    a, b = model.prior.alpha, model.prior.beta
-    return lambda theta: loglik(data, theta) + invgamma_logpdf(theta, a, b)
+    log_prior = _invgamma_log_density(model.prior.alpha, model.prior.beta)
+    return lambda theta: loglik(data, theta) + log_prior(theta)
 
 
 def _logsumexp(a, b=None) -> float:
@@ -222,7 +228,7 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
             )
         hi = 1e300
     for _ in range(DOMAIN_SCAN_ROUNDS):
-        grid = np.geomspace(lo, hi, 513)
+        grid = _scan_grid(lo, hi)
         g = integrand(grid)
         gmax = float(g.max())
         grew = False
@@ -242,6 +248,28 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     )
 
 
+def _scan_grid(lo: float, hi: float) -> np.ndarray:
+    """``np.geomspace(lo, hi, 513)``, bit for bit: for positive ends, its
+    own arithmetic without its sign and dtype set-up."""
+    # an upper quantile that underflows to 0 keeps geomspace's own error
+    if not (lo > 0 and hi > 0):
+        return np.geomspace(lo, hi, 513)
+    grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), 513))
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
+def _midpoints(u_lo, u_hi, nodes: int) -> np.ndarray:
+    """The odd nodes of ``np.linspace(u_lo, u_hi, nodes)``, bit for bit,
+    as a contiguous array.
+
+    linspace's node i is i * step + u_lo, with step = (u_hi - u_lo) /
+    (nodes - 1).  A doubling halves the step exactly, so the coarser
+    grid's nodes are the finer grid's even nodes.
+    """
+    return np.arange(1, nodes, 2) * ((u_hi - u_lo) / (nodes - 1)) + u_lo
+
+
 def log_evidence(model: ModelSpec, data: DataSet) -> float:
     """log of the marginal likelihood, integral of L(theta) pi(theta).
 
@@ -250,7 +278,12 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
     betsim's own log-sum-exp, fixed to the algorithm of scipy 1.17.1's
     ``scipy.special.logsumexp`` whatever scipy is installed.  The grid is
     doubled until two successive estimates agree within ``rel_tol``,
-    measured as |new - old| <= rel_tol * max(1, |new|).
+    measured as |new - old| <= rel_tol * max(1, |new|).  The grids are
+    nested (Trefethen & Weideman, SIAM Rev. 2014): a doubling evaluates
+    the integrand only at the new midpoints, reuses its values at every
+    earlier node, and sums the whole grid in node order, so each
+    estimate equals that of evaluating ``np.linspace(ln lo, ln hi,
+    nodes)`` afresh, bit for bit.
 
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
@@ -265,25 +298,31 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
     lo, hi = _integration_domain(model, integrand)
     u_lo, u_hi = np.log(lo), np.log(hi)
 
-    def estimate(nodes: int) -> float:
-        u = np.linspace(u_lo, u_hi, nodes)
-        theta = np.exp(u)
+    def log_g(u):
         # + u is the Jacobian d theta = theta du
-        g = integrand(theta) + u
-        w = np.full(nodes, (u_hi - u_lo) / (nodes - 1))
+        return integrand(np.exp(u)) + u
+
+    def estimate(g) -> float:
+        w = np.full(g.size, (u_hi - u_lo) / (g.size - 1))
         w[0] *= 0.5
         w[-1] *= 0.5
         return _logsumexp(g, w)
 
     nodes = INITIAL_NODES
-    prev = estimate(nodes)
+    g = log_g(np.linspace(u_lo, u_hi, nodes))
+    prev = estimate(g)
     if not math.isfinite(prev):
         raise ConvergenceError(
             f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
         )
     for doublings in itertools.count(1):
         nodes = 2 * nodes - 1
-        cur = estimate(nodes)
+        finer = np.empty(nodes)
+        finer[0::2] = g
+        # contiguous: numpy's SIMD exp and log may round strided input otherwise
+        finer[1::2] = log_g(_midpoints(u_lo, u_hi, nodes))
+        g = finer
+        cur = estimate(g)
         if abs(cur - prev) <= model.rel_tol * max(1.0, abs(cur)):
             return cur
         if 2 * nodes - 1 > MAX_NODES:

@@ -75,17 +75,31 @@ def invgamma_logpdf(x, alpha: float, beta: float):
 
     Accepts scalars or arrays; every x must be strictly positive.
     """
-    from scipy.special import gammaln  # deferred: scipy is slow to import
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     xv = np.asarray(x, dtype=np.float64)
     if (xv <= 0).any():
         raise ValueError("inverse-gamma density is defined only for x > 0")
+    out = _invgamma_log_density(alpha, beta)(xv)
+    return float(out) if np.isscalar(x) else out
+
+
+def _invgamma_log_density(alpha: float, beta: float):
+    """x -> the log-density of InvGamma(alpha, beta) at float64 x > 0,
+    unchecked.  The constant alpha ln(beta) - ln Gamma(alpha) is taken
+    once, here, for every x the returned function is called on.
+    """
+    from scipy.special import gammaln  # deferred: scipy is slow to import
     # a huge shape overflows alpha * log(beta) and gammaln(alpha), and
     # inf - inf is NaN: the evidence quadrature then reports non-convergence
     with np.errstate(over="ignore", invalid="ignore"):
-        out = alpha * np.log(beta) - gammaln(alpha) - (alpha + 1.0) * np.log(xv) - beta / xv
-    return float(out) if np.isscalar(x) else out
+        log_norm = alpha * np.log(beta) - gammaln(alpha)
+
+    def logpdf(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return log_norm - (alpha + 1.0) * np.log(x) - beta / x
+
+    return logpdf
 
 
 def _sample_mixing(model: MixingModel, rng: np.random.Generator, size) -> np.ndarray:

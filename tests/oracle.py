@@ -14,7 +14,11 @@ with ``csv.reader`` and ``float``; ``betsim.io`` reads in blocks and
 must give the same arrays, or the same ``DataError`` text, on any file.
 ``closed_form_log_evidence`` is the conjugate evidence of a known-mean
 Gaussian under an inverse-gamma prior, which the quadrature in
-``betsim.inference.log_evidence`` must match.
+``betsim.inference.log_evidence`` must match.  ``log_evidence`` is that
+quadrature as it stood before its grids were nested: a fresh
+``np.linspace`` grid per estimate, ``np.geomspace`` in the domain scan,
+and the public likelihood plus ``invgamma_logpdf`` on every call; the
+package must return the same float, or raise the same error.
 ``exact_mean_posterior`` is the expected posterior of one participant of a
 grain, from the exact law of its ledger, and ``exact_pooled_counts`` and
 ``exact_pooled_excess_kurtosis`` the expected pooled histogram and the
@@ -34,6 +38,7 @@ plain Python lists, with ``posterior_win`` after each step.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -42,7 +47,17 @@ from scipy import stats
 from scipy.special import gammaln
 
 from betsim.core import EnsembleState, MacroSnapshot, Moments, _posteriors
-from betsim.errors import DataError
+from betsim.errors import ConvergenceError, DataError
+from betsim.inference import (
+    DOMAIN_SCAN_ROUNDS,
+    GAUSSIAN_KNOWN_MEAN,
+    INITIAL_NODES,
+    MAX_NODES,
+    _logsumexp,
+    exponential_loglik,
+    gaussian_variance_loglik,
+)
+from betsim.superstat import invgamma_logpdf
 
 
 @dataclass(frozen=True)
@@ -239,6 +254,87 @@ def closed_form_log_evidence(data, prior) -> float:
     a2, b2 = prior.alpha + n / 2.0, prior.beta + s / 2.0
     return float(-n / 2.0 * math.log(2 * math.pi) + prior.alpha * math.log(prior.beta)
                  + gammaln(a2) - gammaln(prior.alpha) - a2 * math.log(b2))
+
+
+def _log_integrand(model, data):
+    """theta -> log of likelihood * prior, the evidence integrand."""
+    gaussian = model.likelihood_kind == GAUSSIAN_KNOWN_MEAN
+    loglik = gaussian_variance_loglik if gaussian else exponential_loglik
+    a, b = model.prior.alpha, model.prior.beta
+    return lambda theta: loglik(data, theta) + invgamma_logpdf(theta, a, b)
+
+
+def _integration_domain(model, integrand) -> tuple[float, float]:
+    """Prior quantile range, widened until the integrand peak is interior."""
+    from scipy.special import gammainccinv
+    a, b = model.prior.alpha, model.prior.beta
+    with np.errstate(divide="ignore", over="ignore"):
+        lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
+        hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
+    if hi == math.inf:
+        if lo >= 1e300:
+            raise ConvergenceError(
+                f"evidence quadrature for model {model.id!r}: the integration domain "
+                f"[{lo!r}, inf] is not finite"
+            )
+        hi = 1e300
+    for _ in range(DOMAIN_SCAN_ROUNDS):
+        grid = np.geomspace(lo, hi, 513)
+        g = integrand(grid)
+        gmax = float(g.max())
+        grew = False
+        if g[0] - gmax > -46.0 and lo > 1e-300:
+            lo = max(lo / 8.0, 1e-300)
+            grew = True
+        if g[-1] - gmax > -46.0 and hi < 1e300:
+            hi *= 8.0
+            grew = True
+        if not grew:
+            return lo, hi
+    raise ConvergenceError(
+        f"evidence quadrature for model {model.id!r}: the integration domain "
+        f"[{lo!r}, {hi!r}] still has the integrand peak at an edge after "
+        f"{DOMAIN_SCAN_ROUNDS} rounds of widening"
+    )
+
+
+def log_evidence(model, data) -> float:
+    """The evidence quadrature evaluated afresh on every grid: doubling
+    trapezoid on ``np.linspace`` nodes in u = ln theta."""
+    if data.n == 0:
+        return 0.0
+    integrand = _log_integrand(model, data)
+    lo, hi = _integration_domain(model, integrand)
+    u_lo, u_hi = np.log(lo), np.log(hi)
+
+    def estimate(nodes: int) -> float:
+        u = np.linspace(u_lo, u_hi, nodes)
+        theta = np.exp(u)
+        g = integrand(theta) + u
+        w = np.full(nodes, (u_hi - u_lo) / (nodes - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return _logsumexp(g, w)
+
+    nodes = INITIAL_NODES
+    prev = estimate(nodes)
+    if not math.isfinite(prev):
+        raise ConvergenceError(
+            f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
+        )
+    for doublings in itertools.count(1):
+        nodes = 2 * nodes - 1
+        cur = estimate(nodes)
+        if abs(cur - prev) <= model.rel_tol * max(1.0, abs(cur)):
+            return cur
+        if 2 * nodes - 1 > MAX_NODES:
+            raise ConvergenceError(
+                f"evidence quadrature for model {model.id!r} did not converge "
+                f"after {doublings} doublings ({nodes} nodes, at most {MAX_NODES}); "
+                f"last two estimates {prev!r} and {cur!r}",
+                estimates=(prev, cur),
+            )
+        prev = cur
 
 
 def exact_mean_posterior(n: int, b: int, t: int) -> float:

@@ -15,6 +15,8 @@ from betsim.errors import ConvergenceError
 from betsim.inference import (
     EXPONENTIAL,
     GAUSSIAN_KNOWN_MEAN,
+    INITIAL_NODES,
+    LIKELIHOOD_KINDS,
     MAX_NODES,
     DataSet,
     InvGammaParams,
@@ -25,8 +27,11 @@ from betsim.inference import (
     log_evidence,
     model_posteriors,
     _logsumexp,
+    _midpoints,
+    _scan_grid,
     select_model,
 )
+import oracle
 from oracle import closed_form_log_evidence
 
 
@@ -89,6 +94,18 @@ def test_invgamma_params_validation():
         InvGammaParams(0.0, 1.0)
     with pytest.raises(ValueError):
         InvGammaParams(1.0, -2.0)
+
+
+def test_nan_parameters_are_rejected():
+    # NaN passes a <= 0 check: a NaN rel_tol refined to MAX_NODES first
+    for alpha, beta in ((math.nan, 2.0), (2.0, math.nan)):
+        with pytest.raises(ValueError, match="alpha and beta must be positive"):
+            InvGammaParams(alpha, beta)
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN,
+                  prior=InvGammaParams(3.0, 2.0), rel_tol=math.nan)
+    # a conjugate update can reach an infinite scale
+    assert InvGammaParams(2.0, math.inf).beta == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +282,78 @@ def test_log_evidence_fails_when_the_domain_scan_cannot_reach_the_peak(beta):
     spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=InvGammaParams(3.0, beta))
     with pytest.raises(ConvergenceError, match="peak at an edge after 200 rounds"):
         log_evidence(spec, _dataset(n=50))
+
+
+def _outcome(evidence, spec, data):
+    """The float an evidence returns, or its error's type, text and estimates."""
+    try:
+        return repr(evidence(spec, data))
+    except (ConvergenceError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "estimates", None)
+
+
+def _powers_of_ten(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(LIKELIHOOD_KINDS),
+    n=st.one_of(st.integers(1, 300), st.sampled_from([1000, 10**4, 10**5, 600_000])),
+    scale=_powers_of_ten(-3, 3),
+    signed=st.booleans(),
+    alpha=_powers_of_ten(-10, 200),
+    beta=_powers_of_ten(-10, 200),
+    rel_tol=_powers_of_ten(-12, -0.5),
+)
+@example(kind=GAUSSIAN_KNOWN_MEAN, n=50, scale=1.0, signed=True, alpha=1e6, beta=1e6, rel_tol=1e-300)
+@example(kind=GAUSSIAN_KNOWN_MEAN, n=50, scale=1.0, signed=True, alpha=3.0, beta=1e-200, rel_tol=1e-8)
+@example(kind=GAUSSIAN_KNOWN_MEAN, n=50, scale=1.0, signed=True, alpha=1e200, beta=2.0, rel_tol=1e-8)
+@example(kind=EXPONENTIAL, n=50, scale=1.0, signed=False, alpha=3.0, beta=1e308, rel_tol=1e-8)
+@example(kind=EXPONENTIAL, n=50, scale=1.0, signed=False, alpha=1e300, beta=1e-100, rel_tol=1e-8)
+@example(kind=EXPONENTIAL, n=600_000, scale=0.8, signed=False, alpha=3.0, beta=2.0, rel_tol=1e-8)
+def test_log_evidence_is_bit_equal_to_the_fresh_grid_quadrature(
+    kind, n, scale, signed, alpha, beta, rel_tol
+):
+    # the examples: the node cap, a scan that cannot reach the peak, a
+    # non-finite first estimate, an infinite domain, an upper quantile
+    # that underflows to 0 (numpy's geomspace error), and n = 6e5
+    signed = signed and kind == GAUSSIAN_KNOWN_MEAN  # exponential samples are positive
+    rng = np.random.default_rng([n, int(signed)])
+    x = scale * (rng.normal(0.0, 1.0, n) if signed else rng.exponential(1.0, n))
+    data = DataSet(x)
+    spec = ModelSpec(id="m", likelihood_kind=kind, prior=InvGammaParams(alpha, beta), rel_tol=rel_tol)
+    assert _outcome(log_evidence, spec, data) == _outcome(oracle.log_evidence, spec, data)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(lo=_powers_of_ten(-300, 300), hi=_powers_of_ten(-300, 300))
+def test_nested_grids_are_the_linspace_grids(lo, hi):
+    # from INITIAL_NODES to MAX_NODES nodes, the previous grid's nodes
+    # interleaved with the midpoints are np.linspace's nodes, bit for bit
+    u_lo, u_hi = np.log(lo), np.log(hi)
+    nodes = INITIAL_NODES
+    u = np.linspace(u_lo, u_hi, nodes)
+    while nodes < MAX_NODES:
+        nodes = 2 * nodes - 1
+        finer = np.empty(nodes)
+        finer[0::2] = u
+        finer[1::2] = _midpoints(u_lo, u_hi, nodes)
+        u = finer
+        assert _bits(u) == _bits(np.linspace(u_lo, u_hi, nodes)), nodes
+    assert nodes == MAX_NODES
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lo=_powers_of_ten(-300, 300), hi=_powers_of_ten(-300, 300.9))
+@example(lo=1e-300, hi=1e300)
+@example(lo=2.5, hi=2.5)
+def test_scan_grid_is_geomspace(lo, hi):
+    assert _bits(_scan_grid(lo, hi)) == _bits(np.geomspace(lo, hi, 513))
 
 
 def test_likelihoods_overflow_to_minus_inf_without_a_warning():
