@@ -20,7 +20,8 @@ result = run_dissipative(cfg)
 print("one bet per grain per step, so relaxation time grows with grain size")
 print()
 for track in sorted(result.grain_tracks.values(), key=lambda t: t.size):
-    t_eq = convergence_time(track.mean_series, eps_eq=0.05, sustain=50)
+    means = track.snapshots.column("mean_posterior")
+    t_eq = convergence_time(means, eps_eq=0.05, sustain=50)
     print(f"  grain of {track.size:>3} members: settled within 0.05 of 1/2 at step {t_eq}")
 
 last = result.pooled[-1]

@@ -17,26 +17,16 @@ into a deterministic, file-driven command-line tool.
 from .conservative import (
     ConservativeConfig,
     Trajectory,
-    init_ensemble,
     run_conservative,
     smooth_series,
 )
-from .core import (
-    EnsembleState,
-    MacroSnapshot,
-    Moments,
-    boltzmann_entropy,
-    distinct_posterior_classes,
-    heterogeneous_pair_count,
-    macro_snapshot,
-)
+from .core import EnsembleState, MacroSnapshot, Moments
 from .dissipative import (
     DissipativeConfig,
     DissipativeState,
     convergence_time,
     init_grains,
     run_dissipative,
-    superposed_distribution,
 )
 from .errors import BetsimError, ConfigError, ConvergenceError, DataError
 from .inference import (
@@ -77,25 +67,19 @@ __all__ = [
     "Moments",
     "ReturnSeries",
     "Trajectory",
-    "boltzmann_entropy",
     "conjugate_variance_posterior",
     "convergence_time",
-    "distinct_posterior_classes",
     "exponential_loglik",
     "gaussian_variance_loglik",
     "generate_returns",
-    "heterogeneous_pair_count",
-    "init_ensemble",
     "init_grains",
     "invgamma_logpdf",
     "log_evidence",
-    "macro_snapshot",
     "model_posteriors",
     "run_conservative",
     "run_dissipative",
     "sample_moments",
     "select_model",
     "smooth_series",
-    "superposed_distribution",
     "__version__",
 ]

@@ -86,14 +86,17 @@ class Trajectory:
     @classmethod
     def fresh(cls, size: int, seed: int, last: int, id: int = 0, birth_step: int = 0,
               record: bool = False):
-        """A fresh population (every posterior 1) with its birth snapshot.
+        """A fresh population (one win and no loss each) with its birth snapshot.
 
         Its bet streams are keyed (seed, BETS, id) for the steps up to
         ``last``, the run's horizon; ``record`` keeps the ledgers, with
         room for the birth and each step up to ``last``.
         """
+        if size < 2:
+            raise ValueError(f"an ensemble needs at least 2 microstates, got {size}")
+        ensemble = EnsembleState(np.ones(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
         streams = rngmod.StreamStepper(seed, rngmod.BETS, id, last)
-        traj = cls(id, size, birth_step, init_ensemble(size), streams)
+        traj = cls(id, size, birth_step, ensemble, streams)
         if record:
             traj._ledgers = np.empty((max(1, last - birth_step + 1), 2, size), dtype=np.int64)
         traj.advance(birth_step, 0)  # no bets and so no stream: records the birth state
@@ -166,17 +169,6 @@ class Trajectory:
         self.ensemble = self.streams = None
         self.summarise()
         self._snapshots.trim()
-
-    @property
-    def mean_series(self) -> np.ndarray:
-        return self.snapshots.column("mean_posterior").copy()
-
-
-def init_ensemble(n: int) -> EnsembleState:
-    """Fresh ensemble: every participant at (wins=1, losses=0), posterior 1."""
-    if n < 2:
-        raise ValueError(f"an ensemble needs at least 2 microstates, got {n}")
-    return EnsembleState(np.ones(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
 
 
 def _draw(rng: np.random.Generator, n: int, bets: int):

@@ -132,13 +132,6 @@ def _posteriors(wins: np.ndarray, losses: np.ndarray, total_wins, total_losses):
     return np.divide(l_w, l_l, out=l_l)
 
 
-def boltzmann_entropy(omega: float) -> float:
-    """Boltzmann entropy ln(omega) in nats (k_B normalized to 1)."""
-    if omega <= 0:
-        raise ValueError(f"entropy undefined for omega <= 0, got {omega}")
-    return math.log(omega)
-
-
 @functools.lru_cache(maxsize=8)
 def histogram_edges(bins: int) -> np.ndarray:
     """The ``bins + 1`` edges of ``bins`` fixed-width bins on [0, 1].
@@ -148,6 +141,9 @@ def histogram_edges(bins: int) -> np.ndarray:
     """
     if bins < 1:
         raise ValueError("bins must be >= 1")
+    # past the largest possible array: np.linspace fails on an empty one from 2**63 - 3 on
+    if (bins + 1) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"{bins} bins: the float64 edges exceed the largest possible array")
     edges = np.linspace(0.0, 1.0, bins + 1)
     edges.setflags(write=False)
     return edges
@@ -276,21 +272,6 @@ def _scaled_ratios(d: np.ndarray) -> tuple[float, float]:
     return m3 / m2**1.5, m4 / (m2 * m2) - 3.0
 
 
-def population_moments(values: Sequence[float]) -> Moments:
-    """Population (biased) moments; excess kurtosis = m4/m2^2 - 3.
-
-    A zero-variance population is flagged degenerate with NaN skewness
-    and kurtosis rather than raising.  This is the one-row case of the
-    block moments that summarise a run.
-    """
-    v = np.asarray(values, dtype=np.float64).reshape(1, -1)
-    if v.size == 0:
-        raise ValueError("moments undefined for an empty collection")
-    mean, m2, skewness, kurtosis = _moments(v)
-    variance = float(m2[0])
-    return Moments(float(mean[0]), variance, skewness[0], kurtosis[0], variance == 0.0)
-
-
 # the fields of MacroSnapshot that Snapshots keeps as one column each, in
 # order, and those of them typed int (annotations are strings here)
 SNAPSHOT_FIELDS = tuple(f.name for f in fields(MacroSnapshot) if f.name != "counts")
@@ -400,7 +381,7 @@ def block_snapshots(posteriors: np.ndarray, first_step: int, bins: int | None = 
     mean, variance, skewness, kurtosis = _moments(v)
     p = np.sort(v, axis=1)
     classes, pairs = _census(p, EPS_CLASS)
-    entropy = [boltzmann_entropy(max(1, x)) for x in pairs.tolist()]
+    entropy = [math.log(max(1, x)) for x in pairs.tolist()]  # Boltzmann's, k_B = 1
     counts = None
     if bins is not None:
         edges = histogram_edges(bins)

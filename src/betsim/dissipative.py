@@ -214,8 +214,8 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
 def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
     """First index s with |mean - 0.5| < eps_eq for all of [s, s + sustain).
 
-    ``series`` is a mean-posterior sequence (or anything with a
-    ``mean_series`` attribute, e.g. a grain's Trajectory); the returned value
+    ``series`` is a mean-posterior sequence, a grain's
+    ``snapshots.column("mean_posterior")`` say; the returned value
     indexes that series.  The sustain window must fit entirely inside
     the observed series; a run that ends while still inside the band
     does not count as converged.  Returns None when no window
@@ -225,8 +225,7 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
         raise ValueError("eps_eq must be positive")
     if sustain < 1:
         raise ValueError("sustain must be >= 1")
-    values = getattr(series, "mean_series", series)
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(series, dtype=np.float64)
     if v.size < sustain:
         return None
     ok = np.abs(v - 0.5) < eps_eq

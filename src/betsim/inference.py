@@ -208,8 +208,8 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     ends grow until the scanned integrand has dropped at least 46 nats
     (factor ~1e-20) below the peak, so truncation error is negligible
     at the target tolerance.  Raises :class:`ConvergenceError` when the
-    range is not finite, or when ``DOMAIN_SCAN_ROUNDS`` rounds leave the
-    peak at an edge: the quadrature would miss it.
+    range is empty or not finite, or when ``DOMAIN_SCAN_ROUNDS`` rounds
+    leave the peak at an edge: the quadrature would miss it.
     """
     from scipy.special import gammainccinv  # deferred: scipy is slow to import
     a, b = model.prior.alpha, model.prior.beta
@@ -220,6 +220,9 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     with np.errstate(divide="ignore", over="ignore"):
         lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
         hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
+    if hi == 0.0:  # b / Q^-1 underflows for a shape near the float maximum and a tiny scale
+        raise ConvergenceError(f"evidence quadrature for model {model.id!r}: the prior's upper "
+                               f"quantile underflows to 0, so the domain [{lo!r}, 0.0] is empty")
     if hi == math.inf:
         if lo >= 1e300:
             raise ConvergenceError(
@@ -249,11 +252,8 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
 
 
 def _scan_grid(lo: float, hi: float) -> np.ndarray:
-    """``np.geomspace(lo, hi, 513)``, bit for bit: for positive ends, its
-    own arithmetic without its sign and dtype set-up."""
-    # an upper quantile that underflows to 0 keeps geomspace's own error
-    if not (lo > 0 and hi > 0):
-        return np.geomspace(lo, hi, 513)
+    """``np.geomspace(lo, hi, 513)`` for positive ends, bit for bit: its own
+    arithmetic without its sign and dtype set-up."""
     grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), 513))
     grid[0], grid[-1] = lo, hi
     return grid
@@ -288,9 +288,9 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
     estimates, when the estimates have not settled before the next grid
-    would pass ``MAX_NODES``, and at once, without them, when
-    the domain or the first estimate is not finite or the domain scan
-    cannot bracket the integrand peak.
+    would pass ``MAX_NODES``, and at once, without them, when the
+    domain is empty, the domain or the first estimate is not finite, or
+    the domain scan cannot bracket the integrand peak.
     """
     if data.n == 0:
         return 0.0

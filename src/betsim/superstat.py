@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Moments, population_moments
+from .core import Moments, _moments
 
 INVERSE_GAMMA = "inverse-gamma"
 GENERALIZED = "generalized-inverse-gamma"
@@ -159,12 +159,15 @@ def generate_returns(
 
 
 def sample_moments(series) -> Moments:
-    """Population moments of a return series (or plain array).
+    """Population moments of a return series (or plain array), as
+    ``core.block_snapshots`` takes them of one row.
 
     Zero variance is flagged on the result, not raised.
     """
     values = getattr(series, "samples", series)
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64).reshape(1, -1)
     if v.size < 4:
         raise ValueError("need at least 4 samples for four moments")
-    return population_moments(v)
+    mean, m2, skewness, kurtosis = _moments(v)
+    variance = float(m2[0])
+    return Moments(float(mean[0]), variance, skewness[0], kurtosis[0], variance == 0.0)

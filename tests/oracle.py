@@ -5,7 +5,8 @@ against explicit ensemble totals, one Python division at a time; the
 tests check the vectorized ``betsim.core.EnsembleState.posteriors``
 against it.
 ``population_moments`` is the ``np.mean`` formulation of the moments
-that ``betsim.core.population_moments`` must reproduce bit for bit.
+that ``betsim.superstat.sample_moments`` and the block summary's rows
+must reproduce bit for bit.
 ``reference_snapshot`` summarises one population the plain way, one
 sort, a ``searchsorted`` pair count and ``np.histogram`` counts; the
 package's block summary must give each row the same fields.
@@ -18,7 +19,9 @@ Gaussian under an inverse-gamma prior, which the quadrature in
 quadrature as it stood before its grids were nested: a fresh
 ``np.linspace`` grid per estimate, ``np.geomspace`` in the domain scan,
 and the public likelihood plus ``invgamma_logpdf`` on every call; the
-package must return the same float, or raise the same error.
+package must return the same float, or raise the same error.  A domain
+whose upper end underflows to 0 is refused with a ``ConvergenceError``
+before the scan, as the package refuses it.
 ``exact_mean_posterior`` is the expected posterior of one participant of a
 grain, from the exact law of its ledger, and ``exact_pooled_counts`` and
 ``exact_pooled_excess_kurtosis`` the expected pooled histogram and the
@@ -271,6 +274,11 @@ def _integration_domain(model, integrand) -> tuple[float, float]:
     with np.errstate(divide="ignore", over="ignore"):
         lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
         hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
+    if hi == 0.0:
+        raise ConvergenceError(
+            f"evidence quadrature for model {model.id!r}: the prior's upper quantile "
+            f"underflows to 0, so the domain [{lo!r}, 0.0] is empty"
+        )
     if hi == math.inf:
         if lo >= 1e300:
             raise ConvergenceError(

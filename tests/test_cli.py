@@ -498,6 +498,22 @@ OVERFLOW_EXPONENTIAL = (
     "[inference]\nmodels = exponential\nmodel_priors = 1.0\nmodel_alphas = 3.0\n"
     "model_betas = 2.0\n\n[io]\ninput = in.csv\n"
 )
+# 50 N(0, 1) returns, and priors whose upper quantile underflows to 0: an
+# empty evidence domain
+NORMAL_RETURNS = "i,value\n" + "".join(
+    f"{i},{x!r}\n" for i, x in enumerate(np.random.default_rng(0).normal(0.0, 1.0, 50).tolist())
+)
+UNDERFLOWING_FIT = "[inference]\nprior_alpha = 1e300\nprior_beta = 1e-100\n\n[io]\ninput = in.csv\n"
+UNDERFLOWING_MODELS = (
+    "[inference]\nmodels = gaussian-known-mean\nmodel_priors = 1.0\nmodel_alphas = 1e300\n"
+    "model_betas = 1e-100\n\n[io]\ninput = in.csv\n"
+)
+
+
+def _histogram_bins(bins: int) -> str:
+    return f"[dissipative]\nsteps = 1\ngrain_sizes = 4\n\n[io]\nhistogram_bins = {bins}\n"
+
+
 # (command, config) runs whose configured sizes numpy refuses
 TOO_BIG_RUNS = [
     (
@@ -507,10 +523,7 @@ TOO_BIG_RUNS = [
     ),
     ("sim-conservative", f"[conservative]\nsteps = {TOO_BIG}\nn_microstates = 4\n"),
     ("sim-dissipative", f"[dissipative]\nsteps = 3\ngrain_sizes = {TOO_BIG}\nbets_per_grain = 1\n"),
-    (
-        "sim-dissipative",
-        f"[dissipative]\nsteps = 1\ngrain_sizes = 4\n\n[io]\nhistogram_bins = {TOO_BIG}\n",
-    ),
+    ("sim-dissipative", _histogram_bins(TOO_BIG)),
 ]
 TOO_BIG_IDS = [
     "n-microstates-2**62",
@@ -552,6 +565,11 @@ TOO_BIG_IDS = [
             "gamma = 0.001\nn = 200\n",
             "", [], 2,
         ),
+        ("fit-variance", UNDERFLOWING_FIT, NORMAL_RETURNS, [], 4),
+        ("compare-models", UNDERFLOWING_MODELS, NORMAL_RETURNS, [], 4),
+        # np.linspace fails on an empty array for edges from 2**63 - 2 on
+        ("sim-dissipative", _histogram_bins(2**63 - 2), "", [], 2),
+        ("sim-dissipative", _histogram_bins(2**64), "", [], 2),
         *[(command, config, "", [], 2) for command, config in TOO_BIG_RUNS],
     ],
     ids=[
@@ -577,6 +595,10 @@ TOO_BIG_IDS = [
         "histogram-bins-10**17",
         "superstat-variance-inf",
         "superstat-volatility-overflow",
+        "fit-variance-empty-domain",
+        "compare-models-empty-domain",
+        "histogram-bins-2**63-2",
+        "histogram-bins-2**64",
         *TOO_BIG_IDS,
     ],
 )

@@ -13,7 +13,6 @@ from betsim.conservative import (
     DEFAULT_SMOOTHING_WINDOW,
     ConservativeConfig,
     Trajectory,
-    init_ensemble,
     run_conservative,
     smooth_series,
     step_conservative,
@@ -23,16 +22,21 @@ from betsim.io import emit_trajectory_csv
 from oracle import array_bet_step, closed_run, forced_run, same_snapshot
 
 
-def test_init_ensemble_virtual_win():
-    state = init_ensemble(5)
+def _fresh(n: int) -> EnsembleState:
+    """A fresh ensemble of n participants, as ``Trajectory.fresh`` starts one."""
+    return Trajectory.fresh(n, 0, 0).ensemble
+
+
+def test_fresh_population_virtual_win():
+    state = _fresh(5)
     assert state.wins.tolist() == [1, 1, 1, 1, 1]
     assert state.losses.tolist() == [0, 0, 0, 0, 0]
     assert state.posteriors().tolist() == [1.0] * 5
 
 
-def test_init_ensemble_too_small():
-    with pytest.raises(ValueError):
-        init_ensemble(1)
+def test_fresh_population_too_small():
+    with pytest.raises(ValueError, match="at least 2 microstates"):
+        Trajectory.fresh(1, 0, 0)
 
 
 def test_config_validation():
@@ -57,7 +61,7 @@ def test_with_seed_returns_new_config():
 # stepping
 
 def test_step_rejects_overdraw():
-    state = init_ensemble(5)
+    state = _fresh(5)
     with pytest.raises(ValueError, match="cannot draw 3 disjoint pairs from 5"):
         step_conservative(state, rngmod.stream(0, rngmod.GENERIC), bets_per_step=3)
     with pytest.raises(ValueError, match="bets_per_step must be >= 1"):
@@ -66,12 +70,12 @@ def test_step_rejects_overdraw():
 
 
 def test_step_deterministic_per_stream():
-    a, b = init_ensemble(20), init_ensemble(20)
+    a, b = _fresh(20), _fresh(20)
     step_conservative(a, rngmod.stream(7, rngmod.BETS, 0, 3), bets_per_step=5)
     step_conservative(b, rngmod.stream(7, rngmod.BETS, 0, 3), bets_per_step=5)
     assert a.wins.tolist() == b.wins.tolist()
     assert a.losses.tolist() == b.losses.tolist()
-    c = init_ensemble(20)
+    c = _fresh(20)
     step_conservative(c, rngmod.stream(7, rngmod.BETS, 0, 4), bets_per_step=5)
     assert (a.wins.tolist(), a.losses.tolist()) != (c.wins.tolist(), c.losses.tolist())
 
@@ -79,7 +83,7 @@ def test_step_deterministic_per_stream():
 def test_draw_pairing_disjoint_and_sized():
     # A random step of b bets touches exactly 2b distinct participants:
     # b each gain one win and the other b each gain one loss.
-    state = init_ensemble(10)
+    state = _fresh(10)
     step_conservative(state, rngmod.stream(0, rngmod.GENERIC), bets_per_step=4)
     winners = np.flatnonzero(state.wins > 1)
     losers = np.flatnonzero(state.losses > 0)
@@ -89,14 +93,14 @@ def test_draw_pairing_disjoint_and_sized():
 
 
 def test_resolve_bet_rejects_self_pair():
-    state = init_ensemble(6)
+    state = _fresh(6)
     with pytest.raises(ValueError, match="itself"):
         step_conservative(state, None, forced=[((4, 4), 4)])
     assert state.wins.tolist() == [1] * 6 and state.total_wins == 6  # untouched
 
 
 def test_step_coin_picks_either_side():
-    state = init_ensemble(2)
+    state = _fresh(2)
     for t in range(50):
         step_conservative(state, rngmod.stream(1, rngmod.BETS, 0, t))
     assert state.wins.sum() == 52 and state.losses.sum() == 50
@@ -104,7 +108,7 @@ def test_step_coin_picks_either_side():
 
 
 def test_step_forced_validations():
-    state = init_ensemble(6)
+    state = _fresh(6)
     with pytest.raises(ValueError, match="outside range"):
         step_conservative(state, None, forced=[((0, 6), 0)])
     with pytest.raises(ValueError, match="outside range"):
@@ -120,7 +124,7 @@ def test_step_forced_validations():
 
 
 def test_step_forced_books_one_win_one_loss():
-    state = init_ensemble(4)
+    state = _fresh(4)
     step_conservative(state, None, forced=[((0, 3), 3)])
     assert state.wins.tolist() == [1, 1, 1, 2]
     assert state.losses.tolist() == [1, 0, 0, 0]
@@ -153,7 +157,7 @@ def test_conservation_invariant(n, seed, steps, data):
     equal to the column sums.
     """
     bets = data.draw(st.integers(1, n // 2))
-    state = init_ensemble(n)
+    state = _fresh(n)
     for t in range(steps):
         wins, losses = state.wins.copy(), state.losses.copy()
         step_conservative(state, rngmod.stream(seed, rngmod.BETS, 0, t), bets_per_step=bets)
@@ -281,7 +285,7 @@ def test_forced_run_derives_no_stream(derived_keys):
 def test_one_bet_step_matches_the_array_draws(n, seed, steps):
     # the scalar one-bet path books what the array formula books, and
     # leaves each generator in the same state, step after step
-    got, want = init_ensemble(n), init_ensemble(n)
+    got, want = _fresh(n), _fresh(n)
     got_rng, want_rng = rngmod.stream(seed), rngmod.stream(seed)
     for _ in range(steps):
         step_conservative(got, got_rng)
@@ -409,7 +413,7 @@ def test_block_ledger_check_catches_a_repeated_index(monkeypatch):
     assert len(calls) == 4  # every step was drawn before the block was checked
     # step_conservative, the one-step case, checks its step the same way
     calls.clear()
-    state = init_ensemble(20)
+    state = _fresh(20)
     step_conservative(state, rngmod.stream(0), 3)
     with pytest.raises(AssertionError):
         step_conservative(state, rngmod.stream(1), 3)

@@ -18,12 +18,11 @@ from betsim.core import (
     Snapshots,
     _posteriors,
     block_snapshots,
-    boltzmann_entropy,
     distinct_posterior_classes,
     heterogeneous_pair_count,
     macro_snapshot,
-    population_moments,
 )
+from betsim.superstat import sample_moments
 from oracle import BetLedger, EnsembleTotals, posterior_win, reference_snapshot, same_snapshot
 from oracle import population_moments as reference_moments
 
@@ -114,13 +113,6 @@ def test_vectorized_matches_scalar(wins, losses):
 # ---------------------------------------------------------------------------
 # configuration counting and entropy
 
-def test_boltzmann_entropy_values():
-    assert boltzmann_entropy(1) == 0.0
-    assert boltzmann_entropy(13) == pytest.approx(math.log(13))
-    with pytest.raises(ValueError):
-        boltzmann_entropy(0)
-
-
 def test_ensemble_entropy_floors_at_zero():
     # fully homogeneous population: no heterogeneous pairs, entropy 0
     assert macro_snapshot([0.5, 0.5, 0.5], 0).entropy == 0.0
@@ -210,7 +202,7 @@ def test_snapshot_census_matches_brute_force_on_tied_posteriors():
 def test_population_moments_match_reference():
     rng = np.random.default_rng(31)
     x = rng.normal(0.3, 1.7, 500)
-    m = population_moments(x)
+    m = sample_moments(x)
     assert m.mean == pytest.approx(float(np.mean(x)))
     assert m.variance == pytest.approx(float(np.var(x)))
     assert m.skewness == pytest.approx(float(stats.skew(x, bias=True)))
@@ -219,7 +211,7 @@ def test_population_moments_match_reference():
 
 
 def test_population_moments_degenerate():
-    m = population_moments([0.5, 0.5, 0.5])
+    m = sample_moments([0.5, 0.5, 0.5, 0.5])  # it takes 4 values or more
     assert m.degenerate
     assert m.variance == 0.0
     assert math.isnan(m.skewness) and math.isnan(m.excess_kurtosis)
@@ -228,13 +220,13 @@ def test_population_moments_degenerate():
 def test_moments_of_a_variance_whose_square_underflows():
     # seven equal values of 3e-80: the mean's rounding leaves a positive
     # variance whose square underflows to 0
-    m = population_moments([3e-80] * 7)
+    m = sample_moments([3e-80] * 7)
     assert 0.0 < m.variance and m.variance * m.variance == 0.0 and not m.degenerate
     assert math.isfinite(m.skewness) and math.isfinite(m.excess_kurtosis)
     assert dataclasses.astuple(m) == dataclasses.astuple(reference_moments([3e-80] * 7))
     # the ratios do not depend on the scale
     x = np.array([1.0, 2.0, 2.0, 3.0, 10.0])
-    tiny, plain = population_moments(x * 1e-100), population_moments(x)
+    tiny, plain = sample_moments(x * 1e-100), sample_moments(x)
     assert tiny.skewness == pytest.approx(plain.skewness, rel=1e-12)
     assert tiny.excess_kurtosis == pytest.approx(plain.excess_kurtosis, rel=1e-12)
     # in a block, such a row sits beside ordinary and degenerate rows
@@ -253,12 +245,18 @@ def _moment_inputs(rng, n):
 
 
 def test_population_moments_equal_the_mean_formulation():
+    # a one-row block's moments at any size, and sample_moments from 4 values on
     rng = np.random.default_rng(21)
     for n in list(range(1, 40)) + [150, 225, 425, 750, 1550, 100003]:
         for values in _moment_inputs(rng, n):
-            got = dataclasses.astuple(population_moments(values))
             want = dataclasses.astuple(reference_moments(values))
+            row = block_snapshots(values.reshape(1, -1), 0)[0]
+            got = (row.mean_posterior, row.variance, row.skewness, row.excess_kurtosis,
+                   row.variance == 0.0)
             assert np.array_equal(got, want, equal_nan=True), (n, got, want)
+            if n >= 4:
+                got = dataclasses.astuple(sample_moments(values))
+                assert np.array_equal(got, want, equal_nan=True), (n, got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from betsim import dissipative
 from betsim import rng as rngmod
@@ -315,11 +317,18 @@ def test_churn_run_matches_the_reference_run(derived_keys, policy, sizes, inject
     topology = [k for k in derived_keys.streams + derived_keys.blocks if k[1] == rngmod.TOPOLOGY]
     assert sorted(topology) == [(7, rngmod.TOPOLOGY, 0, t) for t in range(1, steps + 1)]
     assert any(k[1] == rngmod.TOPOLOGY for k in derived_keys.blocks)
-    pooled, tracks = churn_run(cfg, bins=20)
-    assert len(result.pooled) == len(pooled) == steps + 1
+    tracks = _assert_matches_churn_run(result, cfg, bins=20)
+    assert any(t.death for t in tracks.values()) and any(t.birth for t in tracks.values())
+
+
+def _assert_matches_churn_run(result, cfg, bins):
+    """Assert ``result`` is the reference ``churn_run`` of ``cfg``, field for
+    field on every pooled row and on every grain's birth, death and
+    snapshots; returns the reference tracks."""
+    pooled, tracks = churn_run(cfg, bins)
+    assert len(result.pooled) == len(pooled) == cfg.steps + 1
     assert all(same_snapshot(a, b) for a, b in zip(result.pooled, pooled))
     assert sorted(result.grain_tracks) == sorted(tracks)
-    assert any(t.death for t in tracks.values()) and any(t.birth for t in tracks.values())
     for gid, grain in result.grain_tracks.items():
         track = tracks[gid]
         assert (grain.size, grain.birth_step, grain.death_step) == (
@@ -327,6 +336,51 @@ def test_churn_run_matches_the_reference_run(derived_keys, policy, sizes, inject
         )
         assert len(grain.snapshots) == len(track.snapshots)
         assert all(same_snapshot(a, b) for a, b in zip(grain.snapshots, track.snapshots))
+    return tracks
+
+
+@st.composite
+def _churn_configs(draw, steps=st.integers(0, 80)):
+    sizes = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=4)))
+    lo = draw(st.integers(2, 40))
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return DissipativeConfig(
+        steps=draw(steps),
+        grain_sizes=sizes,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        bets_fraction=draw(st.floats(0.01, 1.0)),
+        bets_per_grain=draw(st.none() | st.integers(1, min(sizes) // 2)),
+        injection_prob=draw(probability),
+        injection_size_range=(lo, draw(st.integers(lo, 40))),
+        removal_prob=draw(probability),
+        removal_policy=draw(st.sampled_from(dissipative.REMOVAL_POLICIES)),
+    )
+
+
+# past the keyed steps and one block boundary of the derived streams
+LONG_RUN = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(cfg=_churn_configs(), bins=st.integers(1, 30))
+@example(
+    cfg=DissipativeConfig(
+        steps=LONG_RUN, grain_sizes=(2, 40, 17), seed=11, bets_per_grain=1,
+        injection_prob=1.0, injection_size_range=(2, 9), removal_prob=1.0,
+        removal_policy="random",
+    ),
+    bins=7,
+)
+@example(
+    cfg=DissipativeConfig(
+        steps=LONG_RUN, grain_sizes=(12, 3), seed=2**64 - 1, bets_fraction=0.7,
+        injection_prob=0.5, injection_size_range=(2, 40), removal_prob=1.0,
+        removal_policy="closest-to-equilibrium",
+    ),
+    bins=30,
+)
+def test_any_churn_run_matches_the_reference_run(cfg, bins):
+    _assert_matches_churn_run(run_dissipative(cfg, bins), cfg, bins)
 
 
 def test_a_finished_run_keeps_no_derived_stream_block():
@@ -361,12 +415,12 @@ def test_convergence_time_excursion_resets_window():
     assert convergence_time(series, eps_eq=0.05, sustain=3) == 3
 
 
-def test_convergence_time_accepts_track():
+def test_convergence_time_of_a_grain_mean_column():
     cfg = DissipativeConfig(steps=120, grain_sizes=(8,), seed=0)
-    result = run_dissipative(cfg)
-    track = result.grain_tracks[0]
-    t = convergence_time(track, eps_eq=0.2, sustain=10)
-    assert t == convergence_time(track.mean_series, eps_eq=0.2, sustain=10)
+    track = run_dissipative(cfg).grain_tracks[0]
+    t = convergence_time(track.snapshots.column("mean_posterior"), eps_eq=0.2, sustain=10)
+    means = [snapshot.mean_posterior for snapshot in track.snapshots]
+    assert t is not None and t == convergence_time(means, eps_eq=0.2, sustain=10)
 
 
 def test_convergence_time_validates_arguments():

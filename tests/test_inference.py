@@ -264,8 +264,12 @@ def test_log_evidence_stops_before_the_node_cap():
 
 @pytest.mark.parametrize(
     "alpha, beta, match",
-    [(3.0, 1e308, "domain .* is not finite"), (1e200, 2.0, "first estimate is -inf")],
-    ids=["upper-quantile-overflows", "prior-far-below-the-likelihood"],
+    [
+        (3.0, 1e308, "domain .* is not finite"),
+        (1e200, 2.0, "first estimate is -inf"),
+        (1e300, 1e-100, r"upper quantile underflows to 0, so the domain \[1e-300, 0.0\] is empty"),
+    ],
+    ids=["upper-quantile-overflows", "prior-far-below-the-likelihood", "upper-quantile-underflows"],
 )
 def test_log_evidence_without_a_finite_start_fails_at_once(alpha, beta, match):
     # with the default 24 doublings a non-finite grid would be refined
@@ -317,7 +321,7 @@ def test_log_evidence_is_bit_equal_to_the_fresh_grid_quadrature(
 ):
     # the examples: the node cap, a scan that cannot reach the peak, a
     # non-finite first estimate, an infinite domain, an upper quantile
-    # that underflows to 0 (numpy's geomspace error), and n = 6e5
+    # that underflows to 0 (an empty domain), and n = 6e5
     signed = signed and kind == GAUSSIAN_KNOWN_MEAN  # exponential samples are positive
     rng = np.random.default_rng([n, int(signed)])
     x = scale * (rng.normal(0.0, 1.0, n) if signed else rng.exponential(1.0, n))
