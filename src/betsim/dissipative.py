@@ -153,40 +153,63 @@ def superposed_distribution(
     return macro_snapshot(np.concatenate(grain_posteriors), step, bins)
 
 
-def _remove_index(policy: str, topo: np.random.Generator, posts: list[np.ndarray]) -> int:
-    """The living grain to remove, given the living grains' posterior blocks."""
-    if policy == "oldest":
-        return 0  # living grains stay in birth order
-    if policy == "random":
-        return int(topo.integers(0, len(posts)))
-    # closest-to-equilibrium: smallest |mean posterior - 0.5| of the last
-    # row, as the snapshot takes it; min keeps the first, so the lowest id
-    # breaks ties
-    return min(range(len(posts)), key=lambda k: abs(_means(posts[k][-1]) - 0.5))
+def _topology(state: DissipativeState, t: int) -> tuple[int | None, int | None] | None:
+    """Step t's injected size and removed index, each None when it does
+    not happen, or None when step t changes nothing.
+
+    Step t's topology stream draws the injection coin, the size, the
+    removal coin and, under ``random``, the index among the living grains,
+    the injected one last.  The other policies get 0, the oldest, and
+    ``_advance`` ranks ``closest-to-equilibrium`` on the step's rows.  A
+    run without churn draws nothing.
+    """
+    cfg = state.config
+    if not cfg.churns:
+        return None
+    topo = state.topology.at(t)
+    size = k = None
+    if topo.random() < cfg.injection_prob:
+        lo, hi = cfg.injection_size_range
+        size = int(topo.integers(lo, hi + 1))
+    living = len(state.grains) + (size is not None)
+    if topo.random() < cfg.removal_prob and living > 1:  # the last grain is never removed
+        k = int(topo.integers(0, living)) if cfg.removal_policy == "random" else 0
+    return None if size is None and k is None else (size, k)
 
 
-def _advance(state: DissipativeState, steps: int) -> DissipativeState:
-    """Advance the whole system by ``steps`` steps, which must be 1 when
-    the grains churn: each living grain books its block of steps, and the
-    pooled rows are summarised from the grains' posterior blocks.  With
-    churn, the step's topology stream gives the injection coin, an
-    injected grain's size, the removal coin and a random removal's index,
-    and removal ranks the grains on their rows of the step.
+def _advance(state: DissipativeState, limit: int) -> DissipativeState:
+    """Advance the whole system through its next topology event, or by
+    ``limit`` steps if that comes first.
+
+    Between events the grains are closed systems, so each living grain
+    books the stretch, the event's step included, as one block, and the
+    rows before the event are pooled in one batch.  The event then acts
+    on the step's own rows: an injected grain adds its row of ones, and
+    a removal ranks the grains on their rows of the step.
     """
     cfg = state.config
     t = state.step + 1
+    for steps in range(1, limit + 1):  # the event's step, else the limit
+        event = _topology(state, t + steps - 1)
+        if event is not None:
+            break
     # the steps' posteriors, one (steps, size) block per grain of state.grains
     posts = [grain.advance(t, _grain_bets(cfg, grain.size), steps) for grain in state.grains]
-    if cfg.churns:
-        topo = state.topology.at(t)
-        if topo.random() < cfg.injection_prob:
-            lo, hi = cfg.injection_size_range
-            posts.append(_add_grain(state, int(topo.integers(lo, hi + 1)), t))
-        if topo.random() < cfg.removal_prob and len(state.grains) > 1:
-            k = _remove_index(cfg.removal_policy, topo, posts)
+    state.step = t + steps - 1
+    if event is not None:
+        if steps > 1:
+            before = np.concatenate([p[:-1] for p in posts], axis=1)
+            state.pooled.extend(block_snapshots(before, t, state.bins))
+        t, posts = state.step, [p[-1:] for p in posts]
+        size, k = event
+        if size is not None:
+            posts.append(_add_grain(state, size, t))
+        if k is not None:
+            if cfg.removal_policy == "closest-to-equilibrium":
+                # smallest |mean posterior - 0.5|; min keeps the lowest id on ties
+                k = min(range(len(posts)), key=lambda k: abs(_means(posts[k][-1]) - 0.5))
             state.grains.pop(k).retire(t)
             posts.pop(k)
-    state.step = t + steps - 1
     state.pooled.extend(block_snapshots(np.concatenate(posts, axis=1), t, state.bins))
     return state
 
@@ -237,15 +260,12 @@ def convergence_time(series, eps_eq: float = 0.05, sustain: int = 50):
 def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
     """Full deterministic run; the final state holds per-grain tracks and pooled series.
 
-    One loop advances the system a block of steps at a time: one step
-    when the grains churn, since injection and removal act between
-    steps, and ``BLOCK_STEPS`` otherwise, since then no step depends on
-    another's outcome.
+    One rule advances the system: every stretch up to the next injection
+    or removal, capped at ``BLOCK_STEPS`` steps, is one block.
     """
     state = init_grains(config, bins)
-    block = 1 if config.churns else BLOCK_STEPS
-    for t in range(1, config.steps + 1, block):
-        _advance(state, min(block, config.steps + 1 - t))
+    while state.step < config.steps:
+        _advance(state, min(BLOCK_STEPS, config.steps - state.step))
     for grain in state.grains:
         grain.summarise()
     return state

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from betsim import dissipative
 from betsim import rng as rngmod
-from betsim.conservative import ConservativeConfig, Trajectory, run_conservative
+from betsim.conservative import BLOCK_STEPS, ConservativeConfig, Trajectory, run_conservative
 from betsim.core import EnsembleState
 from betsim.io import emit_histogram_csv
 from betsim.dissipative import (
@@ -263,6 +263,22 @@ def test_stepping_past_the_configured_steps_matches_per_step_seeding():
     _, pooled, _ = grain_run(cfg.seed, cfg.grain_sizes, bets, longer.steps + 1, 10)
     assert len(state.pooled) == len(pooled)
     assert all(same_snapshot(a, b) for a, b in zip(state.pooled, pooled))
+    # sparse churn: stepping one step at a time, to config.steps and past
+    # it, is the run that books each stretch between events as one block
+    cfg = DissipativeConfig(
+        steps=300, grain_sizes=(30, 12, 20), seed=9, injection_prob=0.02, removal_prob=0.02,
+        injection_size_range=(4, 40), removal_policy="random",
+    )
+    stepped = init_grains(cfg, bins=10)
+    for _ in range(cfg.steps):
+        step_dissipative(stepped)
+    _assert_matches_churn_run(stepped, cfg, bins=10)
+    _assert_matches_churn_run(run_dissipative(cfg, bins=10), cfg, bins=10)
+    longer = dataclasses.replace(cfg, steps=cfg.steps + 5)
+    for state in (stepped, run_dissipative(cfg, bins=10)):
+        for _ in range(longer.steps - cfg.steps):
+            step_dissipative(state)
+        _assert_matches_churn_run(state, longer, bins=10)
 
 
 def _bet_keys(derived_keys):
@@ -296,6 +312,34 @@ def test_bet_streams_derived_once_per_grain_step(derived_keys):
         for g in tracks
         for t in range(g.birth_step + 1, (g.death_step or churn.steps) + 1)
     } <= set(derived)
+
+
+def test_sparse_churn_books_each_stretch_between_events_as_one_block(monkeypatch):
+    advances = []  # (t, steps) of every grain advance past the birth
+    advance = Trajectory.advance
+
+    def recording(self, t, bets, steps=1, forced=None):
+        if steps:
+            advances.append((t, steps))
+        return advance(self, t, bets, steps, forced)
+
+    monkeypatch.setattr(Trajectory, "advance", recording)
+    cfg = DissipativeConfig(
+        steps=300, grain_sizes=(30, 12, 20), seed=5, injection_prob=0.02, removal_prob=0.02,
+        injection_size_range=(4, 40),
+    )
+    tracks = run_dissipative(cfg).grain_tracks.values()
+    events = {g.birth_step for g in tracks if g.birth_step > 0}
+    events |= {g.death_step for g in tracks if g.death_step is not None}
+    assert len(events) > 2
+    assert max(steps for _, steps in advances) > 1
+    # every event ends an advance, and no advance spans an event before its last step
+    assert events <= {t + steps - 1 for t, steps in advances}
+    assert not any(t <= e < t + steps - 1 for t, steps in advances for e in events)
+    # an event at every step: one step at a time
+    advances.clear()
+    run_dissipative(dataclasses.replace(cfg, steps=40, injection_prob=1.0, removal_prob=1.0))
+    assert {steps for _, steps in advances} == {1}
 
 
 @pytest.mark.parametrize(
@@ -340,10 +384,10 @@ def _assert_matches_churn_run(result, cfg, bins):
 
 
 @st.composite
-def _churn_configs(draw, steps=st.integers(0, 80)):
+def _churn_configs(draw, steps=st.integers(0, 2 * BLOCK_STEPS + 20)):
     sizes = tuple(draw(st.lists(st.integers(2, 40), min_size=1, max_size=4)))
     lo = draw(st.integers(2, 40))
-    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 0.05) | st.floats(0.0, 1.0)
     return DissipativeConfig(
         steps=draw(steps),
         grain_sizes=sizes,
@@ -359,6 +403,19 @@ def _churn_configs(draw, steps=st.integers(0, 80)):
 
 # past the keyed steps and one block boundary of the derived streams
 LONG_RUN = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
+
+
+def _sparse_examples(test):
+    """Sparse churn runs past ``LONG_RUN``, one per removal policy and bet mode."""
+    for i, policy in enumerate(dissipative.REMOVAL_POLICIES):
+        for per_grain in (None, 2):
+            cfg = DissipativeConfig(
+                steps=LONG_RUN + BLOCK_STEPS + i, grain_sizes=(24, 5, 40), seed=100 + i,
+                bets_per_grain=per_grain, injection_prob=0.02, injection_size_range=(4, 30),
+                removal_prob=0.03, removal_policy=policy,
+            )
+            test = example(cfg=cfg, bins=12)(test)
+    return test
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -379,6 +436,7 @@ LONG_RUN = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
     ),
     bins=30,
 )
+@_sparse_examples
 def test_any_churn_run_matches_the_reference_run(cfg, bins):
     _assert_matches_churn_run(run_dissipative(cfg, bins), cfg, bins)
 
