@@ -9,9 +9,11 @@ thousands.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +66,9 @@ class DataSet:
         self.mu = float(mu)
         self.all_positive = bool((v > 0).all())
         with np.errstate(over="ignore"):
-            d = v - self.mu
+            # x - 0.0 is x, bit for bit: skip the n-sized copy, unless the
+            # samples are strided, which BLAS would sum in another order
+            d = v if self.mu == 0.0 and v.flags.c_contiguous else v - self.mu
             self._squared_deviation_sum = float(d @ d)
             self._sample_sum = float(v.sum())
 
@@ -126,6 +130,43 @@ class ModelChoice:
     tied: tuple[int, ...]
 
 
+def _gaussian_factors(sigma2):
+    """The Gaussian likelihood's factors that depend only on sigma2:
+    ln(2 pi sigma2) and 2 sigma2."""
+    return np.log(2.0 * np.pi * sigma2), 2.0 * sigma2
+
+
+def _gaussian_loglik(n: int, s: float, log_2pi_sigma2, two_sigma2):
+    """-(n/2) ln(2 pi sigma2) - S / (2 sigma2) from ``_gaussian_factors``."""
+    return -0.5 * n * log_2pi_sigma2 - s / two_sigma2
+
+
+def _exponential_factors(theta):
+    """The exponential likelihood's factors that depend only on theta:
+    ln theta and theta."""
+    return np.log(theta), theta
+
+
+def _exponential_loglik(n: int, total: float, log_theta, theta):
+    """n ln(theta) - theta * sum x from ``_exponential_factors``."""
+    return n * log_theta - theta * total
+
+
+def _positive_sample_sum(data: DataSet) -> float:
+    """sum x of samples that must all be strictly positive."""
+    if not data.all_positive:
+        raise ValueError("exponential likelihood requires strictly positive samples")
+    return data.sample_sum()
+
+
+# likelihood kind -> (theta -> its two factors, the log-likelihood from n,
+# the data statistic and the factors, data -> that statistic, checked)
+_LIKELIHOODS = {
+    GAUSSIAN_KNOWN_MEAN: (_gaussian_factors, _gaussian_loglik, DataSet.squared_deviation_sum),
+    EXPONENTIAL: (_exponential_factors, _exponential_loglik, _positive_sample_sum),
+}
+
+
 def gaussian_variance_loglik(data: DataSet, sigma2):
     """Log-likelihood of a known-mean Gaussian at variance sigma2:
     -(n/2) ln(2 pi sigma2) - S / (2 sigma2) with S = sum (x - mu)^2.
@@ -139,7 +180,7 @@ def gaussian_variance_loglik(data: DataSet, sigma2):
     s = data.squared_deviation_sum()
     # 2 pi sigma2 overflows for sigma2 above about 2.9e307: the result is -inf
     with np.errstate(over="ignore"):
-        out = -0.5 * data.n * np.log(2.0 * np.pi * s2) - s / (2.0 * s2)
+        out = _gaussian_loglik(data.n, s, *_gaussian_factors(s2))
     return float(out) if np.isscalar(sigma2) else out
 
 
@@ -150,27 +191,15 @@ def exponential_loglik(data: DataSet, theta):
     th = np.asarray(theta, dtype=np.float64)
     if (th <= 0).any():
         raise ValueError("theta must be positive")
-    if not data.all_positive:
-        raise ValueError("exponential likelihood requires strictly positive samples")
+    total = _positive_sample_sum(data)
     with np.errstate(over="ignore"):  # theta * sum x may overflow: the result is -inf
-        out = data.n * np.log(th) - th * data.sample_sum()
+        out = _exponential_loglik(data.n, total, *_exponential_factors(th))
     return float(out) if np.isscalar(theta) else out
 
 
 def conjugate_variance_posterior(prior: InvGammaParams, data: DataSet) -> InvGammaParams:
     """Closed-form update: InvGamma(alpha + n/2, beta + S/2)."""
     return InvGammaParams(prior.alpha + data.n / 2.0, prior.beta + data.squared_deviation_sum() / 2.0)
-
-
-def _log_integrand(model: ModelSpec, data: DataSet):
-    """theta -> log of likelihood * prior, the evidence integrand, on
-    float64 arrays of positive theta.  The prior's constant is taken
-    once, here, for every grid of one evidence.
-    """
-    gaussian = model.likelihood_kind == GAUSSIAN_KNOWN_MEAN
-    loglik = gaussian_variance_loglik if gaussian else exponential_loglik
-    log_prior = _invgamma_log_density(model.prior.alpha, model.prior.beta)
-    return lambda theta: loglik(data, theta) + log_prior(theta)
 
 
 def _logsumexp(a, b=None) -> float:
@@ -184,32 +213,105 @@ def _logsumexp(a, b=None) -> float:
     log1p(s / m) + log(m) + max, NaN for a negative sum.  Only when that
     is not finite does the direct log(sum(b * exp(a))) stand instead.
     """
-    b = np.ones_like(a) if b is None else b
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kept = np.where(b == 0, -np.inf, a)
-        a_max = kept.max()
-        top = kept == a_max
-        m = (b * top).sum()
-        # scipy leaves s = 0 undivided; dividing it gives 0 again, or a
-        # non-finite result that the direct sum below replaces anyway
-        s = (b * np.exp(np.where(top, -np.inf, kept) - a_max)).sum() / m
-        out = np.log1p(-s - 2 if s < -1 else s) + np.log(np.abs(m)) + a_max
-        # scipy's NaN for a negative sum is not finite either
-        if np.sign(s + 1) * np.sign(m) < 0 or not np.isfinite(out):
-            out = np.log((b * np.exp(a)).sum())
+        return _logsumexp_unguarded(a, np.ones_like(a) if b is None else b)
+
+
+def _logsumexp_unguarded(a, b) -> float:
+    """``_logsumexp`` under the caller's ``np.errstate``, which must ignore
+    divide, invalid and over."""
+    kept = np.where(b == 0, -np.inf, a)
+    a_max = kept.max()
+    top = kept == a_max
+    m = (b * top).sum()
+    # scipy leaves s = 0 undivided; dividing it gives 0 again, or a
+    # non-finite result that the direct sum below replaces anyway
+    s = (b * np.exp(np.where(top, -np.inf, kept) - a_max)).sum() / m
+    out = np.log1p(-s - 2 if s < -1 else s) + np.log(np.abs(m)) + a_max
+    # scipy's NaN for a negative sum is not finite either
+    if np.sign(s + 1) * np.sign(m) < 0 or not np.isfinite(out):
+        out = np.log((b * np.exp(a)).sum())
     return float(out)
 
 
-def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
-    """Prior quantile range, widened until the integrand peak is interior.
+# the level of the domain scan's 513-node table
+_SCAN = -1
+# levels of at most this many nodes are tabled; the finer ones, which only
+# a climb toward MAX_NODES reaches, are built for the call and dropped
+_TABLED_NODES = 65_537
+# the most node tables kept
+_NODE_TABLES = 32
 
-    The range starts at the prior's [1e-10, 1-1e-10] quantiles.  A
-    coarse geometric scan finds the peak of likelihood * prior; both
-    ends grow until the scanned integrand has dropped at least 46 nats
-    (factor ~1e-20) below the peak, so truncation error is negligible
-    at the target tolerance.  Raises :class:`ConvergenceError` when the
-    range is empty or not finite, or when ``DOMAIN_SCAN_ROUNDS`` rounds
-    leave the peak at an edge: the quadrature would miss it.
+
+class _NodeTable(NamedTuple):
+    """The evidence integrand's terms that depend only on the node theta,
+    as read-only arrays."""
+
+    u: np.ndarray | None        # ln theta, the Jacobian term; None on the scan
+    weights: np.ndarray | None  # trapezoid weights of the level's whole grid; None on the scan
+    prior: np.ndarray           # the prior's log-density
+    f1: np.ndarray              # ln(2 pi theta) or ln theta, by likelihood kind
+    f2: np.ndarray              # 2 theta or theta
+
+
+def _level_nodes(level: int) -> int:
+    """Nodes of the grid at ``level`` doublings from ``INITIAL_NODES``."""
+    return (INITIAL_NODES - 1) * 2**level + 1
+
+
+def _build_node_table(kind: str, alpha: float, beta: float, lo: float, hi: float,
+                      level: int) -> _NodeTable:
+    """The node table of a likelihood kind and prior on [lo, hi].
+
+    ``_SCAN`` is the domain scan's ``_scan_grid(lo, hi)``, in theta.  Level
+    0 is ``np.linspace(ln lo, ln hi, INITIAL_NODES)`` in u = ln theta, and
+    level k the nodes a doubling adds, ``_midpoints`` of the grid of
+    ``_level_nodes(k)``, with that whole grid's weights.
+    """
+    if level == _SCAN:
+        theta, u, weights = _scan_grid(lo, hi), None, None
+    else:
+        u_lo, u_hi = np.log(lo), np.log(hi)
+        nodes = _level_nodes(level)
+        # contiguous: numpy's SIMD exp and log may round strided input otherwise
+        u = np.linspace(u_lo, u_hi, nodes) if level == 0 else _midpoints(u_lo, u_hi, nodes)
+        theta = np.exp(u)
+        weights = np.full(nodes, (u_hi - u_lo) / (nodes - 1))
+        weights[0] *= 0.5
+        weights[-1] *= 0.5
+    factors = _LIKELIHOODS[kind][0]
+    table = _NodeTable(u, weights, _invgamma_log_density(alpha, beta)(theta), *factors(theta))
+    for a in table:
+        if a is not None:
+            a.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=_NODE_TABLES)
+def _node_table(kind: str, alpha: float, beta: float, lo: float, hi: float,
+                level: int) -> _NodeTable:
+    """``_build_node_table``, cached on its arguments.
+
+    Evidences of one likelihood kind and prior mostly land on one domain
+    (the ``evidence`` benchmark's 462 per pass, 1e4 to 1e7 samples under
+    InvGamma(3, 2), all land on [0.0686, 2370.76]), so they share their
+    tables.  Only levels of at most ``_TABLED_NODES`` nodes come here.
+    A level of N nodes holds about 24 N bytes (u, the prior and the
+    factors at its N/2 new nodes, the weights at all N).  So an entry
+    holds at most 1,572,872 bytes, at 65,537 nodes, and the
+    ``_NODE_TABLES`` entries at most about 50.3 MB.  One kind, prior and
+    domain climbing to 32,769 nodes keeps about 1.6 MB, and a climb to
+    the node cap about 3.2 MB.  The arrays are read-only and an entry
+    never changes once built, so threads share them safely.
+    """
+    return _build_node_table(kind, alpha, beta, lo, hi, level)
+
+
+def _prior_range(model: ModelSpec) -> tuple[float, float]:
+    """The prior's [1e-10, 1-1e-10] quantile range, where the domain scan
+    starts, under the caller's ``np.errstate``, which must ignore divide
+    and over.  Raises :class:`ConvergenceError` when it is empty or not
+    finite.
     """
     from scipy.special import gammainccinv  # deferred: scipy is slow to import
     a, b = model.prior.alpha, model.prior.beta
@@ -217,9 +319,8 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
     # incomplete gamma function.  Q^-1 underflows for a shape below about
     # 0.03, and b / Q^-1 overflows for a scale near the float maximum; hi
     # then starts at the ceiling, unless lo is past it as well
-    with np.errstate(divide="ignore", over="ignore"):
-        lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
-        hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
+    lo = max(float(1.0 / gammainccinv(a, 1e-10) * b), 1e-300)
+    hi = float(1.0 / gammainccinv(a, 1.0 - 1e-10) * b)
     if hi == 0.0:  # b / Q^-1 underflows for a shape near the float maximum and a tiny scale
         raise ConvergenceError(f"evidence quadrature for model {model.id!r}: the prior's upper "
                                f"quantile underflows to 0, so the domain [{lo!r}, 0.0] is empty")
@@ -230,9 +331,21 @@ def _integration_domain(model: ModelSpec, integrand) -> tuple[float, float]:
                 f"[{lo!r}, inf] is not finite"
             )
         hi = 1e300
+    return lo, hi
+
+
+def _integration_domain(model: ModelSpec, lo: float, hi: float, scan) -> tuple[float, float]:
+    """[lo, hi] widened until the integrand peak is interior.
+
+    ``scan(lo, hi)`` is the integrand, log of likelihood * prior, on
+    ``_scan_grid(lo, hi)``.  Both ends grow until the scanned integrand
+    has dropped at least 46 nats (factor ~1e-20) below the peak, so
+    truncation error is negligible at the target tolerance.  Raises
+    :class:`ConvergenceError` when ``DOMAIN_SCAN_ROUNDS`` rounds leave
+    the peak at an edge: the quadrature would miss it.
+    """
     for _ in range(DOMAIN_SCAN_ROUNDS):
-        grid = _scan_grid(lo, hi)
-        g = integrand(grid)
+        g = scan(lo, hi)
         gmax = float(g.max())
         grew = False
         # differences, not gmax - 46: past |gmax| ~ 2e17 that is gmax itself
@@ -285,54 +398,72 @@ def log_evidence(model: ModelSpec, data: DataSet) -> float:
     estimate equals that of evaluating ``np.linspace(ln lo, ln hi,
     nodes)`` afresh, bit for bit.
 
+    Only n and one sum of the data reach a node: every term that depends
+    on the node alone (u, the trapezoid weights, the prior's
+    log-density and the likelihood's two factors of theta) comes from a
+    node table keyed on (likelihood kind, alpha, beta, lo, hi, level),
+    built once and shared by every evidence on that prior and domain
+    (``_node_table``; levels finer than ``_TABLED_NODES`` nodes are
+    built per call).  At a node the integrand is
+    ((-(n/2) f1 - S / f2) + prior) + u for the Gaussian and
+    ((n f1 - f2 sum x) + prior) + u for the exponential, in the order
+    the public likelihoods and prior compute it, so the tables change no
+    value, bit for bit.
+
     An empty data set short-circuits to 0 (the evidence of no data
     is 1).  Raises :class:`ConvergenceError`, carrying the last two
     estimates, when the estimates have not settled before the next grid
     would pass ``MAX_NODES``, and at once, without them, when the
     domain is empty, the domain or the first estimate is not finite, or
-    the domain scan cannot bracket the integrand peak.
+    the domain scan cannot bracket the integrand peak.  A data set that
+    the likelihood cannot take raises ValueError, as the likelihood does.
     """
     if data.n == 0:
         return 0.0
-    integrand = _log_integrand(model, data)
-    lo, hi = _integration_domain(model, integrand)
-    u_lo, u_hi = np.log(lo), np.log(hi)
+    kind, alpha, beta = model.likelihood_kind, model.prior.alpha, model.prior.beta
+    _, loglik, statistic = _LIKELIHOODS[kind]
+    # non-finite terms are the quadrature's own outcomes: an overflowing
+    # 2 theta or theta * sum x gives -inf, a huge prior shape NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, hi = _prior_range(model)
+        n, stat = data.n, statistic(data)
 
-    def log_g(u):
-        # + u is the Jacobian d theta = theta du
-        return integrand(np.exp(u)) + u
+        def scan(lo, hi):
+            t = _node_table(kind, alpha, beta, lo, hi, _SCAN)
+            return loglik(n, stat, t.f1, t.f2) + t.prior
 
-    def estimate(g) -> float:
-        w = np.full(g.size, (u_hi - u_lo) / (g.size - 1))
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return _logsumexp(g, w)
+        lo, hi = _integration_domain(model, lo, hi, scan)
 
-    nodes = INITIAL_NODES
-    g = log_g(np.linspace(u_lo, u_hi, nodes))
-    prev = estimate(g)
-    if not math.isfinite(prev):
-        raise ConvergenceError(
-            f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
-        )
-    for doublings in itertools.count(1):
-        nodes = 2 * nodes - 1
-        finer = np.empty(nodes)
-        finer[0::2] = g
-        # contiguous: numpy's SIMD exp and log may round strided input otherwise
-        finer[1::2] = log_g(_midpoints(u_lo, u_hi, nodes))
-        g = finer
-        cur = estimate(g)
-        if abs(cur - prev) <= model.rel_tol * max(1.0, abs(cur)):
-            return cur
-        if 2 * nodes - 1 > MAX_NODES:
+        def level(k: int):
+            build = _node_table if _level_nodes(k) <= _TABLED_NODES else _build_node_table
+            t = build(kind, alpha, beta, lo, hi, k)
+            # + u is the Jacobian d theta = theta du
+            return loglik(n, stat, t.f1, t.f2) + t.prior + t.u, t.weights
+
+        g, weights = level(0)
+        prev = _logsumexp_unguarded(g, weights)
+        if not math.isfinite(prev):
             raise ConvergenceError(
-                f"evidence quadrature for model {model.id!r} did not converge "
-                f"after {doublings} doublings ({nodes} nodes, at most {MAX_NODES}); "
-                f"last two estimates {prev!r} and {cur!r}",
-                estimates=(prev, cur),
+                f"evidence quadrature for model {model.id!r}: the first estimate is {prev!r}"
             )
-        prev = cur
+        for doublings in itertools.count(1):
+            new, weights = level(doublings)
+            nodes = weights.size
+            finer = np.empty(nodes)
+            finer[0::2] = g
+            finer[1::2] = new
+            g = finer
+            cur = _logsumexp_unguarded(g, weights)
+            if abs(cur - prev) <= model.rel_tol * max(1.0, abs(cur)):
+                return cur
+            if 2 * nodes - 1 > MAX_NODES:
+                raise ConvergenceError(
+                    f"evidence quadrature for model {model.id!r} did not converge "
+                    f"after {doublings} doublings ({nodes} nodes, at most {MAX_NODES}); "
+                    f"last two estimates {prev!r} and {cur!r}",
+                    estimates=(prev, cur),
+                )
+            prev = cur
 
 
 def model_posteriors(models, priors, data: DataSet) -> list[ModelPosterior]:

@@ -1,6 +1,9 @@
 """Unit tests for the variance-inference toolkit."""
 
+import gc
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -26,8 +29,12 @@ from betsim.inference import (
     gaussian_variance_loglik,
     log_evidence,
     model_posteriors,
+    _NODE_TABLES,
+    _SCAN,
+    _TABLED_NODES,
     _logsumexp,
     _midpoints,
+    _node_table,
     _scan_grid,
     select_model,
 )
@@ -87,6 +94,24 @@ def test_dataset_keeps_no_copy_of_the_samples():
         tracemalloc.stop()
     assert data.n == 10**6
     assert retained < 1024
+
+
+def test_dataset_at_zero_mean_reads_the_samples_in_place():
+    # x - 0.0 is x, so S needs no n-sized copy of the samples
+    x = np.random.default_rng(7).normal(0.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        data = DataSet(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes / 2
+    assert data.squared_deviation_sum() == float(x @ x)
+    assert data.sample_sum() == float(x.sum())
+    # BLAS may sum a strided view in another order than a contiguous copy
+    # (numpy 2.4.6's OpenBLAS does): S stays the copy's sum
+    y = x[::3]
+    assert DataSet(y).squared_deviation_sum() == float((y - 0.0) @ (y - 0.0))
 
 
 def test_invgamma_params_validation():
@@ -328,6 +353,133 @@ def test_log_evidence_is_bit_equal_to_the_fresh_grid_quadrature(
     data = DataSet(x)
     spec = ModelSpec(id="m", likelihood_kind=kind, prior=InvGammaParams(alpha, beta), rel_tol=rel_tol)
     assert _outcome(log_evidence, spec, data) == _outcome(oracle.log_evidence, spec, data)
+
+
+# the property's examples, an evidence of 1e4 samples under InvGamma(3, 2)
+# for each likelihood, and signed samples the exponential likelihood refuses
+_TABLE_CASES = [
+    (GAUSSIAN_KNOWN_MEAN, 50, 1.0, True, 1e6, 1e6, 1e-300),
+    (GAUSSIAN_KNOWN_MEAN, 50, 1.0, True, 3.0, 1e-200, 1e-8),
+    (GAUSSIAN_KNOWN_MEAN, 50, 1.0, True, 1e200, 2.0, 1e-8),
+    (EXPONENTIAL, 50, 1.0, False, 3.0, 1e308, 1e-8),
+    (EXPONENTIAL, 50, 1.0, False, 1e300, 1e-100, 1e-8),
+    (EXPONENTIAL, 600_000, 0.8, False, 3.0, 2.0, 1e-8),
+    (GAUSSIAN_KNOWN_MEAN, 10**4, 0.8, False, 3.0, 2.0, 1e-8),
+    (EXPONENTIAL, 10**4, 0.8, False, 3.0, 2.0, 1e-8),
+    (EXPONENTIAL, 50, 1.0, True, 3.0, 2.0, 1e-8),
+]
+
+
+@pytest.mark.parametrize("kind, n, scale, signed, alpha, beta, rel_tol", _TABLE_CASES)
+def test_log_evidence_on_cold_and_warm_tables_equals_the_fresh_grid_quadrature(
+    kind, n, scale, signed, alpha, beta, rel_tol
+):
+    rng = np.random.default_rng([n, int(signed)])
+    x = scale * (rng.normal(0.0, 1.0, n) if signed else rng.exponential(1.0, n))
+    data = DataSet(x)
+    spec = ModelSpec(id="m", likelihood_kind=kind, prior=InvGammaParams(alpha, beta), rel_tol=rel_tol)
+    want = _outcome(oracle.log_evidence, spec, data)
+    _node_table.cache_clear()
+    assert _outcome(log_evidence, spec, data) == want  # cold
+    assert _outcome(log_evidence, spec, data) == want  # warm
+
+
+def test_model_posteriors_on_shared_tables_equal_cold_evidences():
+    prior = InvGammaParams(3.0, 2.0)
+    gauss = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN, prior=prior)
+    expo = ModelSpec(id="e", likelihood_kind=EXPONENTIAL, prior=prior)
+    data = DataSet(np.random.default_rng(9).exponential(0.8, 10**4))
+
+    def cold(spec):
+        _node_table.cache_clear()
+        return log_evidence(spec, data)
+
+    want = {spec.id: repr(cold(spec)) for spec in (gauss, expo)}
+    for models in ([gauss, expo], [expo, gauss]):
+        _node_table.cache_clear()
+        for _ in range(2):
+            posts = model_posteriors(models, [0.5, 0.5], data)
+            assert [repr(p.log_evidence) for p in posts] == [want[m.id] for m in models]
+    assert _node_table.cache_info().hits > 0
+
+
+def test_threads_sharing_the_node_tables_get_the_cold_evidences():
+    # four threads, and more tables than the cache holds, so entries are
+    # evicted and rebuilt while other threads read them
+    data = DataSet(np.random.default_rng(10).exponential(0.8, 1000))
+    specs = [
+        ModelSpec(id=f"{kind}-{alpha}", likelihood_kind=kind, prior=InvGammaParams(alpha, 2.0))
+        for kind in LIKELIHOOD_KINDS
+        for alpha in (1.5, 2.0, 3.0, 4.5, 7.0, 11.0)
+    ]
+
+    def cold(spec):
+        _node_table.cache_clear()
+        return repr(log_evidence(spec, data))
+
+    want = [cold(spec) for spec in specs]
+    got, errors = {}, []
+
+    def work(k):
+        try:
+            for rep in range(3):
+                for i in np.random.default_rng([k, rep]).permutation(len(specs)):
+                    got[k, rep, int(i)] = repr(log_evidence(specs[i], data))
+        except Exception as exc:  # reported below; a thread cannot raise into the test
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 4 * 3 * len(specs)
+    assert all(value == want[i] for (_, _, i), value in got.items())
+
+
+def test_node_tables_are_read_only():
+    for kind in LIKELIHOOD_KINDS:
+        for level in (_SCAN, 0, 3):
+            table = _node_table(kind, 3.0, 2.0, 0.0686, 2370.76, level)
+            for a in table:
+                if a is None:
+                    continue
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+
+
+def test_node_tables_stay_bounded_after_the_node_cap():
+    # the climb to MAX_NODES tables its levels of up to 65,537 nodes only,
+    # about 3.2 MB as documented; one more level would add 3.1 MB
+    spec = ModelSpec(id="g", likelihood_kind=GAUSSIAN_KNOWN_MEAN,
+                     prior=InvGammaParams(1e6, 1e6), rel_tol=1e-300)
+    data = _dataset(n=50)
+    _node_table.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        try:
+            log_evidence(spec, data)
+        except ConvergenceError:
+            pass
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _node_table.cache_info().currsize <= _NODE_TABLES
+    assert retained < 3.3e6
+    # the documented worst case: every entry a level of _TABLED_NODES nodes
+    largest = _node_table(GAUSSIAN_KNOWN_MEAN, 1e6, 1e6, 0.5, 2.0, 9)
+    assert largest.weights.size == _TABLED_NODES == 65_537
+    assert sum(a.nbytes for a in largest) == 1_572_872
+    assert _NODE_TABLES * 1_572_872 < 50.4e6
 
 
 def _bits(a):
