@@ -90,16 +90,22 @@ class Trajectory:
 
         Its bet streams are keyed (seed, BETS, id) for the steps up to
         ``last``, the run's horizon; ``record`` keeps the ledgers, with
-        room for the birth and each step up to ``last``.
+        room for the birth and each step up to ``last``.  The birth is the
+        population's first step run, booked without ``_book``: its row is
+        the fresh ledgers, and its posteriors, which wait to be summarised,
+        are exactly 1, since no ledger holds a loss.
         """
         if size < 2:
             raise ValueError(f"an ensemble needs at least 2 microstates, got {size}")
         ensemble = EnsembleState(np.ones(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
         streams = rngmod.StreamStepper(seed, rngmod.BETS, id, last)
-        traj = cls(id, size, birth_step, ensemble, streams)
+        births = np.ones((1, size))
+        births.setflags(write=False)
+        traj = cls(id, size, birth_step, ensemble, streams, _pending=[births], _steps_run=1)
         if record:
             traj._ledgers = np.empty((max(1, last - birth_step + 1), 2, size), dtype=np.int64)
-        traj.advance(birth_step, 0)  # no bets and so no stream: records the birth state
+            traj._ledgers[0, 0] = ensemble.wins
+            traj._ledgers[0, 1] = ensemble.losses
         return traj
 
     @property
@@ -154,7 +160,7 @@ class Trajectory:
             draws = ((*_draw(at(s), n, bets), bets) for s in range(t, t + steps))
         else:
             draws = [(slice(0), slice(0), 0)] * steps  # empty selections: no bets
-        posteriors = _book(self.ensemble, draws, rows)
+        posteriors = _book(self.ensemble, draws, rows, t)
         self._steps_run = row + steps
         posteriors.setflags(write=False)  # it waits in _pending to be summarised
         self._pending.append(posteriors)
@@ -208,16 +214,17 @@ def _forced_pairs(forced: list[ForcedBet], n: int):
     return winners, losers
 
 
-def _book(state: EnsembleState, draws, rows: np.ndarray) -> np.ndarray:
+def _book(state: EnsembleState, draws, rows: np.ndarray, first: int = 0) -> np.ndarray:
     """Book one step per ``(winners, losers, bets)`` of ``draws`` on the live
-    ledgers of ``state``; returns the steps' posteriors, a ``(steps, size)``
-    block.
+    ledgers of ``state``, the steps ``first`` on; returns the steps'
+    posteriors, a ``(steps, size)`` block.
 
     A step's pairs are disjoint, so no index repeats and each update is
     exact.  After each step both ledgers are copied into its row of
     ``rows``, a ``(steps, 2, size)`` int64 block, and the carried totals
     grow by the steps' bets.  Then every row's column sums are checked
-    against its step's running totals, and one ``_posteriors`` pass with
+    against its step's running totals, and an AssertionError names the
+    first step that misses them.  One ``_posteriors`` pass with
     those sums as each row's totals gives the posteriors: elementwise the
     divisions of one step at a time.
     """
@@ -234,8 +241,16 @@ def _book(state: EnsembleState, draws, rows: np.ndarray) -> np.ndarray:
         totals.append([[total_wins], [total_losses]])
     state.total_wins, state.total_losses = total_wins, total_losses
     sums = np.add.reduce(rows, axis=2, keepdims=True)
-    # every bet books one win and one loss, so each row sums to its step's totals
-    assert sums.tolist() == totals
+    # every bet books one win and one loss, so each row sums to its step's
+    # totals; a raise, not an assert, so that python -O keeps the check
+    booked = sums.tolist()
+    if booked != totals:
+        k = next(k for k, (got, want) in enumerate(zip(booked, totals)) if got != want)
+        (wins_sum, losses_sum), (want_wins, want_losses) = booked[k], totals[k]
+        raise AssertionError(
+            f"ledger check failed at step {first + k}: the wins and losses sum to "
+            f"{wins_sum[0]} and {losses_sum[0]}, the totals are {want_wins[0]} and {want_losses[0]}"
+        )
     return _posteriors(rows[:, 0], rows[:, 1], sums[:, 0], sums[:, 1])
 
 

@@ -237,15 +237,17 @@ def emit_microstates_csv(trajectory: Trajectory, path) -> None:
     The posteriors are recomputed from the ledger rows, one pass per block
     of 1024 rows, by the kernel the run used on the totals it carried
     (each row's column sums), so they are the run's values bit for bit.
-    The run checked the rows.
+    The run checked the rows.  Each row's ``t,`` prefix and each column's
+    ``i,`` are formatted once, not once per value.
     """
     wins, losses = trajectory.wins, trajectory.losses
     if wins is None:
         raise DataError("trajectory carries no per-microstate records")
+    columns = [f"{i}," for i in range(wins.shape[1])]
     _write_csv(path, "step,microstate,wins,losses,posterior", (
-        f"{t},{i},{w},{l},{posterior:.12g}\n"
-        for t, row in enumerate(_ledger_rows(wins, losses))
-        for i, (w, l, posterior) in enumerate(zip(*row))
+        f"{step}{column}{w},{l},{posterior:.12g}\n"
+        for step, row in zip((f"{t}," for t in range(len(wins))), _ledger_rows(wins, losses))
+        for column, w, l, posterior in zip(columns, *row)
     ))
 
 

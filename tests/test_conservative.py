@@ -1,6 +1,10 @@
 """Unit tests for the closed-ensemble simulation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,7 +412,8 @@ def test_block_ledger_check_catches_a_repeated_index(monkeypatch):
 
     monkeypatch.setattr(conservative, "_draw", repeating_draw)
     traj = Trajectory.fresh(20, 0, 10)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="ledger check failed at step 2: the wins and "
+                                             "losses sum to 24 and 6, the totals are 26 and 6"):
         traj.advance(1, 3, 4)
     assert len(calls) == 4  # every step was drawn before the block was checked
     # step_conservative, the one-step case, checks its step the same way
@@ -417,3 +422,31 @@ def test_block_ledger_check_catches_a_repeated_index(monkeypatch):
     step_conservative(state, rngmod.stream(0), 3)
     with pytest.raises(AssertionError):
         step_conservative(state, rngmod.stream(1), 3)
+
+
+def test_ledger_check_holds_under_python_O():
+    # python -O strips assert statements, and the check is a raise: a step
+    # whose winners repeat an index still fails, in a fresh interpreter
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from betsim import conservative\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "draw = conservative._draw\n"
+        "def repeating_draw(rng, n, bets):\n"
+        "    winners, losers = draw(rng, n, bets)\n"
+        "    return np.full_like(winners, winners[0]), losers\n"
+        "conservative._draw = repeating_draw\n"
+        "conservative.Trajectory.fresh(20, 0, 10).advance(1, 3, 4)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.strip().splitlines()[-1] == (
+        "AssertionError: ledger check failed at step 1: the wins and losses sum to 21 and 3, "
+        "the totals are 23 and 3"
+    )
