@@ -40,13 +40,7 @@ from .inference import (
     model_posteriors,
     select_model,
 )
-from .superstat import (
-    MixingModel,
-    ReturnSeries,
-    generate_returns,
-    invgamma_logpdf,
-    sample_moments,
-)
+from .superstat import MixingModel, ReturnSeries, generate_returns, sample_moments
 
 __version__ = "0.1.0"
 
@@ -73,7 +67,6 @@ __all__ = [
     "gaussian_variance_loglik",
     "generate_returns",
     "init_grains",
-    "invgamma_logpdf",
     "log_evidence",
     "model_posteriors",
     "run_conservative",

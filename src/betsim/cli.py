@@ -18,6 +18,7 @@ reproduces every output byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shutil
 import sys
@@ -65,19 +66,24 @@ def _run(name: str, run, *args):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _emit(writer, *args) -> None:
-    """Call a CSV writer, whose last argument is the output path, and report it."""
-    writer(*args)
+def _emit(writer, *args):
+    """Call a CSV writer, whose last argument is the output path, report it,
+    and return what the writer returns."""
+    result = writer(*args)
     print(f"wrote {args[-1]}")
+    return result
 
 
 def _cmd_sim_conservative(config: RunConfig, out_dir, seed) -> int:
     section = _require(config, "conservative", seed)
-    record = (config.io or IoConfig()).write_microstates
-    trajectory = _run("conservative", run_conservative, section, record)
+    # run(sink=None): the closed run, which hands its blocks to sink
+    run = functools.partial(_run, "conservative", run_conservative, section)
+    if (config.io or IoConfig()).write_microstates:
+        path = os.path.join(out_dir, "microstates.csv")
+        trajectory = _emit(csvio.emit_microstates_csv, run, path)
+    else:
+        trajectory = run()
     _emit(csvio.emit_trajectory_csv, trajectory.snapshots, os.path.join(out_dir, "trajectory.csv"))
-    if record:
-        _emit(csvio.emit_microstates_csv, trajectory, os.path.join(out_dir, "microstates.csv"))
     return 0
 
 

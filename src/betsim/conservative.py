@@ -9,11 +9,12 @@ ensemble mean decays toward 0.5.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import rng as rngmod
-from .core import EnsembleState, Snapshots, _posteriors, _resized, block_snapshots
+from .core import EnsembleState, Snapshots, _posteriors, block_snapshots
 
 DEFAULT_SMOOTHING_WINDOW = 25
 # steps a population books before it summarises them in one batch, and a
@@ -61,11 +62,8 @@ class Trajectory:
     gains a row per step that ``advance`` runs.  ``id`` keys the
     population's bet streams (0 for a closed run), which ``streams``
     serves.  A retired grain has ``death_step`` set and no ``ensemble``
-    or ``streams``.  ``wins`` and ``losses`` are the ledgers after each
-    step, ``(steps run, size)`` int64 views of one ``(rows, 2, size)``
-    record, when the run records them and None otherwise; a step's
-    posteriors are a function of its rows and their sums, so they are not
-    kept.
+    or ``streams``.  No ledger row is kept: ``advance`` hands each block's
+    rows and posteriors back to its caller, which may keep them.
 
     Steps are summarised in batches: the posteriors of the steps run
     wait until ``BLOCK_STEPS`` of them do, or until ``snapshots`` is read,
@@ -81,19 +79,16 @@ class Trajectory:
     _snapshots: Snapshots = field(default_factory=Snapshots, repr=False)
     _pending: list[np.ndarray] = field(default_factory=list, repr=False)
     _steps_run: int = field(default=0, repr=False)
-    _ledgers: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
-    def fresh(cls, size: int, seed: int, last: int, id: int = 0, birth_step: int = 0,
-              record: bool = False):
+    def fresh(cls, size: int, seed: int, last: int, id: int = 0, birth_step: int = 0):
         """A fresh population (one win and no loss each) with its birth snapshot.
 
         Its bet streams are keyed (seed, BETS, id) for the steps up to
-        ``last``, the run's horizon; ``record`` keeps the ledgers, with
-        room for the birth and each step up to ``last``.  The birth is the
-        population's first step run, booked without ``_book``: its row is
-        the fresh ledgers, and its posteriors, which wait to be summarised,
-        are exactly 1, since no ledger holds a loss.
+        ``last``, the run's horizon.  The birth is the population's first
+        step run, booked without ``_book``: its row is the fresh ledgers,
+        and its posteriors, which wait to be summarised, are exactly 1,
+        since no ledger holds a loss.
         """
         if size < 2:
             raise ValueError(f"an ensemble needs at least 2 microstates, got {size}")
@@ -101,12 +96,7 @@ class Trajectory:
         streams = rngmod.StreamStepper(seed, rngmod.BETS, id, last)
         births = np.ones((1, size))
         births.setflags(write=False)
-        traj = cls(id, size, birth_step, ensemble, streams, _pending=[births], _steps_run=1)
-        if record:
-            traj._ledgers = np.empty((max(1, last - birth_step + 1), 2, size), dtype=np.int64)
-            traj._ledgers[0, 0] = ensemble.wins
-            traj._ledgers[0, 1] = ensemble.losses
-        return traj
+        return cls(id, size, birth_step, ensemble, streams, _pending=[births], _steps_run=1)
 
     @property
     def snapshots(self) -> Snapshots:
@@ -122,37 +112,25 @@ class Trajectory:
             self._pending = []
             self._snapshots.extend(block_snapshots(block, first))
 
-    @property
-    def wins(self) -> np.ndarray | None:
-        return None if self._ledgers is None else self._ledgers[: self._steps_run, 0]
-
-    @property
-    def losses(self) -> np.ndarray | None:
-        return None if self._ledgers is None else self._ledgers[: self._steps_run, 1]
-
     def advance(self, t: int, bets: int, steps: int = 1,
-                forced: list[list[ForcedBet]] | None = None) -> np.ndarray:
+                forced: list[list[ForcedBet]] | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Run steps t to t + steps - 1, the population's next steps; returns
-        their posteriors, a read-only ``(steps, size)`` block.
+        the block it booked: the ledgers after each step, a fresh ``(steps,
+        2, size)`` int64 array, and their posteriors, a read-only ``(steps,
+        size)`` one.
 
         Step t + k books ``forced[k]`` when ``forced`` is given, else
         ``bets`` random pairs from the step's stream, which ``streams``
         serves.  A forced step derives no stream, and neither does a step
         of 0 bets, which books nothing.  Every step, one or many, random
-        or forced, is booked by ``_book`` in one pass over the block, into
-        the record's own rows when the run records.  The steps' posteriors
-        are summarised in one batch with the steps that wait before them.
+        or forced, is booked by ``_book`` in one pass over the block.  The
+        steps' posteriors are summarised in one batch with the steps that
+        wait before them.
         """
         row, n = self._steps_run, self.size
         if t != self.birth_step + row:
             raise ValueError(f"step {t} is not the population's next step, {self.birth_step + row}")
-        rows = self._ledgers
-        if rows is None:
-            rows = np.empty((steps, 2, n), dtype=np.int64)
-        else:
-            if row + steps > len(rows):
-                self._ledgers = rows = _resized(rows, max(row + steps, 2 * len(rows)))
-            rows = rows[row:row + steps]
+        rows = np.empty((steps, 2, n), dtype=np.int64)
         if forced is not None:
             draws = ((*_forced_pairs(pairs, n), len(pairs)) for pairs in forced)
         elif bets >= 1:
@@ -166,7 +144,7 @@ class Trajectory:
         self._pending.append(posteriors)
         if self._steps_run - len(self._snapshots) >= BLOCK_STEPS:
             self.summarise()
-        return posteriors
+        return rows, posteriors
 
     def retire(self, t: int) -> None:
         """End the population at step t: it keeps its snapshots, in no more
@@ -302,7 +280,7 @@ def smooth_series(values, window: int) -> np.ndarray:
 
 def run_conservative(
     config: ConservativeConfig,
-    record_microstates: bool = False,
+    sink: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
     forced_schedule: list[list[ForcedBet]] | None = None,
 ) -> Trajectory:
     """Run a full closed-ensemble simulation.
@@ -311,17 +289,27 @@ def run_conservative(
     keyed on (seed, step), so replays are bit-identical and unrelated
     runs can execute in parallel.  Nothing a step draws depends on the
     summaries, so the run advances ``BLOCK_STEPS`` steps at a time.
-    ``forced_schedule`` (one forced bet list per step) replaces the
-    random schedule when given; its length must equal ``config.steps``.
+    ``sink``, when given, is called with each booked block in step
+    order, the birth first: ``sink(first_step, rows, posteriors)``, with
+    the ``(steps, 2, N)`` int64 ledgers after each step and their
+    posteriors, the run's own.  The run keeps no row, so its memory does
+    not grow with ``config.steps`` beyond its snapshots, whose
+    ``steps + 1`` rows are reserved at the start: a run too long to
+    record fails before its first step.  ``forced_schedule`` (one forced
+    bet list per step) replaces the random schedule when given; its
+    length must equal ``config.steps``.
     """
     if forced_schedule is not None and len(forced_schedule) != config.steps:
         raise ValueError("forced_schedule length must equal config.steps")
-    traj = Trajectory.fresh(
-        config.n_microstates, config.seed, config.steps, record=record_microstates
-    )
+    if sink is None:
+        sink = lambda *block: None
+    traj = Trajectory.fresh(config.n_microstates, config.seed, config.steps)
+    traj._snapshots = Snapshots(config.steps + 1)
+    births = traj.ensemble
+    sink(0, np.array([[births.wins, births.losses]]), np.ones((1, traj.size)))
     for t in range(1, config.steps + 1, BLOCK_STEPS):
         steps = min(BLOCK_STEPS, config.steps + 1 - t)
         forced = None if forced_schedule is None else forced_schedule[t - 1:t - 1 + steps]
-        traj.advance(t, config.bets_per_step, steps, forced)
+        sink(t, *traj.advance(t, config.bets_per_step, steps, forced))
     traj.summarise()
     return traj

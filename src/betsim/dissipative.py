@@ -194,7 +194,7 @@ def _advance(state: DissipativeState, limit: int) -> DissipativeState:
         if event is not None:
             break
     # the steps' posteriors, one (steps, size) block per grain of state.grains
-    posts = [grain.advance(t, _grain_bets(cfg, grain.size), steps) for grain in state.grains]
+    posts = [grain.advance(t, _grain_bets(cfg, grain.size), steps)[1] for grain in state.grains]
     state.step = t + steps - 1
     if event is not None:
         if steps > 1:

@@ -21,13 +21,14 @@ import csv
 import math
 import os
 import warnings
-from itertools import islice
+from contextlib import contextmanager, suppress
+from itertools import count, islice
 from typing import Iterable
 
 import numpy as np
 
 from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
-from .core import SNAPSHOT_FIELDS, MacroSnapshot, Snapshots, _posteriors, histogram_edges
+from .core import SNAPSHOT_FIELDS, MacroSnapshot, Snapshots, histogram_edges
 from .errors import ConfigError, DataError
 from .inference import ModelPosterior
 from .superstat import ReturnSeries
@@ -45,21 +46,44 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
-def _write_csv(path, header: str, lines: Iterable[str]) -> None:
-    """Write ``header``, then stream ``lines`` (each ending in a newline).
+@contextmanager
+def _csv_writer(path, header: str):
+    """Open ``path``, write ``header`` and yield ``push``, which writes the
+    lines it is given (each ending in a newline) as they stream.
 
     Lines are joined and written 1024 at a time, which is cheaper than
     one write call per line and never holds the whole file.
     A failure to open, write or close the file raises :class:`DataError`.
+    Once the file is open, anything that raises removes it, so a failed
+    writer leaves no partial file.
     """
-    lines = iter(lines)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            out.write(header + "\n")
-            while block := "".join(islice(lines, 1024)):
-                out.write(block)
+        out = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
+
+    def push(lines: Iterable[str]) -> None:
+        lines = iter(lines)
+        while block := "".join(islice(lines, 1024)):
+            out.write(block)
+
+    try:
+        with out:
+            out.write(header + "\n")
+            yield push
+    except BaseException as exc:
+        with suppress(OSError):
+            os.remove(path)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def _write_csv(path, header: str, lines: Iterable[str]) -> None:
+    """Write ``header``, then stream ``lines`` (each ending in a newline),
+    through :func:`_csv_writer`."""
+    with _csv_writer(path, header) as push:
+        push(lines)
 
 
 def _read_pairs(path, headers: tuple[str, ...]):
@@ -231,35 +255,30 @@ def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
     ))
 
 
-def emit_microstates_csv(trajectory: Trajectory, path) -> None:
-    """Per-step, per-participant ledgers; requires a recorded run.
+def emit_microstates_csv(run, path):
+    """Per-step, per-participant ledgers of the closed run ``run`` makes;
+    returns what it returns.
 
-    The posteriors are recomputed from the ledger rows, one pass per block
-    of 1024 rows, by the kernel the run used on the totals it carried
-    (each row's column sums), so they are the run's values bit for bit.
-    The run checked the rows.  Each row's ``t,`` prefix and each column's
-    ``i,`` are formatted once, not once per value.
+    ``run(sink)`` must hand ``sink`` each block it books, in step order:
+    ``(first_step, rows, posteriors)``, as ``run_conservative`` does.  Each
+    block is written as it comes, with the posteriors the run computed, so
+    no more than a block is held at once.  The run checked the rows.  Each
+    row's ``t,`` prefix is formatted once, and each column's ``i,`` once
+    per block, not once per value.  If the run raises, the file is removed.
     """
-    wins, losses = trajectory.wins, trajectory.losses
-    if wins is None:
-        raise DataError("trajectory carries no per-microstate records")
-    columns = [f"{i}," for i in range(wins.shape[1])]
-    _write_csv(path, "step,microstate,wins,losses,posterior", (
-        f"{step}{column}{w},{l},{posterior:.12g}\n"
-        for step, row in zip((f"{t}," for t in range(len(wins))), _ledger_rows(wins, losses))
-        for column, w, l, posterior in zip(columns, *row)
-    ))
 
+    def sink(first: int, rows: np.ndarray, posteriors: np.ndarray) -> None:
+        columns = [f"{i}," for i in range(rows.shape[2])]
+        push(
+            f"{step}{column}{w},{l},{posterior:.12g}\n"
+            for step, (wins, losses), post in zip(
+                (f"{t}," for t in count(first)), rows.tolist(), posteriors.tolist()
+            )
+            for column, w, l, posterior in zip(columns, wins, losses, post)
+        )
 
-def _ledger_rows(wins: np.ndarray, losses: np.ndarray):
-    """Each recorded step's wins, losses and posteriors, as Python lists (a
-    list holds Python floats, so .12g is what ``_fmt`` writes); the
-    posteriors come from one pass per block of 1024 rows."""
-    for start in range(0, len(wins), 1024):
-        w, l = wins[start:start + 1024], losses[start:start + 1024]
-        posteriors = _posteriors(w, l, w.sum(axis=1, keepdims=True), l.sum(axis=1, keepdims=True))
-        for row in zip(w, l, posteriors):
-            yield [a.tolist() for a in row]
+    with _csv_writer(path, "step,microstate,wins,losses,posterior") as push:
+        return run(sink)
 
 
 def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:

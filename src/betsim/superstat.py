@@ -69,21 +69,6 @@ class ReturnSeries:
         self.samples = np.asarray(self.samples, dtype=np.float64)
 
 
-def invgamma_logpdf(x, alpha: float, beta: float):
-    """Log-density of InvGamma(alpha, beta):
-    beta^alpha / Gamma(alpha) * x^(-alpha-1) * exp(-beta/x).
-
-    Accepts scalars or arrays; every x must be strictly positive.
-    """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    xv = np.asarray(x, dtype=np.float64)
-    if (xv <= 0).any():
-        raise ValueError("inverse-gamma density is defined only for x > 0")
-    out = _invgamma_log_density(alpha, beta)(xv)
-    return float(out) if np.isscalar(x) else out
-
-
 def _invgamma_log_density(alpha: float, beta: float):
     """x -> the log-density of InvGamma(alpha, beta) at float64 x > 0,
     unchecked.  The constant alpha ln(beta) - ln Gamma(alpha) is taken

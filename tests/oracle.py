@@ -18,8 +18,8 @@ Gaussian under an inverse-gamma prior, which the quadrature in
 ``betsim.inference.log_evidence`` must match.  ``log_evidence`` is that
 quadrature as it stood before its grids were nested: a fresh
 ``np.linspace`` grid per estimate, ``np.geomspace`` in the domain scan,
-and the public likelihood plus ``invgamma_logpdf`` on every call; the
-package must return the same float, or raise the same error.  A domain
+and the public likelihood plus the inverse-gamma log-density on every
+call; the package must return the same float, or raise the same error.  A domain
 whose upper end underflows to 0 is refused with a ``ConvergenceError``
 before the scan, as the package refuses it.
 ``exact_mean_posterior`` is the expected posterior of one participant of a
@@ -37,6 +37,8 @@ summaries must give the same trajectories.  ``churn_run`` does the same
 for a run that injects and removes grains, drawing each step's topology
 from its own keyed stream.  ``forced_run`` books a forced schedule in
 plain Python lists, with ``posterior_win`` after each step.
+``recorded_run`` is not a reference: it runs ``run_conservative`` with a
+sink that keeps the ledger rows, for the tests that read them.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
+from betsim.conservative import run_conservative
 from betsim.core import EnsembleState, MacroSnapshot, Moments, _posteriors
 from betsim.errors import ConvergenceError, DataError
 from betsim.inference import (
@@ -60,7 +63,7 @@ from betsim.inference import (
     exponential_loglik,
     gaussian_variance_loglik,
 )
-from betsim.superstat import invgamma_logpdf
+from betsim.superstat import _invgamma_log_density
 
 
 @dataclass(frozen=True)
@@ -264,7 +267,7 @@ def _log_integrand(model, data):
     gaussian = model.likelihood_kind == GAUSSIAN_KNOWN_MEAN
     loglik = gaussian_variance_loglik if gaussian else exponential_loglik
     a, b = model.prior.alpha, model.prior.beta
-    return lambda theta: loglik(data, theta) + invgamma_logpdf(theta, a, b)
+    return lambda theta: loglik(data, theta) + _invgamma_log_density(a, b)(theta)
 
 
 def _integration_domain(model, integrand) -> tuple[float, float]:
@@ -555,3 +558,20 @@ def same_snapshot(a: MacroSnapshot, b: MacroSnapshot) -> bool:
     if a.counts is None or b.counts is None:
         return a.counts is None and b.counts is None
     return np.array_equal(a.counts, b.counts)
+
+
+def recorded_run(config, forced_schedule=None):
+    """``run_conservative`` with a sink that keeps every block it is handed:
+    the trajectory and its (steps + 1, n) win and loss ledgers, the birth
+    first.  The blocks must come in step order, each with one posterior
+    row per ledger row."""
+    blocks = []
+
+    def sink(first, rows, posteriors):
+        assert first == sum(len(block) for block in blocks)
+        assert posteriors.shape == (len(rows), rows.shape[2])
+        blocks.append(rows)
+
+    traj = run_conservative(config, sink, forced_schedule)
+    rows = np.concatenate(blocks)
+    return traj, rows[:, 0], rows[:, 1]

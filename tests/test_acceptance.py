@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from betsim.cli import dispatch
-from betsim.conservative import ConservativeConfig, run_conservative
+from betsim.conservative import ConservativeConfig
 from betsim.core import EnsembleState
 from betsim.dissipative import DissipativeConfig, convergence_time, run_dissipative
 from betsim.inference import (
@@ -37,6 +37,7 @@ from oracle import (
     exact_mean_posterior,
     exact_pooled_counts,
     exact_pooled_excess_kurtosis,
+    recorded_run,
 )
 
 
@@ -50,12 +51,12 @@ def _report(label: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def equilibrium_runs():
-    """20 closed-ensemble runs, N=50, 5000 steps, ledgers recorded."""
-    runs = []
-    for seed in range(20):
-        cfg = ConservativeConfig(steps=5000, n_microstates=50, bets_per_step=1, seed=seed)
-        runs.append(run_conservative(cfg, record_microstates=True))
-    return runs
+    """20 closed-ensemble runs, N=50, 5000 steps: (trajectory, wins, losses)
+    each, with the ledgers after every step kept by the run's sink."""
+    return [
+        recorded_run(ConservativeConfig(steps=5000, n_microstates=50, bets_per_step=1, seed=seed))
+        for seed in range(20)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -126,14 +127,14 @@ REPLAY_MEANS = {2: 0.69, 3: 0.53, 4: 0.56, 5: 0.53, 6: 0.54}
 def test_forced_schedule_replay():
     t0 = time.monotonic()
     cfg = ConservativeConfig(steps=6, n_microstates=5, bets_per_step=2, seed=0)
-    traj = run_conservative(cfg, record_microstates=True, forced_schedule=REPLAY_SCHEDULE)
+    traj, run_wins, run_losses = recorded_run(cfg, REPLAY_SCHEDULE)
     assert len(traj.snapshots) == 7
 
     for t, (wins, losses) in enumerate(zip(REPLAY_WINS, REPLAY_LOSSES)):
-        assert tuple(traj.wins[t].tolist()) == wins, f"wins mismatch at snapshot {t}"
-        assert tuple(traj.losses[t].tolist()) == losses, f"losses mismatch at snapshot {t}"
+        assert tuple(run_wins[t].tolist()) == wins, f"wins mismatch at snapshot {t}"
+        assert tuple(run_losses[t].tolist()) == losses, f"losses mismatch at snapshot {t}"
 
-    posteriors = [EnsembleState(w, l).posteriors() for w, l in zip(traj.wins, traj.losses)]
+    posteriors = [EnsembleState(w, l).posteriors() for w, l in zip(run_wins, run_losses)]
     bad = []
     for t, i, recorded, decimals in REPLAY_POSTERIORS:
         got = float(posteriors[t][i])
@@ -145,7 +146,7 @@ def test_forced_schedule_replay():
     # participants with no losses sit at posterior 1 exactly
     for t in range(7):
         for i in range(5):
-            if traj.losses[t, i] == 0:
+            if run_losses[t, i] == 0:
                 assert posteriors[t][i] == 1.0
 
     # snapshot 1, participant A: one win of seven total, one loss of one
@@ -171,7 +172,7 @@ def test_closed_ensemble_equilibrium(equilibrium_runs):
     decile_ok = 0
     init_ent, fin_ent = [], []
     cap_ok = True
-    for traj in equilibrium_runs:
+    for traj, _, _ in equilibrium_runs:
         means = np.array([s.mean_posterior for s in traj.snapshots])
         decile = means[-len(means) // 10:]
         if 0.45 <= float(decile.mean()) <= 0.55:
@@ -196,8 +197,8 @@ def test_closed_ensemble_equilibrium(equilibrium_runs):
 def test_win_loss_conservation(equilibrium_runs):
     n = 50
     checked = 0
-    for traj in equilibrium_runs:
-        for wins, losses in zip(traj.wins, traj.losses):
+    for _, run_wins, run_losses in equilibrium_runs:
+        for wins, losses in zip(run_wins, run_losses):
             assert int(wins.sum()) - int(losses.sum()) == n
             checked += 1
     _report("conservation", True,

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betsim import __version__
+from betsim import __version__, conservative
 from betsim.cli import dispatch
 from betsim.config import IoConfig, RunConfig, SuperstatConfig, emit_config, parse_config
 from betsim.errors import ConfigError
@@ -522,12 +523,17 @@ TOO_BIG_RUNS = [
         "[io]\nwrite_microstates = false\n",
     ),
     ("sim-conservative", f"[conservative]\nsteps = {TOO_BIG}\nn_microstates = 4\n"),
+    (
+        "sim-conservative",
+        f"[conservative]\nsteps = {TOO_BIG}\nn_microstates = 4\n\n[io]\nwrite_microstates = false\n",
+    ),
     ("sim-dissipative", f"[dissipative]\nsteps = 3\ngrain_sizes = {TOO_BIG}\nbets_per_grain = 1\n"),
     ("sim-dissipative", _histogram_bins(TOO_BIG)),
 ]
 TOO_BIG_IDS = [
     "n-microstates-2**62",
     "conservative-steps-2**62",
+    "conservative-steps-2**62-unrecorded",
     "grain-size-2**62",
     "histogram-bins-2**62",
 ]
@@ -626,6 +632,47 @@ def test_a_failed_command_removes_the_out_dir_it_made(workdir, capsys, command, 
     assert dispatch([command, "--config", cfg, "--out", "o"]) == 2
     _assert_one_error_line(capsys.readouterr().err)
     assert [p.name for p in (workdir / "o").iterdir()] == ["keep.txt"]
+
+
+def test_a_run_that_fails_midway_leaves_no_microstates_csv(workdir, capsys, monkeypatch):
+    # the run raises at step 200, after the birth and three blocks of
+    # BLOCK_STEPS steps have been written
+    cfg = _write(workdir, "c.ini", "[conservative]\nsteps = 300\nn_microstates = 10\n")
+    draw, draws = conservative._draw, []
+
+    def failing_draw(rng, n, bets):
+        draws.append(None)
+        if len(draws) == 200:
+            assert (workdir / "o" / "microstates.csv").exists()
+            raise ValueError("no draw at step 200")
+        return draw(rng, n, bets)
+
+    monkeypatch.setattr(conservative, "_draw", failing_draw)
+    (workdir / "o").mkdir()
+    (workdir / "o" / "keep.txt").write_text("kept")
+    assert dispatch(["sim-conservative", "--config", cfg, "--out", "o"]) == 2
+    _assert_one_error_line(capsys.readouterr().err)
+    assert [p.name for p in (workdir / "o").iterdir()] == ["keep.txt"]
+
+
+def test_a_recorded_run_holds_no_ledger_record(workdir, capsys):
+    # microstates.csv is written block by block as the run books it, so
+    # writing it adds less to the traced peak than the 1.6 MB that the
+    # run's ledgers would take
+    recorded = "[conservative]\nsteps = 1000\nn_microstates = 100\n"
+    unrecorded = recorded + "\n[io]\nwrite_microstates = false\n"
+
+    def peak(config, out):
+        cfg = _write(workdir, "c.ini", config)
+        tracemalloc.start()
+        try:
+            assert dispatch(["sim-conservative", "--config", cfg, "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(recorded, "warm-up")
+    assert peak(recorded, "recorded") - peak(unrecorded, "unrecorded") <= 0.5 * 2**20
 
 
 INFERENCE_KEYS = "[inference]\n{}\n\n[io]\ninput = in.csv\n"

@@ -637,18 +637,11 @@ def test_trajectory_csv_layout(tmp_path):
     assert float(first[1]) == traj.snapshots[0].mean_posterior
 
 
-def test_microstates_csv_needs_recording(tmp_path):
-    traj = run_conservative(ConservativeConfig(steps=2, n_microstates=4, seed=0))
-    with pytest.raises(DataError, match="microstate"):
-        csvio.emit_microstates_csv(traj, str(tmp_path / "m.csv"))
-
-
 def test_microstates_csv_layout(tmp_path):
-    traj = run_conservative(
-        ConservativeConfig(steps=2, n_microstates=4, seed=0), record_microstates=True
-    )
+    cfg = ConservativeConfig(steps=2, n_microstates=4, seed=0)
     path = str(tmp_path / "m.csv")
-    csvio.emit_microstates_csv(traj, path)
+    traj = csvio.emit_microstates_csv(lambda sink: run_conservative(cfg, sink), path)
+    assert len(traj.snapshots) == 3  # the writer returns what the run returns
     lines = open(path).read().splitlines()
     assert lines[0] == "step,microstate,wins,losses,posterior"
     assert len(lines) == 1 + 3 * 4

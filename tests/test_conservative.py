@@ -23,7 +23,7 @@ from betsim.conservative import (
 )
 from betsim.core import EnsembleState
 from betsim.io import emit_trajectory_csv
-from oracle import array_bet_step, closed_run, forced_run, same_snapshot
+from oracle import array_bet_step, closed_run, forced_run, recorded_run, same_snapshot
 
 
 def _fresh(n: int) -> EnsembleState:
@@ -213,7 +213,8 @@ def test_run_snapshot_count_and_steps():
     traj = run_conservative(ConservativeConfig(steps=17, n_microstates=8, seed=2))
     assert len(traj.snapshots) == 18
     assert [s.step for s in traj.snapshots] == list(range(18))
-    assert traj.wins is None and traj.losses is None
+    # a run keeps no ledger rows: a sink that wants them keeps them
+    assert not hasattr(traj, "wins") and not hasattr(traj, "losses")
 
 
 def test_run_zero_steps():
@@ -234,10 +235,10 @@ def test_run_reproducible_and_seed_sensitive():
 
 def test_run_recorded_ledgers_consistent():
     cfg = ConservativeConfig(steps=25, n_microstates=6, bets_per_step=2, seed=9)
-    traj = run_conservative(cfg, record_microstates=True)
-    assert traj.wins.shape == traj.losses.shape == (26, 6)
-    assert traj.wins.dtype == traj.losses.dtype == np.int64
-    for t, (wins, losses) in enumerate(zip(traj.wins, traj.losses)):
+    traj, all_wins, all_losses = recorded_run(cfg)
+    assert all_wins.shape == all_losses.shape == (26, 6)
+    assert all_wins.dtype == all_losses.dtype == np.int64
+    for t, (wins, losses) in enumerate(zip(all_wins, all_losses)):
         assert int(wins.sum()) == 6 + 2 * t
         assert int(losses.sum()) == 2 * t
         # posteriors recomputed from the recorded rows are the run's own
@@ -271,9 +272,9 @@ def test_run_forced_schedule_length_checked():
 def test_forced_run_derives_no_stream(derived_keys):
     cfg = ConservativeConfig(steps=4, n_microstates=5, bets_per_step=1, seed=0)
     schedule = [[((0, 1), 0)], [((2, 3), 3)], [((1, 4), 4)], [((0, 2), 2)]]
-    traj = run_conservative(cfg, record_microstates=True, forced_schedule=schedule)
+    _, wins, _ = recorded_run(cfg, schedule)
     assert derived_keys.streams == derived_keys.blocks == []
-    assert traj.wins[-1].tolist() == [2, 1, 2, 2, 2]
+    assert wins[-1].tolist() == [2, 1, 2, 2, 2]
     # a random run derives each step's stream once, one key at a time or in
     # a block, and no block passes its last step
     steps = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
@@ -305,25 +306,24 @@ def test_run_matches_per_step_seeding(bets):
     # past the keyed steps and two block boundaries, field for field
     steps = rngmod.KEYED_STEPS + 2 * rngmod.CHUNK + 3
     cfg = ConservativeConfig(steps=steps, n_microstates=12, bets_per_step=bets, seed=2**63 + 9)
-    traj = run_conservative(cfg, record_microstates=True)
+    traj, got_wins, got_losses = recorded_run(cfg)
     snapshots, wins, losses = closed_run(cfg.seed, 12, bets, steps)
     assert (traj.id, traj.size, traj.birth_step, traj.death_step) == (0, 12, 0, None)
     assert len(traj.snapshots) == len(snapshots) == steps + 1
     assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
-    assert np.array_equal(traj.wins, wins) and np.array_equal(traj.losses, losses)
+    assert np.array_equal(got_wins, wins) and np.array_equal(got_losses, losses)
     assert traj.ensemble.wins.tolist() == wins[-1].tolist()
     assert traj.ensemble.losses.tolist() == losses[-1].tolist()
     assert traj.ensemble.total_losses == bets * steps
 
 
 def test_recorded_trajectory_steps_past_its_last_step():
-    # the ledger record grows like the snapshots, as a grain's do when a
-    # run's state is stepped past config.steps
-    traj = Trajectory.fresh(10, 0, 2, record=True)
-    for t in range(1, 6):
-        traj.advance(t, 1)
+    # the snapshots grow, as a grain's do when a run's state is stepped
+    # past config.steps, and each step books the reference's rows
+    traj = Trajectory.fresh(10, 0, 2)
+    rows = np.concatenate([traj.advance(t, 1)[0] for t in range(1, 6)])
     snapshots, wins, losses = closed_run(0, 10, 1, 5)
-    assert np.array_equal(traj.wins, wins) and np.array_equal(traj.losses, losses)
+    assert np.array_equal(rows[:, 0], wins[1:]) and np.array_equal(rows[:, 1], losses[1:])
     assert len(traj.snapshots) == len(snapshots) == 6
     assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
     with pytest.raises(ValueError, match="next step, 6"):
@@ -336,20 +336,19 @@ def test_recorded_trajectory_steps_past_its_last_step():
     seed=st.integers(0, 2**64 - 1),
     gid=st.integers(0, 5),
     birth=st.integers(0, 40),
-    record=st.booleans(),
     data=st.data(),
 )
-def test_a_block_of_steps_matches_the_reference_run(size, seed, gid, birth, record, data):
+def test_a_block_of_steps_matches_the_reference_run(size, seed, gid, birth, data):
     # one advance books a block of random steps in one pass; the reference
     # books each step with array draws on its own SeedSequence-keyed stream
     # and divides its ledgers through EnsembleState
     bets = data.draw(st.integers(1, size // 2), label="bets")
     lead = data.draw(st.integers(0, rngmod.KEYED_STEPS + 4), label="lead")
     steps = data.draw(st.integers(1, 130), label="steps")
-    traj = Trajectory.fresh(size, seed, birth + lead + steps, gid, birth, record)
-    for t in range(birth + 1, birth + lead + 1):
-        traj.advance(t, bets)
-    got = traj.advance(birth + lead + 1, bets, steps)
+    traj = Trajectory.fresh(size, seed, birth + lead + steps, gid, birth)
+    rows = [traj.advance(t, bets)[0] for t in range(birth + 1, birth + lead + 1)]
+    block, got = traj.advance(birth + lead + 1, bets, steps)
+    rows = np.concatenate(rows + [block])
     snapshots, wins, losses = closed_run(seed, size, bets, lead + steps, gid, birth)
     want = [EnsembleState(w, l).posteriors() for w, l in zip(wins[lead + 1:], losses[lead + 1:])]
     assert np.array_equal(got, want)
@@ -357,10 +356,7 @@ def test_a_block_of_steps_matches_the_reference_run(size, seed, gid, birth, reco
     assert traj.ensemble.losses.tolist() == losses[-1].tolist()
     booked = bets * (lead + steps)
     assert (traj.ensemble.total_wins, traj.ensemble.total_losses) == (size + booked, booked)
-    if record:
-        assert np.array_equal(traj.wins, wins) and np.array_equal(traj.losses, losses)
-    else:
-        assert traj.wins is traj.losses is None
+    assert np.array_equal(rows[:, 0], wins[1:]) and np.array_equal(rows[:, 1], losses[1:])
     assert len(traj.snapshots) == len(snapshots) == lead + steps + 1
     assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
 
@@ -378,21 +374,20 @@ def _forced_step(draw, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(n=st.integers(2, 12), record=st.booleans(), data=st.data())
-def test_a_forced_block_books_what_plain_python_books(n, record, data):
+@given(n=st.integers(2, 12), data=st.data())
+def test_a_forced_block_books_what_plain_python_books(n, data):
     # a forced block, with an empty step somewhere in it, against the same
     # schedule booked in Python lists and divided by posterior_win
     schedule = data.draw(st.lists(_forced_step(n), max_size=12), label="schedule")
     schedule.insert(data.draw(st.integers(0, len(schedule)), label="empty at"), [])
-    traj = Trajectory.fresh(n, 0, len(schedule), record=record)
-    got = traj.advance(1, 1, len(schedule), schedule)
+    traj = Trajectory.fresh(n, 0, len(schedule))
+    rows, got = traj.advance(1, 1, len(schedule), schedule)
     wins, losses, posteriors = forced_run(n, schedule)
     assert got.tolist() == posteriors[1:]
     assert traj.ensemble.wins.tolist() == wins[-1]
     assert traj.ensemble.losses.tolist() == losses[-1]
     assert (traj.ensemble.total_wins, traj.ensemble.total_losses) == (sum(wins[-1]), sum(losses[-1]))
-    if record:
-        assert traj.wins.tolist() == wins and traj.losses.tolist() == losses
+    assert rows[:, 0].tolist() == wins[1:] and rows[:, 1].tolist() == losses[1:]
     assert [s.mean_posterior for s in traj.snapshots] == [
         float(np.mean(p)) for p in posteriors
     ]
@@ -450,3 +445,31 @@ def test_ledger_check_holds_under_python_O():
         "AssertionError: ledger check failed at step 1: the wins and losses sum to 21 and 3, "
         "the totals are 23 and 3"
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**64 - 1),
+    steps=st.integers(0, 3 * conservative.BLOCK_STEPS),
+    sink=st.booleans(),
+    data=st.data(),
+)
+def test_a_run_books_the_same_with_or_without_a_sink(n, seed, steps, sink, data):
+    # the sink is handed every block, the birth first, with the run's own
+    # posteriors; whether it is given or not, the run is the reference's
+    bets = data.draw(st.integers(1, n // 2), label="bets")
+    cfg = ConservativeConfig(steps=steps, n_microstates=n, bets_per_step=bets, seed=seed)
+    blocks = []
+    traj = run_conservative(cfg, (lambda *block: blocks.append(block)) if sink else None)
+    snapshots, wins, losses = closed_run(seed, n, bets, steps)
+    assert len(traj.snapshots) == len(snapshots) == steps + 1
+    assert all(same_snapshot(a, b) for a, b in zip(traj.snapshots, snapshots))
+    assert traj.ensemble.wins.tolist() == wins[-1].tolist()
+    if sink:
+        firsts = [0, *range(1, steps + 1, conservative.BLOCK_STEPS)]
+        assert [first for first, _, _ in blocks] == firsts
+        rows = np.concatenate([rows for _, rows, _ in blocks])
+        assert np.array_equal(rows[:, 0], wins) and np.array_equal(rows[:, 1], losses)
+        want = [EnsembleState(w, l).posteriors() for w, l in zip(wins, losses)]
+        assert np.array_equal(np.concatenate([p for _, _, p in blocks]), want)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from betsim import dissipative
 from betsim import rng as rngmod
-from betsim.conservative import BLOCK_STEPS, ConservativeConfig, Trajectory, run_conservative
+from betsim.conservative import BLOCK_STEPS, ConservativeConfig, Trajectory
 from betsim.core import EnsembleState
 from betsim.io import emit_histogram_csv
 from betsim.dissipative import (
@@ -20,7 +20,7 @@ from betsim.dissipative import (
     step_dissipative,
     superposed_distribution,
 )
-from oracle import churn_run, grain_run, same_snapshot
+from oracle import churn_run, grain_run, recorded_run, same_snapshot
 
 
 def test_config_validation():
@@ -82,13 +82,13 @@ def test_single_grain_matches_conservative_run():
             DissipativeConfig(steps=steps, grain_sizes=(n,), seed=seed, bets_per_grain=bets)
         )
         cfg = ConservativeConfig(steps=steps, n_microstates=n, bets_per_step=bets, seed=seed)
-        cons = run_conservative(cfg, record_microstates=True)
+        cons, wins, losses = recorded_run(cfg)
         got = diss.grain_tracks[0].snapshots
         assert len(got) == len(cons.snapshots)
         assert all(same_snapshot(a, b) for a, b in zip(got, cons.snapshots))
         # the last recorded ledger row is the run's final ensemble
-        assert np.array_equal(cons.wins[-1], cons.ensemble.wins)
-        assert np.array_equal(cons.losses[-1], cons.ensemble.losses)
+        assert np.array_equal(wins[-1], cons.ensemble.wins)
+        assert np.array_equal(losses[-1], cons.ensemble.losses)
 
 
 def test_churned_grains_match_fresh_populations():

@@ -28,7 +28,6 @@ PUBLIC = [
     "gaussian_variance_loglik",
     "generate_returns",
     "init_grains",
-    "invgamma_logpdf",
     "log_evidence",
     "model_posteriors",
     "run_conservative",

@@ -8,9 +8,9 @@ from betsim import rng as rngmod
 from betsim.superstat import (
     MixingModel,
     ReturnSeries,
+    _invgamma_log_density,
     _sample_mixing,
     generate_returns,
-    invgamma_logpdf,
     sample_moments,
 )
 from oracle import population_moments
@@ -30,19 +30,11 @@ def test_model_validation():
 # ---------------------------------------------------------------------------
 # densities
 
-def test_invgamma_logpdf_matches_reference():
+def test_invgamma_log_density_matches_reference():
     x = np.geomspace(0.01, 50, 200)
-    got = invgamma_logpdf(x, 3.2, 1.7)
+    got = _invgamma_log_density(3.2, 1.7)(x)
     expect = stats.invgamma(3.2, scale=1.7).logpdf(x)
     assert np.allclose(got, expect, atol=1e-12)
-
-
-def test_invgamma_logpdf_scalar_and_validation():
-    assert isinstance(invgamma_logpdf(1.0, 2.0, 2.0), float)
-    with pytest.raises(ValueError, match="x > 0"):
-        invgamma_logpdf(0.0, 2.0, 2.0)
-    with pytest.raises(ValueError, match="positive"):
-        invgamma_logpdf(1.0, -1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
