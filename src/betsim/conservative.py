@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import rng as rngmod
-from .core import EnsembleState, Snapshots, _posteriors, block_snapshots
+from .core import EnsembleState, Snapshots, _posteriors
 
 DEFAULT_SMOOTHING_WINDOW = 25
 # steps a population books before it summarises them in one batch, and a
@@ -107,10 +107,9 @@ class Trajectory:
     def summarise(self) -> None:
         """Summarise the steps that wait for it, in one batch."""
         if self._pending:
-            first = self.birth_step + len(self._snapshots)
             block = np.concatenate(self._pending) if len(self._pending) > 1 else self._pending[0]
             self._pending = []
-            self._snapshots.extend(block_snapshots(block, first))
+            self._snapshots.add(block, self.birth_step + len(self._snapshots))
 
     def advance(self, t: int, bets: int, steps: int = 1,
                 forced: list[list[ForcedBet]] | None = None) -> tuple[np.ndarray, np.ndarray]:

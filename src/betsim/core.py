@@ -289,30 +289,26 @@ def _resized(a: np.ndarray, rows: int) -> np.ndarray:
 class Snapshots:
     """The snapshots of one population, one array per ``MacroSnapshot`` field.
 
-    Pooled records also keep their histogram counts, as one ``(rows,
-    bins)`` array.  Rows are appended a block at a time with ``extend``;
-    the arrays are sized for ``capacity`` rows and double when a block
-    does not fit.  ``len``, iteration and indexing (negative indices
-    too) give ``MacroSnapshot`` rows, and ``column`` gives one field of
-    every row.
+    Pooled records, made with ``bins`` set, also keep their histogram
+    counts, as one ``(rows, bins)`` array: the bin count is checked by
+    ``histogram_edges`` and kept as that array's width.  ``add``
+    summarises a block of steps into the next rows; the arrays are sized
+    for ``capacity`` rows and double when a block does not fit.  ``len``,
+    iteration and indexing (negative indices too) give ``MacroSnapshot``
+    rows, and ``column`` gives one field of every row.
     """
 
     __slots__ = ("_columns", "_counts", "_rows")
 
     def __init__(self, capacity: int = 0, bins: int | None = None):
+        if bins is not None:
+            histogram_edges(bins)  # checks the bin count before any array is sized
         self._columns = [
             np.empty(capacity, dtype=np.int64 if name in _INT_FIELDS else np.float64)
             for name in SNAPSHOT_FIELDS
         ]
         self._counts = None if bins is None else np.empty((capacity, bins), dtype=np.int64)
         self._rows = 0
-
-    @classmethod
-    def _of(cls, columns: list[np.ndarray], counts: np.ndarray | None) -> "Snapshots":
-        """A record of exactly the rows of these columns."""
-        record = cls.__new__(cls)
-        record._columns, record._counts, record._rows = columns, counts, len(columns[0])
-        return record
 
     def __len__(self) -> int:
         return self._rows
@@ -337,23 +333,43 @@ class Snapshots:
         view.setflags(write=False)
         return view
 
-    def extend(self, block: "Snapshots") -> None:
-        """Append the rows of ``block``, which the record may keep as its own
-        arrays: no row of a block is written after it is made."""
-        n, m = self._rows, block._rows
-        if n == 0 and m > len(self._columns[0]):
-            self._columns, self._counts, self._rows = list(block._columns), block._counts, m
-            return
-        if n + m > len(self._columns[0]):
-            self._reserve(max(n + m, 2 * len(self._columns[0])))
-        for mine, new in zip(self._columns, block._columns):
-            mine[n:n + m] = new
+    def add(self, posteriors: np.ndarray, first_step: int) -> None:
+        """Summarise a block of posterior populations into the next rows.
+
+        Row k of the ``(steps, N)`` array ``posteriors`` is the population at
+        step ``first_step + k``.  Moments come from each row in its given
+        order; classes and pairs (at tolerance ``EPS_CLASS``) from one sort
+        of the block along its rows.  A pooled record's counts are each
+        row's histogram over its ``histogram_edges``, taken from the same
+        sort: bin k holds the values in [edges[k], edges[k + 1]), and the
+        last bin is closed at 1.0, as in ``np.histogram``.
+        """
+        v = np.asarray(posteriors, dtype=np.float64)
+        steps, n = v.shape
+        if n == 0:
+            raise ValueError("moments undefined for an empty collection")
+        start, end = self._rows, self._rows + steps
+        if end > len(self._columns[0]):
+            self._reserve(max(end, 2 * len(self._columns[0])))
+        mean, variance, skewness, kurtosis = _moments(v)
+        p = np.sort(v, axis=1)
+        classes, pairs = _census(p, EPS_CLASS)
+        entropy = [math.log(max(1, x)) for x in pairs.tolist()]  # Boltzmann's, k_B = 1
+        values = (np.arange(first_step, first_step + steps), mean, variance,
+                  skewness, kurtosis, entropy, classes, pairs)
+        for column, value in zip(self._columns, values):
+            column[start:end] = value
         if self._counts is not None:
-            self._counts[n:n + m] = block._counts
-        self._rows = n + m
+            edges = histogram_edges(self._counts.shape[1])
+            bounds = np.empty((steps, edges.size), dtype=np.int64)
+            for k in range(steps):
+                bounds[k] = np.searchsorted(p[k], edges, side="left")
+            bounds[:, -1] = n  # the last bin takes 1.0 as well
+            np.subtract(bounds[:, 1:], bounds[:, :-1], out=self._counts[start:end])
+        self._rows = end
 
     def trim(self) -> None:
-        """Release the room reserved for rows that were never appended."""
+        """Release the room reserved for rows that were never added."""
         if len(self._columns[0]) > self._rows:
             self._reserve(self._rows)
 
@@ -363,43 +379,11 @@ class Snapshots:
             self._counts = _resized(self._counts, rows)
 
 
-def block_snapshots(posteriors: np.ndarray, first_step: int, bins: int | None = None) -> Snapshots:
-    """Summarise a block of posterior populations, one row per step.
-
-    Row k of the ``(steps, N)`` array ``posteriors`` is the population at
-    step ``first_step + k``.  Moments come from each row in its given
-    order; classes and pairs (at tolerance ``EPS_CLASS``) from one sort
-    of the block along its rows.  With ``bins`` set, each row's counts
-    are its histogram over ``histogram_edges(bins)``, taken from the same
-    sort: bin k holds the values in [edges[k], edges[k + 1]), and the
-    last bin is closed at 1.0, as in ``np.histogram``.
-    """
-    v = np.asarray(posteriors, dtype=np.float64)
-    steps, n = v.shape
-    if n == 0:
-        raise ValueError("moments undefined for an empty collection")
-    mean, variance, skewness, kurtosis = _moments(v)
-    p = np.sort(v, axis=1)
-    classes, pairs = _census(p, EPS_CLASS)
-    entropy = [math.log(max(1, x)) for x in pairs.tolist()]  # Boltzmann's, k_B = 1
-    counts = None
-    if bins is not None:
-        edges = histogram_edges(bins)
-        bounds = np.empty((steps, bins + 1), dtype=np.int64)
-        for k in range(steps):
-            bounds[k] = np.searchsorted(p[k], edges, side="left")
-        bounds[:, -1] = n  # the last bin takes 1.0 as well
-        counts = bounds[:, 1:] - bounds[:, :-1]
-    return Snapshots._of([
-        np.arange(first_step, first_step + steps, dtype=np.int64), mean, variance,
-        np.array(skewness), np.array(kurtosis), np.array(entropy), classes, pairs,
-    ], counts)
-
-
 def macro_snapshot(
     posteriors: Sequence[float], step: int, bins: int | None = None
 ) -> MacroSnapshot:
     """Aggregate one posterior population into a snapshot: the one-row
-    case of ``block_snapshots``."""
-    v = np.asarray(posteriors, dtype=np.float64).reshape(1, -1)
-    return block_snapshots(v, step, bins)[0]
+    case of ``Snapshots.add``."""
+    record = Snapshots(1, bins)
+    record.add(np.asarray(posteriors, dtype=np.float64).reshape(1, -1), step)
+    return record[0]

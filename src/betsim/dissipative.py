@@ -16,7 +16,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .conservative import BLOCK_STEPS, Trajectory
-from .core import MacroSnapshot, Snapshots, _means, block_snapshots, histogram_edges, macro_snapshot
+from .core import MacroSnapshot, Snapshots, _means, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
@@ -100,13 +100,12 @@ class DissipativeState:
     ``grains`` lists the living grains in id order, which is also birth
     order; ``grain_tracks`` maps the id of every grain that ever lived to
     its record, so ids run from 0 to ``len(grain_tracks) - 1``.
-    ``pooled`` holds one pooled row per step, whose ``counts`` has
-    ``bins`` entries at every step of the run.  ``topology`` serves each
+    ``pooled`` holds one pooled row per step, with counts over the one
+    bin count the record was made with.  ``topology`` serves each
     step's injection and removal stream, keyed (seed, TOPOLOGY, 0, step).
     """
 
     config: DissipativeConfig
-    bins: int
     grains: list[Trajectory]
     step: int
     grain_tracks: dict[int, Trajectory]
@@ -128,13 +127,12 @@ def _add_grain(state: DissipativeState, size: int, t: int) -> np.ndarray:
 def init_grains(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> DissipativeState:
     """One grain per configured size, each freshly initialized (all posteriors
     1); ``bins`` is the pooled histogram's bin count for the whole run."""
-    histogram_edges(bins)  # checks the bin count before the record is sized by it
     pooled = Snapshots(config.steps + 1, bins)
     topology = rngmod.StreamStepper(config.seed, rngmod.TOPOLOGY, 0, config.steps)
-    state = DissipativeState(config, bins, grains=[], step=0, grain_tracks={}, pooled=pooled,
+    state = DissipativeState(config, grains=[], step=0, grain_tracks={}, pooled=pooled,
                              topology=topology)
     posts = [_add_grain(state, size, 0) for size in config.grain_sizes]
-    pooled.extend(block_snapshots(np.concatenate(posts, axis=1), 0, bins))
+    pooled.add(np.concatenate(posts, axis=1), 0)
     return state
 
 
@@ -198,8 +196,7 @@ def _advance(state: DissipativeState, limit: int) -> DissipativeState:
     state.step = t + steps - 1
     if event is not None:
         if steps > 1:
-            before = np.concatenate([p[:-1] for p in posts], axis=1)
-            state.pooled.extend(block_snapshots(before, t, state.bins))
+            state.pooled.add(np.concatenate([p[:-1] for p in posts], axis=1), t)
         t, posts = state.step, [p[-1:] for p in posts]
         size, k = event
         if size is not None:
@@ -210,7 +207,7 @@ def _advance(state: DissipativeState, limit: int) -> DissipativeState:
                 k = min(range(len(posts)), key=lambda k: abs(_means(posts[k][-1]) - 0.5))
             state.grains.pop(k).retire(t)
             posts.pop(k)
-    state.pooled.extend(block_snapshots(np.concatenate(posts, axis=1), t, state.bins))
+    state.pooled.add(np.concatenate(posts, axis=1), t)
     return state
 
 
@@ -223,8 +220,8 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
     own stream keyed (seed, grain id, step); (2) Bernoulli injection of
     a fresh grain with uniform size in ``injection_size_range``;
     (3) Bernoulli removal per ``removal_policy``, refused as a no-op
-    when a single grain remains; (4) pooled snapshot appended, over the
-    ``state.bins`` bins that ``init_grains`` fixed.
+    when a single grain remains; (4) pooled snapshot added to
+    ``state.pooled``, over the bins that ``init_grains`` made it with.
 
     Injection and removal draw from the step's topology stream, which
     ``state.topology`` serves only when one of their probabilities is

@@ -18,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError
-from .superstat import _invgamma_log_density
 
 GAUSSIAN_KNOWN_MEAN = "gaussian-known-mean"
 EXPONENTIAL = "exponential"
@@ -209,6 +208,24 @@ def conjugate_variance_posterior(prior: InvGammaParams, data: DataSet) -> InvGam
     return InvGammaParams(prior.alpha + data.n / 2.0, prior.beta + data.squared_deviation_sum() / 2.0)
 
 
+def _invgamma_log_density(alpha: float, beta: float):
+    """x -> the log-density of InvGamma(alpha, beta) at float64 x > 0,
+    unchecked.  The constant alpha ln(beta) - ln Gamma(alpha) is taken
+    once, here, for every x the returned function is called on.
+    """
+    from scipy.special import gammaln  # deferred: scipy is slow to import
+    # a huge shape overflows alpha * log(beta) and gammaln(alpha), and
+    # inf - inf is NaN: the evidence quadrature then reports non-convergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_norm = alpha * np.log(beta) - gammaln(alpha)
+
+    def logpdf(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return log_norm - (alpha + 1.0) * np.log(x) - beta / x
+
+    return logpdf
+
+
 def _logsumexp(a, b=None) -> float:
     """log(sum(b * exp(a))) of 1-D float64 arrays, bit for bit
     ``scipy.special.logsumexp`` of scipy 1.17.1, without its array-API
@@ -297,18 +314,22 @@ def _build_node_table(kind: str, alpha: float, beta: float, lo: float, hi: float
                       level: int) -> _NodeTable:
     """The node table of a likelihood kind and prior on [lo, hi].
 
-    ``_SCAN`` is the domain scan's ``_scan_grid(lo, hi)``, in theta.  Level
-    0 is ``np.linspace(ln lo, ln hi, INITIAL_NODES)`` in u = ln theta, and
-    level k the nodes a doubling adds, ``_midpoints`` of the grid of
-    ``_level_nodes(k)``, with that whole grid's weights.
+    ``_SCAN`` is the domain scan's ``np.geomspace(lo, hi, 513)``, in theta.
+    Level 0 is ``np.linspace(ln lo, ln hi, INITIAL_NODES)`` in u = ln
+    theta, and level k the nodes a doubling adds, the odd nodes of the
+    grid of ``_level_nodes(k)``, with that whole grid's weights.  A
+    doubling halves the step exactly, so the coarser grid's nodes are the
+    finer grid's even nodes.
     """
     if level == _SCAN:
-        theta, u, weights = _scan_grid(lo, hi), None, None
+        theta, u, weights = np.geomspace(lo, hi, 513), None, None
     else:
         u_lo, u_hi = np.log(lo), np.log(hi)
         nodes = _level_nodes(level)
-        # contiguous: numpy's SIMD exp and log may round strided input otherwise
-        u = np.linspace(u_lo, u_hi, nodes) if level == 0 else _midpoints(u_lo, u_hi, nodes)
+        u = np.linspace(u_lo, u_hi, nodes)
+        if level > 0:
+            # contiguous: numpy's SIMD exp and log may round strided input otherwise
+            u = u[1::2].copy()
         theta = np.exp(u)
         weights = np.full(nodes, (u_hi - u_lo) / (nodes - 1))
         weights[0] *= 0.5
@@ -381,7 +402,7 @@ def _integration_domain(model: ModelSpec, lo: float, hi: float, scan) -> tuple[f
     """[lo, hi] widened until the integrand peak is interior.
 
     ``scan(lo, hi)`` is the integrand, log of likelihood * prior, on
-    ``_scan_grid(lo, hi)``.  Both ends grow until the scanned integrand
+    ``np.geomspace(lo, hi, 513)``.  Both ends grow until the scanned integrand
     has dropped at least 46 nats (factor ~1e-20) below the peak, so
     truncation error is negligible at the target tolerance.  Raises
     :class:`ConvergenceError` when ``DOMAIN_SCAN_ROUNDS`` rounds leave
@@ -405,25 +426,6 @@ def _integration_domain(model: ModelSpec, lo: float, hi: float, scan) -> tuple[f
         f"[{lo!r}, {hi!r}] still has the integrand peak at an edge after "
         f"{DOMAIN_SCAN_ROUNDS} rounds of widening"
     )
-
-
-def _scan_grid(lo: float, hi: float) -> np.ndarray:
-    """``np.geomspace(lo, hi, 513)`` for positive ends, bit for bit: its own
-    arithmetic without its sign and dtype set-up."""
-    grid = np.power(10.0, np.linspace(np.log10(lo), np.log10(hi), 513))
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
-def _midpoints(u_lo, u_hi, nodes: int) -> np.ndarray:
-    """The odd nodes of ``np.linspace(u_lo, u_hi, nodes)``, bit for bit,
-    as a contiguous array.
-
-    linspace's node i is i * step + u_lo, with step = (u_hi - u_lo) /
-    (nodes - 1).  A doubling halves the step exactly, so the coarser
-    grid's nodes are the finer grid's even nodes.
-    """
-    return np.arange(1, nodes, 2) * ((u_hi - u_lo) / (nodes - 1)) + u_lo
 
 
 def log_evidence(model: ModelSpec, data: DataSet) -> float:

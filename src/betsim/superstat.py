@@ -69,24 +69,6 @@ class ReturnSeries:
         self.samples = np.asarray(self.samples, dtype=np.float64)
 
 
-def _invgamma_log_density(alpha: float, beta: float):
-    """x -> the log-density of InvGamma(alpha, beta) at float64 x > 0,
-    unchecked.  The constant alpha ln(beta) - ln Gamma(alpha) is taken
-    once, here, for every x the returned function is called on.
-    """
-    from scipy.special import gammaln  # deferred: scipy is slow to import
-    # a huge shape overflows alpha * log(beta) and gammaln(alpha), and
-    # inf - inf is NaN: the evidence quadrature then reports non-convergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_norm = alpha * np.log(beta) - gammaln(alpha)
-
-    def logpdf(x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return log_norm - (alpha + 1.0) * np.log(x) - beta / x
-
-    return logpdf
-
-
 def _sample_mixing(model: MixingModel, rng: np.random.Generator, size) -> np.ndarray:
     """An array of shape ``size`` of variance samples sigma^2 from a mixing
     model whose variance fluctuates (any kind but ``constant``).
@@ -145,7 +127,7 @@ def generate_returns(
 
 def sample_moments(series) -> Moments:
     """Population moments of a return series (or plain array), as
-    ``core.block_snapshots`` takes them of one row.
+    ``core.Snapshots.add`` takes them of one row.
 
     Zero variance is flagged on the result, not raised.
     """

@@ -59,11 +59,11 @@ from betsim.inference import (
     GAUSSIAN_KNOWN_MEAN,
     INITIAL_NODES,
     MAX_NODES,
+    _invgamma_log_density,
     _logsumexp,
     exponential_loglik,
     gaussian_variance_loglik,
 )
-from betsim.superstat import _invgamma_log_density
 
 
 @dataclass(frozen=True)

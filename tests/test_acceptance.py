@@ -498,7 +498,7 @@ def test_pooled_counts_match_the_exact_ledger_law(ordering_runs):
     # one bet per grain and step; every bin whose expected count is at
     # least 5, and the bound |z| <= 5 on each 20-seed mean, with z from
     # the seeds' sample SD, were fixed before the check first ran
-    bins = ordering_runs[0].bins
+    bins = ordering_runs[0].pooled[0].counts.size
     worst, where, compared = 0.0, None, 0
     for t in POOLED_STEPS:
         counts = np.array([r.pooled[t].counts for r in ordering_runs])

@@ -17,7 +17,6 @@ from betsim.core import (
     MacroSnapshot,
     Snapshots,
     _posteriors,
-    block_snapshots,
     distinct_posterior_classes,
     heterogeneous_pair_count,
     macro_snapshot,
@@ -25,6 +24,13 @@ from betsim.core import (
 from betsim.superstat import sample_moments
 from oracle import BetLedger, EnsembleTotals, posterior_win, reference_snapshot, same_snapshot
 from oracle import population_moments as reference_moments
+
+
+def _summary(block, first_step, bins=None):
+    """A record of capacity 0 with ``block`` added as its rows."""
+    record = Snapshots(0, bins)
+    record.add(block, first_step)
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +237,7 @@ def test_moments_of_a_variance_whose_square_underflows():
     assert tiny.excess_kurtosis == pytest.approx(plain.excess_kurtosis, rel=1e-12)
     # in a block, such a row sits beside ordinary and degenerate rows
     rows = np.array([[3e-80] * 5, x * 1e-100, x / 10, [0.5] * 5])
-    block = block_snapshots(rows, 4)
+    block = _summary(rows, 4)
     assert all(same_snapshot(block[k], reference_snapshot(rows[k], 4 + k)) for k in range(4))
 
 
@@ -250,7 +256,7 @@ def test_population_moments_equal_the_mean_formulation():
     for n in list(range(1, 40)) + [150, 225, 425, 750, 1550, 100003]:
         for values in _moment_inputs(rng, n):
             want = dataclasses.astuple(reference_moments(values))
-            row = block_snapshots(values.reshape(1, -1), 0)[0]
+            row = _summary(values.reshape(1, -1), 0)[0]
             got = (row.mean_posterior, row.variance, row.skewness, row.excess_kurtosis,
                    row.variance == 0.0)
             assert np.array_equal(got, want, equal_nan=True), (n, got, want)
@@ -408,15 +414,40 @@ def _posterior_blocks(draw):
     return np.array([draw(_posterior_rows(n, bins)) for _ in range(rows)]), bins
 
 
+@st.composite
+def _splits(draw, rows):
+    """The row counts of a split of ``rows`` rows into consecutive blocks."""
+    cuts = draw(st.sets(st.integers(1, rows - 1), max_size=rows - 1)) if rows > 1 else set()
+    bounds = [0, *sorted(cuts), rows]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
 @settings(max_examples=200, deadline=None)
-@given(block_bins=_posterior_blocks(), first=st.integers(0, 10**6))
-def test_block_summary_equals_the_reference_summary(block_bins, first):
+@given(block_bins=_posterior_blocks(), first=st.integers(0, 10**6), data=st.data())
+def test_block_summary_equals_the_reference_summary(block_bins, first, data):
+    # any split of the block into consecutive blocks, added to a record of
+    # capacity 0, one that fills and doubles, or one reserved for every row,
+    # gives the reference rows, with the record's bin count at every row
     block, bins = block_bins
-    got = block_snapshots(block, first, bins)
-    assert len(got) == len(block)
+    capacity = data.draw(st.integers(0, len(block)), label="capacity")
+    record, start = Snapshots(capacity, bins), 0
+    for size in data.draw(_splits(len(block)), label="split"):
+        record.add(block[start:start + size], first + start)
+        start += size
+    assert len(record) == len(block)
     want = [reference_snapshot(row, first + k, bins) for k, row in enumerate(block)]
-    assert all(same_snapshot(a, b) for a, b in zip(got, want))
-    assert all(same_snapshot(got[k], want[k]) for k in range(-len(block), len(block)))
+    assert all(same_snapshot(a, b) for a, b in zip(record, want))
+    assert all(same_snapshot(record[k], want[k]) for k in range(-len(block), len(block)))
+    assert record.column("step").tolist() == list(range(first, first + len(block)))
+    if bins is not None:
+        assert all(row.counts.shape == (bins,) for row in record)
+        record[0].counts[:] = -1  # a row's counts are its own copy
+        assert same_snapshot(record[0], want[0])
+    for k in (len(block), -len(block) - 1):
+        with pytest.raises(IndexError):
+            record[k]
+    record.trim()
+    assert all(same_snapshot(a, b) for a, b in zip(record, want))
 
 
 def test_block_census_matches_brute_force_on_tied_posteriors():
@@ -426,31 +457,11 @@ def test_block_census_matches_brute_force_on_tied_posteriors():
     for n in (2, 3, 5, 12, 40):
         rows = [_tied_posteriors(rng, n, top) for top in (1, 2, 3, 6) for _ in range(3)]
         rows.append(0.25 + 0.6 * EPS_CLASS * np.arange(n))
-        got = block_snapshots(np.array(rows), 0)
+        got = _summary(np.array(rows), 0)
         assert len(rows) >= CENSUS_BATCH_ROWS
         for snap, row in zip(got, rows):
             assert snap.heterogeneous_pairs == _brute_pairs(row.tolist(), EPS_CLASS)
             assert snap.distinct_classes == _brute_classes(row.tolist(), EPS_CLASS)
-
-
-def test_snapshot_record_grows_and_reads_rows_and_columns():
-    record = Snapshots(2, bins=4)
-    blocks = [block_snapshots(np.full((k, 3), 0.25 * k), 10 * k, 4) for k in (1, 3, 2)]
-    for block in blocks:
-        record.extend(block)
-    assert len(record) == 6
-    want = [row for block in blocks for row in block]
-    assert all(same_snapshot(a, b) for a, b in zip(record, want))
-    assert record.column("step").tolist() == [10, 30, 31, 32, 20, 21]
-    assert same_snapshot(record[-1], want[-1]) and same_snapshot(record[0], want[0])
-    with pytest.raises(IndexError):
-        record[6]
-    with pytest.raises(IndexError):
-        record[-7]
-    record[0].counts[:] = 0  # a row's counts are its own copy
-    assert record[0].counts.tolist() == [0, 3, 0, 0]
-    record.trim()
-    assert all(same_snapshot(a, b) for a, b in zip(record, want))
 
 
 def test_snapshot_record_keeps_a_column_per_row_field():
@@ -458,8 +469,7 @@ def test_snapshot_record_keeps_a_column_per_row_field():
     # each value in its own field, with the type its field declares
     fields = dataclasses.fields(MacroSnapshot)
     assert [*SNAPSHOT_FIELDS, "counts"] == [f.name for f in fields]
-    record = Snapshots()
-    record.extend(block_snapshots(np.array([[0.25, 0.5, 1.0]]), 7))
+    record = _summary(np.array([[0.25, 0.5, 1.0]]), 7)
     row = record[0]
     assert same_snapshot(row, reference_snapshot([0.25, 0.5, 1.0], 7))
     for f in fields[:-1]:

@@ -18,7 +18,6 @@ from betsim.errors import ConvergenceError
 from betsim.inference import (
     EXPONENTIAL,
     GAUSSIAN_KNOWN_MEAN,
-    INITIAL_NODES,
     LIKELIHOOD_KINDS,
     MAX_NODES,
     DataSet,
@@ -32,11 +31,10 @@ from betsim.inference import (
     _NODE_TABLES,
     _SCAN,
     _TABLED_NODES,
+    _invgamma_log_density,
     _logsumexp,
-    _midpoints,
     _node_table,
     _prior_quantiles,
-    _scan_grid,
     select_model,
 )
 import oracle
@@ -120,6 +118,13 @@ def test_invgamma_params_validation():
         InvGammaParams(0.0, 1.0)
     with pytest.raises(ValueError):
         InvGammaParams(1.0, -2.0)
+
+
+def test_invgamma_log_density_matches_reference():
+    x = np.geomspace(0.01, 50, 200)
+    got = _invgamma_log_density(3.2, 1.7)(x)
+    expect = stats.invgamma(3.2, scale=1.7).logpdf(x)
+    assert np.allclose(got, expect, atol=1e-12)
 
 
 def test_nan_parameters_are_rejected():
@@ -507,32 +512,6 @@ def test_node_tables_stay_bounded_after_the_node_cap():
 
 def _bits(a):
     return np.asarray(a, dtype=np.float64).tobytes()
-
-
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(lo=_powers_of_ten(-300, 300), hi=_powers_of_ten(-300, 300))
-def test_nested_grids_are_the_linspace_grids(lo, hi):
-    # from INITIAL_NODES to MAX_NODES nodes, the previous grid's nodes
-    # interleaved with the midpoints are np.linspace's nodes, bit for bit
-    u_lo, u_hi = np.log(lo), np.log(hi)
-    nodes = INITIAL_NODES
-    u = np.linspace(u_lo, u_hi, nodes)
-    while nodes < MAX_NODES:
-        nodes = 2 * nodes - 1
-        finer = np.empty(nodes)
-        finer[0::2] = u
-        finer[1::2] = _midpoints(u_lo, u_hi, nodes)
-        u = finer
-        assert _bits(u) == _bits(np.linspace(u_lo, u_hi, nodes)), nodes
-    assert nodes == MAX_NODES
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(lo=_powers_of_ten(-300, 300), hi=_powers_of_ten(-300, 300.9))
-@example(lo=1e-300, hi=1e300)
-@example(lo=2.5, hi=2.5)
-def test_scan_grid_is_geomspace(lo, hi):
-    assert _bits(_scan_grid(lo, hi)) == _bits(np.geomspace(lo, hi, 513))
 
 
 def test_likelihoods_overflow_to_minus_inf_without_a_warning():

@@ -8,7 +8,6 @@ from betsim import rng as rngmod
 from betsim.superstat import (
     MixingModel,
     ReturnSeries,
-    _invgamma_log_density,
     _sample_mixing,
     generate_returns,
     sample_moments,
@@ -25,16 +24,6 @@ def test_model_validation():
         MixingModel(kind="inverse-gamma", alpha=2.0)
     with pytest.raises(ValueError, match="gamma > 0"):
         MixingModel(kind="generalized-inverse-gamma", alpha=2.0, beta=1.0)
-
-
-# ---------------------------------------------------------------------------
-# densities
-
-def test_invgamma_log_density_matches_reference():
-    x = np.geomspace(0.01, 50, 200)
-    got = _invgamma_log_density(3.2, 1.7)(x)
-    expect = stats.invgamma(3.2, scale=1.7).logpdf(x)
-    assert np.allclose(got, expect, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
