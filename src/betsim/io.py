@@ -7,13 +7,15 @@ Python's shortest round-trip repr so downstream consumers recover them
 to full precision.  Nothing here is time- or locale-dependent, so
 identical inputs always produce byte-identical files.
 
-Returns files and ``t,price`` files are read in blocks of lines, one
-``np.loadtxt`` per block.  A block that holds anything but plain
-numbers, or that a check rejects, hands the whole file back to the
-per-row reader, which parses it again from the start and is the only
-source of error messages; so every file gets the per-row reader's
-values or its error, with its line number.  ``date,price`` files are
-always read row by row.
+Every writer writes 1024 rows at a time, each block formatted by one
+``%`` of its row template over the block's values.  Returns files and
+``t,price`` files are read in blocks of lines, one ``np.loadtxt`` per
+block, of the value column only for returns.  A block that holds
+anything but plain numbers, or that a check rejects, hands the whole
+file back to the per-row reader, which parses it again from the start
+and is the only source of error messages; so every file gets the
+per-row reader's values or its error, with its line number.
+``date,price`` files are always read row by row.
 """
 from __future__ import annotations
 
@@ -22,8 +24,7 @@ import math
 import os
 import warnings
 from contextlib import contextmanager, suppress
-from itertools import count, islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,11 +49,17 @@ def _fmt(x) -> str:
 
 @contextmanager
 def _csv_writer(path, header: str):
-    """Open ``path``, write ``header`` and yield ``push``, which writes the
-    lines it is given (each ending in a newline) as they stream.
+    """Open ``path``, write ``header`` and yield ``push(row, columns)``,
+    which writes one line ``row % values`` for each row of values that
+    ``columns`` (arrays, lists or ranges of equal length) hold.
 
-    Lines are joined and written 1024 at a time, which is cheaper than
-    one write call per line and never holds the whole file.
+    ``push`` writes 1024 rows at a time: it lists the block's values row
+    by row, with one ``.tolist()`` per array, and formats them with one
+    ``%`` of ``row`` repeated, so no Python code runs per row and no more
+    than a block is held.  On Python numbers ``%r`` is ``repr``, ``%.12g``
+    of a float is ``format(x, ".12g")`` and ``%d`` of an int is ``str``.
+    Only ints are ever part of ``row``; strings from elsewhere (model ids,
+    fit keys) are values, so a ``%`` in them is written as it is.
     A failure to open, write or close the file raises :class:`DataError`.
     Once the file is open, anything that raises removes it, so a failed
     writer leaves no partial file.
@@ -62,10 +69,15 @@ def _csv_writer(path, header: str):
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
-    def push(lines: Iterable[str]) -> None:
-        lines = iter(lines)
-        while block := "".join(islice(lines, 1024)):
-            out.write(block)
+    def push(row: str, columns: Sequence[Sequence]) -> None:
+        width = len(columns)
+        for start in range(0, len(columns[0]), 1024):
+            block = [c[start:start + 1024] for c in columns]
+            rows = len(block[0])
+            values = [None] * (rows * width)
+            for j, column in enumerate(block):
+                values[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
+            out.write(row * rows % tuple(values))
 
     try:
         with out:
@@ -79,11 +91,10 @@ def _csv_writer(path, header: str):
         raise
 
 
-def _write_csv(path, header: str, lines: Iterable[str]) -> None:
-    """Write ``header``, then stream ``lines`` (each ending in a newline),
-    through :func:`_csv_writer`."""
+def _write_csv(path, header: str, row: str, columns: Sequence[Sequence]) -> None:
+    """Write ``header``, then the rows of ``columns``, through :func:`_csv_writer`."""
     with _csv_writer(path, header) as push:
-        push(lines)
+        push(row, columns)
 
 
 def _read_pairs(path, headers: tuple[str, ...]):
@@ -121,13 +132,15 @@ _BLOCK_CHARS = 1 << 20  # characters read per parsed block, then to the end of i
 _NUMERIC_BYTES = b"0123456789+-.eE, \r\n"
 
 
-def _read_blocks(path, header: str) -> list[np.ndarray] | None:
-    """Parse a numeric two-column file in blocks, or hand it back.
+def _read_blocks(path, header: str, usecols: tuple[int, ...]) -> list[np.ndarray] | None:
+    """Parse the ``usecols`` columns of a numeric two-column file in
+    blocks, or hand the file back.
 
-    Returns the data rows as (lines, 2) float64 blocks of finite values
-    when the header is ``header`` and every line is two plain numbers.
-    Returns None otherwise, and never raises or warns for the file's
-    content: the caller then reads the file with :func:`_read_pairs`.
+    Returns the data rows as (lines, len(usecols)) float64 blocks of
+    finite values when the header is ``header`` and every line is two
+    fields, of plain numbers in ``usecols`` and of the same characters
+    elsewhere.  Returns None otherwise, and never raises or warns for the
+    file's content: the caller then reads the file with :func:`_read_pairs`.
     """
     blocks = []
     try:
@@ -136,7 +149,10 @@ def _read_blocks(path, header: str) -> list[np.ndarray] | None:
             head = next(csv.reader(handle), None)
             if head is None or ",".join(h.strip().lower() for h in head) != header:
                 return None
-            while text := handle.read(_BLOCK_CHARS):
+            limit = csv.field_size_limit()
+            # every line of a block but its last lies in the characters read
+            # first, so only the last can be longer than the csv reader allows
+            while text := handle.read(min(_BLOCK_CHARS, limit)):
                 text += handle.readline()
                 # a non-ASCII character fails the encode: UnicodeEncodeError
                 if text.encode("ascii").translate(None, _NUMERIC_BYTES):
@@ -144,11 +160,15 @@ def _read_blocks(path, header: str) -> list[np.ndarray] | None:
                 # with only these characters, splitlines ends lines where
                 # the csv reader does: at \r, \n and \r\n
                 lines = text.splitlines(keepends=True)
-                if max(map(len, lines)) > csv.field_size_limit():
-                    return None  # the csv reader rejects a field this long
-                block = np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-                # loadtxt skips blank lines and takes any field count
-                if block.shape != (len(lines), 2) or not np.isfinite(block).all():
+                if len(lines[-1]) > limit or text.count(",") != len(lines):
+                    return None  # a field the csv reader rejects, or not one comma a line
+                block = np.loadtxt(
+                    lines, delimiter=",", comments=None, dtype=np.float64, usecols=usecols, ndmin=2
+                )
+                # loadtxt skips blank lines, and raises on a line that has
+                # no column it uses: with as many commas as lines, every
+                # line it keeps has two fields
+                if len(block) != len(lines) or not np.isfinite(block).all():
                     return None
                 blocks.append(block)
     except (OSError, ValueError, csv.Error, Warning):
@@ -171,7 +191,7 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     """
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
-    blocks = _read_blocks(path, "t,price")
+    blocks = _read_blocks(path, "t,price", (0, 1))
     if blocks:
         t, p = np.concatenate(blocks).T
         if p.size >= tau + 1 and (p > 0).all() and (t[1:] > t[:-1]).all():
@@ -219,28 +239,17 @@ def _log_returns(path, p: np.ndarray, tau: int) -> ReturnSeries:
     return ReturnSeries(tau=tau, samples=samples)
 
 
-def _column_rows(snapshots: Snapshots, names: tuple[str, ...], *extra: np.ndarray):
-    """Rows of the named columns, then of ``extra`` columns, as tuples of
-    Python numbers; each column becomes a list 1024 rows at a time."""
-    columns = [snapshots.column(name) for name in names] + list(extra)
-    for start in range(0, len(snapshots), 1024):
-        yield from zip(*(c[start:start + 1024].tolist() for c in columns))
-
-
 def emit_trajectory_csv(snapshots: Snapshots, path) -> None:
     """Write one row per snapshot (the initial state included).
 
     The smoothed column is the trailing moving average of the mean
     posterior over ``DEFAULT_SMOOTHING_WINDOW`` steps.  Floats are
-    written as ``_fmt`` writes them: ``.12g`` of a Python float.
+    written as ``%.12g`` writes them.
     """
-    smoothed = smooth_series(snapshots.column("mean_posterior"), DEFAULT_SMOOTHING_WINDOW)
-    _write_csv(path, TRAJECTORY_HEADER, (
-        f"{step},{mean:.12g},{sm:.12g},{var:.12g},{skew:.12g},{kurt:.12g},{ent:.12g},"
-        f"{classes},{pairs}\n"
-        for step, mean, var, skew, kurt, ent, classes, pairs, sm
-        in _column_rows(snapshots, SNAPSHOT_FIELDS, smoothed)
-    ))
+    step, mean, *rest = (snapshots.column(name) for name in SNAPSHOT_FIELDS)
+    smoothed = smooth_series(mean, DEFAULT_SMOOTHING_WINDOW)
+    row = "%d" + ",%.12g" * 6 + ",%d,%d\n"
+    _write_csv(path, TRAJECTORY_HEADER, row, [step, mean, smoothed, *rest])
 
 
 def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
@@ -250,9 +259,8 @@ def emit_histogram_csv(pooled_snapshot: MacroSnapshot, path) -> None:
     """
     counts = pooled_snapshot.counts
     edges = histogram_edges(counts.size)
-    _write_csv(path, "bin_left,bin_right,count", (
-        f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}\n" for k in range(counts.size)
-    ))
+    columns = [edges[:-1], edges[1:], counts]
+    _write_csv(path, "bin_left,bin_right,count", "%.12g,%.12g,%d\n", columns)
 
 
 def emit_microstates_csv(run, path):
@@ -262,20 +270,16 @@ def emit_microstates_csv(run, path):
     ``run(sink)`` must hand ``sink`` each block it books, in step order:
     ``(first_step, rows, posteriors)``, as ``run_conservative`` does.  Each
     block is written as it comes, with the posteriors the run computed, so
-    no more than a block is held at once.  The run checked the rows.  Each
-    row's ``t,`` prefix is formatted once, and each column's ``i,`` once
-    per block, not once per value.  If the run raises, the file is removed.
+    no more than a block is held at once.  The run checked the rows.  If
+    the run raises, the file is removed.
     """
 
     def sink(first: int, rows: np.ndarray, posteriors: np.ndarray) -> None:
-        columns = [f"{i}," for i in range(rows.shape[2])]
-        push(
-            f"{step}{column}{w},{l},{posterior:.12g}\n"
-            for step, (wins, losses), post in zip(
-                (f"{t}," for t in count(first)), rows.tolist(), posteriors.tolist()
-            )
-            for column, w, l, posterior in zip(columns, wins, losses, post)
-        )
+        steps, n = posteriors.shape
+        push("%d,%d,%d,%d,%.12g\n", [
+            np.repeat(np.arange(first, first + steps), n), np.tile(np.arange(n), steps),
+            rows[:, 0].ravel(), rows[:, 1].ravel(), posteriors.ravel(),
+        ])
 
     with _csv_writer(path, "step,microstate,wins,losses,posterior") as push:
         return run(sink)
@@ -283,32 +287,26 @@ def emit_microstates_csv(run, path):
 
 def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:
     """Per-step summary of every grain that ever lived."""
-    _write_csv(path, "step,grain,size,birth_step,mean_posterior,entropy", (
-        f"{step},{gid},{tracks[gid].size},{tracks[gid].birth_step},{mean:.12g},{ent:.12g}\n"
-        for gid in sorted(tracks)
-        for step, mean, ent in _column_rows(
-            tracks[gid].snapshots, ("step", "mean_posterior", "entropy")
-        )
-    ))
+    with _csv_writer(path, "step,grain,size,birth_step,mean_posterior,entropy") as push:
+        for gid in sorted(tracks):
+            track = tracks[gid]
+            # the grain's id, size and birth step are ints, so the row holds no stray %
+            push(f"%d,{gid},{track.size},{track.birth_step},%.12g,%.12g\n", [
+                track.snapshots.column(name) for name in ("step", "mean_posterior", "entropy")
+            ])
 
 
 def emit_returns_csv(series: ReturnSeries, path) -> None:
     """Write return samples with full round-trip precision."""
-    samples = series.samples
-    # 1024-sample slices become Python floats at once, not one by one;
-    # their repr is the one float(numpy float64) would give
-    _write_csv(path, "i,value", (
-        f"{i},{v!r}\n"
-        for start in range(0, samples.size, 1024)
-        for i, v in enumerate(samples[start:start + 1024].tolist(), start=start)
-    ))
+    # %r of the Python floats .tolist() makes is the repr float(numpy float64) has
+    _write_csv(path, "i,value", "%d,%r\n", [range(series.samples.size), series.samples])
 
 
 def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     """Read a returns file produced by :func:`emit_returns_csv`."""
-    blocks = _read_blocks(path, "i,value")
+    blocks = _read_blocks(path, "i,value", (1,))  # the index column is never read
     if blocks:
-        return ReturnSeries(tau=tau, samples=np.concatenate([b[:, 1] for b in blocks]))
+        return ReturnSeries(tau=tau, samples=np.concatenate(blocks).ravel())
     pairs = _read_pairs(path, ("i,value",))
     next(pairs)
     values: list[float] = []
@@ -329,20 +327,22 @@ def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
 
 def emit_fit_csv(rows: Iterable[tuple[str, object]], path) -> None:
     """Key-value summary of a variance fit."""
-    _write_csv(path, "quantity,value", (f"{key},{_fmt(value)}\n" for key, value in rows))
+    pairs = [(key, _fmt(value)) for key, value in rows]
+    _write_csv(path, "quantity,value", "%s,%s\n", [[k for k, _ in pairs], [v for _, v in pairs]])
 
 
 def emit_models_csv(posteriors: list[ModelPosterior], specs, selected_index, path) -> None:
     """Model-comparison table; the ``selected`` column marks the winner
     (every row says ``tie`` when no single winner exists)."""
     header = "model,likelihood,prior_alpha,prior_beta,prior_prob,log_evidence,posterior_prob,selected"
-    _write_csv(path, header, (
-        f"{post.model_id},{spec.likelihood_kind},{_fmt(spec.prior.alpha)},"
-        f"{_fmt(spec.prior.beta)},{_fmt(post.prior_prob)},"
-        f"{_fmt(post.log_evidence)},{_fmt(post.posterior_prob)},"
-        f"{'tie' if selected_index is None else int(k == selected_index)}\n"
+    rows = [
+        (post.model_id, spec.likelihood_kind, *map(_fmt, (
+            spec.prior.alpha, spec.prior.beta, post.prior_prob, post.log_evidence,
+            post.posterior_prob,
+        )), "tie" if selected_index is None else int(k == selected_index))
         for k, (post, spec) in enumerate(zip(posteriors, specs))
-    ))
+    ]
+    _write_csv(path, header, "%s," * 7 + "%s\n", [[r[j] for r in rows] for j in range(8)])
 
 
 def ensure_out_dir(path) -> str:

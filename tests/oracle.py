@@ -13,6 +13,9 @@ package's block summary must give each row the same fields.
 ``read_returns_csv`` and ``ingest_price_csv`` parse one row at a time
 with ``csv.reader`` and ``float``; ``betsim.io`` reads in blocks and
 must give the same arrays, or the same ``DataError`` text, on any file.
+The ``emit_*`` writers are ``betsim.io``'s writers as they stood when each
+line was one f-string, joined and written as a whole; the package's block
+writers must write the same bytes.
 ``closed_form_log_evidence`` is the conjugate evidence of a known-mean
 Gaussian under an inverse-gamma prior, which the quadrature in
 ``betsim.inference.log_evidence`` must match.  ``log_evidence`` is that
@@ -51,8 +54,15 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
-from betsim.conservative import run_conservative
-from betsim.core import EnsembleState, MacroSnapshot, Moments, _posteriors
+from betsim.conservative import DEFAULT_SMOOTHING_WINDOW, run_conservative, smooth_series
+from betsim.core import (
+    SNAPSHOT_FIELDS,
+    EnsembleState,
+    MacroSnapshot,
+    Moments,
+    _posteriors,
+    histogram_edges,
+)
 from betsim.errors import ConvergenceError, DataError
 from betsim.inference import (
     DOMAIN_SCAN_ROUNDS,
@@ -64,6 +74,7 @@ from betsim.inference import (
     exponential_loglik,
     gaussian_variance_loglik,
 )
+from betsim.io import TRAJECTORY_HEADER
 
 
 @dataclass(frozen=True)
@@ -250,6 +261,95 @@ def ingest_price_csv(path, tau: int) -> np.ndarray:
             f"{path}: lines {i + 2} and {i + tau + 2}: log-return {samples[i]} is not finite"
         )
     return samples
+
+
+def _fmt(x) -> str:
+    """12-significant-digit decimal rendering; integers stay integral."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".12g")
+
+
+def _write_lines(path, header: str, lines) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as out:
+        out.write(header + "\n")
+        out.write("".join(lines))
+
+
+def _column_rows(snapshots, names, *extra):
+    columns = [snapshots.column(name) for name in names] + list(extra)
+    for start in range(0, len(snapshots), 1024):
+        yield from zip(*(c[start:start + 1024].tolist() for c in columns))
+
+
+def emit_trajectory_csv(snapshots, path) -> None:
+    smoothed = smooth_series(snapshots.column("mean_posterior"), DEFAULT_SMOOTHING_WINDOW)
+    _write_lines(path, TRAJECTORY_HEADER, (
+        f"{step},{mean:.12g},{sm:.12g},{var:.12g},{skew:.12g},{kurt:.12g},{ent:.12g},"
+        f"{classes},{pairs}\n"
+        for step, mean, var, skew, kurt, ent, classes, pairs, sm
+        in _column_rows(snapshots, SNAPSHOT_FIELDS, smoothed)
+    ))
+
+
+def emit_histogram_csv(pooled_snapshot, path) -> None:
+    counts = pooled_snapshot.counts
+    edges = histogram_edges(counts.size)
+    _write_lines(path, "bin_left,bin_right,count", (
+        f"{_fmt(edges[k])},{_fmt(edges[k + 1])},{int(counts[k])}\n" for k in range(counts.size)
+    ))
+
+
+def emit_microstates_csv(run, path):
+    lines = []
+
+    def sink(first: int, rows: np.ndarray, posteriors: np.ndarray) -> None:
+        columns = [f"{i}," for i in range(rows.shape[2])]
+        lines.extend(
+            f"{step}{column}{w},{l},{posterior:.12g}\n"
+            for step, (wins, losses), post in zip(
+                (f"{t}," for t in itertools.count(first)), rows.tolist(), posteriors.tolist()
+            )
+            for column, w, l, posterior in zip(columns, wins, losses, post)
+        )
+
+    result = run(sink)
+    _write_lines(path, "step,microstate,wins,losses,posterior", lines)
+    return result
+
+
+def emit_grains_csv(tracks, path) -> None:
+    _write_lines(path, "step,grain,size,birth_step,mean_posterior,entropy", (
+        f"{step},{gid},{tracks[gid].size},{tracks[gid].birth_step},{mean:.12g},{ent:.12g}\n"
+        for gid in sorted(tracks)
+        for step, mean, ent in _column_rows(
+            tracks[gid].snapshots, ("step", "mean_posterior", "entropy")
+        )
+    ))
+
+
+def emit_returns_csv(series, path) -> None:
+    samples = series.samples
+    _write_lines(path, "i,value", (
+        f"{i},{v!r}\n"
+        for start in range(0, samples.size, 1024)
+        for i, v in enumerate(samples[start:start + 1024].tolist(), start=start)
+    ))
+
+
+def emit_fit_csv(rows, path) -> None:
+    _write_lines(path, "quantity,value", (f"{key},{_fmt(value)}\n" for key, value in rows))
+
+
+def emit_models_csv(posteriors, specs, selected_index, path) -> None:
+    header = "model,likelihood,prior_alpha,prior_beta,prior_prob,log_evidence,posterior_prob,selected"
+    _write_lines(path, header, (
+        f"{post.model_id},{spec.likelihood_kind},{_fmt(spec.prior.alpha)},"
+        f"{_fmt(spec.prior.beta)},{_fmt(post.prior_prob)},"
+        f"{_fmt(post.log_evidence)},{_fmt(post.posterior_prob)},"
+        f"{'tie' if selected_index is None else int(k == selected_index)}\n"
+        for k, (post, spec) in enumerate(zip(posteriors, specs))
+    ))
 
 
 def closed_form_log_evidence(data, prior) -> float:

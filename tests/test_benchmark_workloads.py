@@ -7,9 +7,10 @@ builds ``ModelSpec`` and ``SuperstatConfig`` objects itself and drives
 only, runs one pass of each workload with ``smoke=True`` and asserts
 that every operation's check finds no problem, so a change of what the
 benchmark reads fails here and not only in a benchmark run.  It also runs
-the simulation operations at full size on seed 0 and compares their
-output digests with ``perfbench/references.json``, which every benchmark
-run checks: a change of any byte they write fails here first.
+the simulation operations, and ``cli``'s returns and inference commands,
+at full size on seed 0 and compares their output digests with
+``perfbench/references.json``, which every benchmark run checks: a change
+of any byte they write fails here first.
 """
 
 import importlib.util
@@ -43,9 +44,14 @@ def test_workload_smoke_pass_checks_clean(tmp_path, monkeypatch, name):
         assert check.problems == [], (label, check.problems)
 
 
+# cli's ingest is left out: its returns are np.log of price ratios, whose
+# last bits differ between numpy's AVX-512 loops and the others, so its
+# reference holds only on hosts like the one that recorded it (ROADMAP,
+# direction 13); fit-variance reads what gen-returns writes, so the
+# returns writer and reader are checked byte for byte all the same
 @pytest.mark.parametrize("name, labels", [
     ("sweep", ("replicate0", "replicate1")),
-    ("cli", ("sim-conservative", "sim-dissipative")),
+    ("cli", ("sim-conservative", "sim-dissipative", "gen-returns", "fit-variance", "compare-models")),
 ], ids=["sweep", "cli"])
 def test_full_size_outputs_match_the_reference_digests(tmp_path, monkeypatch, name, labels):
     references = json.loads((PERFBENCH / "references.json").read_text())[name]["0"]

@@ -9,10 +9,11 @@ import typing
 import warnings
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from betsim import config as bconfig
@@ -38,6 +39,7 @@ from betsim.inference import (
     ModelSpec,
 )
 from betsim.superstat import KINDS, ReturnSeries
+import oracle
 from oracle import ingest_price_csv as reference_ingest
 from oracle import read_returns_csv as reference_read_returns
 from test_cli import CSV_FIELDS, CSV_NUMBERS
@@ -513,7 +515,7 @@ def test_returns_round_trip_over_several_blocks(tmp_path, monkeypatch):
     samples = np.random.default_rng(4).standard_t(3, n) * 1e-2
     samples[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 1e-310]
     csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), path)
-    assert len(csvio._read_blocks(path, "i,value")) > 3  # read in blocks, no fallback
+    assert len(csvio._read_blocks(path, "i,value", (1,))) > 3  # read in blocks, no fallback
     back = csvio.read_returns_csv(path)
     assert back.samples.tobytes() == samples.tobytes()
 
@@ -561,6 +563,14 @@ ODD_ROWS = st.lists(
     ),
     max_size=2,
 )
+# a row of three numbers, and a blank row or one of one or two numbers:
+# both pass the character check, and a blank or one-number row evens out
+# the commas of the three-number row, so only loadtxt's checks, on both
+# columns or on the value column alone, can turn such a block down
+SHORT_AND_LONG_ROWS = st.tuples(
+    st.tuples(st.integers(0, 15), st.lists(PRICES, min_size=3, max_size=3)),
+    st.tuples(st.integers(0, 15), st.lists(PRICES, max_size=2)),
+).map(list)
 
 
 def _assert_readers_agree(path, tau):
@@ -588,26 +598,41 @@ def _assert_readers_agree(path, tau):
         [b"i,value", b"i,value", b"t,price", b"t,price", b"date,price", b" T , Price", b"t;price"]
     ),
     rows=ROWS,
-    odd_rows=st.one_of(st.just([]), ODD_ROWS),
+    odd_rows=st.one_of(st.just([]), ODD_ROWS, SHORT_AND_LONG_ROWS),
     newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
     final_newline=st.booleans(),
-    block=st.integers(1, 4),
+    block=st.one_of(st.integers(1, 4), st.just(1 << 20)),
+    field_limit=st.one_of(st.none(), st.integers(1, 40)),
     tau=st.integers(1, 3),
 )
+# an 8-character limit makes 8-character blocks: the second row, whose
+# value is longer than 8 characters, ends the first block past its edge
+@example(
+    header=b"i,value", rows=[(1, b"0.5"), (1, b"123.456789"), (1, b"0.25")], odd_rows=[],
+    newline=b"\n", final_newline=True, block=1 << 20, field_limit=8, tau=1,
+)
 def test_block_reader_matches_the_per_row_reader(
-    header, rows, odd_rows, newline, final_newline, block, tau
+    header, rows, odd_rows, newline, final_newline, block, field_limit, tau
 ):
+    # a field limit below the line lengths makes blocks of that many
+    # characters, so an overlong line ends a block, at its edge or past it
     times = np.cumsum([step for step, _ in rows], dtype=np.int64)
     lines = [header] + [b"%d,%s" % (t, value) for t, (_, value) in zip(times, rows)]
     for at, fields in odd_rows:
         lines.insert(1 + at, b",".join(fields))
     data = newline.join(lines) + (newline if final_newline else b"")
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(csvio, "_BLOCK_CHARS", block)
-        path = os.path.join(tmp, "in.csv")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        _assert_readers_agree(path, tau)
+    limit = csv.field_size_limit()
+    try:
+        if field_limit is not None:
+            csv.field_size_limit(field_limit)
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvio, "_BLOCK_CHARS", block)
+            path = os.path.join(tmp, "in.csv")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            _assert_readers_agree(path, tau)
+    finally:
+        csv.field_size_limit(limit)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -703,6 +728,148 @@ def test_models_csv_marks_selection(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[1].split(",")[-1] == "tie"
     assert lines[2].split(",")[-1] == "tie"
+
+
+# values the writers must render as the f-strings did: not-a-number, both
+# infinities, signed zero, the least subnormal and normal floats, the
+# largest float below 1e16 and 1e16 itself (where repr and .12g turn to
+# exponents), 1e-5 and 1e-4 (where .12g does), and ints at the int64 ends
+FLOAT_EDGES = np.array([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308,
+    9.999999999999999e15, 1e16, 1e-5, 1e-4,
+])
+INT_EDGES = np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1], dtype=np.int64)
+ROW_COUNTS = st.sampled_from([0, 1, 1023, 1024, 1025, 2049])
+INT_FIELDS = {f.name for f in fields(core.MacroSnapshot) if f.type == "int"}
+# user strings with conversion specifiers in them, which must come out as they are
+KEYS = ["n", "log_evidence", "100%", "%s", "%d%%", "%(x)s", "a,b"]
+
+
+def _floats(rng, shape):
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 21, shape)
+    edge = rng.random(shape) < 0.3
+    values[edge] = rng.choice(FLOAT_EDGES, edge.sum())
+    return values
+
+
+def _ints(rng, shape):
+    values = rng.integers(-(10**6), 10**6, shape)
+    edge = rng.random(shape) < 0.3
+    values[edge] = rng.choice(INT_EDGES, edge.sum())
+    return values
+
+
+class _Columns:
+    """What the writers read of a ``Snapshots`` record: ``len`` and ``column``,
+    here of any values."""
+
+    def __init__(self, **columns):
+        self._columns = columns
+
+    def __len__(self):
+        return len(next(iter(self._columns.values())))
+
+    def column(self, name):
+        return self._columns[name]
+
+
+def _snapshot_columns(rng, rows, names):
+    columns = {name: (_ints if name in INT_FIELDS else _floats)(rng, rows) for name in names}
+    # the trajectory writer smooths the mean posterior, which is finite in a run
+    mean = columns["mean_posterior"]
+    mean[~np.isfinite(mean)] = 0.5
+    return _Columns(**columns)
+
+
+def _scalars(rng, size):
+    """Python and numpy floats and ints, the Python ints past the int64 ends too."""
+    kinds = zip(
+        _floats(rng, size).tolist(), _floats(rng, size),
+        _ints(rng, size).tolist(), _ints(rng, size), [2 * v for v in _ints(rng, size).tolist()],
+    )
+    return [values[k] for values, k in zip(kinds, rng.integers(0, 5, size).tolist())]
+
+
+def _writer_args(name, rows, rng):
+    """Arguments of ``emit_<name>_csv`` (but the path) with ``rows`` data rows."""
+    if name == "trajectory":
+        return (_snapshot_columns(rng, rows, core.SNAPSHOT_FIELDS),)
+    if name == "histogram":
+        return (SimpleNamespace(counts=_ints(rng, rows)),)
+    if name == "grains":
+        cuts = np.sort(rng.integers(0, rows + 1, rng.integers(0, 4)))
+        return ({
+            int(gid): SimpleNamespace(
+                size=int(size), birth_step=int(birth),
+                snapshots=_snapshot_columns(rng, len(part), ("step", "mean_posterior", "entropy")),
+            )
+            for gid, size, birth, part in zip(
+                rng.choice(INT_EDGES, 4, replace=False), _ints(rng, 4), _ints(rng, 4),
+                np.split(np.arange(rows), cuts),
+            )
+        },)
+    if name == "returns":
+        return (ReturnSeries(tau=1, samples=_floats(rng, rows)),)
+    if name == "fit":
+        return (list(zip(rng.choice(KEYS, rows).tolist(), _scalars(rng, rows))),)
+    posteriors = [
+        SimpleNamespace(model_id=key, prior_prob=p, log_evidence=e, posterior_prob=q)
+        for key, p, e, q in zip(
+            rng.choice(KEYS, rows).tolist(), _scalars(rng, rows), _scalars(rng, rows),
+            _scalars(rng, rows),
+        )
+    ]
+    specs = [
+        SimpleNamespace(likelihood_kind=kind, prior=SimpleNamespace(alpha=a, beta=b))
+        for kind, a, b in zip(
+            rng.choice(KEYS, rows).tolist(), _scalars(rng, rows), _scalars(rng, rows)
+        )
+    ]
+    return posteriors, specs, [None, 0, rows - 1, rows][rng.integers(4)]
+
+
+def _written(write, *args):
+    """The bytes ``write(*args, path)`` writes and what it returns, or the
+    text of what it raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        try:
+            returned = write(*args, path)
+        except Exception as exc:  # noqa: BLE001 - compared with the reference's
+            return f"{type(exc).__name__}: {exc}"
+        with open(path, "rb") as fh:
+            return fh.read(), returned
+
+
+@pytest.mark.parametrize("name", ["trajectory", "histogram", "grains", "returns", "fit", "models"])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(rows=ROW_COUNTS, seed=st.integers(0, 2**32 - 1))
+def test_writers_write_the_reference_bytes(name, rows, seed):
+    args = _writer_args(name, rows, np.random.default_rng(seed))
+    write = getattr(csvio, f"emit_{name}_csv")
+    assert _written(write, *args) == _written(getattr(oracle, f"emit_{name}_csv"), *args)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(
+    n=st.sampled_from([2, 17, 1024, 1500]),
+    blocks=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+    first=st.integers(0, 2**40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_microstates_writer_writes_the_reference_bytes(n, blocks, first, seed):
+    # at n = 1500 one step holds more rows than one written block
+    rng = np.random.default_rng(seed)
+    booked = [(_ints(rng, (steps, 2, n)), _floats(rng, (steps, n))) for steps in blocks]
+
+    def run(sink):
+        step = first
+        for rows, posteriors in booked:
+            sink(step, rows, posteriors)
+            step += len(rows)
+        return step
+
+    assert _written(csvio.emit_microstates_csv, run) == _written(oracle.emit_microstates_csv, run)
 
 
 def test_ensure_out_dir(tmp_path):
