@@ -16,15 +16,24 @@ file back to the per-row reader, which parses it again from the start
 and is the only source of error messages; so every file gets the
 per-row reader's values or its error, with its line number.
 ``date,price`` files are always read row by row.
+
+On POSIX with ``os.fork``, two usable CPUs and no other Python thread
+running, a returns file of 32 * 1024 rows or more is written, and a
+returns or ``t,price`` file of 4 * ``_BLOCK_CHARS`` data bytes or more is
+read, half in a forked child while this process does the first half
+(``_two_halves``); below these sizes the fork costs more than the half
+saves.  The bytes written and the values or errors read are the same
+either way.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+import threading
 import warnings
 from contextlib import contextmanager, suppress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,42 +56,45 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _blocks(row: str, columns: Sequence[Sequence]) -> Iterator[bytes]:
+    """Yield the lines ``row % values``, one for each row of values that
+    ``columns`` (arrays, lists or ranges of equal length) hold, as UTF-8
+    blocks of 1024 rows.
+
+    Each block lists its values row by row, with one ``.tolist()`` per
+    array, and formats them with one ``%`` of ``row`` repeated, so no
+    Python code runs per row and no more than a block is held.  On Python
+    numbers ``%r`` is ``repr``, ``%.12g`` of a float is ``format(x, ".12g")``
+    and ``%d`` of an int is ``str``.  Only ints are ever part of ``row``;
+    strings from elsewhere (model ids, fit keys) are values, so a ``%`` in
+    them is written as it is.
+    """
+    width = len(columns)
+    for start in range(0, len(columns[0]), 1024):
+        block = [c[start:start + 1024] for c in columns]
+        rows = len(block[0])
+        values = [None] * (rows * width)
+        for j, column in enumerate(block):
+            values[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
+        yield (row * rows % tuple(values)).encode()
+
+
 @contextmanager
 def _csv_writer(path, header: str):
-    """Open ``path``, write ``header`` and yield ``push(row, columns)``,
-    which writes one line ``row % values`` for each row of values that
-    ``columns`` (arrays, lists or ranges of equal length) hold.
+    """Open ``path`` for binary writing, write ``header`` and yield the file.
 
-    ``push`` writes 1024 rows at a time: it lists the block's values row
-    by row, with one ``.tolist()`` per array, and formats them with one
-    ``%`` of ``row`` repeated, so no Python code runs per row and no more
-    than a block is held.  On Python numbers ``%r`` is ``repr``, ``%.12g``
-    of a float is ``format(x, ".12g")`` and ``%d`` of an int is ``str``.
-    Only ints are ever part of ``row``; strings from elsewhere (model ids,
-    fit keys) are values, so a ``%`` in them is written as it is.
     A failure to open, write or close the file raises :class:`DataError`.
     Once the file is open, anything that raises removes it, so a failed
     writer leaves no partial file.
     """
     try:
-        out = open(path, "w", encoding="utf-8", newline="")
+        out = open(path, "wb")
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-
-    def push(row: str, columns: Sequence[Sequence]) -> None:
-        width = len(columns)
-        for start in range(0, len(columns[0]), 1024):
-            block = [c[start:start + 1024] for c in columns]
-            rows = len(block[0])
-            values = [None] * (rows * width)
-            for j, column in enumerate(block):
-                values[j::width] = column.tolist() if isinstance(column, np.ndarray) else column
-            out.write(row * rows % tuple(values))
-
     try:
         with out:
-            out.write(header + "\n")
-            yield push
+            out.write(header.encode() + b"\n")
+            yield out
     except BaseException as exc:
         with suppress(OSError):
             os.remove(path)
@@ -93,8 +105,78 @@ def _csv_writer(path, header: str):
 
 def _write_csv(path, header: str, row: str, columns: Sequence[Sequence]) -> None:
     """Write ``header``, then the rows of ``columns``, through :func:`_csv_writer`."""
-    with _csv_writer(path, header) as push:
-        push(row, columns)
+    with _csv_writer(path, header) as out:
+        out.writelines(_blocks(row, columns))
+
+
+def _can_split() -> bool:
+    """Whether :func:`_two_halves` may fork: ``os.fork`` exists, a second
+    CPU is usable, and no other Python thread runs, whose locks the child
+    could inherit held and then wait on for ever."""
+    cpus = getattr(os, "sched_getaffinity", lambda _: ())
+    return hasattr(os, "fork") and threading.active_count() == 1 and len(cpus(0)) > 1
+
+
+def _two_halves(first, second, write, split: bool):
+    """Return ``first()``, and pass the bytes of the chunks that ``second()``
+    returns to ``write``, in order.
+
+    With ``split`` set and :func:`_can_split`, a forked child runs
+    ``second()`` while this process runs ``first()``, and sends the bytes
+    through a pipe.  The child's body ends in ``os._exit``, so it never
+    unwinds into the caller, runs atexit handlers or flushes inherited
+    buffers.  If the child cannot be forked, exits nonzero or is killed,
+    ``second()`` runs here and only its bytes past those the child sent are
+    written, so the bytes are the same either way.  If this process raises,
+    it kills the child first; it always reaps it.
+    """
+    pid = -1
+    if split and _can_split():
+        with suppress(OSError):
+            r, w = os.pipe()
+            try:
+                # Python 3.12+ warns of any other OS thread; with no other Python
+                # thread running, those are numpy's BLAS threads, which the child never uses
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            finally:
+                if pid < 0:
+                    os.close(r)
+                    os.close(w)
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            chunks = list(second())  # all of them before the first write, which waits for first()
+            with open(w, "wb") as pipe:
+                pipe.writelines(chunks)
+            code = 0
+        finally:
+            os._exit(code)
+    sent = 0
+    if pid < 0:
+        result = first()
+    else:
+        os.close(w)
+        try:
+            result = first()
+            while chunk := os.read(r, 1 << 16):
+                write(chunk)
+                sent += len(chunk)
+        except BaseException:
+            os.kill(pid, 9)  # SIGKILL
+            raise
+        finally:
+            os.close(r)
+            status = os.waitpid(pid, 0)[1]
+        if status == 0:
+            return result
+    for chunk in second():
+        chunk = memoryview(chunk).cast("B")
+        write(chunk[sent:])
+        sent = max(0, sent - len(chunk))
+    return result
 
 
 def _read_pairs(path, headers: tuple[str, ...]):
@@ -126,41 +208,88 @@ def _read_pairs(path, headers: tuple[str, ...]):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-_BLOCK_CHARS = 1 << 20  # characters read per parsed block, then to the end of its line
-# the characters a block may hold; anything else (quotes, letters, tabs, NUL,
-# other control or non-ASCII characters) is left to the per-row reader
+_BLOCK_CHARS = 1 << 20  # bytes read per parsed block, then to the end of its line
+# the bytes a block may hold; anything else (quotes, letters, tabs, NUL,
+# other control or non-ASCII bytes) is left to the per-row reader
 _NUMERIC_BYTES = b"0123456789+-.eE, \r\n"
 
 
-def _read_blocks(path, header: str, usecols: tuple[int, ...]) -> list[np.ndarray] | None:
+def _read_blocks(path, header: str, usecols: tuple[int, ...]) -> np.ndarray | None:
     """Parse the ``usecols`` columns of a numeric two-column file in
     blocks, or hand the file back.
 
-    Returns the data rows as (lines, len(usecols)) float64 blocks of
-    finite values when the header is ``header`` and every line is two
-    fields, of plain numbers in ``usecols`` and of the same characters
-    elsewhere.  Returns None otherwise, and never raises or warns for the
-    file's content: the caller then reads the file with :func:`_read_pairs`.
+    Returns the data rows as one (rows, len(usecols)) float64 array when
+    the first line is ``header`` and an LF or CRLF, and :func:`_span`
+    takes every block.  Returns None otherwise, or when there is no row,
+    and never raises or warns for the file's content: the caller then
+    reads the file with :func:`_read_pairs`.
+
+    From 4 blocks of data on, the file is parsed in two spans, split at the
+    first line start after its middle byte; a forked child parses the
+    second (see :func:`_two_halves`) and sends back a flag byte, 1 when it
+    took every block, then the values as float64 bytes.
     """
-    blocks = []
+    rest = bytearray()
     try:
-        with warnings.catch_warnings(), open(path, "r", encoding="utf-8", newline="") as handle:
-            warnings.simplefilter("error")  # loadtxt warns on a block of blank lines
-            head = next(csv.reader(handle), None)
-            if head is None or ",".join(h.strip().lower() for h in head) != header:
+        with open(path, "rb") as handle:
+            head = handle.readline()
+            if head not in (f"{header}\n".encode(), f"{header}\r\n".encode()):
                 return None
-            limit = csv.field_size_limit()
-            # every line of a block but its last lies in the characters read
+            start, end = len(head), os.fstat(handle.fileno()).st_size
+            middle = math.inf  # one span to the end, of a pipe (of size 0) too
+            # below 4 blocks the fork costs more than the second span saves
+            if end - start >= 4 * _BLOCK_CHARS:
+                handle.seek(end // 2)
+                handle.readline()
+                middle = handle.tell()
+                handle.seek(start)
+
+            def second() -> list:
+                if middle >= end:
+                    return [b"\1"]
+                with open(path, "rb") as own:
+                    own.seek(middle)
+                    blocks = _span(own, end - middle, usecols)
+                return [b"\0"] if blocks is None else [b"\1", *blocks]
+
+            blocks = _two_halves(lambda: _span(handle, middle - start, usecols), second,
+                                 rest.extend, middle < end)
+    except OSError:
+        return None
+    if blocks is None or rest[:1] != b"\1":
+        return None
+    rows = np.concatenate([*blocks, np.frombuffer(rest, offset=1).reshape(-1, len(usecols))])
+    return rows if len(rows) else None
+
+
+def _span(handle, size: int, usecols: tuple[int, ...]) -> list[np.ndarray] | None:
+    """Parse the lines in the next ``size`` bytes of ``handle`` (or up to
+    its end) in blocks of about ``_BLOCK_CHARS`` bytes.
+
+    Returns the ``usecols`` columns as (lines, len(usecols)) float64
+    blocks of finite values when every line is two fields that the csv
+    reader takes, of plain numbers in ``usecols`` and of the same bytes
+    elsewhere; returns None otherwise, and never raises or warns.
+    """
+    blocks, limit = [], csv.field_size_limit()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns on a block of blank lines
+            # every line of a block but its last lies in the bytes read
             # first, so only the last can be longer than the csv reader allows
-            while text := handle.read(min(_BLOCK_CHARS, limit)):
-                text += handle.readline()
-                # a non-ASCII character fails the encode: UnicodeEncodeError
-                if text.encode("ascii").translate(None, _NUMERIC_BYTES):
+            while size > 0 and (text := handle.read(min(_BLOCK_CHARS, limit, size))):
+                if len(text) < size:
+                    tail = handle.readline()
+                    if b"\r" in tail.removesuffix(b"\n").removesuffix(b"\r"):
+                        return None  # more lines: the csv reader ends one at a lone \r
+                    text += tail
+                size -= len(text)
+                if text.translate(None, _NUMERIC_BYTES):
                     return None
-                # with only these characters, splitlines ends lines where
-                # the csv reader does: at \r, \n and \r\n
-                lines = text.splitlines(keepends=True)
-                if len(lines[-1]) > limit or text.count(",") != len(lines):
+                # with only these bytes, splitlines ends lines where the csv
+                # reader does: at \r, \n and \r\n
+                lines = text.decode().splitlines(keepends=True)
+                if len(lines[-1]) > limit or text.count(b",") != len(lines):
                     return None  # a field the csv reader rejects, or not one comma a line
                 block = np.loadtxt(
                     lines, delimiter=",", comments=None, dtype=np.float64, usecols=usecols, ndmin=2
@@ -191,9 +320,9 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     """
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
-    blocks = _read_blocks(path, "t,price", (0, 1))
-    if blocks:
-        t, p = np.concatenate(blocks).T
+    rows = _read_blocks(path, "t,price", (0, 1))
+    if rows is not None:
+        t, p = rows.T
         if p.size >= tau + 1 and (p > 0).all() and (t[1:] > t[:-1]).all():
             return _log_returns(path, p, tau)
     pairs = _read_pairs(path, ("t,price", "date,price"))
@@ -276,37 +405,49 @@ def emit_microstates_csv(run, path):
 
     def sink(first: int, rows: np.ndarray, posteriors: np.ndarray) -> None:
         steps, n = posteriors.shape
-        push("%d,%d,%d,%d,%.12g\n", [
+        out.writelines(_blocks("%d,%d,%d,%d,%.12g\n", [
             np.repeat(np.arange(first, first + steps), n), np.tile(np.arange(n), steps),
             rows[:, 0].ravel(), rows[:, 1].ravel(), posteriors.ravel(),
-        ])
+        ]))
 
-    with _csv_writer(path, "step,microstate,wins,losses,posterior") as push:
+    with _csv_writer(path, "step,microstate,wins,losses,posterior") as out:
         return run(sink)
 
 
 def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:
     """Per-step summary of every grain that ever lived."""
-    with _csv_writer(path, "step,grain,size,birth_step,mean_posterior,entropy") as push:
+    with _csv_writer(path, "step,grain,size,birth_step,mean_posterior,entropy") as out:
         for gid in sorted(tracks):
             track = tracks[gid]
             # the grain's id, size and birth step are ints, so the row holds no stray %
-            push(f"%d,{gid},{track.size},{track.birth_step},%.12g,%.12g\n", [
+            out.writelines(_blocks(f"%d,{gid},{track.size},{track.birth_step},%.12g,%.12g\n", [
                 track.snapshots.column(name) for name in ("step", "mean_posterior", "entropy")
-            ])
+            ]))
 
 
 def emit_returns_csv(series: ReturnSeries, path) -> None:
-    """Write return samples with full round-trip precision."""
-    # %r of the Python floats .tolist() makes is the repr float(numpy float64) has
-    _write_csv(path, "i,value", "%d,%r\n", [range(series.samples.size), series.samples])
+    """Write return samples with full round-trip precision.
+
+    From 32 blocks of 1024 rows on, a forked child formats the second half
+    of the rows while this process writes the first (see :func:`_two_halves`);
+    below that the fork costs more than the half saves.
+    """
+    samples, half = series.samples, series.samples.size // 2
+
+    def rows(lo: int, hi: int) -> Iterator[bytes]:
+        # %r of the Python floats .tolist() makes is the repr float(numpy float64) has
+        return _blocks("%d,%r\n", [range(lo, hi), samples[lo:hi]])
+
+    with _csv_writer(path, "i,value") as out:
+        _two_halves(lambda: out.writelines(rows(0, half)), lambda: rows(half, samples.size),
+                    out.write, samples.size >= 32 * 1024)
 
 
 def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     """Read a returns file produced by :func:`emit_returns_csv`."""
-    blocks = _read_blocks(path, "i,value", (1,))  # the index column is never read
-    if blocks:
-        return ReturnSeries(tau=tau, samples=np.concatenate(blocks).ravel())
+    values = _read_blocks(path, "i,value", (1,))  # the index column is never read
+    if values is not None:
+        return ReturnSeries(tau=tau, samples=values.ravel())
     pairs = _read_pairs(path, ("i,value",))
     next(pairs)
     values: list[float] = []

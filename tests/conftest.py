@@ -1,4 +1,5 @@
 """Fixtures shared by the test modules."""
+import os
 from types import SimpleNamespace
 
 import pytest
@@ -28,3 +29,11 @@ def derived_keys(monkeypatch):
     monkeypatch.setattr(rngmod, "stream", counting_stream)
     monkeypatch.setattr(rngmod, "stream_states", counting_states)
     return keys
+
+
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Every process a test forks has exited and been reaped when it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

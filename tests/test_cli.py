@@ -1107,6 +1107,14 @@ def test_write_failure_exits_3(workdir, capsys):
     (workdir / "o" / "trajectory.csv").symlink_to("/dev/full")
     assert dispatch(["sim-conservative", "--config", cfg, "--out", "o"]) == 3
     _assert_one_error_line(capsys.readouterr().err)
+    # a returns file above the split size: the write fails while a forked
+    # child formats the second half, which is killed and reaped
+    cfg = _write(workdir, "gen.ini", "[superstat]\nn = 40000\n")
+    (workdir / "o" / "returns.csv").symlink_to("/dev/full")
+    assert dispatch(["gen-returns", "--config", cfg, "--out", "o"]) == 3
+    _assert_one_error_line(capsys.readouterr().err)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_exit_codes_hold_in_a_fresh_interpreter(workdir):
@@ -1134,6 +1142,45 @@ def test_exit_codes_hold_in_a_fresh_interpreter(workdir):
         proc = betsim("fit-variance", "--config", name, "--out", "o")
         assert proc.returncode == code, proc.stderr
         _assert_one_error_line(proc.stderr)
+
+
+def test_split_commands_write_each_line_once_in_a_fresh_interpreter(workdir):
+    # stdout is a pipe, so "wrote" lines wait in its buffer while later
+    # commands fork: a child that flushed it, or the output file's buffer,
+    # would print a line twice or write a header twice
+    src = Path(__file__).resolve().parents[1] / "src"
+    n = 200_000  # a returns file of about 5 MB: the writer and both readers split
+    _write(workdir, "gen.ini", f"[superstat]\nn = {n}\n")
+    _write(workdir, "fit.ini", "[inference]\n[io]\ninput = g/returns.csv\n")
+    _write(workdir, "ingest.ini", "[io]\ninput = prices.csv\n")
+    prices = 100 * np.exp(np.cumsum(np.random.default_rng(2).normal(0, 1e-3, n)))
+    _write(workdir, "prices.csv", "t,price\n" + "".join(
+        f"{t},{p!r}\n" for t, p in enumerate(prices.tolist())
+    ))
+    code = (
+        "import sys\n"
+        "from betsim.cli import dispatch\n"
+        "print('start')\n"
+        "for command, config, out in (('gen-returns', 'gen.ini', 'g'),\n"
+        "        ('fit-variance', 'fit.ini', 'f'), ('ingest', 'ingest.ini', 'i')):\n"
+        "    assert dispatch([command, '--config', config, '--out', out]) == 0\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # buffer stdout
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+        env=dict(env, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "start", f"wrote {os.path.join('g', 'returns.csv')}", f"wrote {os.path.join('f', 'fit.csv')}",
+        f"wrote {os.path.join('i', 'returns.csv')}",
+    ]
+    for out, rows in (("g", n), ("i", n - 1)):
+        text = (workdir / out / "returns.csv").read_text()
+        assert text.startswith("i,value\n0,") and text.count("i,value") == 1
+        assert text.count("\n") == rows + 1
+    fit = (workdir / "f" / "fit.csv").read_text()
+    assert f"\nn,{n}\n" in fit
 
 
 def test_import_skips_scipy_stats_and_exports_resolve():

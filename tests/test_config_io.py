@@ -4,7 +4,12 @@ import csv
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
 import tempfile
+import threading
+import time
 import typing
 import warnings
 from dataclasses import MISSING, asdict, fields
@@ -43,7 +48,6 @@ import oracle
 from oracle import ingest_price_csv as reference_ingest
 from oracle import read_returns_csv as reference_read_returns
 from test_cli import CSV_FIELDS, CSV_NUMBERS
-
 
 # ---------------------------------------------------------------------------
 # config documents
@@ -515,7 +519,7 @@ def test_returns_round_trip_over_several_blocks(tmp_path, monkeypatch):
     samples = np.random.default_rng(4).standard_t(3, n) * 1e-2
     samples[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 1e-310]
     csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), path)
-    assert len(csvio._read_blocks(path, "i,value", (1,))) > 3  # read in blocks, no fallback
+    assert csvio._read_blocks(path, "i,value", (1,)).shape == (n, 1)  # no fallback
     back = csvio.read_returns_csv(path)
     assert back.samples.tobytes() == samples.tobytes()
 
@@ -645,6 +649,254 @@ def test_block_reader_matches_the_per_row_reader_on_any_bytes(data, block):
             with open(path, "wb") as fh:
                 fh.write(header + data)
             _assert_readers_agree(path, 1)
+
+
+def _forks(monkeypatch):
+    """The pids of the children ``os.fork`` makes from here on, a list that grows."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _line_of(data: bytes, pos: int) -> int:
+    """The 0-based index of the LF-ended line byte ``pos`` of ``data`` lies on."""
+    return data.count(b"\n", 0, pos)
+
+
+ODD_LINES = [
+    b"abc", b"1,2,3", b"7", b"", b'"1",2', b"1,nan", b"1,1e999", b"1,-1", b"1,0.5\r2,0.5",
+    b"1," + b"0" * 60 + b"1",
+]
+
+
+@pytest.mark.parametrize("where", ["boundary", "child_first", "child_last"])
+@pytest.mark.parametrize("odd", ODD_LINES)
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+def test_split_reader_reads_an_odd_line_in_either_span(tmp_path, monkeypatch, where, odd, newline):
+    # the parent parses up to the end of the line the middle byte is on (the
+    # boundary line), the child from the next line to the end of the file
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4)
+    forks = _forks(monkeypatch)
+    # the last row's trailing zeros move the middle byte over the lines
+    for pad, k in ((pad, k) for pad in range(20) for k in range(41)):
+        rows = [b"%d,%d.5" % (t, t) for t in range(1, 41)]
+        rows[-1] += b"0" * pad
+        data = newline.join([b"t,price", *rows[:k], odd, *rows[k:]]) + newline
+        middle = len(data) // 2
+        child_first = data.index(b"\n", middle) + 1
+        line = {"boundary": _line_of(data, middle), "child_first": _line_of(data, child_first),
+                "child_last": data.count(b"\n") - 1}[where]
+        if line == k + 1:
+            break
+    else:
+        pytest.fail(f"no layout puts the odd line on the {where} line")
+    path = tmp_path / "in.csv"
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(40)  # the long odd line is a field the csv reader rejects
+        for header in (b"t,price", b"i,value"):
+            path.write_bytes(header + data[7:])
+            _assert_readers_agree(str(path), 2)
+    finally:
+        csv.field_size_limit(limit)
+    assert len(forks) >= 2 or not csvio._can_split()  # one read of each file went through a child
+
+
+@pytest.mark.parametrize("odd", [None, b"1,2,3", b"x", b"1," + b"0" * 20 + b"1"])
+@pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
+def test_split_reader_on_cr_files_and_a_crlf_split_at_the_middle(tmp_path, monkeypatch, odd, newline):
+    # an all-CR file, an LF header over CR lines, and a CRLF file whose
+    # middle byte is the LF of a CRLF pair; a block's last line, read to
+    # the next LF, holds CR lines, one of them a field the csv reader rejects
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4)
+    path = tmp_path / "in.csv"
+    for n in range(30, 60):
+        rows = [b"%d,%d.25" % (t, t) for t in range(1, n)]
+        if odd is not None:
+            rows.insert(n // 3, odd)
+        data = newline.join([b"t,price", *rows]) + newline
+        if newline == b"\r" or data[len(data) // 2 - 1:len(data) // 2 + 1] == b"\r\n":
+            break
+    variants = [data] if newline == b"\r\n" else [data, data.replace(b"\r", b"\n", 1)]
+    limit = csv.field_size_limit(12)
+    try:
+        for data in variants:
+            for header in (b"t,price", b"i,value"):
+                path.write_bytes(header + data[7:])
+                _assert_readers_agree(str(path), 1)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_block_reader_reads_a_named_pipe_through_one_open(tmp_path):
+    # a pipe has no size and cannot seek: it is parsed in one span, from the
+    # handle that read its header, and never opened again
+    code = (
+        "import os, sys, threading\n"
+        "from betsim import io\n"
+        "fifo = sys.argv[1]\n"
+        "os.mkfifo(fifo)\n"
+        "text = 't,price\\n' + ''.join(f'{t},{100 + t}.5\\n' for t in range(5000))\n"
+        "writer = threading.Thread(target=lambda: open(fifo, 'w').write(text))\n"
+        "writer.start()\n"
+        "print(io.ingest_price_csv(fifo, 1).samples.size)\n"
+        "writer.join()\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "prices.csv")], capture_output=True,
+        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4999"]
+
+
+def _one_process_and_split_outcomes(tmp_path, monkeypatch, fail):
+    """What the returns writer writes, and what both readers read, in one
+    process and then with ``fail`` applied to the split."""
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 1 << 14)
+    samples = np.random.default_rng(5).standard_t(3, 40000) * 1e-2  # above either split size
+    prices = tmp_path / "prices.csv"
+    prices.write_text("t,price\n" + "".join(
+        f"{t},{p!r}\n" for t, p in enumerate((100 * np.exp(np.cumsum(samples))).tolist())
+    ))
+    path = str(tmp_path / "returns.csv")
+
+    def outcomes():
+        csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+        read = csvio.read_returns_csv(path).samples.tobytes()
+        return written, read, csvio.ingest_price_csv(str(prices), 2).samples.tobytes()
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = _forks(mp)
+        one_process = outcomes()
+        assert not forks
+    with monkeypatch.context() as mp:
+        forks = _forks(mp)
+        fail(mp)
+        return one_process, outcomes(), forks
+
+
+def _in_the_child(mp, action):
+    """Make the child's first format or parse call do ``action`` instead."""
+    parent = os.getpid()
+    for name in ("_blocks", "_span"):
+        def call(*args, real=getattr(csvio, name)):
+            if os.getpid() != parent:
+                action()
+            return real(*args)
+
+        mp.setattr(csvio, name, call)
+
+
+def _raise_oserror():
+    raise OSError("no fork")
+
+
+def _exit_1():
+    raise RuntimeError("the child fails")
+
+
+FALLBACKS = {
+    "fork raises": lambda mp: mp.setattr(os, "fork", _raise_oserror),
+    "child exits 1": lambda mp: _in_the_child(mp, _exit_1),
+    "child killed": lambda mp: _in_the_child(mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    "one CPU": lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False),
+}
+
+
+@pytest.mark.parametrize("fallback", FALLBACKS)
+def test_split_fallbacks_give_the_one_process_bytes(tmp_path, monkeypatch, fallback):
+    one_process, split, forks = _one_process_and_split_outcomes(
+        tmp_path, monkeypatch, FALLBACKS[fallback]
+    )
+    assert split == one_process
+    if fallback.startswith("child") and csvio._can_split():
+        assert len(forks) == 3  # the writer and both readers forked a child that failed
+
+
+def test_split_writer_and_readers_give_the_one_process_bytes(tmp_path, monkeypatch):
+    one_process, split, forks = _one_process_and_split_outcomes(
+        tmp_path, monkeypatch, lambda mp: None
+    )
+    assert split == one_process
+    assert len(forks) == (3 if csvio._can_split() else 0)
+
+
+def test_no_split_while_another_thread_runs(tmp_path, monkeypatch):
+    # a child forked beside another thread could inherit a lock that thread
+    # holds and wait on it for ever: the writer and both readers fork none
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        one_process, split, forks = _one_process_and_split_outcomes(
+            tmp_path, monkeypatch, lambda mp: None
+        )
+    finally:
+        release.set()
+        other.join()
+    assert split == one_process
+    assert not forks
+
+
+def test_a_failed_split_writer_leaves_no_file(tmp_path, monkeypatch):
+    # the parent's half fails while the child formats; the child is killed
+    # and reaped (the autouse fixture checks), the file removed
+    parent, real = os.getpid(), csvio._blocks
+
+    def blocks(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("the parent fails")
+        return real(*args)
+
+    monkeypatch.setattr(csvio, "_blocks", blocks)
+    path = tmp_path / "returns.csv"
+    with pytest.raises(RuntimeError, match="the parent fails"):
+        csvio.emit_returns_csv(ReturnSeries(tau=1, samples=np.zeros(40000)), str(path))
+    assert not path.exists()
+
+
+@pytest.mark.skipif(not csvio._can_split(), reason="needs fork and two usable CPUs")
+def test_two_halves_kills_the_child_when_this_process_raises():
+    def second():
+        time.sleep(60)  # reaping a child left to run would wait for this
+        return [b"never sent"]
+
+    def first():
+        raise KeyboardInterrupt
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        csvio._two_halves(first, second, [].append, True)
+    assert time.monotonic() - started < 30
+
+
+@pytest.mark.skipif(not csvio._can_split(), reason="needs fork and two usable CPUs")
+def test_two_halves_completes_the_bytes_of_a_child_killed_part_way(monkeypatch):
+    chunks = [bytes([k]) * 4096 for k in range(256)]  # 1 MiB, more than a pipe holds
+    forks = _forks(monkeypatch)
+    got = []
+
+    def first():
+        time.sleep(1.0)  # the child has filled the pipe and waits to write the rest
+        os.kill(forks[0], signal.SIGKILL)
+        return "first"
+
+    assert csvio._two_halves(first, lambda: chunks, got.append, True) == "first"
+    assert b"".join(got) == b"".join(chunks)
+    assert isinstance(got[0], bytes)  # the first bytes came through the pipe
 
 
 # ---------------------------------------------------------------------------
