@@ -66,24 +66,25 @@ def _run(name: str, run, *args):
         raise ConfigError(f"[{name}]: {exc}") from exc
 
 
-def _emit(writer, *args):
-    """Call a CSV writer, whose last argument is the output path, report it,
-    and return what the writer returns."""
+def _emit(report: list, writer, *args):
+    """Call a CSV writer, whose last argument is the output path, add its
+    ``wrote`` line to ``report``, and return what the writer returns."""
     result = writer(*args)
-    print(f"wrote {args[-1]}")
+    report.append(f"wrote {args[-1]}\n")
     return result
 
 
-def _cmd_sim_conservative(config: RunConfig, out_dir, seed) -> int:
+def _cmd_sim_conservative(config: RunConfig, out_dir, seed, report: list) -> int:
     section = _require(config, "conservative", seed)
     # run(sink=None): the closed run, which hands its blocks to sink
     run = functools.partial(_run, "conservative", run_conservative, section)
     if (config.io or IoConfig()).write_microstates:
         path = os.path.join(out_dir, "microstates.csv")
-        trajectory = _emit(csvio.emit_microstates_csv, run, path)
+        trajectory = _emit(report, csvio.emit_microstates_csv, run, path)
     else:
         trajectory = run()
-    _emit(csvio.emit_trajectory_csv, trajectory.snapshots, os.path.join(out_dir, "trajectory.csv"))
+    path = os.path.join(out_dir, "trajectory.csv")
+    _emit(report, csvio.emit_trajectory_csv, trajectory.snapshots, path)
     return 0
 
 
@@ -96,20 +97,21 @@ def _histogram_steps(total_steps: int, every: int) -> list[int]:
     return steps
 
 
-def _cmd_sim_dissipative(config: RunConfig, out_dir, seed) -> int:
+def _cmd_sim_dissipative(config: RunConfig, out_dir, seed, report: list) -> int:
     section = _require(config, "dissipative", seed)
     io_cfg = config.io or IoConfig()
     result = _run("dissipative", run_dissipative, section, io_cfg.histogram_bins)
-    _emit(csvio.emit_trajectory_csv, result.pooled, os.path.join(out_dir, "trajectory.csv"))
-    _emit(csvio.emit_grains_csv, result.grain_tracks, os.path.join(out_dir, "grains.csv"))
+    path = os.path.join(out_dir, "trajectory.csv")
+    _emit(report, csvio.emit_trajectory_csv, result.pooled, path)
+    _emit(report, csvio.emit_grains_csv, result.grain_tracks, os.path.join(out_dir, "grains.csv"))
     for step in _histogram_steps(section.steps, io_cfg.histogram_every):
         # result.pooled holds one snapshot per step, starting at step 0
         path = os.path.join(out_dir, f"histogram_{step}.csv")
-        _emit(csvio.emit_histogram_csv, result.pooled[step], path)
+        _emit(report, csvio.emit_histogram_csv, result.pooled[step], path)
     return 0
 
 
-def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
+def _cmd_gen_returns(config: RunConfig, out_dir, seed, report: list) -> int:
     section = _require(config, "superstat", seed)
     model = section.model()
     rng = rngmod.stream(section.seed, rngmod.RETURNS)
@@ -117,7 +119,7 @@ def _cmd_gen_returns(config: RunConfig, out_dir, seed) -> int:
     series = _run(
         "superstat", generate_returns, model, section.n, section.tau, rng, section.slow_mixing
     )
-    _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
+    _emit(report, csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 
 
@@ -132,7 +134,7 @@ def _input_series(config: RunConfig, reader):
 # the seed argument only for a uniform command signature
 
 
-def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
+def _cmd_fit_variance(config: RunConfig, out_dir, seed, report: list) -> int:
     section = _require(config, "inference")
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
@@ -157,11 +159,11 @@ def _cmd_fit_variance(config: RunConfig, out_dir, seed) -> int:
         ("posterior_mode_variance", posterior.beta / (posterior.alpha + 1)),
         ("log_evidence", evidence),
     ]
-    _emit(csvio.emit_fit_csv, rows, os.path.join(out_dir, "fit.csv"))
+    _emit(report, csvio.emit_fit_csv, rows, os.path.join(out_dir, "fit.csv"))
     return 0
 
 
-def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
+def _cmd_compare_models(config: RunConfig, out_dir, seed, report: list) -> int:
     section = _require(config, "inference")
     series = _input_series(config, csvio.read_returns_csv)
     data = DataSet(series.samples, mu=section.mu)
@@ -174,14 +176,14 @@ def _cmd_compare_models(config: RunConfig, out_dir, seed) -> int:
         raise DataError(str(exc)) from exc
     choice = select_model(posteriors)
     path = os.path.join(out_dir, "models.csv")
-    _emit(csvio.emit_models_csv, posteriors, specs, choice.best, path)
+    _emit(report, csvio.emit_models_csv, posteriors, specs, choice.best, path)
     return 0
 
 
-def _cmd_ingest(config: RunConfig, out_dir, seed) -> int:
+def _cmd_ingest(config: RunConfig, out_dir, seed, report: list) -> int:
     tau = (config.superstat or SuperstatConfig()).tau
     series = _input_series(config, lambda path: csvio.ingest_price_csv(path, tau))
-    _emit(csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
+    _emit(report, csvio.emit_returns_csv, series, os.path.join(out_dir, "returns.csv"))
     return 0
 
 
@@ -234,9 +236,11 @@ def _first_missing(path) -> str | None:
 def dispatch(argv) -> int:
     """Parse argv, run the selected command, return the exit code.
 
-    A command that does not exit 0 removes the output directory it
-    created, with any directories it created above it; an ``--out``
-    directory that existed before is left as it is.
+    The command's ``wrote`` lines are printed once its last output file is
+    closed; if stdout cannot take them, it exits 3.  A command that does
+    not exit 0 removes the output directory it created, with any
+    directories it created above it; an ``--out`` directory that existed
+    before is left as it is.
     """
     created, code = None, 1
     try:
@@ -249,7 +253,13 @@ def dispatch(argv) -> int:
         config = _load_config(args.config)
         created = _first_missing(args.out)
         out_dir = csvio.ensure_out_dir(args.out)
-        code = _COMMANDS[args.command][0](config, out_dir, args.seed)
+        report: list[str] = []
+        code = _COMMANDS[args.command][0](config, out_dir, args.seed, report)
+        try:  # once every output file is closed; a closed stdout (None) prints nothing
+            print("".join(report), end="", flush=True)
+        except OSError as exc:
+            sys.stdout = open(os.devnull, "w")  # so the flush at exit stays silent
+            raise DataError(f"cannot write to stdout: {exc}") from exc
     except SystemExit as exc:  # --help and --version, which exit 0
         code = int(exc.code or 0)
     except (ConfigError, DataError, ConvergenceError, MemoryError) as exc:

@@ -7,32 +7,27 @@ Python's shortest round-trip repr so downstream consumers recover them
 to full precision.  Nothing here is time- or locale-dependent, so
 identical inputs always produce byte-identical files.
 
-Every writer writes 1024 rows at a time, each block formatted by one
-``%`` of its row template over the block's values.  Returns files and
-``t,price`` files are read in blocks of lines, one ``np.loadtxt`` per
-block, of the value column only for returns.  A block that holds
-anything but plain numbers, or that a check rejects, hands the whole
-file back to the per-row reader, which parses it again from the start
-and is the only source of error messages; so every file gets the
-per-row reader's values or its error, with its line number.
-``date,price`` files are always read row by row.
-
-On POSIX with ``os.fork``, two usable CPUs and no other Python thread
-running, a returns file of 32 * 1024 rows or more is written, and a
-returns or ``t,price`` file of 4 * ``_BLOCK_CHARS`` data bytes or more is
-read, half in a forked child while this process does the first half
-(``_two_halves``); below these sizes the fork costs more than the half
-saves.  The bytes written and the values or errors read are the same
-either way.
+Writers format 1024 rows at a time with one ``%`` of a row template.
+Each data file is opened once and read by offset, a pipe's bytes copied
+once (:func:`_data_file`).  Returns and ``t,price`` files are parsed in
+blocks by ``np.loadtxt``; a block it cannot take hands the file to the
+per-row reader, the only source of error messages, which reads the same
+descriptor from its start, so every file gets that reader's values or
+error.  From a size on, a forked child writes or parses half the rows
+(:func:`_two_halves`), with the same bytes, values or errors.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import shutil
+import signal
+import tempfile
 import threading
 import warnings
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -57,17 +52,14 @@ def _fmt(x) -> str:
 
 
 def _blocks(row: str, columns: Sequence[Sequence]) -> Iterator[bytes]:
-    """Yield the lines ``row % values``, one for each row of values that
-    ``columns`` (arrays, lists or ranges of equal length) hold, as UTF-8
-    blocks of 1024 rows.
+    """Yield the lines ``row % values`` for the rows of ``columns`` (arrays,
+    lists or ranges of equal length), as UTF-8 blocks of 1024 rows.
 
-    Each block lists its values row by row, with one ``.tolist()`` per
-    array, and formats them with one ``%`` of ``row`` repeated, so no
-    Python code runs per row and no more than a block is held.  On Python
-    numbers ``%r`` is ``repr``, ``%.12g`` of a float is ``format(x, ".12g")``
-    and ``%d`` of an int is ``str``.  Only ints are ever part of ``row``;
-    strings from elsewhere (model ids, fit keys) are values, so a ``%`` in
-    them is written as it is.
+    Each block is one ``%`` of ``row`` repeated over its values, listed
+    with one ``.tolist()`` per array, so no Python code runs per row.  On
+    Python numbers ``%r`` is ``repr``, ``%.12g`` is ``format(x, ".12g")``
+    and ``%d`` is ``str``.  Strings from elsewhere (model ids, fit keys)
+    are values, never part of ``row``, so a ``%`` in them is written as is.
     """
     width = len(columns)
     for start in range(0, len(columns[0]), 1024):
@@ -84,8 +76,7 @@ def _csv_writer(path, header: str):
     """Open ``path`` for binary writing, write ``header`` and yield the file.
 
     A failure to open, write or close the file raises :class:`DataError`.
-    Once the file is open, anything that raises removes it, so a failed
-    writer leaves no partial file.
+    Once it is open, anything that raises removes it: no partial file stays.
     """
     try:
         out = open(path, "wb")
@@ -111,10 +102,12 @@ def _write_csv(path, header: str, row: str, columns: Sequence[Sequence]) -> None
 
 def _can_split() -> bool:
     """Whether :func:`_two_halves` may fork: ``os.fork`` exists, a second
-    CPU is usable, and no other Python thread runs, whose locks the child
-    could inherit held and then wait on for ever."""
+    CPU is usable, no other Python thread runs, whose locks the child
+    could inherit held and then wait on for ever, and SIGCHLD is not
+    ignored, which has the kernel reap the child before its status is read."""
     cpus = getattr(os, "sched_getaffinity", lambda _: ())
-    return hasattr(os, "fork") and threading.active_count() == 1 and len(cpus(0)) > 1
+    return (hasattr(os, "fork") and threading.active_count() == 1 and len(cpus(0)) > 1
+            and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
 
 
 def _two_halves(first, second, write, split: bool):
@@ -123,12 +116,11 @@ def _two_halves(first, second, write, split: bool):
 
     With ``split`` set and :func:`_can_split`, a forked child runs
     ``second()`` while this process runs ``first()``, and sends the bytes
-    through a pipe.  The child's body ends in ``os._exit``, so it never
-    unwinds into the caller, runs atexit handlers or flushes inherited
-    buffers.  If the child cannot be forked, exits nonzero or is killed,
-    ``second()`` runs here and only its bytes past those the child sent are
-    written, so the bytes are the same either way.  If this process raises,
-    it kills the child first; it always reaps it.
+    through a pipe; it ends in ``os._exit``, so it never unwinds into the
+    caller, runs atexit handlers or flushes inherited buffers.  If it
+    cannot be forked, fails, is killed or was reaped elsewhere, ``second()``
+    runs here and only its bytes past those the child sent are written.
+    If this process raises, it kills the child first; it always reaps it.
     """
     pid = -1
     if split and _can_split():
@@ -154,7 +146,7 @@ def _two_halves(first, second, write, split: bool):
             code = 0
         finally:
             os._exit(code)
-    sent = 0
+    sent, status = 0, -1
     if pid < 0:
         result = first()
     else:
@@ -165,11 +157,12 @@ def _two_halves(first, second, write, split: bool):
                 write(chunk)
                 sent += len(chunk)
         except BaseException:
-            os.kill(pid, 9)  # SIGKILL
+            os.kill(pid, signal.SIGKILL)
             raise
         finally:
             os.close(r)
-            status = os.waitpid(pid, 0)[1]
+            with suppress(ChildProcessError):  # reaped elsewhere: by a SIGCHLD handler, say
+                status = os.waitpid(pid, 0)[1]
         if status == 0:
             return result
     for chunk in second():
@@ -179,17 +172,39 @@ def _two_halves(first, second, write, split: bool):
     return result
 
 
-def _read_pairs(path, headers: tuple[str, ...]):
-    """Stream a two-column CSV file.
+@contextmanager
+def _data_file(path, headers: tuple[str, ...]):
+    """Open the data file ``path`` once; yield its descriptor, to be read by
+    offset only, and :func:`_read_pairs` of the same bytes, not yet started
+    and closed on exit.  A file that cannot seek (a pipe, a terminal) is
+    first copied in bounded chunks to a temporary file.  An ``OSError`` or
+    ``UnicodeDecodeError`` here or in the body raises :class:`DataError`.
+    """
+    try:
+        with ExitStack() as stack:
+            handle = stack.enter_context(open(path, "rb"))
+            if not handle.seekable():
+                pipe, handle = handle, stack.enter_context(tempfile.TemporaryFile())
+                shutil.copyfileobj(pipe, handle)
+                handle.seek(0)
+            pairs = stack.enter_context(closing(_read_pairs(path, handle, headers)))
+            yield handle.fileno(), pairs
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_pairs(path, handle, headers: tuple[str, ...]):
+    """Stream the two-column CSV file ``path`` from the binary ``handle``.
 
     Yields the header, stripped and lower-cased, which must be one of
     ``headers``; then ``(lineno, first, second)`` for each row.  Raises
-    :class:`DataError` when the file cannot be read or is not UTF-8, and
-    on an empty file, another header, or a row of other than two fields.
+    :class:`DataError` on an empty file, another header, or a row of other
+    than two fields.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            rows = csv.reader(handle)
+        # closing the generator closes the wrapper, and with it the handle
+        with io.TextIOWrapper(handle, encoding="utf-8", newline="") as text:
+            rows = csv.reader(text)
             header = next(rows, None)
             if header is None:
                 raise DataError(f"{path}: empty file")
@@ -204,103 +219,94 @@ def _read_pairs(path, headers: tuple[str, ...]):
                 yield lineno, row[0], row[1]
     except csv.Error as exc:
         raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
 _BLOCK_CHARS = 1 << 20  # bytes read per parsed block, then to the end of its line
-# the bytes a block may hold; anything else (quotes, letters, tabs, NUL,
-# other control or non-ASCII bytes) is left to the per-row reader
+# the bytes a block may hold; any other (a quote, a letter, NUL) is the per-row reader's
 _NUMERIC_BYTES = b"0123456789+-.eE, \r\n"
 
 
-def _read_blocks(path, header: str, usecols: tuple[int, ...]) -> np.ndarray | None:
-    """Parse the ``usecols`` columns of a numeric two-column file in
-    blocks, or hand the file back.
+def _read_blocks(fd: int, header: str, usecols: tuple[int, ...]) -> np.ndarray | None:
+    """Parse the ``usecols`` columns of the two-column file ``fd``, read by
+    offset only, in blocks, or hand the file back.
 
     Returns the data rows as one (rows, len(usecols)) float64 array when
     the first line is ``header`` and an LF or CRLF, and :func:`_span`
-    takes every block.  Returns None otherwise, or when there is no row,
-    and never raises or warns for the file's content: the caller then
-    reads the file with :func:`_read_pairs`.
-
-    From 4 blocks of data on, the file is parsed in two spans, split at the
-    first line start after its middle byte; a forked child parses the
-    second (see :func:`_two_halves`) and sends back a flag byte, 1 when it
-    took every block, then the values as float64 bytes.
+    takes every block; else, or with no row, None, for :func:`_read_pairs`.
+    It never raises or warns for the file's content.  From 4 blocks of
+    data on, a forked child (:func:`_two_halves`) parses from the first
+    line start after the middle byte, and sends a flag byte, 1 if it took
+    every block, then the values.
     """
-    rest = bytearray()
-    try:
-        with open(path, "rb") as handle:
-            head = handle.readline()
-            if head not in (f"{header}\n".encode(), f"{header}\r\n".encode()):
-                return None
-            start, end = len(head), os.fstat(handle.fileno()).st_size
-            middle = math.inf  # one span to the end, of a pipe (of size 0) too
-            # below 4 blocks the fork costs more than the second span saves
-            if end - start >= 4 * _BLOCK_CHARS:
-                handle.seek(end // 2)
-                handle.readline()
-                middle = handle.tell()
-                handle.seek(start)
-
-            def second() -> list:
-                if middle >= end:
-                    return [b"\1"]
-                with open(path, "rb") as own:
-                    own.seek(middle)
-                    blocks = _span(own, end - middle, usecols)
-                return [b"\0"] if blocks is None else [b"\1", *blocks]
-
-            blocks = _two_halves(lambda: _span(handle, middle - start, usecols), second,
-                                 rest.extend, middle < end)
-    except OSError:
+    end = os.fstat(fd).st_size
+    start = _line_end(fd, 0, len(header) + 2)  # past the header and its LF or CRLF
+    if os.pread(fd, start, 0) not in (f"{header}\n".encode(), f"{header}\r\n".encode()):
         return None
+    # below 4 blocks the fork costs more than the second span saves
+    middle = _line_end(fd, end // 2, end) if end - start >= 4 * _BLOCK_CHARS else end
+
+    def second() -> list:
+        blocks = _span(fd, middle, end, usecols)  # [] when middle is the end
+        return [b"\0"] if blocks is None else [b"\1", *blocks]
+
+    rest = bytearray()
+    blocks = _two_halves(lambda: _span(fd, start, middle, usecols), second,
+                         rest.extend, middle < end)
     if blocks is None or rest[:1] != b"\1":
         return None
     rows = np.concatenate([*blocks, np.frombuffer(rest, offset=1).reshape(-1, len(usecols))])
     return rows if len(rows) else None
 
 
-def _span(handle, size: int, usecols: tuple[int, ...]) -> list[np.ndarray] | None:
-    """Parse the lines in the next ``size`` bytes of ``handle`` (or up to
-    its end) in blocks of about ``_BLOCK_CHARS`` bytes.
+def _line_end(fd: int, pos: int, stop: int) -> int:
+    """The offset just past the first LF of the file ``fd`` from ``pos``
+    on, or ``stop`` when there is none before it or the file ends first."""
+    while pos < stop and (chunk := os.pread(fd, min(1 << 13, stop - pos), pos)):
+        if (lf := chunk.find(b"\n")) >= 0:
+            return pos + lf + 1
+        pos += len(chunk)
+    return stop
+
+
+def _span(fd: int, start: int, stop: int, usecols: tuple[int, ...]) -> list[np.ndarray] | None:
+    """Parse the lines in bytes ``start`` to ``stop`` of the file ``fd`` in
+    blocks of about ``_BLOCK_CHARS`` bytes, each one :func:`os.pread`.
 
     Returns the ``usecols`` columns as (lines, len(usecols)) float64
     blocks of finite values when every line is two fields that the csv
     reader takes, of plain numbers in ``usecols`` and of the same bytes
-    elsewhere; returns None otherwise, and never raises or warns.
+    elsewhere; returns None otherwise or when the file ends before
+    ``stop``, and never raises or warns for the file's content.
     """
     blocks, limit = [], csv.field_size_limit()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a block of blank lines
-            # every line of a block but its last lies in the bytes read
-            # first, so only the last can be longer than the csv reader allows
-            while size > 0 and (text := handle.read(min(_BLOCK_CHARS, limit, size))):
-                if len(text) < size:
-                    tail = handle.readline()
-                    if b"\r" in tail.removesuffix(b"\n").removesuffix(b"\r"):
-                        return None  # more lines: the csv reader ends one at a lone \r
-                    text += tail
-                size -= len(text)
-                if text.translate(None, _NUMERIC_BYTES):
+            # every line of a block but its last lies in its first ``size``
+            # bytes, so only the last can be longer than the csv reader allows
+            size = min(_BLOCK_CHARS, limit)
+            while start < stop:
+                cut = _line_end(fd, start + size, stop)
+                text = os.pread(fd, cut - start, start)
+                # a file cut short since its size was read, or other bytes
+                if len(text) < cut - start or text.translate(None, _NUMERIC_BYTES):
                     return None
-                # with only these bytes, splitlines ends lines where the csv
-                # reader does: at \r, \n and \r\n
+                if b"\r" in text[size:].removesuffix(b"\n").removesuffix(b"\r"):
+                    return None  # more lines: the csv reader ends one at a lone \r
+                start = cut
+                # with only these bytes, splitlines ends lines where csv does: \r, \n, \r\n
                 lines = text.decode().splitlines(keepends=True)
                 if len(lines[-1]) > limit or text.count(b",") != len(lines):
                     return None  # a field the csv reader rejects, or not one comma a line
                 block = np.loadtxt(
                     lines, delimiter=",", comments=None, dtype=np.float64, usecols=usecols, ndmin=2
                 )
-                # loadtxt skips blank lines, and raises on a line that has
-                # no column it uses: with as many commas as lines, every
-                # line it keeps has two fields
+                # loadtxt skips blank lines and raises on a line without a column it
+                # uses: with as many commas as lines, every line it keeps has two fields
                 if len(block) != len(lines) or not np.isfinite(block).all():
                     return None
                 blocks.append(block)
-    except (OSError, ValueError, csv.Error, Warning):
+    except (ValueError, Warning):
         return None
     return blocks
 
@@ -308,51 +314,49 @@ def _span(handle, size: int, usecols: tuple[int, ...]) -> list[np.ndarray] | Non
 def ingest_price_csv(path, tau: int) -> ReturnSeries:
     """Read a price series and form log-returns over horizon tau.
 
-    The file must have header ``t,price`` (numeric, strictly
-    increasing time index) or ``date,price`` (strictly increasing date
-    strings, e.g. ISO-8601).  Returns Y_tau[i] = ln(price[i+tau] /
-    price[i]), natural log.
+    The file must have header ``t,price`` (numeric, strictly increasing
+    time index) or ``date,price`` (strictly increasing date strings, e.g.
+    ISO-8601).  Returns Y_tau[i] = ln(price[i+tau] / price[i]), natural log.
 
-    Raises :class:`DataError` on a missing or non-UTF-8 file, bad
-    header, malformed row (with its line number), nonpositive price,
-    nonincreasing time, fewer than tau+1 rows, or a non-finite
-    log-return (a price ratio beyond the float range).
+    Raises :class:`DataError` on a missing or non-UTF-8 file, bad header,
+    malformed row (with its line number), nonpositive price, nonincreasing
+    time, fewer than tau+1 rows, or a non-finite log-return (a price ratio
+    beyond the float range).
     """
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
-    rows = _read_blocks(path, "t,price", (0, 1))
-    if rows is not None:
-        t, p = rows.T
-        if p.size >= tau + 1 and (p > 0).all() and (t[1:] > t[:-1]).all():
-            return _log_returns(path, p, tau)
-    pairs = _read_pairs(path, ("t,price", "date,price"))
-    numeric_time = next(pairs) == "t,price"
-    times: list = []
     prices: list[float] = []
-    for lineno, t_raw, p_raw in pairs:
-        t_raw, p_raw = t_raw.strip(), p_raw.strip()
-        if numeric_time:
-            try:
-                t_val = float(t_raw)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: bad time value {t_raw!r}") from None
-        else:
+    with _data_file(path, ("t,price", "date,price")) as (fd, pairs):
+        rows = _read_blocks(fd, "t,price", (0, 1))
+        if rows is not None:
+            t, p = rows.T
+            if p.size >= tau + 1 and (p > 0).all() and (t[1:] > t[:-1]).all():
+                return _log_returns(path, p, tau)
+        numeric_time = next(pairs) == "t,price"
+        for lineno, t_raw, p_raw in pairs:
+            t_raw, p_raw = t_raw.strip(), p_raw.strip()
+            # float("") raises, so only a date can be empty here
+            t_val = _float(path, lineno, "time value", t_raw) if numeric_time else t_raw
             if not t_raw:
                 raise DataError(f"{path}: line {lineno}: empty date")
-            t_val = t_raw
-        try:
-            price = float(p_raw)
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: bad price value {p_raw!r}") from None
-        if not math.isfinite(price) or price <= 0:
-            raise DataError(f"{path}: line {lineno}: price must be positive, got {p_raw}")
-        if times and not t_val > times[-1]:
-            raise DataError(f"{path}: line {lineno}: time index must be strictly increasing")
-        times.append(t_val)
-        prices.append(price)
+            price = _float(path, lineno, "price value", p_raw)
+            if not math.isfinite(price) or price <= 0:
+                raise DataError(f"{path}: line {lineno}: price must be positive, got {p_raw}")
+            if prices and not t_val > last:
+                raise DataError(f"{path}: line {lineno}: time index must be strictly increasing")
+            last = t_val
+            prices.append(price)
     if len(prices) < tau + 1:
         raise DataError(f"{path}: need at least tau+1 = {tau + 1} rows, got {len(prices)}")
     return _log_returns(path, np.asarray(prices, dtype=np.float64), tau)
+
+
+def _float(path, lineno: int, what: str, raw: str) -> float:
+    """``float(raw)``, or a DataError that names the bad ``what`` and its line."""
+    try:
+        return float(raw)
+    except ValueError:
+        raise DataError(f"{path}: line {lineno}: bad {what} {raw!r}") from None
 
 
 def _log_returns(path, p: np.ndarray, tau: int) -> ReturnSeries:
@@ -445,17 +449,12 @@ def emit_returns_csv(series: ReturnSeries, path) -> None:
 
 def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     """Read a returns file produced by :func:`emit_returns_csv`."""
-    values = _read_blocks(path, "i,value", (1,))  # the index column is never read
-    if values is not None:
-        return ReturnSeries(tau=tau, samples=values.ravel())
-    pairs = _read_pairs(path, ("i,value",))
-    next(pairs)
-    values: list[float] = []
-    for lineno, _, raw in pairs:
-        try:
-            values.append(float(raw))
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: bad value {raw!r}") from None
+    with _data_file(path, ("i,value",)) as (fd, pairs):
+        values = _read_blocks(fd, "i,value", (1,))  # the index column is never read
+        if values is not None:
+            return ReturnSeries(tau=tau, samples=values.ravel())
+        next(pairs)
+        values = [_float(path, lineno, "value", raw) for lineno, _, raw in pairs]
     if not values:
         raise DataError(f"{path}: no data rows")
     samples = np.asarray(values)

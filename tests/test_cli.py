@@ -6,6 +6,7 @@ import hashlib
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1181,6 +1182,98 @@ def test_split_commands_write_each_line_once_in_a_fresh_interpreter(workdir):
         assert text.count("\n") == rows + 1
     fit = (workdir / "f" / "fit.csv").read_text()
     assert f"\nn,{n}\n" in fit
+
+
+def _fresh_betsim(*argv, **kwargs):
+    """Start ``python -m betsim.cli argv`` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.Popen(
+        [sys.executable, "-m", "betsim.cli", *argv], env=dict(env, PYTHONPATH=str(src)), **kwargs
+    )
+
+
+def _ignore_sigchld():
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)  # a disposition that survives exec
+
+
+def test_split_commands_with_sigchld_ignored_write_the_default_bytes(workdir):
+    # with SIGCHLD ignored the kernel reaps a child itself, so no exit
+    # status can be read: the commands keep to one process, with the same bytes
+    n = 300_000
+    _write(workdir, "gen.ini", f"[superstat]\nn = {n}\n")
+    _write(workdir, "fit.ini", "[inference]\n[io]\ninput = returns.csv\n")
+    _write(workdir, "ingest.ini", "[io]\ninput = prices.csv\n")
+    samples = np.random.default_rng(3).normal(0, 1e-3, n)
+    _write(workdir, "returns.csv", _returns_text(samples))
+    _write(workdir, "prices.csv", "t,price\n" + "".join(
+        f"{t},{p!r}\n" for t, p in enumerate((100 * np.exp(np.cumsum(samples))).tolist())
+    ))
+    for command, config in (("gen-returns", "gen.ini"), ("fit-variance", "fit.ini"),
+                            ("ingest", "ingest.ini")):
+        outs = []
+        for label, preexec in (("default", None), ("ignored", _ignore_sigchld)):
+            out = f"{command}-{label}"
+            proc = _fresh_betsim(command, "--config", config, "--out", out, preexec_fn=preexec,
+                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            (name,) = os.listdir(out)
+            outs.append((workdir / out / name).read_bytes())
+        assert outs[0] == outs[1], command
+
+
+def _close_fd_1():
+    os.close(1)
+
+
+def _run_with_stdout(where, argv):
+    """Exit code and stderr of a fresh ``betsim argv`` whose stdout is a
+    pipe closed at once or after one line, ``/dev/full`` or closed."""
+    if where.startswith("pipe"):
+        proc = _fresh_betsim(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        if where == "pipe closed after one line":
+            proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err.decode()
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(open("/dev/full", "w")) if where == "/dev/full" else None
+        proc = _fresh_betsim(*argv, stdout=out, stderr=subprocess.PIPE,
+                             preexec_fn=_close_fd_1 if where == "closed" else None)
+        _, err = proc.communicate(timeout=120)
+    return proc.returncode, err.decode()
+
+
+@pytest.mark.parametrize(
+    "where", ["pipe closed at once", "pipe closed after one line", "/dev/full", "closed"]
+)
+@pytest.mark.parametrize("command, config", [
+    ("sim-dissipative", "[dissipative]\nsteps = 40\n[io]\nhistogram_every = 10\n"),
+    ("gen-returns", "[superstat]\nn = 40000\n"),
+])
+def test_stdout_failures_keep_the_exit_code_contract(workdir, capsys, where, command, config):
+    if where == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs the /dev/full device")
+    _write(workdir, "run.ini", config)
+    assert dispatch([command, "--config", "run.ini", "--out", "expect"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.startswith("wrote expect") for line in lines)
+    code, err = _run_with_stdout(where, [command, "--config", "run.ini", "--out", "out/o"])
+    assert "Traceback" not in err
+    assert len(err.splitlines()) <= 1
+    if code == 0:
+        assert not err
+        got, expect = workdir / "out" / "o", workdir / "expect"
+        assert sorted(os.listdir(got)) == sorted(os.listdir(expect))
+        for name in os.listdir(expect):
+            assert (got / name).read_bytes() == (expect / name).read_bytes()
+    else:
+        assert code == 3 and err.startswith("error: cannot write to stdout: ")
+        assert not os.path.exists("out")  # every directory the command made is removed
+    if where in ("pipe closed at once", "/dev/full"):
+        assert code == 3  # no line can be written
 
 
 def test_import_skips_scipy_stats_and_exports_resolve():

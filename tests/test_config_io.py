@@ -1,6 +1,7 @@
 """Unit tests for configuration parsing and CSV input/output."""
 
 import csv
+import errno
 import math
 import os
 import re
@@ -519,7 +520,8 @@ def test_returns_round_trip_over_several_blocks(tmp_path, monkeypatch):
     samples = np.random.default_rng(4).standard_t(3, n) * 1e-2
     samples[:4] = [-0.0, 5e-324, -1.7976931348623157e308, 1e-310]
     csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), path)
-    assert csvio._read_blocks(path, "i,value", (1,)).shape == (n, 1)  # no fallback
+    with open(path, "rb") as handle:
+        assert csvio._read_blocks(handle.fileno(), "i,value", (1,)).shape == (n, 1)  # no fallback
     back = csvio.read_returns_csv(path)
     assert back.samples.tobytes() == samples.tobytes()
 
@@ -735,28 +737,114 @@ def test_split_reader_on_cr_files_and_a_crlf_split_at_the_middle(tmp_path, monke
         csv.field_size_limit(limit)
 
 
+def _rows(n: int, row: bytes) -> bytes:
+    return b"".join(row % (i, i) for i in range(n))
+
+
+# (reader, bytes): a header the block reader declines, with too few rows
+# and with enough; a bad row on line 3; valid price and returns files
+PIPED_FILES = {
+    "declined header, one row": ("prices", b"T,Price\n0,1.5\n"),
+    "declined header": ("prices", b"T,Price\n" + _rows(5000, b"%d,1%d.5\n")),
+    "bad row on line 3": ("prices", b"t,price\n0,2\n1,abc\n2,3\n"),
+    "valid prices": ("prices", b"t,price\n" + _rows(5000, b"%d,1%d.5\n")),
+    "valid returns": ("returns", b"i,value\n" + _rows(5000, b"%d,%d.25\n")),
+}
+
+
+def _read_outcome(path, reader):
+    """The values' bytes (as hex) or the DataError text of reading ``path``."""
+    try:
+        if reader == "returns":
+            return csvio.read_returns_csv(path).samples.tobytes().hex()
+        return csvio.ingest_price_csv(path, 1).samples.tobytes().hex()
+    except DataError as exc:
+        return str(exc)
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_block_reader_reads_a_named_pipe_through_one_open(tmp_path):
-    # a pipe has no size and cannot seek: it is parsed in one span, from the
-    # handle that read its header, and never opened again
+@pytest.mark.parametrize("case", PIPED_FILES)
+def test_a_named_pipe_reads_as_the_regular_file_does(tmp_path, case):
+    # a fresh interpreter reads the bytes from a named pipe that a thread of
+    # its own feeds; a second open of the pipe would wait for a new writer
+    reader, data = PIPED_FILES[case]
+    path = tmp_path / "in.csv"
     code = (
         "import os, sys, threading\n"
-        "from betsim import io\n"
-        "fifo = sys.argv[1]\n"
-        "os.mkfifo(fifo)\n"
-        "text = 't,price\\n' + ''.join(f'{t},{100 + t}.5\\n' for t in range(5000))\n"
-        "writer = threading.Thread(target=lambda: open(fifo, 'w').write(text))\n"
-        "writer.start()\n"
-        "print(io.ingest_price_csv(fifo, 1).samples.size)\n"
-        "writer.join()\n"
+        "from test_config_io import _read_outcome\n"
+        "path, data = sys.argv[1], sys.stdin.buffer.read()\n"
+        "os.mkfifo(path)\n"
+        "threading.Thread(target=lambda: open(path, 'wb').write(data), daemon=True).start()\n"
+        f"print(_read_outcome(path, {reader!r}))\n"
     )
-    src = Path(__file__).resolve().parents[1] / "src"
+    tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "prices.csv")], capture_output=True,
-        text=True, timeout=60, env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", code, str(path)], input=data, capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)])),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["4999"]
+    path.unlink()
+    path.write_bytes(data)
+    assert proc.stdout.decode().strip() == _read_outcome(str(path), reader)
+
+
+def _before_the_parents_span(mp, action):
+    """Make this process call ``action()`` once, before its first span parse."""
+    parent, real, pending = os.getpid(), csvio._span, [action]
+
+    def span(*args):
+        if os.getpid() == parent and pending:
+            pending.pop()()
+        return real(*args)
+
+    mp.setattr(csvio, "_span", span)
+
+
+def _returns_and_prices(tmp_path, seed):
+    """A returns file and a ``t,price`` file, above the split size once
+    ``_BLOCK_CHARS`` is 1 << 14."""
+    samples = np.random.default_rng(seed).standard_t(3, 20000) * 1e-2
+    returns, prices = tmp_path / f"returns{seed}.csv", tmp_path / f"prices{seed}.csv"
+    csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), str(returns))
+    prices.write_text("t,price\n" + "".join(
+        f"{t},{p!r}\n" for t, p in enumerate((100 * np.exp(np.cumsum(samples))).tolist())
+    ))
+    return returns, prices
+
+
+@pytest.mark.parametrize("one_cpu", [False, True])
+def test_a_file_replaced_while_it_is_read_gives_its_own_values(tmp_path, monkeypatch, one_cpu):
+    # the child parses from the descriptor it inherits, never from the path
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 1 << 14)
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    first, other = _returns_and_prices(tmp_path, 1), _returns_and_prices(tmp_path, 2)
+    expect = [reference_read_returns(str(first[0])), reference_ingest(str(first[1]), 1)]
+    forks = _forks(monkeypatch)
+    for path, replacement, read in zip(first, other, (
+        lambda p: csvio.read_returns_csv(p).samples, lambda p: csvio.ingest_price_csv(p, 1).samples,
+    )):
+        with monkeypatch.context() as mp:
+            _before_the_parents_span(mp, lambda: os.replace(replacement, path))
+            got = read(str(path))
+        assert got.tobytes() == expect.pop(0).tobytes()
+        assert not replacement.exists()  # the path named the other file while it was read
+    assert len(forks) == (0 if one_cpu or not csvio._can_split() else 2)
+
+
+@pytest.mark.parametrize("one_cpu", [False, True])
+def test_a_file_truncated_while_it_is_read_gives_what_it_then_holds(tmp_path, monkeypatch, one_cpu):
+    # read by offset, a truncated file reads short: the reader neither
+    # mixes old and new bytes nor is killed by a signal, as a map of it would be
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 1 << 14)
+    if one_cpu:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for path, reader in zip(_returns_and_prices(tmp_path, 3), ("returns", "prices")):
+        with monkeypatch.context() as mp:
+            _before_the_parents_span(mp, lambda: os.truncate(path, 100))
+            got = _read_outcome(str(path), reader)
+        assert path.stat().st_size == 100
+        assert got == _read_outcome(str(path), reader)
 
 
 def _one_process_and_split_outcomes(tmp_path, monkeypatch, fail):
@@ -808,8 +896,21 @@ def _exit_1():
     raise RuntimeError("the child fails")
 
 
+def _reaped_elsewhere(mp):
+    """Make ``os.waitpid`` reap the child, then raise as it does when a
+    SIGCHLD handler has reaped it first."""
+    waitpid = os.waitpid
+
+    def reap(pid, options):
+        waitpid(pid, options)
+        raise ChildProcessError(errno.ECHILD, os.strerror(errno.ECHILD))
+
+    mp.setattr(os, "waitpid", reap)
+
+
 FALLBACKS = {
     "fork raises": lambda mp: mp.setattr(os, "fork", _raise_oserror),
+    "child reaped elsewhere": _reaped_elsewhere,
     "child exits 1": lambda mp: _in_the_child(mp, _exit_1),
     "child killed": lambda mp: _in_the_child(mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
     "one CPU": lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False),
@@ -849,6 +950,15 @@ def test_no_split_while_another_thread_runs(tmp_path, monkeypatch):
         other.join()
     assert split == one_process
     assert not forks
+
+
+def test_no_split_with_sigchld_ignored():
+    # the kernel then reaps the child itself, and no exit status can be read
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert not csvio._can_split()
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
 
 
 def test_a_failed_split_writer_leaves_no_file(tmp_path, monkeypatch):
