@@ -8,12 +8,13 @@ to full precision.  Nothing here is time- or locale-dependent, so
 identical inputs always produce byte-identical files.
 
 Writers format 1024 rows at a time with one ``%`` of a row template.
-Each data file is opened once and read by offset, a pipe's bytes copied
-once (:func:`_data_file`).  Returns and ``t,price`` files are parsed in
-blocks by ``np.loadtxt``; a block it cannot take hands the file to the
+Each data file is opened once (:func:`_data_file`).  Regular returns and
+``t,price`` files are read by offset and parsed by ``np.loadtxt`` in blocks
+of whole lines (:func:`_span`); a block it cannot take hands the file to the
 per-row reader, the only source of error messages, which reads the same
 descriptor from its start, so every file gets that reader's values or
-error.  From a size on, a forked child writes or parses half the rows
+error.  A pipe is read row by row as it comes.  From a size on, a forked
+child writes or parses the second half of a table or file
 (:func:`_two_halves`), with the same bytes, values or errors.
 """
 from __future__ import annotations
@@ -22,12 +23,10 @@ import csv
 import io
 import math
 import os
-import shutil
 import signal
-import tempfile
 import threading
 import warnings
-from contextlib import ExitStack, closing, contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,6 +41,12 @@ TRAJECTORY_HEADER = (
     "step,mean_posterior,smoothed_mean_posterior,variance,skewness,"
     "excess_kurtosis,entropy,distinct_classes,heterogeneous_pairs"
 )
+
+_SPLIT_ROWS = 32 * 1024  # rows of a table from which a forked child formats half
+_BLOCK_CHARS = 1 << 17  # bytes read per parsed block, cut back to its last LF
+_SPLIT_BYTES = 1 << 22  # bytes of data, 32 blocks, from which a forked child parses half
+# the bytes a block may hold; any other (a quote, a letter, NUL) is the per-row reader's
+_NUMERIC_BYTES = b"0123456789+-.eE, \r\n"
 
 
 def _fmt(x) -> str:
@@ -95,9 +100,18 @@ def _csv_writer(path, header: str):
 
 
 def _write_csv(path, header: str, row: str, columns: Sequence[Sequence]) -> None:
-    """Write ``header``, then the rows of ``columns``, through :func:`_csv_writer`."""
+    """Write ``header``, then the rows of ``columns``, through :func:`_csv_writer`.
+
+    From ``_SPLIT_ROWS`` rows on, a forked child formats the second half of
+    the rows while this process writes the first (see :func:`_two_halves`);
+    below that the fork costs more than the half saves.  The size was
+    measured on returns rows; for other tables it is assumed.
+    """
+    half = len(columns[0]) // 2
     with _csv_writer(path, header) as out:
-        out.writelines(_blocks(row, columns))
+        _two_halves(lambda: out.writelines(_blocks(row, [c[:half] for c in columns])),
+                    lambda: _blocks(row, [c[half:] for c in columns]),
+                    out.write, len(columns[0]) >= _SPLIT_ROWS)
 
 
 def _can_split() -> bool:
@@ -110,6 +124,12 @@ def _can_split() -> bool:
             and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
 
 
+class _Declined(Exception):
+    """Raised by :func:`_span` for a span it leaves to the per-row reader."""
+
+    status = 2  # the exit status of a forked child that raised it
+
+
 def _two_halves(first, second, write, split: bool):
     """Return ``first()``, and pass the bytes of the chunks that ``second()``
     returns to ``write``, in order.
@@ -117,10 +137,12 @@ def _two_halves(first, second, write, split: bool):
     With ``split`` set and :func:`_can_split`, a forked child runs
     ``second()`` while this process runs ``first()``, and sends the bytes
     through a pipe; it ends in ``os._exit``, so it never unwinds into the
-    caller, runs atexit handlers or flushes inherited buffers.  If it
-    cannot be forked, fails, is killed or was reaped elsewhere, ``second()``
-    runs here and only its bytes past those the child sent are written.
-    If this process raises, it kills the child first; it always reaps it.
+    caller, runs atexit handlers or flushes inherited buffers.  A child whose
+    ``second()`` raises :class:`_Declined` exits with its ``status``, and this
+    process raises it too.  If the child cannot be forked, fails otherwise, is
+    killed or was reaped elsewhere, ``second()`` runs here and only its bytes
+    past those the child sent are written.  If this process raises, it kills
+    the child first; it always reaps it.
     """
     pid = -1
     if split and _can_split():
@@ -144,6 +166,8 @@ def _two_halves(first, second, write, split: bool):
             with open(w, "wb") as pipe:
                 pipe.writelines(chunks)
             code = 0
+        except _Declined:
+            code = _Declined.status
         finally:
             os._exit(code)
     sent, status = 0, -1
@@ -165,6 +189,8 @@ def _two_halves(first, second, write, split: bool):
                 status = os.waitpid(pid, 0)[1]
         if status == 0:
             return result
+        if os.WIFEXITED(status) and os.WEXITSTATUS(status) == _Declined.status:
+            raise _Declined
     for chunk in second():
         chunk = memoryview(chunk).cast("B")
         write(chunk[sent:])
@@ -173,22 +199,19 @@ def _two_halves(first, second, write, split: bool):
 
 
 @contextmanager
-def _data_file(path, headers: tuple[str, ...]):
-    """Open the data file ``path`` once; yield its descriptor, to be read by
-    offset only, and :func:`_read_pairs` of the same bytes, not yet started
-    and closed on exit.  A file that cannot seek (a pipe, a terminal) is
-    first copied in bounded chunks to a temporary file.  An ``OSError`` or
-    ``UnicodeDecodeError`` here or in the body raises :class:`DataError`.
+def _data_file(path, headers: tuple[str, ...], usecols: tuple[int, ...]):
+    """Open the data file ``path`` once; yield :func:`_read_blocks` of it,
+    with the first of ``headers``, and :func:`_read_pairs` of the same bytes,
+    not yet started and closed on exit.  A file that cannot seek (a pipe, a
+    terminal) has no blocks read: it is read row by row as it comes.  An
+    ``OSError`` or ``UnicodeDecodeError`` here or in the body raises
+    :class:`DataError`.
     """
     try:
-        with ExitStack() as stack:
-            handle = stack.enter_context(open(path, "rb"))
-            if not handle.seekable():
-                pipe, handle = handle, stack.enter_context(tempfile.TemporaryFile())
-                shutil.copyfileobj(pipe, handle)
-                handle.seek(0)
-            pairs = stack.enter_context(closing(_read_pairs(path, handle, headers)))
-            yield handle.fileno(), pairs
+        with open(path, "rb") as handle:
+            rows = _read_blocks(handle.fileno(), headers[0], usecols) if handle.seekable() else None
+            with closing(_read_pairs(path, handle, headers)) as pairs:
+                yield rows, pairs
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -221,11 +244,6 @@ def _read_pairs(path, handle, headers: tuple[str, ...]):
         raise DataError(f"{path}: line {rows.line_num}: {exc}") from None
 
 
-_BLOCK_CHARS = 1 << 20  # bytes read per parsed block, then to the end of its line
-# the bytes a block may hold; any other (a quote, a letter, NUL) is the per-row reader's
-_NUMERIC_BYTES = b"0123456789+-.eE, \r\n"
-
-
 def _read_blocks(fd: int, header: str, usecols: tuple[int, ...]) -> np.ndarray | None:
     """Parse the ``usecols`` columns of the two-column file ``fd``, read by
     offset only, in blocks, or hand the file back.
@@ -233,28 +251,24 @@ def _read_blocks(fd: int, header: str, usecols: tuple[int, ...]) -> np.ndarray |
     Returns the data rows as one (rows, len(usecols)) float64 array when
     the first line is ``header`` and an LF or CRLF, and :func:`_span`
     takes every block; else, or with no row, None, for :func:`_read_pairs`.
-    It never raises or warns for the file's content.  From 4 blocks of
-    data on, a forked child (:func:`_two_halves`) parses from the first
-    line start after the middle byte, and sends a flag byte, 1 if it took
-    every block, then the values.
+    It never raises or warns for the file's content.  From ``_SPLIT_BYTES``
+    of data on, a forked child (:func:`_two_halves`) parses from the first
+    line start after the middle byte and sends the values; a child that
+    declines its span exits with ``_Declined.status``.
     """
     end = os.fstat(fd).st_size
     start = _line_end(fd, 0, len(header) + 2)  # past the header and its LF or CRLF
     if os.pread(fd, start, 0) not in (f"{header}\n".encode(), f"{header}\r\n".encode()):
         return None
-    # below 4 blocks the fork costs more than the second span saves
-    middle = _line_end(fd, end // 2, end) if end - start >= 4 * _BLOCK_CHARS else end
-
-    def second() -> list:
-        blocks = _span(fd, middle, end, usecols)  # [] when middle is the end
-        return [b"\0"] if blocks is None else [b"\1", *blocks]
-
+    # below _SPLIT_BYTES the fork costs more than the second span saves
+    middle = _line_end(fd, end // 2, end) if end - start >= _SPLIT_BYTES else end
     rest = bytearray()
-    blocks = _two_halves(lambda: _span(fd, start, middle, usecols), second,
-                         rest.extend, middle < end)
-    if blocks is None or rest[:1] != b"\1":
+    try:
+        blocks = _two_halves(lambda: _span(fd, start, middle, usecols),
+                             lambda: _span(fd, middle, end, usecols), rest.extend, middle < end)
+    except _Declined:
         return None
-    rows = np.concatenate([*blocks, np.frombuffer(rest, offset=1).reshape(-1, len(usecols))])
+    rows = np.concatenate([*blocks, np.frombuffer(rest).reshape(-1, len(usecols))])
     return rows if len(rows) else None
 
 
@@ -268,46 +282,44 @@ def _line_end(fd: int, pos: int, stop: int) -> int:
     return stop
 
 
-def _span(fd: int, start: int, stop: int, usecols: tuple[int, ...]) -> list[np.ndarray] | None:
+def _span(fd: int, start: int, stop: int, usecols: tuple[int, ...]) -> list[np.ndarray]:
     """Parse the lines in bytes ``start`` to ``stop`` of the file ``fd`` in
-    blocks of about ``_BLOCK_CHARS`` bytes, each one :func:`os.pread`.
+    blocks, each one :func:`os.pread` of ``min(_BLOCK_CHARS,
+    csv.field_size_limit())`` bytes cut back to its last LF, the span's
+    last block whole, so no line is longer than the csv reader allows.
 
     Returns the ``usecols`` columns as (lines, len(usecols)) float64
     blocks of finite values when every line is two fields that the csv
     reader takes, of plain numbers in ``usecols`` and of the same bytes
-    elsewhere; returns None otherwise or when the file ends before
-    ``stop``, and never raises or warns for the file's content.
+    elsewhere; else, or when the file ends before ``stop``, raises
+    :class:`_Declined`, its only error or warning for the file's content.
     """
-    blocks, limit = [], csv.field_size_limit()
+    blocks, size = [], min(_BLOCK_CHARS, csv.field_size_limit())
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on a block of blank lines
-            # every line of a block but its last lies in its first ``size``
-            # bytes, so only the last can be longer than the csv reader allows
-            size = min(_BLOCK_CHARS, limit)
             while start < stop:
-                cut = _line_end(fd, start + size, stop)
-                text = os.pread(fd, cut - start, start)
-                # a file cut short since its size was read, or other bytes
-                if len(text) < cut - start or text.translate(None, _NUMERIC_BYTES):
-                    return None
-                if b"\r" in text[size:].removesuffix(b"\n").removesuffix(b"\r"):
-                    return None  # more lines: the csv reader ends one at a lone \r
-                start = cut
+                text = os.pread(fd, min(size, stop - start), start)
+                if start + size < stop:  # not the span's last block
+                    text = text[:text.rfind(b"\n") + 1]
+                # none: a line longer than a block, or the file's end before ``stop``
+                if not text or text.translate(None, _NUMERIC_BYTES):
+                    raise _Declined
+                start += len(text)
                 # with only these bytes, splitlines ends lines where csv does: \r, \n, \r\n
                 lines = text.decode().splitlines(keepends=True)
-                if len(lines[-1]) > limit or text.count(b",") != len(lines):
-                    return None  # a field the csv reader rejects, or not one comma a line
+                if text.count(b",") != len(lines):
+                    raise _Declined  # not one comma a line
                 block = np.loadtxt(
                     lines, delimiter=",", comments=None, dtype=np.float64, usecols=usecols, ndmin=2
                 )
                 # loadtxt skips blank lines and raises on a line without a column it
                 # uses: with as many commas as lines, every line it keeps has two fields
                 if len(block) != len(lines) or not np.isfinite(block).all():
-                    return None
+                    raise _Declined
                 blocks.append(block)
     except (ValueError, Warning):
-        return None
+        raise _Declined from None
     return blocks
 
 
@@ -326,8 +338,7 @@ def ingest_price_csv(path, tau: int) -> ReturnSeries:
     if tau < 1:
         raise DataError(f"tau must be >= 1, got {tau}")
     prices: list[float] = []
-    with _data_file(path, ("t,price", "date,price")) as (fd, pairs):
-        rows = _read_blocks(fd, "t,price", (0, 1))
+    with _data_file(path, ("t,price", "date,price"), (0, 1)) as (rows, pairs):
         if rows is not None:
             t, p = rows.T
             if p.size >= tau + 1 and (p > 0).all() and (t[1:] > t[:-1]).all():
@@ -430,27 +441,15 @@ def emit_grains_csv(tracks: dict[int, Trajectory], path) -> None:
 
 
 def emit_returns_csv(series: ReturnSeries, path) -> None:
-    """Write return samples with full round-trip precision.
-
-    From 32 blocks of 1024 rows on, a forked child formats the second half
-    of the rows while this process writes the first (see :func:`_two_halves`);
-    below that the fork costs more than the half saves.
-    """
-    samples, half = series.samples, series.samples.size // 2
-
-    def rows(lo: int, hi: int) -> Iterator[bytes]:
-        # %r of the Python floats .tolist() makes is the repr float(numpy float64) has
-        return _blocks("%d,%r\n", [range(lo, hi), samples[lo:hi]])
-
-    with _csv_writer(path, "i,value") as out:
-        _two_halves(lambda: out.writelines(rows(0, half)), lambda: rows(half, samples.size),
-                    out.write, samples.size >= 32 * 1024)
+    """Write return samples with full round-trip precision."""
+    # %r of the Python floats .tolist() makes is the repr float(numpy float64) has
+    _write_csv(path, "i,value", "%d,%r\n", [range(series.samples.size), series.samples])
 
 
 def read_returns_csv(path, tau: int = 1) -> ReturnSeries:
     """Read a returns file produced by :func:`emit_returns_csv`."""
-    with _data_file(path, ("i,value",)) as (fd, pairs):
-        values = _read_blocks(fd, "i,value", (1,))  # the index column is never read
+    # the index column is never read
+    with _data_file(path, ("i,value",), (1,)) as (values, pairs):
         if values is not None:
             return ReturnSeries(tau=tau, samples=values.ravel())
         next(pairs)

@@ -577,6 +577,7 @@ TOO_BIG_IDS = [
         # np.linspace fails on an empty array for edges from 2**63 - 2 on
         ("sim-dissipative", _histogram_bins(2**63 - 2), "", [], 2),
         ("sim-dissipative", _histogram_bins(2**64), "", [], 2),
+        ("sim-dissipative", _histogram_bins(0), "", [], 2),
         *[(command, config, "", [], 2) for command, config in TOO_BIG_RUNS],
     ],
     ids=[
@@ -606,6 +607,7 @@ TOO_BIG_IDS = [
         "compare-models-empty-domain",
         "histogram-bins-2**63-2",
         "histogram-bins-2**64",
+        "histogram-bins-0",
         *TOO_BIG_IDS,
     ],
 )

@@ -395,6 +395,9 @@ def test_readme_states_the_constants_of_the_code():
         "CHUNK": rngmod.CHUNK,
         "INITIAL_NODES": inference.INITIAL_NODES,
         "MAX_NODES": inference.MAX_NODES,
+        "_BLOCK_CHARS": csvio._BLOCK_CHARS,
+        "_SPLIT_BYTES": csvio._SPLIT_BYTES,
+        "_SPLIT_ROWS": csvio._SPLIT_ROWS,
     }
     for name, value in constants.items():
         stated = re.findall(rf"`(?:\w+\.)?{name}` = ([\d,]+)", readme)
@@ -443,6 +446,13 @@ def test_ingest_accepts_date_header(tmp_path):
     )
     series = csvio.ingest_price_csv(str(path), tau=1)
     assert len(series.samples) == 2
+
+
+def test_ingest_rejects_an_empty_date(tmp_path):
+    path = tmp_path / "prices.csv"
+    _write_prices(path, [("2024-01-02", 10.0), ("", 11.0)], header="date,price")
+    with pytest.raises(DataError, match="line 3: empty date$"):
+        csvio.ingest_price_csv(str(path), tau=1)
 
 
 def test_ingest_missing_file():
@@ -607,21 +617,22 @@ def _assert_readers_agree(path, tau):
     odd_rows=st.one_of(st.just([]), ODD_ROWS, SHORT_AND_LONG_ROWS),
     newline=st.sampled_from([b"\n", b"\r\n", b"\r"]),
     final_newline=st.booleans(),
-    block=st.one_of(st.integers(1, 4), st.just(1 << 20)),
+    block=st.one_of(st.integers(24, 64), st.integers(1, 4), st.just(1 << 17)),
     field_limit=st.one_of(st.none(), st.integers(1, 40)),
     tau=st.integers(1, 3),
 )
 # an 8-character limit makes 8-character blocks: the second row, whose
-# value is longer than 8 characters, ends the first block past its edge
+# value is longer than 8 characters, leaves a block with no LF
 @example(
     header=b"i,value", rows=[(1, b"0.5"), (1, b"123.456789"), (1, b"0.25")], odd_rows=[],
-    newline=b"\n", final_newline=True, block=1 << 20, field_limit=8, tau=1,
+    newline=b"\n", final_newline=True, block=1 << 17, field_limit=8, tau=1,
 )
 def test_block_reader_matches_the_per_row_reader(
     header, rows, odd_rows, newline, final_newline, block, field_limit, tau
 ):
-    # a field limit below the line lengths makes blocks of that many
-    # characters, so an overlong line ends a block, at its edge or past it
+    # blocks of 24 bytes or more hold any row of plain prices, blocks of
+    # 1 to 4 bytes none; a field limit below the line lengths makes blocks
+    # of that many bytes, so an overlong line is a block with no LF
     times = np.cumsum([step for step, _ in rows], dtype=np.int64)
     lines = [header] + [b"%d,%s" % (t, value) for t, (_, value) in zip(times, rows)]
     for at, fields in odd_rows:
@@ -633,6 +644,7 @@ def test_block_reader_matches_the_per_row_reader(
             csv.field_size_limit(field_limit)
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(csvio, "_BLOCK_CHARS", block)
+            mp.setattr(csvio, "_SPLIT_BYTES", 4 * block)  # from 4 blocks of data on, a file splits
             path = os.path.join(tmp, "in.csv")
             with open(path, "wb") as fh:
                 fh.write(data)
@@ -646,6 +658,7 @@ def test_block_reader_matches_the_per_row_reader(
 def test_block_reader_matches_the_per_row_reader_on_any_bytes(data, block):
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(csvio, "_BLOCK_CHARS", block)
+        mp.setattr(csvio, "_SPLIT_BYTES", 4 * block)
         for header in (b"i,value\n", b"t,price\n"):
             path = os.path.join(tmp, "in.csv")
             with open(path, "wb") as fh:
@@ -683,8 +696,10 @@ ODD_LINES = [
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
 def test_split_reader_reads_an_odd_line_in_either_span(tmp_path, monkeypatch, where, odd, newline):
     # the parent parses up to the end of the line the middle byte is on (the
-    # boundary line), the child from the next line to the end of the file
-    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4)
+    # boundary line), the child from the next line to the end of the file;
+    # 32-byte blocks hold every row but the long odd line, and 4 of them split
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 32)
+    monkeypatch.setattr(csvio, "_SPLIT_BYTES", 4 * 32)
     forks = _forks(monkeypatch)
     # the last row's trailing zeros move the middle byte over the lines
     for pad, k in ((pad, k) for pad in range(20) for k in range(41)):
@@ -715,9 +730,11 @@ def test_split_reader_reads_an_odd_line_in_either_span(tmp_path, monkeypatch, wh
 @pytest.mark.parametrize("newline", [b"\r", b"\r\n"])
 def test_split_reader_on_cr_files_and_a_crlf_split_at_the_middle(tmp_path, monkeypatch, odd, newline):
     # an all-CR file, an LF header over CR lines, and a CRLF file whose
-    # middle byte is the LF of a CRLF pair; a block's last line, read to
-    # the next LF, holds CR lines, one of them a field the csv reader rejects
-    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 4)
+    # middle byte is the LF of a CRLF pair, over the split size; a block is
+    # cut back to its last LF, so CR lines reach the block reader only in a
+    # span's last block; one line is a field the csv reader rejects
+    monkeypatch.setattr(csvio, "_BLOCK_CHARS", 12)
+    monkeypatch.setattr(csvio, "_SPLIT_BYTES", 4 * 12)
     path = tmp_path / "in.csv"
     for n in range(30, 60):
         rows = [b"%d,%d.25" % (t, t) for t in range(1, n)]
@@ -788,6 +805,35 @@ def test_a_named_pipe_reads_as_the_regular_file_does(tmp_path, case):
     assert proc.stdout.decode().strip() == _read_outcome(str(path), reader)
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="opens both ends of a FIFO at once")
+@pytest.mark.parametrize("header", [b"T,Price", b"t,price"])
+def test_a_pipe_whose_writer_stays_open_fails_at_its_first_bad_row(tmp_path, header):
+    # a pipe is read row by row as it comes, whatever its header, so its bad
+    # row ends ingest while the pipe's writer, this process, holds it open,
+    # and nothing is copied to the temporary directory
+    data, tmp, path = header + b"\n0,abc\n", tmp_path / "tmp", tmp_path / "prices.csv"
+    tmp.mkdir()
+    config = tmp_path / "ingest.ini"
+    config.write_text(f"[io]\ninput = {path}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "betsim.cli", "ingest", "--config", str(config), "--out",
+            str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(src), TMPDIR=str(tmp))
+    os.mkfifo(path)
+    writer = os.open(path, os.O_RDWR)  # Linux opens a FIFO so without waiting for a reader
+    try:
+        os.write(writer, data)
+        piped = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=10)
+    finally:
+        os.close(writer)
+    assert not any(tmp.iterdir())
+    path.unlink()
+    path.write_bytes(data)
+    regular = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (piped.returncode, piped.stderr) == (regular.returncode, regular.stderr)
+    assert regular.returncode == 3 and "line 2: bad price value 'abc'" in regular.stderr
+
+
 def _before_the_parents_span(mp, action):
     """Make this process call ``action()`` once, before its first span parse."""
     parent, real, pending = os.getpid(), csvio._span, [action]
@@ -802,7 +848,7 @@ def _before_the_parents_span(mp, action):
 
 def _returns_and_prices(tmp_path, seed):
     """A returns file and a ``t,price`` file, above the split size once
-    ``_BLOCK_CHARS`` is 1 << 14."""
+    ``_SPLIT_BYTES`` is 1 << 16."""
     samples = np.random.default_rng(seed).standard_t(3, 20000) * 1e-2
     returns, prices = tmp_path / f"returns{seed}.csv", tmp_path / f"prices{seed}.csv"
     csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), str(returns))
@@ -816,6 +862,7 @@ def _returns_and_prices(tmp_path, seed):
 def test_a_file_replaced_while_it_is_read_gives_its_own_values(tmp_path, monkeypatch, one_cpu):
     # the child parses from the descriptor it inherits, never from the path
     monkeypatch.setattr(csvio, "_BLOCK_CHARS", 1 << 14)
+    monkeypatch.setattr(csvio, "_SPLIT_BYTES", 1 << 16)
     if one_cpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     first, other = _returns_and_prices(tmp_path, 1), _returns_and_prices(tmp_path, 2)
@@ -837,6 +884,7 @@ def test_a_file_truncated_while_it_is_read_gives_what_it_then_holds(tmp_path, mo
     # read by offset, a truncated file reads short: the reader neither
     # mixes old and new bytes nor is killed by a signal, as a map of it would be
     monkeypatch.setattr(csvio, "_BLOCK_CHARS", 1 << 14)
+    monkeypatch.setattr(csvio, "_SPLIT_BYTES", 1 << 16)
     if one_cpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for path, reader in zip(_returns_and_prices(tmp_path, 3), ("returns", "prices")):
@@ -847,23 +895,52 @@ def test_a_file_truncated_while_it_is_read_gives_what_it_then_holds(tmp_path, mo
         assert got == _read_outcome(str(path), reader)
 
 
+@pytest.mark.skipif(not csvio._can_split(), reason="needs fork and two usable CPUs")
+def test_a_span_the_child_declines_is_parsed_once(tmp_path, monkeypatch):
+    # the child's decline is its exit status, so this process hands the file
+    # to the per-row reader without parsing the child's span again
+    monkeypatch.setattr(csvio, "_SPLIT_BYTES", 1 << 16)
+    parent, real, spans = os.getpid(), csvio._span, []
+
+    def span(fd, start, stop, usecols):
+        if os.getpid() == parent:
+            spans.append(start)
+        return real(fd, start, stop, usecols)
+
+    monkeypatch.setattr(csvio, "_span", span)
+    forks = _forks(monkeypatch)
+    for path, reader, what in zip(_returns_and_prices(tmp_path, 4), ("returns", "prices"),
+                                  ("value", "price value")):
+        with open(path, "ab") as fh:
+            fh.write(b"99999,abc\n")  # the last line, in the child's span
+        spans.clear()
+        assert _read_outcome(str(path), reader).endswith(f"line 20002: bad {what} 'abc'")
+        assert len(spans) == 1  # the first span's
+    assert len(forks) == 2
+
+
 def _one_process_and_split_outcomes(tmp_path, monkeypatch, fail):
-    """What the returns writer writes, and what both readers read, in one
-    process and then with ``fail`` applied to the split."""
+    """What the returns and trajectory writers write, and what both readers
+    read, in one process and then with ``fail`` applied to the split."""
     monkeypatch.setattr(csvio, "_BLOCK_CHARS", 1 << 14)
+    monkeypatch.setattr(csvio, "_SPLIT_BYTES", 1 << 16)
     samples = np.random.default_rng(5).standard_t(3, 40000) * 1e-2  # above either split size
     prices = tmp_path / "prices.csv"
     prices.write_text("t,price\n" + "".join(
         f"{t},{p!r}\n" for t, p in enumerate((100 * np.exp(np.cumsum(samples))).tolist())
     ))
-    path = str(tmp_path / "returns.csv")
+    path, trajectory = str(tmp_path / "returns.csv"), tmp_path / "trajectory.csv"
+    record = core.Snapshots()  # any table splits, not only a returns file
+    record.add(np.random.default_rng(6).random((40000, 3)), 0)
 
     def outcomes():
         csvio.emit_returns_csv(ReturnSeries(tau=1, samples=samples), path)
+        csvio.emit_trajectory_csv(record, str(trajectory))
         with open(path, "rb") as fh:
             written = fh.read()
         read = csvio.read_returns_csv(path).samples.tobytes()
-        return written, read, csvio.ingest_price_csv(str(prices), 2).samples.tobytes()
+        return (written, trajectory.read_bytes(), read,
+                csvio.ingest_price_csv(str(prices), 2).samples.tobytes())
 
     with monkeypatch.context() as mp:
         mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -924,7 +1001,7 @@ def test_split_fallbacks_give_the_one_process_bytes(tmp_path, monkeypatch, fallb
     )
     assert split == one_process
     if fallback.startswith("child") and csvio._can_split():
-        assert len(forks) == 3  # the writer and both readers forked a child that failed
+        assert len(forks) == 4  # both writers and both readers forked a child that failed
 
 
 def test_split_writer_and_readers_give_the_one_process_bytes(tmp_path, monkeypatch):
@@ -932,12 +1009,12 @@ def test_split_writer_and_readers_give_the_one_process_bytes(tmp_path, monkeypat
         tmp_path, monkeypatch, lambda mp: None
     )
     assert split == one_process
-    assert len(forks) == (3 if csvio._can_split() else 0)
+    assert len(forks) == (4 if csvio._can_split() else 0)
 
 
 def test_no_split_while_another_thread_runs(tmp_path, monkeypatch):
     # a child forked beside another thread could inherit a lock that thread
-    # holds and wait on it for ever: the writer and both readers fork none
+    # holds and wait on it for ever: both writers and both readers fork none
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
@@ -1066,6 +1143,13 @@ def test_fit_csv_layout(tmp_path):
     assert lines[0] == "quantity,value"
     assert lines[1] == "n,10"
     assert lines[2] == "posterior_alpha,8"
+
+
+def test_a_writer_into_a_missing_directory_raises_data_error(tmp_path):
+    path = tmp_path / "absent" / "fit.csv"
+    with pytest.raises(DataError, match="^cannot write .*fit.csv"):
+        csvio.emit_fit_csv([("n", 10)], str(path))
+    assert not path.parent.exists()
 
 
 def test_models_csv_marks_selection(tmp_path):

@@ -223,6 +223,11 @@ def test_population_moments_degenerate():
     assert math.isnan(m.skewness) and math.isnan(m.excess_kurtosis)
 
 
+def test_a_block_of_empty_populations_is_rejected():
+    with pytest.raises(ValueError, match="empty collection"):
+        Snapshots().add(np.empty((2, 0)), 0)
+
+
 def test_moments_of_a_variance_whose_square_underflows():
     # seven equal values of 3e-80: the mean's rounding leaves a positive
     # variance whose square underflows to 0

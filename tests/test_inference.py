@@ -56,6 +56,16 @@ def test_dataset_squared_deviation_sum():
     assert data.squared_deviation_sum() == pytest.approx(1.0 + 0.0 + 4.0)
 
 
+@pytest.mark.parametrize("samples, mu, match", [
+    (np.ones((2, 2)), 0.0, "one-dimensional"),
+    ([0.5, np.nan], 0.0, "finite"),
+    ([0.5, 1.0], np.inf, "mu must be finite"),
+])
+def test_dataset_rejects_what_no_likelihood_reads(samples, mu, match):
+    with pytest.raises(ValueError, match=match):
+        DataSet(samples, mu=mu)
+
+
 def _sample_cases():
     rng = np.random.default_rng(5)
     for n in (1, 2, 17, 1000, 100_003):
