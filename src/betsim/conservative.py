@@ -8,6 +8,7 @@ ensemble mean decays toward 0.5.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -25,12 +26,22 @@ BLOCK_STEPS = 64
 ForcedBet = tuple[tuple[int, int], int]
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int, through ``operator.index``: a ValueError names
+    ``name`` when it is not an integer (a float, even an integral one)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ConservativeConfig:
     """Parameters of one closed-ensemble run.
 
     ``steps`` may be 0, in which case the trajectory is just the
-    initial snapshot.
+    initial snapshot.  The counts must be integers: a float is refused,
+    not truncated.
     """
 
     steps: int
@@ -39,6 +50,8 @@ class ConservativeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "n_microstates", "bets_per_step"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.n_microstates < 2:
             raise ValueError("n_microstates must be >= 2")
         if not 1 <= self.bets_per_step <= self.n_microstates // 2:

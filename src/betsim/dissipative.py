@@ -10,17 +10,28 @@ keep the system away from global equilibrium indefinitely.
 """
 from __future__ import annotations
 
+import os
+import signal
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _fork
 from . import rng as rngmod
-from .conservative import BLOCK_STEPS, Trajectory
-from .core import MacroSnapshot, Snapshots, _means, macro_snapshot
+from .conservative import BLOCK_STEPS, Trajectory, _count
+from .core import SNAPSHOT_FIELDS, MacroSnapshot, Snapshots, _means, macro_snapshot
 
 DEFAULT_GRAIN_SIZES = (750, 225, 150, 425)
 DEFAULT_BINS = 50
 REMOVAL_POLICIES = ("oldest", "random", "closest-to-equilibrium")
+
+# grain-member steps (steps times the grains' summed sizes) from which a
+# churn-free run hands its largest grains to a forked helper (see _Helper)
+_SPLIT_MEMBER_STEPS = 400_000
+# the helper's pipe: room for more than one block of its grains' posteriors,
+# so it runs on while this process advances the other grains and pools
+_PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,7 +49,8 @@ class DissipativeConfig:
     as 1/size and larger grains take proportionally longer to reach
     equilibrium, which is the size-ordering regime.  Injection and
     removal default to off, which reproduces the fixed four-grain
-    setting.
+    setting.  The counts (steps, grain and injected sizes, bets per
+    grain) must be integers: a float is refused, not truncated.
     """
 
     steps: int
@@ -52,10 +64,12 @@ class DissipativeConfig:
     removal_policy: str = "oldest"
 
     def __post_init__(self):
-        object.__setattr__(self, "grain_sizes", tuple(int(s) for s in self.grain_sizes))
-        object.__setattr__(
-            self, "injection_size_range", tuple(int(s) for s in self.injection_size_range)
-        )
+        object.__setattr__(self, "steps", _count("steps", self.steps))
+        for name in ("grain_sizes", "injection_size_range"):
+            object.__setattr__(self, name, tuple(_count(name, s) for s in getattr(self, name)))
+        if self.bets_per_grain is not None:
+            bets = _count("bets_per_grain", self.bets_per_grain)
+            object.__setattr__(self, "bets_per_grain", bets)
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if len(self.grain_sizes) == 0:
@@ -175,7 +189,8 @@ def _topology(state: DissipativeState, t: int) -> tuple[int | None, int | None] 
     return None if size is None and k is None else (size, k)
 
 
-def _advance(state: DissipativeState, limit: int) -> DissipativeState:
+def _advance(state: DissipativeState, limit: int,
+             helper: _Helper | None = None) -> DissipativeState:
     """Advance the whole system through its next topology event, or by
     ``limit`` steps if that comes first.
 
@@ -183,7 +198,8 @@ def _advance(state: DissipativeState, limit: int) -> DissipativeState:
     books the stretch, the event's step included, as one block, and the
     rows before the event are pooled in one batch.  The event then acts
     on the step's own rows: an injected grain adds its row of ones, and
-    a removal ranks the grains on their rows of the step.
+    a removal ranks the grains on their rows of the step.  A grain that
+    ``helper`` runs has its block read from it instead.
     """
     cfg = state.config
     t = state.step + 1
@@ -192,7 +208,7 @@ def _advance(state: DissipativeState, limit: int) -> DissipativeState:
         if event is not None:
             break
     # the steps' posteriors, one (steps, size) block per grain of state.grains
-    posts = [grain.advance(t, _grain_bets(cfg, grain.size), steps)[1] for grain in state.grains]
+    posts = [_grain_block(cfg, grain, t, steps, helper) for grain in state.grains]
     state.step = t + steps - 1
     if event is not None:
         if steps > 1:
@@ -226,7 +242,8 @@ def step_dissipative(state: DissipativeState) -> DissipativeState:
     Injection and removal draw from the step's topology stream, which
     ``state.topology`` serves only when one of their probabilities is
     positive; grain bets use their own per-step streams so grains can be
-    processed in any order (or in parallel) with identical results.
+    processed in any order (or in parallel) with identical results, as
+    ``run_dissipative`` does when it hands grains to a helper process.
     """
     return _advance(state, 1)
 
@@ -258,14 +275,170 @@ def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> Diss
     """Full deterministic run; the final state holds per-grain tracks and pooled series.
 
     One rule advances the system: every stretch up to the next injection
-    or removal, capped at ``BLOCK_STEPS`` steps, is one block.
+    or removal, capped at ``BLOCK_STEPS`` steps, is one block.  A run
+    without churn, of two grains or more and ``_SPLIT_MEMBER_STEPS``
+    grain-member steps or more, hands its largest grains to a forked
+    helper (:class:`_Helper`), with the same result.
     """
     state = init_grains(config, bins)
-    while state.step < config.steps:
-        _advance(state, min(BLOCK_STEPS, config.steps - state.step))
+    helper = _Helper.start(state)
+    try:
+        while state.step < config.steps:
+            _advance(state, min(BLOCK_STEPS, config.steps - state.step), helper)
+        if helper is not None:
+            helper.finish()
+    except BaseException:
+        if helper is not None:
+            helper.stop()
+        raise
     for grain in state.grains:
         grain.summarise()
     return state
+
+
+def _grain_block(cfg: DissipativeConfig, grain: Trajectory, t: int, steps: int,
+                 helper: _Helper | None) -> np.ndarray:
+    """The posteriors of ``grain`` at steps t to t + steps - 1: the block
+    ``helper`` sends, when it runs the grain, else the one ``grain.advance``
+    books here."""
+    block = None if helper is None else helper.block(grain, t, steps)
+    return grain.advance(t, _grain_bets(cfg, grain.size), steps)[1] if block is None else block
+
+
+def _catch_up(cfg: DissipativeConfig, grain: Trajectory, t: int) -> None:
+    """Advance ``grain`` through step t - 1, from its next step on, in
+    blocks, dropping the posteriors: a grain whose steps a helper ran
+    before it failed, and whose blocks were pooled."""
+    bets = _grain_bets(cfg, grain.size)
+    for s in range(grain.birth_step + grain._steps_run, t, BLOCK_STEPS):
+        grain.advance(s, bets, min(BLOCK_STEPS, t - s))
+
+
+class _Helper:
+    """A forked process that advances the largest grains of a churn-free run.
+
+    It takes the largest grains, the lowest id first among equal sizes,
+    until they hold at least half the members, and runs them from their
+    birth as the run does, in blocks of ``BLOCK_STEPS`` steps.  Each block's
+    posteriors go, as raw float64 in grain order, through one pipe of
+    ``_PIPE_BYTES``; this process reads each into a ``(steps, size)`` array
+    and pools it with its own grains' blocks.  At the end the helper sends
+    each grain's final ledgers, totals, steps run and snapshot columns, of
+    shapes this process knows, and exits.
+
+    If the helper cannot be forked, or the pipe ends short, or the helper
+    does not exit with status 0 (it failed, was killed or was reaped
+    elsewhere), this process advances the helper's grains itself from their
+    birth, dropping the blocks it has pooled, and gets the same bits; a
+    ledger check that fails in the helper then fails here with its text.
+    """
+
+    def __init__(self, config: DissipativeConfig, pid: int, fd: int, grains: list[Trajectory]):
+        self._config = config
+        self._pid = pid
+        self._pipe = open(fd, "rb")
+        self._grains = {grain.id: grain for grain in grains}
+
+    @classmethod
+    def start(cls, state: DissipativeState) -> _Helper | None:
+        """The helper of a run at its start, or None when the run is not
+        split: it churns, has one grain or fewer member steps than
+        ``_SPLIT_MEMBER_STEPS``, or :func:`_fork.can_split` refuses."""
+        cfg = state.config
+        members = sum(cfg.grain_sizes)
+        if cfg.churns or len(state.grains) < 2 or cfg.steps * members < _SPLIT_MEMBER_STEPS:
+            return None
+        grains, taken = [], 0
+        for grain in sorted(state.grains, key=lambda g: -g.size):  # sorted keeps id order on ties
+            if 2 * taken >= members:
+                break
+            grains.append(grain)
+            taken += grain.size
+        grains.sort(key=lambda g: g.id)
+        pid, fd = _fork.fork_pipe(_PIPE_BYTES)
+        if pid == 0:
+            code = 1
+            try:
+                _send(cfg, grains, fd)
+                code = 0
+            finally:
+                os._exit(code)
+        return cls(cfg, pid, fd, grains) if pid > 0 else None
+
+    def block(self, grain: Trajectory, t: int, steps: int) -> np.ndarray | None:
+        """The next block of ``grain`` from the pipe, or None when this
+        process is to advance the grain: it is not the helper's, or the pipe
+        ended short, now or before, so the helper is stopped and the grain
+        has been caught up through step t - 1."""
+        if grain.id not in self._grains:
+            return None
+        if self._pipe is not None:
+            block = np.empty((steps, grain.size))
+            if self._read(block):
+                return block
+            self.stop()
+        _catch_up(self._config, grain, t)
+        return None
+
+    def finish(self) -> None:
+        """Take the helper's grains' final states and reap it; if it cannot,
+        advance those grains here through the run's last step."""
+        rows, finals = self._config.steps + 1, []
+        if self._pipe is not None:
+            for grain in self._grains.values():
+                counts, snapshots = np.empty(3, dtype=np.int64), Snapshots(rows)
+                wins, losses = np.empty((2, grain.size), dtype=np.int64)
+                if not all(map(self._read, [wins, losses, counts, *snapshots._columns])):
+                    break
+                snapshots._rows = rows
+                finals.append((grain, wins, losses, counts.tolist(), snapshots))
+        if self.stop(kill=False) != 0:
+            for grain in self._grains.values():
+                _catch_up(self._config, grain, rows)
+            return
+        for grain, wins, losses, (total_wins, total_losses, steps_run), snapshots in finals:
+            ensemble = grain.ensemble
+            ensemble.wins, ensemble.losses = wins, losses
+            ensemble.total_wins, ensemble.total_losses = total_wins, total_losses
+            grain._steps_run, grain._snapshots, grain._pending = steps_run, snapshots, []
+
+    def stop(self, kill: bool = True) -> int:
+        """Close the pipe, kill the helper unless ``kill`` is false, and reap
+        it; returns its wait status, or -1 when it was reaped before."""
+        if self._pipe is None:
+            return -1
+        self._pipe.close()
+        self._pipe = None
+        if kill:
+            with suppress(ProcessLookupError):
+                os.kill(self._pid, signal.SIGKILL)
+        return _fork.reap(self._pid)
+
+    def _read(self, a: np.ndarray) -> bool:
+        """Fill the array ``a`` from the pipe; False when it ends short."""
+        view = memoryview(a).cast("B")
+        return self._pipe.readinto(view) == len(view)
+
+
+def _send(cfg: DissipativeConfig, grains: list[Trajectory], fd: int) -> None:
+    """The helper's work: advance ``grains`` through the run's steps in the
+    run's blocks, writing each block's posteriors to the pipe ``fd``, then
+    each grain's ledgers, totals, steps run and snapshot columns."""
+    with open(fd, "wb") as pipe:
+        for t in range(1, cfg.steps + 1, BLOCK_STEPS):
+            steps = min(BLOCK_STEPS, cfg.steps + 1 - t)
+            for grain in grains:
+                pipe.write(grain.advance(t, _grain_bets(cfg, grain.size), steps)[1])
+            pipe.flush()  # a block smaller than the buffer goes now, not with the next one
+        for grain in grains:
+            grain.summarise()
+            ensemble = grain.ensemble
+            pipe.write(ensemble.wins)
+            pipe.write(ensemble.losses)
+            pipe.write(np.array([ensemble.total_wins, ensemble.total_losses, grain._steps_run],
+                                dtype=np.int64))
+            for name in SNAPSHOT_FIELDS:
+                pipe.write(grain._snapshots.column(name))
 
 
 def _grain_bets(config: DissipativeConfig, size: int) -> int:

@@ -24,13 +24,13 @@ import io
 import math
 import os
 import signal
-import threading
 import warnings
 from contextlib import closing, contextmanager, suppress
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import _fork
 from .conservative import DEFAULT_SMOOTHING_WINDOW, Trajectory, smooth_series
 from .core import SNAPSHOT_FIELDS, MacroSnapshot, Snapshots, histogram_edges
 from .errors import ConfigError, DataError
@@ -114,16 +114,6 @@ def _write_csv(path, header: str, row: str, columns: Sequence[Sequence]) -> None
                     out.write, len(columns[0]) >= _SPLIT_ROWS)
 
 
-def _can_split() -> bool:
-    """Whether :func:`_two_halves` may fork: ``os.fork`` exists, a second
-    CPU is usable, no other Python thread runs, whose locks the child
-    could inherit held and then wait on for ever, and SIGCHLD is not
-    ignored, which has the kernel reap the child before its status is read."""
-    cpus = getattr(os, "sched_getaffinity", lambda _: ())
-    return (hasattr(os, "fork") and threading.active_count() == 1 and len(cpus(0)) > 1
-            and signal.getsignal(signal.SIGCHLD) is not signal.SIG_IGN)
-
-
 class _Declined(Exception):
     """Raised by :func:`_span` for a span it leaves to the per-row reader."""
 
@@ -134,7 +124,7 @@ def _two_halves(first, second, write, split: bool):
     """Return ``first()``, and pass the bytes of the chunks that ``second()``
     returns to ``write``, in order.
 
-    With ``split`` set and :func:`_can_split`, a forked child runs
+    With ``split`` set and :func:`_fork.can_split`, a forked child runs
     ``second()`` while this process runs ``first()``, and sends the bytes
     through a pipe; it ends in ``os._exit``, so it never unwinds into the
     caller, runs atexit handlers or flushes inherited buffers.  A child whose
@@ -144,49 +134,33 @@ def _two_halves(first, second, write, split: bool):
     past those the child sent are written.  If this process raises, it kills
     the child first; it always reaps it.
     """
-    pid = -1
-    if split and _can_split():
-        with suppress(OSError):
-            r, w = os.pipe()
-            try:
-                # Python 3.12+ warns of any other OS thread; with no other Python
-                # thread running, those are numpy's BLAS threads, which the child never uses
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            finally:
-                if pid < 0:
-                    os.close(r)
-                    os.close(w)
+    pid, fd = _fork.fork_pipe() if split else (-1, -1)
     if pid == 0:
         code = 1
         try:
-            os.close(r)
             chunks = list(second())  # all of them before the first write, which waits for first()
-            with open(w, "wb") as pipe:
+            with open(fd, "wb") as pipe:
                 pipe.writelines(chunks)
             code = 0
         except _Declined:
             code = _Declined.status
         finally:
             os._exit(code)
-    sent, status = 0, -1
+    sent = 0
     if pid < 0:
         result = first()
     else:
-        os.close(w)
         try:
             result = first()
-            while chunk := os.read(r, 1 << 16):
+            while chunk := os.read(fd, 1 << 16):
                 write(chunk)
                 sent += len(chunk)
         except BaseException:
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            os.close(r)
-            with suppress(ChildProcessError):  # reaped elsewhere: by a SIGCHLD handler, say
-                status = os.waitpid(pid, 0)[1]
+            os.close(fd)
+            status = _fork.reap(pid)
         if status == 0:
             return result
         if os.WIFEXITED(status) and os.WEXITSTATUS(status) == _Declined.status:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from betsim import _fork
 from betsim import config as bconfig
 from betsim import conservative, core, inference
 from betsim import rng as rngmod
@@ -723,7 +724,7 @@ def test_split_reader_reads_an_odd_line_in_either_span(tmp_path, monkeypatch, wh
             _assert_readers_agree(str(path), 2)
     finally:
         csv.field_size_limit(limit)
-    assert len(forks) >= 2 or not csvio._can_split()  # one read of each file went through a child
+    assert len(forks) >= 2 or not _fork.can_split()  # one read of each file went through a child
 
 
 @pytest.mark.parametrize("odd", [None, b"1,2,3", b"x", b"1," + b"0" * 20 + b"1"])
@@ -876,7 +877,7 @@ def test_a_file_replaced_while_it_is_read_gives_its_own_values(tmp_path, monkeyp
             got = read(str(path))
         assert got.tobytes() == expect.pop(0).tobytes()
         assert not replacement.exists()  # the path named the other file while it was read
-    assert len(forks) == (0 if one_cpu or not csvio._can_split() else 2)
+    assert len(forks) == (0 if one_cpu or not _fork.can_split() else 2)
 
 
 @pytest.mark.parametrize("one_cpu", [False, True])
@@ -895,7 +896,7 @@ def test_a_file_truncated_while_it_is_read_gives_what_it_then_holds(tmp_path, mo
         assert got == _read_outcome(str(path), reader)
 
 
-@pytest.mark.skipif(not csvio._can_split(), reason="needs fork and two usable CPUs")
+@pytest.mark.skipif(not _fork.can_split(), reason="needs fork and two usable CPUs")
 def test_a_span_the_child_declines_is_parsed_once(tmp_path, monkeypatch):
     # the child's decline is its exit status, so this process hands the file
     # to the per-row reader without parsing the child's span again
@@ -1000,7 +1001,7 @@ def test_split_fallbacks_give_the_one_process_bytes(tmp_path, monkeypatch, fallb
         tmp_path, monkeypatch, FALLBACKS[fallback]
     )
     assert split == one_process
-    if fallback.startswith("child") and csvio._can_split():
+    if fallback.startswith("child") and _fork.can_split():
         assert len(forks) == 4  # both writers and both readers forked a child that failed
 
 
@@ -1009,7 +1010,7 @@ def test_split_writer_and_readers_give_the_one_process_bytes(tmp_path, monkeypat
         tmp_path, monkeypatch, lambda mp: None
     )
     assert split == one_process
-    assert len(forks) == (4 if csvio._can_split() else 0)
+    assert len(forks) == (4 if _fork.can_split() else 0)
 
 
 def test_no_split_while_another_thread_runs(tmp_path, monkeypatch):
@@ -1033,7 +1034,7 @@ def test_no_split_with_sigchld_ignored():
     # the kernel then reaps the child itself, and no exit status can be read
     previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     try:
-        assert not csvio._can_split()
+        assert not _fork.can_split()
     finally:
         signal.signal(signal.SIGCHLD, previous)
 
@@ -1055,7 +1056,7 @@ def test_a_failed_split_writer_leaves_no_file(tmp_path, monkeypatch):
     assert not path.exists()
 
 
-@pytest.mark.skipif(not csvio._can_split(), reason="needs fork and two usable CPUs")
+@pytest.mark.skipif(not _fork.can_split(), reason="needs fork and two usable CPUs")
 def test_two_halves_kills_the_child_when_this_process_raises():
     def second():
         time.sleep(60)  # reaping a child left to run would wait for this
@@ -1070,7 +1071,7 @@ def test_two_halves_kills_the_child_when_this_process_raises():
     assert time.monotonic() - started < 30
 
 
-@pytest.mark.skipif(not csvio._can_split(), reason="needs fork and two usable CPUs")
+@pytest.mark.skipif(not _fork.can_split(), reason="needs fork and two usable CPUs")
 def test_two_halves_completes_the_bytes_of_a_child_killed_part_way(monkeypatch):
     chunks = [bytes([k]) * 4096 for k in range(256)]  # 1 MiB, more than a pipe holds
     forks = _forks(monkeypatch)

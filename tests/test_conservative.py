@@ -54,6 +54,16 @@ def test_config_validation():
         ConservativeConfig(steps=1, seed=-3)
 
 
+@pytest.mark.parametrize("counts", [
+    {"steps": 2.5}, {"steps": 3.0}, {"n_microstates": 10.5}, {"bets_per_step": 1.0},
+])
+def test_config_refuses_counts_that_are_not_integers(counts):
+    # steps=2.5 used to be accepted, then failed in the run with a TypeError
+    name = next(iter(counts))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        ConservativeConfig(**{"steps": 3, **counts})
+
+
 def test_with_seed_returns_new_config():
     cfg = ConservativeConfig(steps=3, seed=1)
     other = cfg.with_seed(9)

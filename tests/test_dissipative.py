@@ -1,16 +1,21 @@
 """Unit tests for the coarse-grained open system."""
 
 import dataclasses
+import os
+import signal
+import threading
+import time
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from betsim import dissipative
+from betsim import _fork, conservative, dissipative
 from betsim import rng as rngmod
 from betsim.conservative import BLOCK_STEPS, ConservativeConfig, Trajectory
-from betsim.core import EnsembleState
+from betsim.core import SNAPSHOT_FIELDS, EnsembleState
 from betsim.io import emit_histogram_csv
 from betsim.dissipative import (
     DissipativeConfig,
@@ -21,6 +26,7 @@ from betsim.dissipative import (
     superposed_distribution,
 )
 from oracle import churn_run, grain_run, recorded_run, same_snapshot
+from test_config_io import _forks, _raise_oserror, _reaped_elsewhere
 
 
 def test_config_validation():
@@ -40,6 +46,26 @@ def test_config_validation():
         DissipativeConfig(steps=1, injection_size_range=(1, 50))
     with pytest.raises(ValueError, match="injection_prob"):
         DissipativeConfig(steps=1, injection_prob=1.5)
+
+
+@pytest.mark.parametrize("counts", [
+    {"grain_sizes": (750.9, 2.5)}, {"grain_sizes": (750.0, 3)}, {"steps": 2.5},
+    {"bets_per_grain": 1.5}, {"injection_size_range": (2.7, 3.9)}, {"steps": "3"},
+])
+def test_config_refuses_counts_that_are_not_integers(counts):
+    # they used to be truncated, or to fail later with a TypeError
+    name = next(iter(counts))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        DissipativeConfig(**{"steps": 3, **counts})
+
+
+def test_config_takes_numpy_integer_counts_as_ints():
+    cfg = DissipativeConfig(steps=np.int64(3), grain_sizes=np.array([4, 5]),
+                            bets_per_grain=np.int32(1), injection_size_range=np.array([2, 9]))
+    assert cfg == DissipativeConfig(steps=3, grain_sizes=(4, 5), bets_per_grain=1,
+                                    injection_size_range=(2, 9))
+    assert all(type(v) is int for v in (cfg.steps, *cfg.grain_sizes, cfg.bets_per_grain,
+                                          *cfg.injection_size_range))
 
 
 def test_init_grains_fresh_state():
@@ -446,6 +472,189 @@ def test_a_finished_run_keeps_no_derived_stream_block():
     steps = rngmod.KEYED_STEPS + rngmod.CHUNK + 5
     result = run_dissipative(DissipativeConfig(steps=steps, grain_sizes=(6, 8), seed=3))
     assert all(grain.streams._words.size == 0 for grain in result.grains)
+
+
+# ---------------------------------------------------------------------------
+# a churn-free run split with a forked helper
+
+
+def _outcome(state):
+    """Everything a run keeps, as bytes: each grain's id, size, birth,
+    death, steps run, final ledgers and totals and snapshot columns, and
+    the pooled columns and counts."""
+    grains = [
+        (gid, g.size, g.birth_step, g.death_step, g._steps_run, g.ensemble.wins.tobytes(),
+         g.ensemble.losses.tobytes(), g.ensemble.total_wins, g.ensemble.total_losses,
+         [g.snapshots.column(name).tobytes() for name in SNAPSHOT_FIELDS])
+        for gid, g in sorted(state.grain_tracks.items())
+    ]
+    pooled = [state.pooled.column(name).tobytes() for name in SNAPSHOT_FIELDS]
+    counts = np.array([p.counts for p in state.pooled]).tobytes()
+    return grains, pooled, counts, [g.id for g in state.grains]
+
+
+def _one_process_and_split(mp, cfg, bins=dissipative.DEFAULT_BINS, fail=None):
+    """The outcome (or the AssertionError text) of ``cfg`` run with one CPU,
+    then split from any size with ``fail(mp, stack)`` applied, and the
+    helpers the split forked."""
+    def outcome():
+        try:
+            return _outcome(run_dissipative(cfg, bins))
+        except AssertionError as exc:
+            return str(exc)
+
+    mp.setattr(dissipative, "_SPLIT_MEMBER_STEPS", 0)
+    with mp.context() as one_cpu:
+        one_cpu.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = _forks(one_cpu)
+        one_process = outcome()
+        assert not forks
+    with mp.context() as split, ExitStack() as stack:
+        forks = _forks(split)
+        if fail is not None:
+            fail(split, stack)
+        return one_process, outcome(), forks
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    sizes=st.sampled_from([(40, 40, 40, 40), (90, 7), (60, 12, 33, 5, 80, 2, 21)]),
+    steps=st.integers(1, 3 * BLOCK_STEPS + 40).filter(lambda steps: steps % BLOCK_STEPS),
+    bets_per_grain=st.none() | st.just(1),
+    bins=st.integers(1, 30),
+)
+def test_a_split_run_is_the_one_process_run(seed, sizes, steps, bets_per_grain, bins):
+    cfg = DissipativeConfig(steps=steps, grain_sizes=sizes, seed=seed,
+                            bets_per_grain=bets_per_grain)
+    with pytest.MonkeyPatch.context() as mp:
+        one_process, split, forks = _one_process_and_split(mp, cfg, bins)
+    assert split == one_process
+    assert len(forks) == (1 if _fork.can_split() else 0)
+
+
+def test_a_run_splits_from_the_measured_size(monkeypatch):
+    # below the split size, and with churn, no helper is forked
+    forks = _forks(monkeypatch)
+    members = sum(dissipative.DEFAULT_GRAIN_SIZES)
+    steps = -(-dissipative._SPLIT_MEMBER_STEPS // members)  # the fewest steps at the size
+    for cfg, split in [
+        (DissipativeConfig(steps=steps - 1, bets_per_grain=1), False),
+        (DissipativeConfig(steps=steps, bets_per_grain=1, removal_prob=1e-9), False),
+        (DissipativeConfig(steps=steps, bets_per_grain=1), _fork.can_split()),
+    ]:
+        forks.clear()
+        run_dissipative(cfg)
+        assert len(forks) == split
+
+
+def _in_the_helper(mp, action, after=BLOCK_STEPS):
+    """Make the helper call ``action()`` before it advances a grain past step ``after``."""
+    parent, advance = os.getpid(), Trajectory.advance
+
+    def advancing(self, t, *args, **kwargs):
+        if os.getpid() != parent and t > after:
+            action()
+        return advance(self, t, *args, **kwargs)
+
+    mp.setattr(Trajectory, "advance", advancing)
+
+
+def _fail():
+    raise RuntimeError("the helper fails")
+
+
+# the fallback runs' steps: 3 blocks and a part
+FALLBACK_STEPS = 3 * BLOCK_STEPS + 9
+
+
+def _killed_before_its_final_states(mp, stack):
+    """Make the helper kill itself once it has sent every block, as it
+    summarises its grains' last steps before it sends their final states."""
+    parent, summarise = os.getpid(), Trajectory.summarise
+
+    def summarising(self):
+        if os.getpid() != parent and self._steps_run == FALLBACK_STEPS + 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return summarise(self)
+
+    mp.setattr(Trajectory, "summarise", summarising)
+
+
+def _sigchld_ignored(mp, stack):
+    stack.callback(signal.signal, signal.SIGCHLD, signal.signal(signal.SIGCHLD, signal.SIG_IGN))
+
+
+def _another_thread(mp, stack):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    stack.callback(other.join)
+    stack.callback(release.set)
+
+
+FALLBACKS = {
+    "fork raises": lambda mp, stack: mp.setattr(os, "fork", _raise_oserror),
+    "helper killed": lambda mp, stack: _in_the_helper(
+        mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+    "helper exits 1": lambda mp, stack: _in_the_helper(mp, _fail),
+    "helper killed before its final states": _killed_before_its_final_states,
+    "helper reaped elsewhere": lambda mp, stack: _reaped_elsewhere(mp),
+    "SIGCHLD ignored": _sigchld_ignored,
+    "another thread running": _another_thread,
+}
+
+
+@pytest.mark.parametrize("fallback", FALLBACKS)
+def test_split_fallbacks_give_the_one_process_bits(monkeypatch, fallback):
+    # the helper runs the grain of 50, and fails after sending its first
+    # block, or every block, or once its status is read
+    cfg = DissipativeConfig(steps=FALLBACK_STEPS, grain_sizes=(30, 12, 50, 7), seed=8)
+    one_process, split, forks = _one_process_and_split(monkeypatch, cfg, 20, FALLBACKS[fallback])
+    assert split == one_process
+    if fallback.startswith("helper"):
+        assert len(forks) == (1 if _fork.can_split() else 0)
+    if fallback in ("SIGCHLD ignored", "another thread running"):
+        assert not forks
+
+
+def test_a_ledger_fault_in_the_helper_raises_its_text(monkeypatch):
+    # the largest grain, the helper's, books its totals one win too high
+    # from step 129 on: the helper fails, and the parent's rerun raises
+    book = conservative._book
+
+    def faulty(state, draws, rows, first=0):
+        if state.wins.size == 50 and first > 2 * BLOCK_STEPS:
+            state.total_wins += 1
+        return book(state, draws, rows, first)
+
+    monkeypatch.setattr(conservative, "_book", faulty)
+    cfg = DissipativeConfig(steps=FALLBACK_STEPS, grain_sizes=(30, 12, 50, 7), seed=8)
+    one_process, split, forks = _one_process_and_split(monkeypatch, cfg)
+    assert one_process.startswith(f"ledger check failed at step {2 * BLOCK_STEPS + 1}:")
+    assert split == one_process
+    assert len(forks) == (1 if _fork.can_split() else 0)
+
+
+@pytest.mark.skipif(not _fork.can_split(), reason="needs fork and two usable CPUs")
+def test_an_interrupted_run_kills_and_reaps_its_helper(monkeypatch):
+    # the helper sleeps in its second block; reaping it alive would wait for that
+    monkeypatch.setattr(dissipative, "_SPLIT_MEMBER_STEPS", 0)
+    _in_the_helper(monkeypatch, lambda: time.sleep(60))
+    parent, real = os.getpid(), dissipative._grain_block
+    forks = _forks(monkeypatch)
+
+    def interrupted(cfg, grain, t, steps, helper):
+        if os.getpid() == parent and t > BLOCK_STEPS:
+            raise KeyboardInterrupt
+        return real(cfg, grain, t, steps, helper)
+
+    monkeypatch.setattr(dissipative, "_grain_block", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_dissipative(DissipativeConfig(steps=3 * BLOCK_STEPS, grain_sizes=(30, 12, 50), seed=8))
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
 
 
 def test_superposed_requires_living_grains():
