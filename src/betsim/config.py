@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from typing import Callable
 
 from . import rng as rngmod
-from .conservative import ConservativeConfig
+from .conservative import ConservativeConfig, _count
 from .dissipative import DEFAULT_BINS, DissipativeConfig
 from .errors import ConfigError
 from .inference import GAUSSIAN_KNOWN_MEAN, InvGammaParams, ModelSpec
@@ -44,11 +44,13 @@ class SuperstatConfig:
     slow_mixing: bool = False
 
     def __post_init__(self):
+        for name in ("n", "tau"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
-        rngmod.check_seed(self.seed)
+        object.__setattr__(self, "seed", rngmod.check_seed(self.seed))
         self.model()  # validate the kind and the distribution parameters eagerly
 
     def model(self) -> MixingModel:
@@ -118,6 +120,8 @@ class IoConfig:
     histogram_every: int = 0
 
     def __post_init__(self):
+        for name in ("histogram_bins", "histogram_every"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be >= 1")
         if self.histogram_every < 0:

@@ -8,7 +8,6 @@ ensemble mean decays toward 0.5.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .core import EnsembleState, Snapshots, _posteriors
+from .rng import _count
 
 DEFAULT_SMOOTHING_WINDOW = 25
 # steps a population books before it summarises them in one batch, and a
@@ -24,15 +24,6 @@ BLOCK_STEPS = 64
 
 # a forced bet: ((i, j), winner) with winner one of i, j
 ForcedBet = tuple[tuple[int, int], int]
-
-
-def _count(name: str, value) -> int:
-    """``value`` as an int, through ``operator.index``: a ValueError names
-    ``name`` when it is not an integer (a float, even an integral one)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -61,7 +52,7 @@ class ConservativeConfig:
             )
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
-        rngmod.check_seed(self.seed)
+        object.__setattr__(self, "seed", rngmod.check_seed(self.seed))
 
     def with_seed(self, seed: int) -> "ConservativeConfig":
         return replace(self, seed=seed)

@@ -10,9 +10,6 @@ keep the system away from global equilibrium indefinitely.
 """
 from __future__ import annotations
 
-import os
-import signal
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,7 +73,7 @@ class DissipativeConfig:
             raise ValueError("grain_sizes must not be empty")
         if any(s < 2 for s in self.grain_sizes):
             raise ValueError("every grain size must be >= 2")
-        rngmod.check_seed(self.seed)
+        object.__setattr__(self, "seed", rngmod.check_seed(self.seed))
         if not 0.0 < self.bets_fraction <= 1.0:
             raise ValueError("bets_fraction must be in (0, 1]")
         if self.bets_per_grain is not None:
@@ -281,16 +278,11 @@ def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> Diss
     helper (:class:`_Helper`), with the same result.
     """
     state = init_grains(config, bins)
-    helper = _Helper.start(state)
-    try:
+    helper = _Helper(state)
+    with helper.child:
         while state.step < config.steps:
             _advance(state, min(BLOCK_STEPS, config.steps - state.step), helper)
-        if helper is not None:
-            helper.finish()
-    except BaseException:
-        if helper is not None:
-            helper.stop()
-        raise
+        helper.finish()
     for grain in state.grains:
         grain.summarise()
     return state
@@ -298,147 +290,82 @@ def run_dissipative(config: DissipativeConfig, bins: int = DEFAULT_BINS) -> Diss
 
 def _grain_block(cfg: DissipativeConfig, grain: Trajectory, t: int, steps: int,
                  helper: _Helper | None) -> np.ndarray:
-    """The posteriors of ``grain`` at steps t to t + steps - 1: the block
-    ``helper`` sends, when it runs the grain, else the one ``grain.advance``
-    books here."""
-    block = None if helper is None else helper.block(grain, t, steps)
-    return grain.advance(t, _grain_bets(cfg, grain.size), steps)[1] if block is None else block
-
-
-def _catch_up(cfg: DissipativeConfig, grain: Trajectory, t: int) -> None:
-    """Advance ``grain`` through step t - 1, from its next step on, in
-    blocks, dropping the posteriors: a grain whose steps a helper ran
-    before it failed, and whose blocks were pooled."""
-    bets = _grain_bets(cfg, grain.size)
-    for s in range(grain.birth_step + grain._steps_run, t, BLOCK_STEPS):
-        grain.advance(s, bets, min(BLOCK_STEPS, t - s))
+    """The posteriors of ``grain`` at steps t to t + steps - 1: from ``helper``
+    when it runs the grain, else booked here by ``grain.advance``."""
+    if helper is not None and grain.id in helper.grains:
+        return helper.read(np.empty((steps, grain.size)))
+    return grain.advance(t, _grain_bets(cfg, grain.size), steps)[1]
 
 
 class _Helper:
     """A forked process that advances the largest grains of a churn-free run.
 
-    It takes the largest grains, the lowest id first among equal sizes,
-    until they hold at least half the members, and runs them from their
-    birth as the run does, in blocks of ``BLOCK_STEPS`` steps.  Each block's
-    posteriors go, as raw float64 in grain order, through one pipe of
-    ``_PIPE_BYTES``; this process reads each into a ``(steps, size)`` array
-    and pools it with its own grains' blocks.  At the end the helper sends
-    each grain's final ledgers, totals, steps run and snapshot columns, of
-    shapes this process knows, and exits.
-
-    If the helper cannot be forked, or the pipe ends short, or the helper
-    does not exit with status 0 (it failed, was killed or was reaped
-    elsewhere), this process advances the helper's grains itself from their
-    birth, dropping the blocks it has pooled, and gets the same bits; a
-    ledger check that fails in the helper then fails here with its text.
+    A run of two grains or more and ``_SPLIT_MEMBER_STEPS`` grain-member
+    steps or more gives it its largest grains, the lowest id first among
+    equal sizes, until they hold at least half the members; any other run
+    none.  Its :class:`_fork.Child` streams what :func:`_send` yields for
+    them through a pipe of ``_PIPE_BYTES``.
     """
 
-    def __init__(self, config: DissipativeConfig, pid: int, fd: int, grains: list[Trajectory]):
-        self._config = config
-        self._pid = pid
-        self._pipe = open(fd, "rb")
-        self._grains = {grain.id: grain for grain in grains}
-
-    @classmethod
-    def start(cls, state: DissipativeState) -> _Helper | None:
-        """The helper of a run at its start, or None when the run is not
-        split: it churns, has one grain or fewer member steps than
-        ``_SPLIT_MEMBER_STEPS``, or :func:`_fork.can_split` refuses."""
+    def __init__(self, state: DissipativeState):
         cfg = state.config
         members = sum(cfg.grain_sizes)
-        if cfg.churns or len(state.grains) < 2 or cfg.steps * members < _SPLIT_MEMBER_STEPS:
-            return None
         grains, taken = [], 0
-        for grain in sorted(state.grains, key=lambda g: -g.size):  # sorted keeps id order on ties
-            if 2 * taken >= members:
-                break
-            grains.append(grain)
-            taken += grain.size
+        if not cfg.churns and len(state.grains) > 1 and cfg.steps * members >= _SPLIT_MEMBER_STEPS:
+            for grain in sorted(state.grains, key=lambda g: -g.size):  # id order kept on ties
+                if 2 * taken >= members:
+                    break
+                grains.append(grain)
+                taken += grain.size
         grains.sort(key=lambda g: g.id)
-        pid, fd = _fork.fork_pipe(_PIPE_BYTES)
-        if pid == 0:
-            code = 1
-            try:
-                _send(cfg, grains, fd)
-                code = 0
-            finally:
-                os._exit(code)
-        return cls(cfg, pid, fd, grains) if pid > 0 else None
+        self._config = cfg
+        self.grains = {grain.id: grain for grain in grains}
+        self.child = _fork.Child(lambda: _send(cfg, grains), bool(grains), _PIPE_BYTES)
 
-    def block(self, grain: Trajectory, t: int, steps: int) -> np.ndarray | None:
-        """The next block of ``grain`` from the pipe, or None when this
-        process is to advance the grain: it is not the helper's, or the pipe
-        ended short, now or before, so the helper is stopped and the grain
-        has been caught up through step t - 1."""
-        if grain.id not in self._grains:
-            return None
-        if self._pipe is not None:
-            block = np.empty((steps, grain.size))
-            if self._read(block):
-                return block
-            self.stop()
-        _catch_up(self._config, grain, t)
-        return None
+    def read(self, a: np.ndarray) -> np.ndarray:
+        """Fill the array ``a`` with the helper's next bytes; returns it."""
+        view = memoryview(a).cast("B")
+        while view:
+            if not (n := self.child.readinto(view)):
+                raise EOFError("the helper's stream ended short")
+            view = view[n:]
+        return a
 
     def finish(self) -> None:
-        """Take the helper's grains' final states and reap it; if it cannot,
-        advance those grains here through the run's last step."""
+        """Set the helper's grains' final ledgers, totals, steps run and snapshot
+        columns, once all are read: a failed helper's grains advance here from birth."""
         rows, finals = self._config.steps + 1, []
-        if self._pipe is not None:
-            for grain in self._grains.values():
-                counts, snapshots = np.empty(3, dtype=np.int64), Snapshots(rows)
-                wins, losses = np.empty((2, grain.size), dtype=np.int64)
-                if not all(map(self._read, [wins, losses, counts, *snapshots._columns])):
-                    break
-                snapshots._rows = rows
-                finals.append((grain, wins, losses, counts.tolist(), snapshots))
-        if self.stop(kill=False) != 0:
-            for grain in self._grains.values():
-                _catch_up(self._config, grain, rows)
-            return
+        for grain in self.grains.values():
+            counts, snapshots = np.empty(3, dtype=np.int64), Snapshots(rows)
+            wins, losses = np.empty((2, grain.size), dtype=np.int64)
+            for a in (wins, losses, counts, *snapshots._columns):
+                self.read(a)
+            snapshots._rows = rows
+            finals.append((grain, wins, losses, counts.tolist(), snapshots))
         for grain, wins, losses, (total_wins, total_losses, steps_run), snapshots in finals:
             ensemble = grain.ensemble
             ensemble.wins, ensemble.losses = wins, losses
             ensemble.total_wins, ensemble.total_losses = total_wins, total_losses
             grain._steps_run, grain._snapshots, grain._pending = steps_run, snapshots, []
 
-    def stop(self, kill: bool = True) -> int:
-        """Close the pipe, kill the helper unless ``kill`` is false, and reap
-        it; returns its wait status, or -1 when it was reaped before."""
-        if self._pipe is None:
-            return -1
-        self._pipe.close()
-        self._pipe = None
-        if kill:
-            with suppress(ProcessLookupError):
-                os.kill(self._pid, signal.SIGKILL)
-        return _fork.reap(self._pid)
 
-    def _read(self, a: np.ndarray) -> bool:
-        """Fill the array ``a`` from the pipe; False when it ends short."""
-        view = memoryview(a).cast("B")
-        return self._pipe.readinto(view) == len(view)
-
-
-def _send(cfg: DissipativeConfig, grains: list[Trajectory], fd: int) -> None:
+def _send(cfg: DissipativeConfig, grains: list[Trajectory]):
     """The helper's work: advance ``grains`` through the run's steps in the
-    run's blocks, writing each block's posteriors to the pipe ``fd``, then
-    each grain's ledgers, totals, steps run and snapshot columns."""
-    with open(fd, "wb") as pipe:
-        for t in range(1, cfg.steps + 1, BLOCK_STEPS):
-            steps = min(BLOCK_STEPS, cfg.steps + 1 - t)
-            for grain in grains:
-                pipe.write(grain.advance(t, _grain_bets(cfg, grain.size), steps)[1])
-            pipe.flush()  # a block smaller than the buffer goes now, not with the next one
+    run's blocks, yielding each block's posteriors, then each grain's
+    ledgers, totals, steps run and snapshot columns."""
+    for t in range(1, cfg.steps + 1, BLOCK_STEPS):
+        steps = min(BLOCK_STEPS, cfg.steps + 1 - t)
         for grain in grains:
-            grain.summarise()
-            ensemble = grain.ensemble
-            pipe.write(ensemble.wins)
-            pipe.write(ensemble.losses)
-            pipe.write(np.array([ensemble.total_wins, ensemble.total_losses, grain._steps_run],
-                                dtype=np.int64))
-            for name in SNAPSHOT_FIELDS:
-                pipe.write(grain._snapshots.column(name))
+            yield grain.advance(t, _grain_bets(cfg, grain.size), steps)[1]
+    for grain in grains:
+        grain.summarise()
+        ensemble = grain.ensemble
+        yield ensemble.wins
+        yield ensemble.losses
+        yield np.array([ensemble.total_wins, ensemble.total_losses, grain._steps_run],
+                       dtype=np.int64)
+        for name in SNAPSHOT_FIELDS:
+            yield grain._snapshots.column(name)
 
 
 def _grain_bets(config: DissipativeConfig, size: int) -> int:

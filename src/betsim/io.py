@@ -14,8 +14,8 @@ of whole lines (:func:`_span`); a block it cannot take hands the file to the
 per-row reader, the only source of error messages, which reads the same
 descriptor from its start, so every file gets that reader's values or
 error.  A pipe is read row by row as it comes.  From a size on, a forked
-child writes or parses the second half of a table or file
-(:func:`_two_halves`), with the same bytes, values or errors.
+child (:class:`_fork.Child`) formats or parses the second half of a table
+or file, with the same bytes, values or errors.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ import csv
 import io
 import math
 import os
-import signal
 import warnings
 from contextlib import closing, contextmanager, suppress
 from typing import Iterable, Iterator, Sequence
@@ -102,74 +101,18 @@ def _csv_writer(path, header: str):
 def _write_csv(path, header: str, row: str, columns: Sequence[Sequence]) -> None:
     """Write ``header``, then the rows of ``columns``, through :func:`_csv_writer`.
 
-    From ``_SPLIT_ROWS`` rows on, a forked child formats the second half of
-    the rows while this process writes the first (see :func:`_two_halves`);
-    below that the fork costs more than the half saves.  The size was
+    From ``_SPLIT_ROWS`` rows on, a forked child (:class:`_fork.Child`)
+    formats the second half of the rows while this process writes the
+    first; below that the fork costs more than the half saves.  The size was
     measured on returns rows; for other tables it is assumed.
     """
     half = len(columns[0]) // 2
     with _csv_writer(path, header) as out:
-        _two_halves(lambda: out.writelines(_blocks(row, [c[:half] for c in columns])),
-                    lambda: _blocks(row, [c[half:] for c in columns]),
-                    out.write, len(columns[0]) >= _SPLIT_ROWS)
-
-
-class _Declined(Exception):
-    """Raised by :func:`_span` for a span it leaves to the per-row reader."""
-
-    status = 2  # the exit status of a forked child that raised it
-
-
-def _two_halves(first, second, write, split: bool):
-    """Return ``first()``, and pass the bytes of the chunks that ``second()``
-    returns to ``write``, in order.
-
-    With ``split`` set and :func:`_fork.can_split`, a forked child runs
-    ``second()`` while this process runs ``first()``, and sends the bytes
-    through a pipe; it ends in ``os._exit``, so it never unwinds into the
-    caller, runs atexit handlers or flushes inherited buffers.  A child whose
-    ``second()`` raises :class:`_Declined` exits with its ``status``, and this
-    process raises it too.  If the child cannot be forked, fails otherwise, is
-    killed or was reaped elsewhere, ``second()`` runs here and only its bytes
-    past those the child sent are written.  If this process raises, it kills
-    the child first; it always reaps it.
-    """
-    pid, fd = _fork.fork_pipe() if split else (-1, -1)
-    if pid == 0:
-        code = 1
-        try:
-            chunks = list(second())  # all of them before the first write, which waits for first()
-            with open(fd, "wb") as pipe:
-                pipe.writelines(chunks)
-            code = 0
-        except _Declined:
-            code = _Declined.status
-        finally:
-            os._exit(code)
-    sent = 0
-    if pid < 0:
-        result = first()
-    else:
-        try:
-            result = first()
-            while chunk := os.read(fd, 1 << 16):
-                write(chunk)
-                sent += len(chunk)
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.close(fd)
-            status = _fork.reap(pid)
-        if status == 0:
-            return result
-        if os.WIFEXITED(status) and os.WEXITSTATUS(status) == _Declined.status:
-            raise _Declined
-    for chunk in second():
-        chunk = memoryview(chunk).cast("B")
-        write(chunk[sent:])
-        sent = max(0, sent - len(chunk))
-    return result
+        with _fork.Child(lambda: _blocks(row, [c[half:] for c in columns]),
+                         len(columns[0]) >= _SPLIT_ROWS, gather=True) as second:
+            out.writelines(_blocks(row, [c[:half] for c in columns]))
+            while chunk := second.read(1 << 16):
+                out.write(chunk)
 
 
 @contextmanager
@@ -226,9 +169,8 @@ def _read_blocks(fd: int, header: str, usecols: tuple[int, ...]) -> np.ndarray |
     the first line is ``header`` and an LF or CRLF, and :func:`_span`
     takes every block; else, or with no row, None, for :func:`_read_pairs`.
     It never raises or warns for the file's content.  From ``_SPLIT_BYTES``
-    of data on, a forked child (:func:`_two_halves`) parses from the first
-    line start after the middle byte and sends the values; a child that
-    declines its span exits with ``_Declined.status``.
+    of data on, a forked child (:class:`_fork.Child`) parses from the first
+    line start after the middle byte and sends the values, or its decline.
     """
     end = os.fstat(fd).st_size
     start = _line_end(fd, 0, len(header) + 2)  # past the header and its LF or CRLF
@@ -236,11 +178,12 @@ def _read_blocks(fd: int, header: str, usecols: tuple[int, ...]) -> np.ndarray |
         return None
     # below _SPLIT_BYTES the fork costs more than the second span saves
     middle = _line_end(fd, end // 2, end) if end - start >= _SPLIT_BYTES else end
-    rest = bytearray()
     try:
-        blocks = _two_halves(lambda: _span(fd, start, middle, usecols),
-                             lambda: _span(fd, middle, end, usecols), rest.extend, middle < end)
-    except _Declined:
+        with _fork.Child(lambda: _span(fd, middle, end, usecols), middle < end,
+                         gather=True) as second:
+            blocks = _span(fd, start, middle, usecols)
+            rest = second.readall()
+    except _fork.Declined:
         return None
     rows = np.concatenate([*blocks, np.frombuffer(rest).reshape(-1, len(usecols))])
     return rows if len(rows) else None
@@ -266,7 +209,7 @@ def _span(fd: int, start: int, stop: int, usecols: tuple[int, ...]) -> list[np.n
     blocks of finite values when every line is two fields that the csv
     reader takes, of plain numbers in ``usecols`` and of the same bytes
     elsewhere; else, or when the file ends before ``stop``, raises
-    :class:`_Declined`, its only error or warning for the file's content.
+    :class:`_fork.Declined`, its only error or warning for the file's content.
     """
     blocks, size = [], min(_BLOCK_CHARS, csv.field_size_limit())
     try:
@@ -278,22 +221,22 @@ def _span(fd: int, start: int, stop: int, usecols: tuple[int, ...]) -> list[np.n
                     text = text[:text.rfind(b"\n") + 1]
                 # none: a line longer than a block, or the file's end before ``stop``
                 if not text or text.translate(None, _NUMERIC_BYTES):
-                    raise _Declined
+                    raise _fork.Declined
                 start += len(text)
                 # with only these bytes, splitlines ends lines where csv does: \r, \n, \r\n
                 lines = text.decode().splitlines(keepends=True)
                 if text.count(b",") != len(lines):
-                    raise _Declined  # not one comma a line
+                    raise _fork.Declined  # not one comma a line
                 block = np.loadtxt(
                     lines, delimiter=",", comments=None, dtype=np.float64, usecols=usecols, ndmin=2
                 )
                 # loadtxt skips blank lines and raises on a line without a column it
                 # uses: with as many commas as lines, every line it keeps has two fields
                 if len(block) != len(lines) or not np.isfinite(block).all():
-                    raise _Declined
+                    raise _fork.Declined
                 blocks.append(block)
     except (ValueError, Warning):
-        raise _Declined from None
+        raise _fork.Declined from None
     return blocks
 
 

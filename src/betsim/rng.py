@@ -19,6 +19,8 @@ seeds, and loads them into one reused generator.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # purpose slots for the second key component
@@ -43,11 +45,22 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is a user seed: an unsigned
-    64-bit integer, in [0, 2**64)."""
+def _count(name: str, value) -> int:
+    """``value`` as an int, through ``operator.index``: a ValueError names
+    ``name`` when it is not an integer (a float, even an integral one)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int (:func:`_count`) when it is a user seed, an
+    unsigned 64-bit integer, in [0, 2**64); else ValueError."""
+    seed = _count("seed", seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _key_words(key) -> list[int]:

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from betsim import _fork
 from betsim import config as bconfig
@@ -327,6 +328,28 @@ def test_parse_config_returns_a_config_or_a_config_error(entries):
 def test_parse_requires_steps():
     with pytest.raises(ConfigError, match="requires key 'steps'"):
         parse_config("[conservative]\nseed = 1\n")
+
+
+@pytest.mark.parametrize("section, counts", [
+    (SuperstatConfig, {"n": 100.7}), (SuperstatConfig, {"tau": 2.0}),
+    (SuperstatConfig, {"seed": 2.5}), (IoConfig, {"histogram_bins": 10.0}),
+    (IoConfig, {"histogram_every": "5"}),
+])
+def test_sections_refuse_counts_that_are_not_integers(section, counts):
+    # SuperstatConfig(n=100.7) used to fail later with a TypeError
+    name = next(iter(counts))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        section(**counts)
+
+
+def test_sections_take_numpy_integer_counts_as_ints():
+    superstat = SuperstatConfig(n=np.int64(7), tau=np.int32(2), seed=np.uint64(3))
+    io_config = IoConfig(histogram_bins=np.int16(9), histogram_every=np.int64(4))
+    assert (superstat, io_config) == (SuperstatConfig(n=7, tau=2, seed=3),
+                                      IoConfig(histogram_bins=9, histogram_every=4))
+    values = (superstat.n, superstat.tau, superstat.seed, io_config.histogram_bins,
+              io_config.histogram_every)
+    assert all(type(v) is int for v in values)
 
 
 def test_parse_rejects_invariant_violation():
@@ -1057,34 +1080,117 @@ def test_a_failed_split_writer_leaves_no_file(tmp_path, monkeypatch):
 
 
 @pytest.mark.skipif(not _fork.can_split(), reason="needs fork and two usable CPUs")
-def test_two_halves_kills_the_child_when_this_process_raises():
-    def second():
+def test_a_child_is_killed_when_this_process_raises():
+    def produce():
         time.sleep(60)  # reaping a child left to run would wait for this
-        return [b"never sent"]
-
-    def first():
-        raise KeyboardInterrupt
+        yield b"never sent"
 
     started = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        csvio._two_halves(first, second, [].append, True)
+    with pytest.raises(KeyboardInterrupt), _fork.Child(produce, True):
+        raise KeyboardInterrupt
     assert time.monotonic() - started < 30
 
 
 @pytest.mark.skipif(not _fork.can_split(), reason="needs fork and two usable CPUs")
-def test_two_halves_completes_the_bytes_of_a_child_killed_part_way(monkeypatch):
+def test_the_bytes_of_a_child_killed_part_way_are_completed_here(monkeypatch):
     chunks = [bytes([k]) * 4096 for k in range(256)]  # 1 MiB, more than a pipe holds
-    forks = _forks(monkeypatch)
-    got = []
+    parent, made_here = os.getpid(), []
 
-    def first():
+    def produce():
+        made_here.append(os.getpid() == parent)
+        return chunks
+
+    forks = _forks(monkeypatch)
+    with _fork.Child(produce, True, gather=True) as child:
         time.sleep(1.0)  # the child has filled the pipe and waits to write the rest
         os.kill(forks[0], signal.SIGKILL)
-        return "first"
+        first = child.read(4096)
+        assert not made_here  # the first bytes came through the pipe
+        assert first + child.readall() == b"".join(chunks)
+    assert made_here == [True]
 
-    assert csvio._two_halves(first, lambda: chunks, got.append, True) == "first"
-    assert b"".join(got) == b"".join(chunks)
-    assert isinstance(got[0], bytes)  # the first bytes came through the pipe
+
+def _raw(chunk) -> bytes:
+    return chunk.tobytes() if isinstance(chunk, np.ndarray) else chunk
+
+
+def _stop_at(chunks, k, stop):
+    """Yield the chunks, but call ``stop()`` once ``k`` bytes are yielded,
+    the chunk holding byte k cut there."""
+    for chunk in chunks:
+        if k < len(_raw(chunk)):
+            yield _raw(chunk)[:k]
+            stop()
+        k -= len(_raw(chunk))
+        yield chunk
+    if k == 0:
+        stop()
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _decline():
+    raise _fork.Declined
+
+
+# how the child fails: by the test's setup, or by ``stop()`` in the child
+# alone once it has sent k bytes; a decline stops ``produce()`` here too
+CHILD_FAILURES = {
+    "none": (None, None),
+    "fork raises": (lambda mp: mp.setattr(os, "fork", _raise_oserror), None),
+    "one CPU": (lambda mp: mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False),
+                None),
+    "killed after k bytes": (None, _kill_self),
+    "exits 1 after k bytes": (None, _exit_1),
+    "reaped elsewhere": (_reaped_elsewhere, None),
+    "declines after k bytes": (None, _decline),
+}
+
+CHUNK = st.binary(max_size=300) | hnp.arrays(
+    st.sampled_from([np.uint8, np.int64, np.float64]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=20),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(chunks=st.lists(CHUNK, max_size=8), failure=st.sampled_from(sorted(CHILD_FAILURES)),
+       gather=st.booleans(), k=st.integers(0, 30000),
+       sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=5))
+def test_a_child_stream_reads_the_bytes_of_its_chunks(chunks, failure, gather, k, sizes):
+    # the reader gets the chunks' bytes, or Declined when produce() declines;
+    # produce() runs here only when no child was forked or the child failed
+    data = b"".join(map(_raw, chunks))
+    k = min(k, len(data))
+    setup, stop = CHILD_FAILURES[failure]
+    parent, made_here = os.getpid(), []
+
+    def produce():
+        if os.getpid() == parent:
+            made_here.append(True)
+        if stop is _decline or (stop is not None and os.getpid() != parent):
+            return _stop_at(chunks, k, stop)
+        return chunks
+
+    got, reads, declined = bytearray(), iter(sizes * (len(data) + 1)), False
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _forks(mp)
+        if setup is not None:
+            setup(mp)
+        with _fork.Child(produce, True, gather=gather) as child:
+            try:
+                while n := child.readinto(buf := bytearray(next(reads))):
+                    got += buf[:n]
+            except _fork.Declined:
+                declined = True
+    forked = _fork.can_split() and failure not in ("fork raises", "one CPU")
+    assert len(forks) == forked
+    assert declined == (stop is _decline)
+    assert declined or got == data
+    assert len(made_here) == (0 if forked and failure in ("none", "declines after k bytes") else 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------

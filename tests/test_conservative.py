@@ -56,9 +56,11 @@ def test_config_validation():
 
 @pytest.mark.parametrize("counts", [
     {"steps": 2.5}, {"steps": 3.0}, {"n_microstates": 10.5}, {"bets_per_step": 1.0},
+    {"seed": 2.5}, {"seed": 2.0},
 ])
 def test_config_refuses_counts_that_are_not_integers(counts):
-    # steps=2.5 used to be accepted, then failed in the run with a TypeError
+    # steps=2.5 used to be accepted, then failed in the run with a TypeError,
+    # and seed=2.5 ran as seed 2
     name = next(iter(counts))
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         ConservativeConfig(**{"steps": 3, **counts})

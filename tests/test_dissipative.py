@@ -51,6 +51,7 @@ def test_config_validation():
 @pytest.mark.parametrize("counts", [
     {"grain_sizes": (750.9, 2.5)}, {"grain_sizes": (750.0, 3)}, {"steps": 2.5},
     {"bets_per_grain": 1.5}, {"injection_size_range": (2.7, 3.9)}, {"steps": "3"},
+    {"seed": 1.5}, {"seed": "1"},
 ])
 def test_config_refuses_counts_that_are_not_integers(counts):
     # they used to be truncated, or to fail later with a TypeError
@@ -61,11 +62,12 @@ def test_config_refuses_counts_that_are_not_integers(counts):
 
 def test_config_takes_numpy_integer_counts_as_ints():
     cfg = DissipativeConfig(steps=np.int64(3), grain_sizes=np.array([4, 5]),
-                            bets_per_grain=np.int32(1), injection_size_range=np.array([2, 9]))
+                            bets_per_grain=np.int32(1), injection_size_range=np.array([2, 9]),
+                            seed=np.uint64(2**64 - 1))
     assert cfg == DissipativeConfig(steps=3, grain_sizes=(4, 5), bets_per_grain=1,
-                                    injection_size_range=(2, 9))
+                                    injection_size_range=(2, 9), seed=2**64 - 1)
     assert all(type(v) is int for v in (cfg.steps, *cfg.grain_sizes, cfg.bets_per_grain,
-                                          *cfg.injection_size_range))
+                                          *cfg.injection_size_range, cfg.seed))
 
 
 def test_init_grains_fresh_state():
